@@ -5,7 +5,8 @@
     conformal-heat verify --suite sl2 --format json
 
 Exit codes: 0 success, 1 failed verification, 2 invalid mathematical
-regime, 3 unreadable input.  Numeric output is deterministic: identical
+regime, 3 unreadable or malformed input (usage errors and non-finite
+numbers included).  Numeric output is deterministic: identical
 configuration and input produce identical bytes, floats carry 17
 significant digits.  The CONFORMAL_HEAT_TOL environment variable overrides
 the default series tolerance of 1e-10.
@@ -14,10 +15,12 @@ the default series tolerance of 1e-10.
 from __future__ import annotations
 
 import argparse
-import io
 import json
+import math
 import os
+import re
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 
 from .errors import (
@@ -57,26 +60,50 @@ class RunConfig:
     t_list: list[float] = dc_field(default_factory=list)
 
 
+def _finite(values: list[float], what: str) -> list[float]:
+    if not all(map(math.isfinite, values)):
+        raise FieldFormatError(f"{what}: values must be finite, got {values}")
+    return values
+
+
 def _parse_floats(text: str, count: int, what: str) -> list[float]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != count:
         raise FieldFormatError(f"{what}: expected {count} comma-separated numbers, got {text!r}")
     try:
-        return [float(p) for p in parts]
+        return _finite([float(p) for p in parts], what)
     except ValueError as exc:
         raise FieldFormatError(f"{what}: {exc}") from exc
 
 
 def _parse_float_list(text: str, what: str) -> list[float]:
     try:
-        return [float(p) for p in text.split(",") if p.strip()]
+        return _finite([float(p) for p in text.split(",") if p.strip()], what)
     except ValueError as exc:
         raise FieldFormatError(f"{what}: {exc}") from exc
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse with the package's exit codes and negative comma lists.
+
+    A usage error raises FieldFormatError (exit 3): argparse's own exit
+    status 2 means "invalid regime" here.  Any argument starting with a
+    minus sign and a digit, such as "-0.5,0.2", is read as a value rather
+    than as an unknown option; no option of this parser looks like that.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise FieldFormatError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="conformal-heat", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _ArgumentParser(prog="conformal-heat", description=__doc__,
+                             formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -98,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("apply", help="apply an exponential to a field file")
     common(a)
     a.add_argument("--exponent", help="z1re,z1im,z2re,z2im,z3re,z3im")
-    a.add_argument("--t", type=float, help="apply the dilation for this t instead")
+    a.add_argument("--t", help="apply the dilation for this t instead")
 
     v = sub.add_parser("verify", help="run self-check suites")
     common(v)
@@ -149,7 +176,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         if args.exponent is not None:
             v = _parse_floats(args.exponent, 6, "--exponent")
             cfg.exponent = G0Exponent(complex(v[0], v[1]), complex(v[2], v[3]), complex(v[4], v[5]))
-        cfg.t = args.t
+        if args.t is not None:
+            (cfg.t,) = _parse_floats(args.t, 1, "--t")
         if cfg.in_path is None:
             raise FieldFormatError("apply needs --in FIELD_FILE")
     elif args.command == "verify":
@@ -158,12 +186,18 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
+@contextmanager
+def _output(cfg: RunConfig):
     if cfg.out_path:
         with open(cfg.out_path, "w") as fp:
-            fp.write(text)
+            yield fp
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _emit(cfg: RunConfig, text: str) -> None:
+    with _output(cfg) as fp:
+        fp.write(text)
 
 
 def _kernel_value(cfg: RunConfig, r: float, rp: float, t: float) -> complex:
@@ -226,16 +260,15 @@ def cmd_apply(cfg: RunConfig) -> int:
             result = apply_scaling_direct(cfg.t, data)
         else:
             result = apply_exp_g0_grid(cfg.exponent, data)
-        out = io.StringIO()
-        write_grid2d(out, result, _config_echo(cfg))
+        write = write_grid2d
     else:
         if cfg.t is not None:
             result = [apply_scaling_direct(cfg.t, f) for f in data]
         else:
             result = [apply_exp_g0(cfg.exponent, f) for f in data]
-        out = io.StringIO()
-        write_factored(out, result, _config_echo(cfg))
-    _emit(cfg, out.getvalue())
+        write = write_factored
+    with _output(cfg) as fp:
+        write(fp, result, _config_echo(cfg))
     return 0
 
 
@@ -265,8 +298,8 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         cfg = _config_from_args(args)
         if args.command == "kernel":
             return cmd_kernel(cfg)

@@ -8,19 +8,29 @@ and numbers written with 17 significant digits:
   degree is |m|; for N = 1 it is the sign parity 0/1; for N >= 3 the degree.
 * N = 1 / N = 2 grid fields:  columns (angle_index, s_index, re, im).
 
-The grid geometry travels either in a leading comment line
+The grid geometry travels either in a comment line ahead of the data
 
     # geometry: {"kind": "factored", "dim": 3, "s_min": -16.0, ...}
 
 or in a JSON sidecar next to the data file (same path plus ".json"), which
-wins when both are present.  Other '#' lines are ignored.
+wins when both are present.  Other '#' lines and blank lines are ignored
+anywhere; a single column-name row may precede the data.
+
+The reader is strict: indices must be integers in range, every
+(key, s_index) pair of a factored field and every (angle_index, s_index)
+pair of a grid field must appear exactly once, and every value must be
+finite.  Anything else raises FieldFormatError.
+
+Tables are parsed by one np.loadtxt pass streaming from the file and
+written one sector or angle row per write, so neither side holds the
+whole text in memory.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Iterable, TextIO
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -35,29 +45,90 @@ def format_float(x: float) -> str:
     return _FMT.format(float(x))
 
 
-def _geometry_from_lines(lines: list[str]) -> dict | None:
-    for line in lines:
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("geometry:"):
-                try:
-                    return json.loads(body[len("geometry:"):])
-                except json.JSONDecodeError as exc:
-                    raise FieldFormatError(f"bad geometry header: {exc}") from exc
-    return None
+def _is_column_names(line: str) -> bool:
+    cell = line.split(",", 1)[0].strip()
+    try:
+        float(cell)
+    except ValueError:
+        return not cell.lstrip("+-").replace(".", "", 1)[:1].isdigit()
+    return False
 
 
-def _load_geometry(path: str, lines: list[str]) -> dict:
+def _scan_head(fp: TextIO) -> tuple[str | None, str | None]:
+    """Consume the lines ahead of the data.
+
+    Returns the text after the first "# geometry:" comment (or None) and
+    the first data line (or None when the table has no data rows).  The
+    column-name row is only recognised as the first non-comment line.
+    """
+    geometry = None
+    names_allowed = True
+    for line in fp:
+        body = line.strip()
+        if not body:
+            continue
+        if body.startswith("#"):
+            body = body[1:].strip()
+            if geometry is None and body.startswith("geometry:"):
+                geometry = body[len("geometry:"):]
+            continue
+        if names_allowed and _is_column_names(body):
+            names_allowed = False
+            continue
+        return geometry, line
+    return geometry, None
+
+
+def _data_lines(first: str, fp: TextIO) -> Iterator[str]:
+    # np.loadtxt skips empty lines and lines starting with '#' itself, but
+    # rejects whitespace-only lines and indented comments.
+    yield first
+    for line in fp:
+        if line[:1].isspace():
+            body = line.strip()
+            if not body or body.startswith("#"):
+                continue
+        yield line
+
+
+def _read_table(path: str, n_cols: int) -> tuple[str | None, np.ndarray]:
+    """Geometry header text (or None) and the finite (rows, n_cols) data."""
+    try:
+        with open(path) as fp:
+            geometry, first = _scan_head(fp)
+            if first is None:
+                return geometry, np.empty((0, n_cols))
+            data = np.loadtxt(_data_lines(first, fp), delimiter=",", comments="#", ndmin=2)
+    except OSError as exc:
+        raise FieldFormatError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:
+        raise FieldFormatError(f"{path}: {exc}") from exc
+    if data.shape[1] != n_cols:
+        raise FieldFormatError(f"{path}: rows have {data.shape[1]} columns, expected {n_cols}")
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise FieldFormatError(f"{path}: data row {row + 1} has a non-finite value")
+    return geometry, data
+
+
+def _load_geometry(path: str, header: str | None) -> dict:
     sidecar = path + ".json"
     if os.path.exists(sidecar):
         try:
             with open(sidecar) as fp:
-                return json.load(fp)
+                geo = json.load(fp)
         except (OSError, json.JSONDecodeError) as exc:
             raise FieldFormatError(f"bad geometry sidecar {sidecar}: {exc}") from exc
-    geo = _geometry_from_lines(lines)
-    if geo is None:
+    elif header is None:
         raise FieldFormatError(f"{path}: no geometry header or sidecar found")
+    else:
+        try:
+            geo = json.loads(header)
+        except json.JSONDecodeError as exc:
+            raise FieldFormatError(f"bad geometry header: {exc}") from exc
+    if not isinstance(geo, dict):
+        raise FieldFormatError(f"{path}: geometry must be a JSON object")
     return geo
 
 
@@ -75,62 +146,61 @@ def _grid_from_geometry(geo: dict) -> LogRadialGrid:
         raise FieldFormatError(f"bad geometry value: {exc}") from exc
 
 
-def _data_rows(lines: Iterable[str], n_cols: int, what: str):
-    header_allowed = True
-    for i, raw in enumerate(lines):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if not parts[0].lstrip("+-").replace(".", "", 1)[:1].isdigit():
-            if header_allowed:
-                header_allowed = False
-                continue  # the single column-name row
-            raise FieldFormatError(f"{what}: row {i + 1} is not numeric")
-        header_allowed = False
-        if len(parts) != n_cols:
-            raise FieldFormatError(f"{what}: row {i + 1} has {len(parts)} columns, expected {n_cols}")
-        try:
-            yield [float(p) for p in parts]
-        except ValueError as exc:
-            raise FieldFormatError(f"{what}: row {i + 1}: {exc}") from exc
+def _check_indices(path: str, name: str, column: np.ndarray, bound: int | None = None) -> None:
+    bad = column != np.trunc(column)
+    if bound is not None:
+        bad |= (column < 0) | (column >= bound)
+    if bad.any():
+        row = int(np.argmax(bad))
+        limit = "" if bound is None else f" in [0, {bound})"
+        raise FieldFormatError(f"{path}: data row {row + 1}: {name} {column[row]:g} is not an integer{limit}")
+
+
+def _scatter(path: str, names: tuple[str, str], keys: np.ndarray, flat: np.ndarray,
+             data: np.ndarray, n: int) -> np.ndarray:
+    """Place row i's value at flat[i] of a (len(keys), n) array; each slot exactly once."""
+    counts = np.bincount(flat, minlength=len(keys) * n)
+    for wrong, what in ((counts > 1, "duplicate"), (counts == 0, "missing")):
+        if wrong.any():
+            k, j = divmod(int(np.argmax(wrong)), n)
+            raise FieldFormatError(f"{path}: {int(wrong.sum())} {what} rows, first at "
+                                   f"{names[0]}={keys[k]:g}, {names[1]}={j}")
+    values = np.empty(len(keys) * n, dtype=complex)
+    # Complex arithmetic, not a view of the two columns: re + 1j*im turns a
+    # -0.0 real part into +0.0, and written files depend on that.
+    values[flat] = data[:, 2] + 1j * data[:, 3]
+    return values.reshape(len(keys), n)
 
 
 def read_field_file(path: str):
     """Read a field file; returns a list[FactoredField] or a GridField2D."""
-    try:
-        with open(path) as fp:
-            lines = fp.readlines()
-    except OSError as exc:
-        raise FieldFormatError(f"cannot read {path}: {exc}") from exc
-    geo = _load_geometry(path, lines)
+    header, data = _read_table(path, 4)
+    geo = _load_geometry(path, header)
     kind = geo.get("kind")
     grid = _grid_from_geometry(geo)
     if kind == "factored":
-        buckets: dict[int, np.ndarray] = {}
-        for m_f, j_f, re, im in _data_rows(lines, 4, path):
-            m, j = int(m_f), int(j_f)
-            if not 0 <= j < grid.n:
-                raise FieldFormatError(f"{path}: s_index {j} out of range")
-            buckets.setdefault(m, np.zeros(grid.n, dtype=complex))[j] = re + 1j * im
+        if not len(data):
+            raise FieldFormatError(f"{path}: no data rows")
+        _check_indices(path, "m", data[:, 0])
+        _check_indices(path, "s_index", data[:, 1], grid.n)
+        keys, key_rank = np.unique(data[:, 0], return_inverse=True)
+        flat = key_rank * grid.n + data[:, 1].astype(np.intp)
+        values = _scatter(path, ("m", "s_index"), keys, flat, data, grid.n)
         out = []
-        for m in sorted(buckets):
+        for m_f, row in zip(keys.tolist(), values):
+            m = int(m_f)
             mode = m if grid.dim <= 2 else None
             degree = abs(m) if grid.dim == 2 else m
-            out.append(FactoredField(degree, RadialSamples(grid, buckets[m]), mode))
-        if not out:
-            raise FieldFormatError(f"{path}: no data rows")
+            out.append(FactoredField(degree, RadialSamples(grid, row), mode))
         return out
     if kind == "grid2d":
         n_phi = int(geo.get("n_phi", 2 if grid.dim == 1 else 0))
         if n_phi <= 0:
             raise FieldFormatError(f"{path}: geometry missing n_phi")
-        values = np.zeros((n_phi, grid.n), dtype=complex)
-        for a_f, j_f, re, im in _data_rows(lines, 4, path):
-            a, j = int(a_f), int(j_f)
-            if not (0 <= a < n_phi and 0 <= j < grid.n):
-                raise FieldFormatError(f"{path}: index ({a}, {j}) out of range")
-            values[a, j] = re + 1j * im
+        _check_indices(path, "angle_index", data[:, 0], n_phi)
+        _check_indices(path, "s_index", data[:, 1], grid.n)
+        flat = data[:, 0].astype(np.intp) * grid.n + data[:, 1].astype(np.intp)
+        values = _scatter(path, ("angle_index", "s_index"), np.arange(n_phi), flat, data, grid.n)
         return GridField2D(grid, values)
     raise FieldFormatError(f"{path}: unknown field kind {kind!r}")
 
@@ -139,6 +209,15 @@ def _write_header(fp: TextIO, geometry: dict, config: dict | None) -> None:
     fp.write("# geometry: " + json.dumps(geometry, sort_keys=True) + "\n")
     if config:
         fp.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
+
+
+def _write_rows(fp: TextIO, keys: list[int], rows) -> None:
+    """Write "key,s_index,re,im" lines, one fp.write per row of samples."""
+    # "%.17g" % x == "{:.17g}".format(x) for every float; K stands for the key
+    row_fmt = "".join([f"K,{j},%.17g,%.17g\n" for j in range(len(rows[0]))])
+    for key, values in zip(keys, rows):
+        re_im = np.ascontiguousarray(values, dtype=complex).view(float)
+        fp.write(row_fmt.replace("K", str(key)) % tuple(re_im.tolist()))
 
 
 def write_factored(fp: TextIO, fields: list[FactoredField], config: dict | None = None) -> None:
@@ -152,12 +231,8 @@ def write_factored(fp: TextIO, fields: list[FactoredField], config: dict | None 
     }
     _write_header(fp, geometry, config)
     fp.write("m,s_index,re,im\n")
-    for f in fields:
-        key = f.mode if grid.dim == 2 else (f.mode if grid.dim == 1 else f.degree)
-        for j, v in enumerate(f.radial.values):
-            fp.write(
-                f"{key},{j},{format_float(v.real)},{format_float(v.imag)}\n"
-            )
+    keys = [f.mode if grid.dim <= 2 else f.degree for f in fields]
+    _write_rows(fp, keys, [f.radial.values for f in fields])
 
 
 def write_grid2d(fp: TextIO, field: GridField2D, config: dict | None = None) -> None:
@@ -172,25 +247,10 @@ def write_grid2d(fp: TextIO, field: GridField2D, config: dict | None = None) -> 
     }
     _write_header(fp, geometry, config)
     fp.write("angle_index,s_index,re,im\n")
-    for a in range(field.n_phi):
-        for j in range(grid.n):
-            v = field.values[a, j]
-            fp.write(f"{a},{j},{format_float(v.real)},{format_float(v.imag)}\n")
-
-
-def write_field_file(path: str, field_or_fields, config: dict | None = None) -> None:
-    with open(path, "w") as fp:
-        if isinstance(field_or_fields, GridField2D):
-            write_grid2d(fp, field_or_fields, config)
-        else:
-            write_factored(fp, list(field_or_fields), config)
+    _write_rows(fp, list(range(field.n_phi)), field.values)
 
 
 def read_points(path: str) -> list[tuple[float, float, float]]:
     """Read kernel query points (r, r_prime, t) from CSV; '#' lines skipped."""
-    try:
-        with open(path) as fp:
-            lines = fp.readlines()
-    except OSError as exc:
-        raise FieldFormatError(f"cannot read {path}: {exc}") from exc
-    return [(r, rp, t) for r, rp, t in _data_rows(lines, 3, path)]
+    _, data = _read_table(path, 3)
+    return list(map(tuple, data.tolist()))

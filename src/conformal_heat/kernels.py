@@ -33,8 +33,6 @@ from .errors import DomainError, InvalidRegimeError
 from .log_radial import LogRadialGrid, RadialSamples
 from .special_functions import (
     ThetaArgs,
-    chebyshev_t,
-    chebyshev_u,
     gegenbauer_tilde,
     gegenbauer_tilde_sup,
     theta,

@@ -204,6 +204,80 @@ def test_exit_code_3_malformed_field(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _field_text(kind: str, drop: int | None = None, repeat: int | None = None,
+                value: str = "1") -> str:
+    """A complete N = 1 field on 8 samples (two keys), optionally damaged."""
+    geo = {"kind": kind, "dim": 1, "s_min": -1, "s_max": 1, "n": 8}
+    names = "m,s_index,re,im" if kind == "factored" else "angle_index,s_index,re,im"
+    rows = [f"{a},{j},{value},0" for a in (0, 1) for j in range(8)]
+    if repeat is not None:
+        rows.append(rows[repeat])
+    if drop is not None:
+        del rows[drop]
+    return "\n".join(["# geometry: " + json.dumps(geo), names] + rows) + "\n"
+
+
+@pytest.mark.parametrize("kind", ["factored", "grid2d"])
+@pytest.mark.parametrize("damage, message", [
+    ({"drop": 11}, "missing"),
+    ({"drop": 0}, "missing"),
+    ({"repeat": 3}, "duplicate"),
+    ({"value": "nan"}, "non-finite"),
+    ({"value": "inf"}, "non-finite"),
+    ({"value": "-inf"}, "non-finite"),
+], ids=["missing", "missing-first", "duplicate", "nan", "inf", "minus-inf"])
+def test_exit_code_3_strict_field_rows(tmp_path, capsys, kind, damage, message):
+    good = tmp_path / "good.csv"
+    good.write_text(_field_text(kind))
+    assert main(["apply", "--exponent", "0,0,0,0,0,0", "--in", str(good), "--out", str(tmp_path / "o.csv")]) == 0
+    bad = tmp_path / "bad.csv"
+    bad.write_text(_field_text(kind, **damage))
+    assert main(["apply", "--exponent", "0,0,0,0,0,0", "--in", str(bad)]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_exit_code_3_non_finite_point(tmp_path, capsys):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("r,rp,t\nnan,1.0,0.3\n")
+    assert main(["kernel", "--dim", "2", "--z", "0.5,0", "--in", str(pts)]) == 3
+    assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--dim", "2"],
+    ["kernel", "--dim", "two", "--z", "0.5,0", "--r", "1", "--rp", "1", "--t", "0"],
+    ["transform", "--dim", "2"],
+    ["verify", "--suite", "no-such-suite"],
+], ids=["missing-option", "bad-int", "unknown-verb", "bad-choice"])
+def test_exit_code_3_usage_error(capsys, argv):
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "error:" in err
+
+
+def test_negative_comma_lists_are_values(tmp_path, capsys):
+    out = tmp_path / "k.csv"
+    assert main(["kernel", "--dim", "2", "--z", "0.5,0", "--r", "1", "--rp", "1.2",
+                 "--t", "-0.5,0.2", "--out", str(out)]) == 0
+    assert [row[2] for row in _read_csv_rows(out)] == [-0.5, 0.2]
+    out = tmp_path / "a.csv"
+    assert main(["apply", "--exponent", "-0,0.2,0,0,0.5,0", "--in", IN_FIELD, "--out", str(out)]) == 0
+    # parsed as a value; a real z1 is then refused as unbounded (exit 2)
+    assert main(["apply", "--exponent", "-0.1,0,0,0,0.5,0", "--in", IN_FIELD]) == 2
+    assert "unbounded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--dim", "2", "--z", "0.5,inf", "--r", "1", "--rp", "1", "--t", "0"],
+    ["kernel", "--dim", "2", "--z", "0.5,0", "--r", "1", "--rp", "1", "--t", "0.2,nan"],
+    ["apply", "--exponent", "0,0,0,0,nan,0", "--in", IN_FIELD],
+    ["apply", "--t", "inf", "--in", IN_FIELD],
+], ids=["kernel-z", "kernel-t", "apply-exponent", "apply-t"])
+def test_exit_code_3_non_finite_argument(capsys, argv):
+    assert main(argv) == 3
+    assert "finite" in capsys.readouterr().err
+
+
 def test_exit_code_3_bad_env_tolerance(monkeypatch, capsys):
     monkeypatch.setenv("CONFORMAL_HEAT_TOL", "not-a-number")
     assert main(["kernel", "--dim", "2", "--z", "0.5,0", "--r", "1", "--rp", "1", "--t", "0"]) == 3

@@ -1,0 +1,111 @@
+"""Field-file bytes and the reader's accept/reject outcomes on awkward input."""
+
+from __future__ import annotations
+
+import io
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from conformal_heat.cli import main
+from conformal_heat.errors import FieldFormatError
+from conformal_heat.fields_io import read_field_file, read_points, write_factored, write_grid2d
+from conformal_heat.log_radial import LogRadialGrid, RadialSamples
+from conformal_heat.spherical import FactoredField, GridField2D
+
+IN_FIELD = str(Path(__file__).parent / "fixtures" / "gauss_n3_m1_in.csv")
+
+EDGE_VALUES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308,
+    1.7976931348623157e308, 1.0, -3.0, 2.0**53, 1e16, 123456789.0,
+    1e-300, -1.2345678901234567e-300, 0.1, 1.0 / 3.0,
+]
+
+
+def _reference_rows(keys, rows) -> str:
+    """Reference rows: "{:.17g}" per float, one line per sample."""
+    fmt = "{:.17g}".format
+    return "".join(f"{k},{j},{fmt(float(v.real))},{fmt(float(v.imag))}\n"
+                   for k, row in zip(keys, rows) for j, v in enumerate(row))
+
+
+def _edge_samples(count: int, n: int) -> np.ndarray:
+    vals = np.resize(np.array(EDGE_VALUES), (count, n, 2))
+    vals[1::2] = vals[1::2, ::-1]  # pair each value with different partners
+    out = np.empty((count, n), dtype=complex)
+    out.real, out.imag = vals[..., 0], vals[..., 1]
+    return out
+
+
+def test_write_factored_bytes_match_reference():
+    grid = LogRadialGrid(dim=3, s_min=-2.0, s_max=2.0, n=16)
+    samples = _edge_samples(3, grid.n)
+    fields = [FactoredField(m, RadialSamples(grid, row)) for m, row in zip((0, 2, 7), samples)]
+    fp = io.StringIO()
+    write_factored(fp, fields)
+    rows = fp.getvalue().split("m,s_index,re,im\n", 1)[1]
+    assert rows == _reference_rows((0, 2, 7), samples)
+
+
+def test_write_grid2d_bytes_match_reference():
+    grid = LogRadialGrid(dim=2, s_min=-2.0, s_max=2.0, n=32)
+    values = _edge_samples(8, grid.n)
+    fp = io.StringIO()
+    write_grid2d(fp, GridField2D(grid, values), {"dim": 2})
+    lines = fp.getvalue().split("angle_index,s_index,re,im\n", 1)
+    assert lines[0].endswith('# config: {"dim": 2}\n')
+    assert lines[1] == _reference_rows(range(8), values)
+
+
+def test_apply_stdout_matches_out_file(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    argv = ["apply", "--exponent", "0,0.3,0,0,0.5,0.2", "--in", IN_FIELD]
+    assert main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out.read_text()
+
+
+def _grid_text(lines_between: list[str], newline: str = "\n") -> str:
+    geo = {"kind": "grid2d", "dim": 1, "s_min": -1, "s_max": 1, "n": 8}
+    rows = [f"{a},{j},{a + 0.5 * j},{-j}" for a in (0, 1) for j in range(8)]
+    body = rows[:5] + lines_between + rows[5:]
+    return newline.join(["# geometry: " + json.dumps(geo), "angle_index,s_index,re,im"] + body) + newline
+
+
+@pytest.mark.parametrize("text", [
+    _grid_text([], newline="\r\n"),
+    _grid_text(["# a comment between rows"]),
+    _grid_text(["   # an indented comment"]),
+    _grid_text(["", "   ", "\t"]),
+], ids=["crlf", "comment", "indented-comment", "blank-lines"])
+def test_reader_accepts(tmp_path, text):
+    clean = tmp_path / "clean.csv"
+    clean.write_text(_grid_text([]))
+    path = tmp_path / "f.csv"
+    path.write_bytes(text.encode())
+    assert np.array_equal(read_field_file(str(path)).values, read_field_file(str(clean)).values)
+
+
+@pytest.mark.parametrize("text", [
+    _grid_text(["1,5,0.0"]),
+    _grid_text(["1,5,0.0,0.0,0.0"]),
+    _grid_text(["not,a,number,row"]),
+    _grid_text(["angle_index,s_index,re,im"]),
+    _grid_text(["1.5,5,0,0"]),
+    _grid_text(["1,8,0,0"]),
+], ids=["too-few-columns", "too-many-columns", "text-row", "second-names-row",
+        "fractional-index", "index-out-of-range"])
+def test_reader_rejects(tmp_path, text):
+    path = tmp_path / "f.csv"
+    path.write_text(text)
+    with pytest.raises(FieldFormatError):
+        read_field_file(str(path))
+
+
+def test_read_points_skips_names_comments_and_blank_lines(tmp_path):
+    path = tmp_path / "pts.csv"
+    path.write_text("# points\nr,rp,t\n1.0,1.5,0.3\n\n  \n# mid\n0.7,0.7,-0.2\r\n")
+    assert read_points(str(path)) == [(1.0, 1.5, 0.3), (0.7, 0.7, -0.2)]
