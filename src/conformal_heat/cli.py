@@ -9,7 +9,8 @@ regime, 3 unreadable or malformed input (usage errors and non-finite
 numbers included).  Numeric output is deterministic: identical
 configuration and input produce identical bytes, floats carry 17
 significant digits.  The CONFORMAL_HEAT_TOL environment variable overrides
-the default series tolerance of 1e-10.
+the default series tolerance of 1e-10; a tolerance must be finite and
+positive.
 """
 
 from __future__ import annotations
@@ -140,10 +141,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         raise DomainError(f"dim must be >= 1, got {cfg.dim}")
     env_tol = os.environ.get("CONFORMAL_HEAT_TOL")
     if args.tol is not None:
-        cfg.tol = args.tol
+        (cfg.tol,) = _finite([args.tol], "--tol")
     elif env_tol is not None:
         try:
-            cfg.tol = float(env_tol)
+            (cfg.tol,) = _finite([float(env_tol)], "CONFORMAL_HEAT_TOL")
         except ValueError as exc:
             raise FieldFormatError(f"CONFORMAL_HEAT_TOL: {exc}") from exc
     if cfg.tol <= 0:

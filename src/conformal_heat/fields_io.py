@@ -166,9 +166,9 @@ def _scatter(path: str, names: tuple[str, str], keys: np.ndarray, flat: np.ndarr
             raise FieldFormatError(f"{path}: {int(wrong.sum())} {what} rows, first at "
                                    f"{names[0]}={keys[k]:g}, {names[1]}={j}")
     values = np.empty(len(keys) * n, dtype=complex)
-    # Complex arithmetic, not a view of the two columns: re + 1j*im turns a
-    # -0.0 real part into +0.0, and written files depend on that.
-    values[flat] = data[:, 2] + 1j * data[:, 3]
+    # The two columns viewed as complex, so signed zeros survive: re + 1j*im
+    # would turn a -0.0 real part into +0.0.
+    values[flat] = np.ascontiguousarray(data[:, 2:4]).view(complex)[:, 0]
     return values.reshape(len(keys), n)
 
 

@@ -85,8 +85,8 @@ class KernelQuery:
             raise DomainError("radii must be positive")
         if abs(self.t) > 1.0 + 1e-12:
             raise DomainError(f"t={self.t} outside [-1, 1]")
-        if not (self.tol > 0):
-            raise DomainError("tol must be positive")
+        if not (0 < self.tol < math.inf):
+            raise DomainError("tol must be finite and positive")
 
 
 def _gauss_factor(ct: ComplexTime, r, rp, dim: int):
@@ -110,10 +110,8 @@ def radial_kernel(m: int, dim: int, r, r_prime, z) -> complex:
 
 def truncation_degree(dim: int, z, tol: float) -> int:
     """Smallest M with sum_{m > M} sup|C~_m| exp(-Re z (m + nu)^2) < tol."""
-    if math.isinf(tol):
-        return 0
-    if not (tol > 0):
-        raise DomainError("tol must be positive")
+    if not (0 < tol < math.inf):
+        raise DomainError("tol must be finite and positive")
     ct = _require_kernel_regime(as_time(z))
     x = ct.z.real
     if dim == 1:
@@ -229,13 +227,18 @@ def radial_semigroup_matrix(dim: int, z, grid: LogRadialGrid) -> np.ndarray:
 
     B already folds in the measure weights r'^{N-2} ds but not the degree
     factor exp(-z (m + nu)^2):  apply_radial_kernel multiplies it back.
-    Rebuilding B is the expensive step, so callers doing many degrees at a
-    fixed (dim, z) should reuse one matrix.
+    The Gaussian depends on s_j - s_k = (j - k) ds only, so it is evaluated
+    once per offset (2n - 1 exponentials) and read as a Toeplitz view; the
+    diagonal weights then cost one n x n product.  The result is still a
+    dense n x n complex array, so callers doing many degrees at a fixed
+    (dim, z) should reuse one matrix.
     """
     ct = _require_kernel_regime(as_time(z))
-    s = grid.s
-    ds2 = (s[:, None] - s[None, :]) ** 2
-    base = np.exp(-ds2 / (4.0 * ct.z)) / (2.0 * math.sqrt(math.pi) * ct.sqrt_z)
+    s, n = grid.s, grid.n
+    d = grid.ds * np.arange(n - 1, -n, -1)
+    row = np.exp(-d * d / (4.0 * ct.z)) / (2.0 * math.sqrt(math.pi) * ct.sqrt_z)
+    # row[n - 1 + k - j] holds offset (j - k) ds: reversed windows are Toeplitz
+    base = np.lib.stride_tricks.sliding_window_view(row, n)[::-1]
     half = -0.5 * (dim - 2)
     left = np.exp(half * s)
     right = np.exp(half * s) * grid.r ** (dim - 2) * grid.ds

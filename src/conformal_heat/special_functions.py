@@ -62,8 +62,8 @@ class ThetaArgs:
             raise SeriesDivergenceError(
                 f"theta series diverges for Im tau = {self.tau.imag}; need Im tau > 0"
             )
-        if not (self.tol > 0):
-            raise DomainError("tol must be positive")
+        if not (0 < self.tol < math.inf):
+            raise DomainError("tol must be finite and positive")
 
 
 def _check_t(t: float) -> float:

@@ -131,12 +131,10 @@ def apply_scaling_direct(t: float, field: FactoredField | GridField2D | RadialSa
     """
     if isinstance(field, FactoredField):
         return FactoredField(field.degree, apply_scaling_direct(t, field.radial), field.mode)
-    if isinstance(field, GridField2D):
-        grid = field.grid
-        k = _shift_steps(t, grid.ds)
-        factor = np.exp((grid.dim - 2) * t)
-        return GridField2D(grid, factor * np.roll(field.values, -k, axis=1))
     grid = field.grid
-    k = _shift_steps(t, grid.ds)
+    values = np.roll(field.values, -_shift_steps(t, grid.ds), axis=-1)
+    # scale the parts as reals: a complex product would drop the sign of zeros
     factor = np.exp((grid.dim - 2) * t)
-    return RadialSamples(grid, factor * np.roll(field.values, -k))
+    values.real *= factor
+    values.imag *= factor
+    return type(field)(grid, values)

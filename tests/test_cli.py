@@ -105,6 +105,19 @@ def test_apply_zero_exponent_preserves_data_bytes(tmp_path):
     assert _data_lines(out.read_text()) == _data_lines(Path(IN_FIELD).read_text())
 
 
+@pytest.mark.parametrize("kind", ["factored", "grid2d"])
+def test_apply_identity_keeps_signed_zeros(tmp_path, kind):
+    src = tmp_path / "zeros.csv"
+    text = _field_text(kind)
+    for j, (re_part, im_part) in enumerate([("-0", "1.5"), ("-0", "-0"), ("2", "-0"), ("0", "0")]):
+        text = text.replace(f"\n1,{j},1,0\n", f"\n1,{j},{re_part},{im_part}\n")
+    assert text.count("-0") == 4
+    src.write_text(text)
+    out = tmp_path / "out.csv"
+    assert main(["apply", "--t", "0", "--dim", "1", "--in", str(src), "--out", str(out)]) == 0
+    assert _data_lines(out.read_text()) == _data_lines(text)
+
+
 def test_apply_matches_golden_output(tmp_path):
     out = tmp_path / "half.csv"
     assert main(["apply", "--exponent", "0,0,0,0,0.5,0", "--in", IN_FIELD, "--out", str(out)]) == 0
@@ -282,6 +295,22 @@ def test_exit_code_3_bad_env_tolerance(monkeypatch, capsys):
     monkeypatch.setenv("CONFORMAL_HEAT_TOL", "not-a-number")
     assert main(["kernel", "--dim", "2", "--z", "0.5,0", "--r", "1", "--rp", "1", "--t", "0"]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("spelling", ["inf", "-inf", "nan", "1e400"])
+@pytest.mark.parametrize("closed_form", [False, True], ids=["series", "closed-form"])
+def test_exit_code_3_non_finite_tolerance(capsys, spelling, closed_form):
+    argv = ["kernel", "--dim", "2", "--z", "0.05,0", "--r", "1", "--rp", "1.2", "--t", "0.3",
+            "--tol", spelling] + ["--closed-form"] * closed_form
+    assert main(argv) == 3
+    assert "--tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spelling", ["inf", "-inf", "nan", "1e400"])
+def test_exit_code_3_non_finite_env_tolerance(monkeypatch, capsys, spelling):
+    monkeypatch.setenv("CONFORMAL_HEAT_TOL", spelling)
+    assert main(["kernel", "--dim", "3", "--z", "0.5,0", "--r", "1", "--rp", "1.2", "--t", "0.3"]) == 3
+    assert "CONFORMAL_HEAT_TOL" in capsys.readouterr().err
 
 
 def test_env_tolerance_is_honored(monkeypatch, tmp_path):

@@ -21,6 +21,7 @@ from conformal_heat.kernels import (
     closed_form_4d,
     full_kernel_series,
     radial_kernel,
+    radial_semigroup_matrix,
     truncation_degree,
 )
 from conformal_heat.log_radial import LogRadialGrid, RadialSamples, u_inverse, weighted_norm
@@ -65,7 +66,9 @@ def test_radial_kernel_semigroup_quadrature():
 
 def test_truncation_degree_examples():
     assert truncation_degree(2, 1.0, 1e-12) <= 8
-    assert truncation_degree(3, 0.5, math.inf) == 0
+    for tol in (math.inf, math.nan, 0.0, -1e-12):
+        with pytest.raises(DomainError):
+            truncation_degree(3, 0.5, tol)
     assert truncation_degree(1, 0.2, 1e-15) == 1
     assert truncation_degree(4, 0.5, 1e-15) >= truncation_degree(4, 0.5, 1e-9)
 
@@ -176,6 +179,9 @@ def test_query_validation():
         KernelQuery(2, as_time(0.5), 1.0, 1.0, 1.5)
     with pytest.raises(DomainError):
         KernelQuery(0, as_time(0.5), 1.0, 1.0, 0.5)
+    for tol in (math.inf, math.nan, 0.0):
+        with pytest.raises(DomainError):
+            KernelQuery(2, as_time(0.5), 1.0, 1.0, 0.5, tol)
 
 
 def test_apply_radial_kernel_mass_conservation_limit():
@@ -212,3 +218,37 @@ def test_apply_full_kernel_1d_matches_spectral_route():
     spec = apply_exp_g0_grid(G0Exponent(z3=z), field)
     err = np.max(np.abs(quad.values - spec.values)) / np.max(np.abs(spec.values))
     assert err < 1e-10
+
+
+def _direct_semigroup_matrix(dim, z, grid):
+    # all n^2 entries from s_j - s_k, in the operation order of the formula
+    ct = as_time(z)
+    s = grid.s
+    ds2 = (s[:, None] - s[None, :]) ** 2
+    base = np.exp(-ds2 / (4.0 * ct.z)) / (2.0 * math.sqrt(math.pi) * ct.sqrt_z)
+    half = -0.5 * (dim - 2)
+    left = np.exp(half * s)
+    right = np.exp(half * s) * grid.r ** (dim - 2) * grid.ds
+    return base * np.outer(left, right)
+
+
+@pytest.mark.parametrize("z", [0.5, 0.3 + 0.4j, 1e-4])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_semigroup_matrix_matches_direct_formula(dim, z):
+    # on a dyadic grid s_j - s_k = (j - k) ds exactly, so every entry agrees
+    grid = LogRadialGrid(dim, -4.0, 4.0, 256)
+    assert np.array_equal(radial_semigroup_matrix(dim, z, grid), _direct_semigroup_matrix(dim, z, grid))
+    # elsewhere the two offsets differ by rounding, amplified by 1/z
+    grid = LogRadialGrid(dim, -7.3, 2.1, 128)
+    np.testing.assert_allclose(radial_semigroup_matrix(dim, z, grid),
+                               _direct_semigroup_matrix(dim, z, grid), rtol=1e-10, atol=0)
+
+
+def test_semigroup_matrix_is_a_fresh_array():
+    grid = LogRadialGrid(3, -4.0, 4.0, 64)
+    b = radial_semigroup_matrix(3, 0.5, grid)
+    assert b.dtype == np.complex128 and b.shape == (64, 64)
+    assert b.flags.c_contiguous and b.flags.writeable
+    assert b.base is None
+    b[0, 0] = 7.0
+    assert radial_semigroup_matrix(3, 0.5, grid)[0, 0] != 7.0

@@ -185,6 +185,12 @@ def test_theta_divergence_guard():
         ThetaArgs(0.0, 0.5 - 0.1j)
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-14])
+def test_theta_args_need_finite_positive_tol(tol):
+    with pytest.raises(DomainError):
+        ThetaArgs(0.1, 0.5j, tol)
+
+
 def test_domain_guards():
     with pytest.raises(DomainError):
         gegenbauer_c(2, 1.0, 1.5)
