@@ -6,11 +6,12 @@
 
 Exit codes: 0 success, 1 failed verification, 2 invalid mathematical
 regime, 3 unreadable or malformed input (usage errors and non-finite
-numbers included).  Numeric output is deterministic: identical
-configuration and input produce identical bytes, floats carry 17
-significant digits.  The CONFORMAL_HEAT_TOL environment variable overrides
-the default series tolerance of 1e-10; a tolerance must be finite and
-positive.
+numbers included), 141 (128 + SIGPIPE), with no message, when the reader
+of stdout closes it early, as `| head` does.  Numeric output is
+deterministic: identical configuration and input produce identical bytes,
+floats carry 17 significant digits.  The CONFORMAL_HEAT_TOL environment
+variable overrides the default series tolerance of 1e-10; a tolerance must
+be finite and positive.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .errors import (
     InvalidRegimeError,
 )
 from .fields_io import format_float, read_field_file, read_points, write_factored, write_grid2d
-from .kernels import KernelQuery, as_time, closed_form_1d, closed_form_2d, closed_form_4d, full_kernel_series
+from .kernels import ComplexTime, KernelQuery, as_time, closed_form_1d, closed_form_2d, closed_form_4d, full_kernel_series
 from .spectral_calculus import G0Exponent, apply_exp_g0, apply_exp_g0_grid, apply_scaling_direct
 from .spherical import GridField2D
 from .verify import SUITES, run_suites
@@ -201,20 +202,24 @@ def _emit(cfg: RunConfig, text: str) -> None:
         fp.write(text)
 
 
-def _kernel_value(cfg: RunConfig, r: float, rp: float, t: float) -> complex:
+def _kernel_value(cfg: RunConfig, ct: ComplexTime, r: float, rp: float, t: float) -> complex:
     if cfg.closed_form:
         if cfg.dim == 1:
             if abs(t) != 1.0:
                 raise DomainError("N = 1 admits only t = +1 or t = -1")
-            return closed_form_1d(r, t * rp, cfg.z)
+            return closed_form_1d(r, t * rp, ct)
         if cfg.dim == 2:
-            return closed_form_2d(r, rp, cfg.z, t=t, tol=cfg.tol)
+            return closed_form_2d(r, rp, ct, t=t, tol=cfg.tol)
         if cfg.dim == 4:
-            return closed_form_4d(r, rp, t, cfg.z, tol=cfg.tol)
+            return closed_form_4d(r, rp, t, ct, tol=cfg.tol)
         raise DomainError(f"closed forms exist for N in {{1, 2, 4}}, not N = {cfg.dim}")
     if cfg.dim == 1 and abs(t) != 1.0:
         raise DomainError("N = 1 admits only t = +1 or t = -1")
-    return full_kernel_series(KernelQuery(cfg.dim, as_time(cfg.z), r, rp, t, cfg.tol))
+    return full_kernel_series(KernelQuery(cfg.dim, ct, r, rp, t, cfg.tol))
+
+
+# "%.17g" % x is the same string as format_float(x)
+_KERNEL_ROW = ",".join(["%.17g"] * 5)
 
 
 def cmd_kernel(cfg: RunConfig) -> int:
@@ -224,7 +229,8 @@ def cmd_kernel(cfg: RunConfig) -> int:
         if not (cfg.r_list and cfg.rp_list and cfg.t_list):
             raise FieldFormatError("kernel needs --in POINTS or all of --r, --rp, --t")
         points = [(r, rp, t) for r in cfg.r_list for rp in cfg.rp_list for t in cfg.t_list]
-    rows = [(r, rp, t, _kernel_value(cfg, r, rp, t)) for r, rp, t in points]
+    ct = as_time(cfg.z)
+    rows = [(r, rp, t, _kernel_value(cfg, ct, r, rp, t)) for r, rp, t in points]
     if cfg.fmt == "json":
         payload = {
             "dim": cfg.dim,
@@ -238,14 +244,13 @@ def cmd_kernel(cfg: RunConfig) -> int:
         _emit(cfg, json.dumps(payload, indent=2) + "\n")
     else:
         buf = ["r,r_prime,t,re_k,im_k"]
-        for r, rp, t, k in rows:
-            buf.append(",".join(format_float(x) for x in (r, rp, t, k.real, k.imag)))
+        buf += [_KERNEL_ROW % (r, rp, t, k.real, k.imag) for r, rp, t, k in rows]
         _emit(cfg, "\n".join(buf) + "\n")
     return 0
 
 
-def _config_echo(cfg: RunConfig) -> dict:
-    echo: dict = {"dim": cfg.dim, "tol": cfg.tol}
+def _config_echo(cfg: RunConfig, dim: int) -> dict:
+    echo: dict = {"dim": dim, "tol": cfg.tol}
     if cfg.exponent is not None:
         e = cfg.exponent
         echo["exponent"] = [e.z1.real, e.z1.imag, e.z2.real, e.z2.imag, e.z3.real, e.z3.imag]
@@ -257,19 +262,21 @@ def _config_echo(cfg: RunConfig) -> dict:
 def cmd_apply(cfg: RunConfig) -> int:
     data = read_field_file(cfg.in_path)
     if isinstance(data, GridField2D):
+        dim = data.grid.dim
         if cfg.t is not None:
             result = apply_scaling_direct(cfg.t, data)
         else:
             result = apply_exp_g0_grid(cfg.exponent, data)
         write = write_grid2d
     else:
+        dim = data[0].radial.grid.dim
         if cfg.t is not None:
             result = [apply_scaling_direct(cfg.t, f) for f in data]
         else:
             result = [apply_exp_g0(cfg.exponent, f) for f in data]
         write = write_factored
     with _output(cfg) as fp:
-        write(fp, result, _config_echo(cfg))
+        write(fp, result, _config_echo(cfg, dim))
     return 0
 
 
@@ -303,10 +310,21 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         cfg = _config_from_args(args)
         if args.command == "kernel":
-            return cmd_kernel(cfg)
-        if args.command == "apply":
-            return cmd_apply(cfg)
-        return cmd_verify(cfg)
+            code = cmd_kernel(cfg)
+        elif args.command == "apply":
+            code = cmd_apply(cfg)
+        else:
+            code = cmd_verify(cfg)
+        sys.stdout.flush()  # a closed pipe shows up here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader of stdout went away (say `| head`).  Exit as a process
+        # killed by SIGPIPE would, and point stdout at devnull so that the
+        # flush at interpreter exit does not report the pipe a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (FieldFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -26,6 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -113,7 +114,17 @@ def truncation_degree(dim: int, z, tol: float) -> int:
     if not (0 < tol < math.inf):
         raise DomainError("tol must be finite and positive")
     ct = _require_kernel_regime(as_time(z))
-    x = ct.z.real
+    return _certified_cut(dim, ct.z.real, tol)
+
+
+@lru_cache(maxsize=256)
+def _certified_cut(dim: int, x: float, tol: float) -> int:
+    """truncation_degree for validated arguments, with x = Re z > 0.
+
+    The term bounds read only nu = (dim - 2)/2, Re z and tol, so
+    (dim, Re z, tol) keys the cache completely; a kernel table asks for
+    one key per point and computes it once.
+    """
     if dim == 1:
         return 1  # C~_m^{-1/2}(+-1) vanishes for m >= 2
     nu = 0.5 * (dim - 2)
@@ -140,19 +151,31 @@ def truncation_degree(dim: int, z, tol: float) -> int:
     return cut
 
 
+@lru_cache(maxsize=256)
+def _series_weights(z: complex, nu: float, cut: int) -> tuple[complex, ...]:
+    """exp(-z (m + nu)^2) for m = 0 .. cut.
+
+    The weights are a function of (z, nu, cut) alone, so that triple keys
+    the cache completely; every point of a kernel table shares one entry.
+    """
+    return tuple(cmath.exp(-z * (m + nu) ** 2) for m in range(cut + 1))
+
+
 def full_kernel_series(q: KernelQuery) -> complex:
     """Full kernel by the truncated Gegenbauer series.
 
     The absolute truncation error is at most q.tol times the Gaussian
     prefactor (the zonal prefactor Gamma(N/2)/(2 pi^{N/2}) < 1 shrinks it
-    further).
+    further).  One call costs O(cut): the weights come from a cache and
+    the C~_m from one recurrence pass, summed in increasing m.
     """
     ct = _require_kernel_regime(q.z)
     nu = 0.5 * (q.dim - 2)
     cut = truncation_degree(q.dim, ct, q.tol)
+    weights = _series_weights(ct.z, nu, cut)
     acc = 0.0 + 0.0j
-    for m in range(cut + 1):
-        acc += cmath.exp(-ct.z * (m + nu) ** 2) * gegenbauer_tilde(m, nu, q.t)
+    for w, c in zip(weights, gegenbauer_tilde(range(cut + 1), nu, q.t)):
+        acc += w * c
     pref = math.gamma(0.5 * q.dim) / (2.0 * math.pi ** (0.5 * q.dim))
     return complex(pref * _gauss_factor(ct, q.r, q.r_prime, q.dim) * acc)
 

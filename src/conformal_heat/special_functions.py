@@ -25,10 +25,18 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DomainError, SeriesDivergenceError
 
 _T_SLACK = 1e-12  # tolerated |t| overshoot from rounding of inner products
+
+
+def _check_index(nu: float, degree: int) -> None:
+    if nu < -0.5:
+        raise DomainError(f"Gegenbauer index nu={nu} must be >= -1/2")
+    if degree < 0 or degree != int(degree):
+        raise DomainError(f"degree m={degree} must be a nonnegative integer")
 
 
 @dataclass(frozen=True)
@@ -43,10 +51,7 @@ class GegenbauerParam:
     degree: int
 
     def __post_init__(self):
-        if self.nu < -0.5:
-            raise DomainError(f"Gegenbauer index nu={self.nu} must be >= -1/2")
-        if self.degree < 0 or self.degree != int(self.degree):
-            raise DomainError(f"degree m={self.degree} must be a nonnegative integer")
+        _check_index(self.nu, self.degree)
 
 
 @dataclass(frozen=True)
@@ -72,6 +77,30 @@ def _check_t(t: float) -> float:
     return min(1.0, max(-1.0, t))
 
 
+def _gegenbauer_run(top: int, nu: float, t: float) -> list[float]:
+    # C_0^nu(t) ... C_top^nu(t); t already checked
+    values = [1.0]
+    if top >= 1:
+        prev, cur = 1.0, 2.0 * nu * t
+        values.append(cur)
+        for k in range(2, top + 1):
+            prev, cur = cur, (2.0 * t * (k + nu - 1.0) * cur - (k + 2.0 * nu - 2.0) * prev) / k
+            values.append(cur)
+    return values
+
+
+def _chebyshev_run(top: int, t: float, first: float) -> list[float]:
+    # T_0 ... T_top (first = t) or U_0 ... U_top (first = 2 t); t already checked
+    values = [1.0]
+    if top >= 1:
+        prev, cur = 1.0, first
+        values.append(cur)
+        for _ in range(2, top + 1):
+            prev, cur = cur, 2.0 * t * cur - prev
+            values.append(cur)
+    return values
+
+
 def gegenbauer_c(m: int, nu: float, t: float) -> float:
     """Gegenbauer polynomial C_m^nu(t) by the three-term recurrence.
 
@@ -79,14 +108,8 @@ def gegenbauer_c(m: int, nu: float, t: float) -> float:
     reproduces the generating-function coefficients for every real nu,
     including nu = 0 (where C_m^0 = 0 for m >= 1) and nu = -1/2.
     """
-    GegenbauerParam(nu, m)
-    t = _check_t(t)
-    if m == 0:
-        return 1.0
-    prev, cur = 1.0, 2.0 * nu * t
-    for k in range(2, m + 1):
-        prev, cur = cur, (2.0 * t * (k + nu - 1.0) * cur - (k + 2.0 * nu - 2.0) * prev) / k
-    return cur
+    _check_index(nu, m)
+    return _gegenbauer_run(m, nu, _check_t(t))[-1]
 
 
 def chebyshev_t(m: int, t: float):
@@ -94,12 +117,7 @@ def chebyshev_t(m: int, t: float):
     if m < 0:
         raise DomainError("degree must be nonnegative")
     t = _check_t(t)
-    if m == 0:
-        return 1.0
-    prev, cur = 1.0, t
-    for _ in range(2, m + 1):
-        prev, cur = cur, 2.0 * t * cur - prev
-    return cur
+    return _chebyshev_run(m, t, t)[-1]
 
 
 def chebyshev_u(m: int, t: float):
@@ -107,30 +125,39 @@ def chebyshev_u(m: int, t: float):
     if m < 0:
         raise DomainError("degree must be nonnegative")
     t = _check_t(t)
-    if m == 0:
-        return 1.0
-    prev, cur = 1.0, 2.0 * t
-    for _ in range(2, m + 1):
-        prev, cur = cur, 2.0 * t * cur - prev
-    return cur
+    return _chebyshev_run(m, t, 2.0 * t)[-1]
 
 
-def gegenbauer_tilde(m: int, nu: float, t: float) -> float:
+def _tilde_run(first: int, top: int, nu: float, t: float) -> list[float]:
+    # C~_first^nu(t) ... C~_top^nu(t), all from one recurrence pass
+    _check_index(nu, top)
+    t = _check_t(t)
+    if nu == 0.0:
+        values = _chebyshev_run(top, t, t)
+        return [2.0 * x if k else 1.0 for k, x in enumerate(values[first:], first)]
+    if nu == -0.5 and abs(t) == 1.0:
+        return ([1.0, t] + [0.0] * (top - 1))[first : top + 1]
+    values = _gegenbauer_run(top, nu, t)
+    return [(k + nu) / nu * c for k, c in enumerate(values[first:], first)]
+
+
+def gegenbauer_tilde(m, nu: float, t: float):
     """Renormalized Gegenbauer C~_m^nu(t) = ((m + nu)/nu) C_m^nu(t).
 
     nu = 0 goes through the Chebyshev limit (1 for m = 0, 2 T_m otherwise);
     nu = -1/2 at t = +-1 uses the explicit three-value table, the only
     points the two-point sphere provides.
+
+    m is a degree, or range(cut + 1) for the list [C~_0^nu(t), ...,
+    C~_cut^nu(t)].  The list costs one recurrence pass, O(cut) operations;
+    the scalar form runs the same pass up to degree m, so entry k of the
+    list equals gegenbauer_tilde(k, nu, t) exactly.
     """
-    GegenbauerParam(nu, m)
-    t = _check_t(t)
-    if nu == 0.0:
-        return 1.0 if m == 0 else 2.0 * chebyshev_t(m, t)
-    if nu == -0.5 and abs(t) == 1.0:
-        if m == 0:
-            return 1.0
-        return t if m == 1 else 0.0
-    return (m + nu) / nu * gegenbauer_c(m, nu, t)
+    if isinstance(m, range):
+        if m.start != 0 or m.step != 1 or not m:
+            raise DomainError(f"a degree range must be range(cut + 1) with cut >= 0, got {m!r}")
+        return _tilde_run(0, len(m) - 1, nu, t)
+    return _tilde_run(m, m, nu, t)[0]
 
 
 def gegenbauer_tilde_sup(m: int, nu: float) -> float:
@@ -141,7 +168,7 @@ def gegenbauer_tilde_sup(m: int, nu: float) -> float:
     ((m + nu)/nu) C_m^nu(1) = O(m^{2 nu + 1}).  For nu = 0 the sup is 1
     (m = 0) or 2.  For nu = -1/2 the table gives 1, 1, 0.
     """
-    GegenbauerParam(nu, m)
+    _check_index(nu, m)
     if nu == 0.0:
         return 1.0 if m == 0 else 2.0
     if nu == -0.5:
@@ -152,21 +179,41 @@ def gegenbauer_tilde_sup(m: int, nu: float) -> float:
     return (m + nu) / nu * math.exp(logc)
 
 
-def _theta_cutoff(args: ThetaArgs) -> int:
-    # First M >= 4 whose single-term bound (shared with theta_dv through the
-    # 1 + 2 pi M factor) drops below tol/4.
-    im_tau = args.tau.imag
-    im_v = abs(complex(args.v).imag)
+@lru_cache(maxsize=1024)
+def _theta_cutoff(im_tau: float, im_v: float, tol: float) -> int:
+    """First M >= 4 whose single-term bound drops below tol/4.
+
+    The bound exp(-pi Im tau M^2 + 2 pi M |Im v|) (1 + 2 pi M) is shared
+    with theta_dv through the 1 + 2 pi M factor.  It reads nothing but
+    (Im tau, |Im v|, tol), so those three values key the cache completely;
+    a kernel table calls it with one key per (z, tol).
+    """
     m = 4
     while True:
         bound = math.exp(-math.pi * im_tau * m * m + 2.0 * math.pi * m * im_v) * (1.0 + 2.0 * math.pi * m)
-        if bound < args.tol / 4.0:
+        if bound < tol / 4.0:
             return m
         m += 1
         if m > 1_000_000:
             raise SeriesDivergenceError(
-                f"theta truncation did not certify by M={m}; Im tau = {im_tau} too small for tol = {args.tol}"
+                f"theta truncation did not certify by M={m}; Im tau = {im_tau} too small for tol = {tol}"
             )
+
+
+@lru_cache(maxsize=256)
+def _theta_terms(tau: complex, cut: int) -> tuple[complex, ...]:
+    """exp(i pi tau m^2) for m = 1 .. cut.
+
+    The terms depend on tau and the cutoff alone, so (tau, cut) keys the
+    cache completely; theta and theta_dv at one tau share an entry.
+    """
+    return tuple(cmath.exp(1j * math.pi * tau * m * m) for m in range(1, cut + 1))
+
+
+def _theta_setup(args: ThetaArgs) -> tuple[complex, tuple[complex, ...]]:
+    v, tau = complex(args.v), complex(args.tau)
+    cut = _theta_cutoff(tau.imag, abs(v.imag), args.tol)
+    return v, _theta_terms(tau, cut)
 
 
 def theta(args: ThetaArgs) -> complex:
@@ -189,19 +236,17 @@ def theta(args: ThetaArgs) -> complex:
     The function is even and 1-periodic in v termwise, so both properties
     hold to roundoff.  Raises SeriesDivergenceError when Im tau <= 0.
     """
-    cut = _theta_cutoff(args)
-    v, tau = complex(args.v), complex(args.tau)
+    v, terms = _theta_setup(args)
     total = 1.0 + 0.0j
-    for m in range(1, cut + 1):
-        total += 2.0 * cmath.exp(1j * math.pi * tau * m * m) * cmath.cos(2.0 * math.pi * m * v)
+    for m, e in enumerate(terms, 1):
+        total += 2.0 * e * cmath.cos(2.0 * math.pi * m * v)
     return total
 
 
 def theta_dv(args: ThetaArgs) -> complex:
     """Termwise v-derivative of theta: sum_m 2 i pi m exp(i pi tau m^2 + 2 i pi m v)."""
-    cut = _theta_cutoff(args)
-    v, tau = complex(args.v), complex(args.tau)
+    v, terms = _theta_setup(args)
     total = 0.0 + 0.0j
-    for m in range(1, cut + 1):
-        total += -4.0 * math.pi * m * cmath.exp(1j * math.pi * tau * m * m) * cmath.sin(2.0 * math.pi * m * v)
+    for m, e in enumerate(terms, 1):
+        total += -4.0 * math.pi * m * e * cmath.sin(2.0 * math.pi * m * v)
     return total

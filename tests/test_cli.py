@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import conformal_heat
 from conformal_heat.cli import main
 from conformal_heat.fields_io import read_field_file
 from conformal_heat.kernels import closed_form_2d, full_kernel_series, KernelQuery, as_time
@@ -97,6 +101,56 @@ def test_kernel_json_format(tmp_path):
     assert len(payload["rows"]) == 1
     want = full_kernel_series(KernelQuery(2, as_time(0.5 + 0j), 1.0, 1.0, 0.5, 1e-10))
     assert payload["rows"][0]["re_k"] == pytest.approx(want.real, rel=1e-12)
+
+
+# The kernel_*.csv / kernel_*.json fixtures were written by the CLI before
+# the series and theta loops were rewritten, from kernel_points.csv: 35
+# seeded points plus the poles, the equator, a diagonal point and two
+# points inside the N = 4 near-pole series fallback.
+KERNEL_GOLDEN = {
+    "kernel_n3_z0.5": ["--dim", "3", "--z", "0.5,0"],
+    "kernel_n3_small_z": ["--dim", "3", "--z", "0.05,0.1"],
+    "kernel_n2_closed": ["--dim", "2", "--z", "0.5,0.2", "--closed-form"],
+    "kernel_n4_closed": ["--dim", "4", "--z", "0.4,0.2", "--closed-form"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", list(KERNEL_GOLDEN))
+def test_kernel_matches_golden_bytes(tmp_path, name, fmt):
+    out = tmp_path / f"k.{fmt}"
+    argv = ["kernel", *KERNEL_GOLDEN[name], "--tol", "1e-10", "--format", fmt,
+            "--in", str(FIXTURES / "kernel_points.csv"), "--out", str(out)]
+    assert main(argv) == 0
+    assert out.read_bytes() == (FIXTURES / f"{name}.{fmt}").read_bytes()
+
+
+def test_apply_echoes_the_dimension_of_the_field(tmp_path):
+    out = tmp_path / "same.csv"
+    assert main(["apply", "--t", "0", "--in", IN_FIELD, "--out", str(out)]) == 0  # --dim defaults to 2
+    (config,) = [l for l in out.read_text().splitlines() if l.startswith("# config: ")]
+    assert json.loads(config[len("# config: "):])["dim"] == 3
+
+
+def test_closed_stdout_pipe_exits_141_quietly():
+    # about 0.4 MB of output, more than a pipe buffers
+    r_values = ",".join(str(0.5 + 0.05 * k) for k in range(20))
+    argv = [sys.executable, "-m", "conformal_heat.cli", "kernel", "--dim", "2", "--closed-form",
+            "--z", "0.5,0", "--r", r_values, "--rp", r_values, "--t", "-0.5,0,0.5,0.1,0.2,0.3,0.4,0.6,0.7,0.8"]
+    env = dict(os.environ, PYTHONPATH=str(Path(conformal_heat.__file__).parents[1]))
+    # An unbuffered stdout loses the unsent part of a large write without an
+    # error (the text layer ignores a short write), so keep the default.
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.readline() == b"r,r_prime,t,re_k,im_k\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == b""
 
 
 def test_apply_zero_exponent_preserves_data_bytes(tmp_path):

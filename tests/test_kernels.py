@@ -12,6 +12,7 @@ from conformal_heat.errors import DomainError, InvalidRegimeError
 from conformal_heat.kernels import (
     ComplexTime,
     KernelQuery,
+    _gauss_factor,
     apply_full_kernel_1d,
     apply_full_kernel_2d,
     apply_radial_kernel,
@@ -27,7 +28,7 @@ from conformal_heat.kernels import (
 from conformal_heat.log_radial import LogRadialGrid, RadialSamples, u_inverse, weighted_norm
 from conformal_heat.spectral_calculus import G0Exponent, apply_exp_g0_grid
 from conformal_heat.spherical import GridField2D
-from conformal_heat.special_functions import gegenbauer_tilde_sup
+from conformal_heat.special_functions import gegenbauer_tilde, gegenbauer_tilde_sup
 
 
 def test_complex_time_principal_branch():
@@ -71,6 +72,33 @@ def test_truncation_degree_examples():
             truncation_degree(3, 0.5, tol)
     assert truncation_degree(1, 0.2, 1e-15) == 1
     assert truncation_degree(4, 0.5, 1e-15) >= truncation_degree(4, 0.5, 1e-9)
+
+
+def test_truncation_validates_before_its_cache():
+    assert truncation_degree(3, 0.45, 1e-11) > 0
+    with pytest.raises(DomainError):
+        truncation_degree(3, 0.45, math.inf)
+    with pytest.raises(InvalidRegimeError):
+        truncation_degree(3, -0.45, 1e-11)
+    with pytest.raises(InvalidRegimeError):
+        truncation_degree(3, 0.45j, 1e-11)
+
+
+@pytest.mark.parametrize("dim, z, t", [
+    (3, 0.5, 0.3), (3, 0.05 + 0.1j, -0.7), (3, 0.05 + 0.1j, 1.0), (2, 0.2, -0.4),
+    (4, 0.4 + 0.2j, 0.999), (5, 0.3, 0.1), (1, 0.3, -1.0),
+])
+def test_series_equals_per_degree_sum(dim, z, t):
+    # the per-degree sum written out: one scalar weight and C~_m per degree
+    q = KernelQuery(dim, as_time(z), 0.7, 1.6, t, 1e-10)
+    nu = 0.5 * (dim - 2)
+    acc = 0.0 + 0.0j
+    for m in range(truncation_degree(dim, z, 1e-10) + 1):
+        acc += cmath.exp(-q.z.z * (m + nu) ** 2) * gegenbauer_tilde(m, nu, t)
+    pref = math.gamma(0.5 * dim) / (2.0 * math.pi ** (0.5 * dim))
+    want = complex(pref * _gauss_factor(q.z, 0.7, 1.6, dim) * acc)
+    assert full_kernel_series(q) == want
+    assert full_kernel_series(q) == want  # again, from the caches
 
 
 @pytest.mark.parametrize("dim,z", [(2, 1.0), (3, 0.4), (4, 0.8 + 0.5j)])

@@ -178,6 +178,43 @@ def test_theta_even_and_periodic():
         assert abs(a - theta(ThetaArgs(v + 1.0, tau, 1e-15))) < 1e-12 * abs(a)
 
 
+_RANGE_CASES = [(-0.5, 1.0), (-0.5, -1.0)] + [
+    (nu, t)
+    for nu in (0.0, 0.5, 1.0, 1.5)
+    for t in [1.0, -1.0, 0.0, *np.random.default_rng(7).uniform(-1.0, 1.0, 3).tolist()]
+]
+
+
+@pytest.mark.parametrize("nu, t", _RANGE_CASES)
+def test_tilde_range_equals_scalar_calls(nu, t):
+    for cut in (0, 1, 2, 37):
+        assert gegenbauer_tilde(range(cut + 1), nu, t) == [gegenbauer_tilde(k, nu, t) for k in range(cut + 1)]
+
+
+@pytest.mark.parametrize("bad", [range(0), range(1, 5), range(0, 6, 2)])
+def test_tilde_range_must_start_at_zero(bad):
+    with pytest.raises(DomainError):
+        gegenbauer_tilde(bad, 1.0, 0.3)
+
+
+def test_theta_equals_termwise_loop():
+    # the loops the cached terms replaced, bit for bit
+    for v, tau in [(0.13, 0.3 + 0.4j), (0.2 + 0.05j, 0.1 + 0.15j), (0.0, 1j)]:
+        args = ThetaArgs(v, tau, 1e-13)
+        for _ in range(2):  # the second call reads the caches
+            cut = 4
+            while math.exp(-math.pi * tau.imag * cut * cut + 2.0 * math.pi * cut * abs(complex(v).imag)) * (
+                1.0 + 2.0 * math.pi * cut
+            ) >= 1e-13 / 4.0:
+                cut += 1
+            th, dv = 1.0 + 0.0j, 0.0 + 0.0j
+            for m in range(1, cut + 1):
+                th += 2.0 * cmath.exp(1j * math.pi * tau * m * m) * cmath.cos(2.0 * math.pi * m * v)
+                dv += -4.0 * math.pi * m * cmath.exp(1j * math.pi * tau * m * m) * cmath.sin(2.0 * math.pi * m * v)
+            assert theta(args) == th
+            assert theta_dv(args) == dv
+
+
 def test_theta_divergence_guard():
     with pytest.raises(SeriesDivergenceError):
         ThetaArgs(0.0, 1.0 + 0.0j)
