@@ -75,6 +75,7 @@ from .special_functions import (
     chebyshev_u,
     gegenbauer_c,
     gegenbauer_tilde,
+    gegenbauer_tilde_array,
     gegenbauer_tilde_sup,
     theta,
     theta_dv,

@@ -7,7 +7,8 @@
 Exit codes: 0 success, 1 failed verification, 2 invalid mathematical
 regime, 3 unreadable or malformed input (usage errors and non-finite
 numbers included), 141 (128 + SIGPIPE), with no message, when the reader
-of stdout closes it early, as `| head` does.  Numeric output is
+of stdout closes it early, as `| head` does; that holds with an unbuffered
+stdout (PYTHONUNBUFFERED=1) as well.  Numeric output is
 deterministic: identical configuration and input produce identical bytes,
 floats carry 17 significant digits.  The CONFORMAL_HEAT_TOL environment
 variable overrides the default series tolerance of 1e-10; a tolerance must
@@ -188,12 +189,38 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+class _StdoutBytes:
+    """Text sink that hands every byte to the binary layer of sys.stdout.
+
+    Under PYTHONUNBUFFERED=1 or `python -u` that layer is the raw file,
+    whose write can take only part of the bytes (when the reader of a pipe
+    closes it mid-write), and the text layer drops the rest without an
+    error.  Writing until every byte is taken either delivers the output
+    whole or ends in BrokenPipeError, which main turns into exit 141.
+    """
+
+    def __init__(self, stream):
+        self._binary = stream.buffer
+        self._encoding = stream.encoding
+
+    def write(self, text: str) -> None:
+        data = memoryview(text.encode(self._encoding))
+        while data:
+            data = data[self._binary.write(data):]
+
+    def tell(self) -> int:
+        return self._binary.tell()
+
+
 @contextmanager
 def _output(cfg: RunConfig):
     if cfg.out_path:
         with open(cfg.out_path, "w") as fp:
             yield fp
-    else:
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()
+        yield _StdoutBytes(sys.stdout)
+    else:  # a text-only stand-in, such as io.StringIO
         yield sys.stdout
 
 

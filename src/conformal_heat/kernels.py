@@ -68,6 +68,11 @@ def _require_kernel_regime(ct: ComplexTime) -> ComplexTime:
     return ct
 
 
+def _require_positive_radii(r: float, r_prime: float) -> None:
+    if not (r > 0 and r_prime > 0):
+        raise DomainError("radii must be positive")
+
+
 @dataclass(frozen=True)
 class KernelQuery:
     """One full-kernel evaluation point (r w, r' w') with t = <w, w'>."""
@@ -207,6 +212,7 @@ def closed_form_2d(r: float, r_prime: float, z, *, t: float | None = None,
     """
     if (t is None) == (angle is None):
         raise DomainError("give exactly one of t or angle")
+    _require_positive_radii(r, r_prime)
     ct = _require_kernel_regime(as_time(z))
     if angle is None:
         if abs(t) > 1.0 + 1e-12:
@@ -226,6 +232,7 @@ def closed_form_4d(r: float, r_prime: float, t: float, z, tol: float = 1e-14) ->
     poles t = +-1 the sin-a cancellation is avoided by falling back to the
     Gegenbauer series, which is regular there (U_m(1) = m + 1).
     """
+    _require_positive_radii(r, r_prime)
     ct = _require_kernel_regime(as_time(z))
     if abs(t) > 1.0 + 1e-12:
         raise DomainError(f"t={t} outside [-1, 1]")
@@ -245,6 +252,9 @@ def closed_form_4d(r: float, r_prime: float, t: float, z, tol: float = 1e-14) ->
     )
 
 
+_BUILD_ROWS = 64  # rows per block of the quadrature matrix build
+
+
 def radial_semigroup_matrix(dim: int, z, grid: LogRadialGrid) -> np.ndarray:
     """Quadrature matrix B with (B f)_j = int K_0-part; degree enters later.
 
@@ -252,9 +262,11 @@ def radial_semigroup_matrix(dim: int, z, grid: LogRadialGrid) -> np.ndarray:
     factor exp(-z (m + nu)^2):  apply_radial_kernel multiplies it back.
     The Gaussian depends on s_j - s_k = (j - k) ds only, so it is evaluated
     once per offset (2n - 1 exponentials) and read as a Toeplitz view; the
-    diagonal weights then cost one n x n product.  The result is still a
-    dense n x n complex array, so callers doing many degrees at a fixed
-    (dim, z) should reuse one matrix.
+    diagonal weights are then applied in blocks of 64 rows, written
+    straight into the result, so no n x n temporary is made and each
+    block's weights stay in cache.  The result is still a dense n x n
+    complex array, so callers doing many degrees at a fixed (dim, z)
+    should reuse one matrix, or pass apply_radial_kernel a degree range.
     """
     ct = _require_kernel_regime(as_time(z))
     s, n = grid.s, grid.n
@@ -265,21 +277,33 @@ def radial_semigroup_matrix(dim: int, z, grid: LogRadialGrid) -> np.ndarray:
     half = -0.5 * (dim - 2)
     left = np.exp(half * s)
     right = np.exp(half * s) * grid.r ** (dim - 2) * grid.ds
-    return base * np.outer(left, right)
+    out = np.empty((n, n), dtype=row.dtype)
+    for i in range(0, n, _BUILD_ROWS):
+        rows = slice(i, i + _BUILD_ROWS)
+        np.multiply(base[rows], np.outer(left[rows], right), out=out[rows])
+    return out
 
 
-def apply_radial_kernel(f: RadialSamples, m: int, z,
-                        matrix: np.ndarray | None = None) -> RadialSamples:
-    """Apply the degree-m semigroup by direct kernel quadrature."""
-    if m < 0:
+def apply_radial_kernel(f: RadialSamples, m, z,
+                        matrix: np.ndarray | None = None):
+    """Apply the degree-m semigroup by direct kernel quadrature.
+
+    m is a degree, or a range of degrees such as range(M + 1) for the list
+    of results at m = 0 .. M.  The degrees differ only in the scalar
+    exp(-z (m + nu)^2), so the list costs one product with the matrix,
+    and entry k equals the call at degree m[k] exactly.
+    """
+    degrees = m if isinstance(m, range) else (m,)
+    if any(k < 0 for k in degrees):
         raise DomainError("need m >= 0")
     ct = _require_kernel_regime(as_time(z))
     grid = f.grid
     if matrix is None:
         matrix = radial_semigroup_matrix(grid.dim, ct, grid)
     nu = 0.5 * (grid.dim - 2)
-    scale = cmath.exp(-ct.z * (m + nu) ** 2)
-    return RadialSamples(grid, scale * (matrix @ f.values))
+    product = matrix @ f.values
+    out = [RadialSamples(grid, cmath.exp(-ct.z * (k + nu) ** 2) * product) for k in degrees]
+    return out if isinstance(m, range) else out[0]
 
 
 def apply_full_kernel_2d(field, z, tol: float = 1e-13):

@@ -50,6 +50,60 @@ class LadderOperatorSpec:
 # a linear combination sum_k c_k X_k of generators
 OperatorCombination = Sequence[tuple[complex, LadderOperatorSpec]]
 
+# The algebra works on merged term lists [(lambda, c), ...]: complex
+# entries, no two exponents within the merge tolerance of each other.
+# Scaling a merged list or keeping its exponents keeps it merged, so only
+# terms with new exponents go through the merge.
+Terms = list[tuple[complex, complex]]
+
+
+def _merge_into(terms: Terms, lam: complex, coeff: complex) -> None:
+    for i, (lam0, c0) in enumerate(terms):
+        if abs(lam - lam0) <= _EXP_MERGE * (1.0 + abs(lam0)):
+            terms[i] = (lam0, c0 + coeff)
+            return
+    terms.append((lam, coeff))
+
+
+def _add_scaled(terms: Terms, other: Terms, factor: complex) -> None:
+    # terms += factor * other, in place; other is merged, so into an empty
+    # list its terms go as they are
+    if not terms:
+        terms.extend([(lam, complex(factor * c)) for lam, c in other])
+        return
+    for lam, c in other:
+        _merge_into(terms, lam, complex(factor * c))
+
+
+def _act_terms(op: LadderOperatorSpec, terms: Terms) -> Terms:
+    c = op.dim - 2
+    m = op.degree
+    a = op.a
+    # H and the limit family keep the exponents, so the result stays merged
+    if a is None:
+        if op.kind == "H":
+            return [(lam, coeff * (2.0 * lam + c)) for lam, coeff in terms]
+        if op.kind == "E+":
+            return [(lam, coeff * 1j) for lam, coeff in terms]
+        return [(lam, coeff * 1j * (lam - m) * (lam + m + c)) for lam, coeff in terms]
+    if op.kind == "H":
+        return [(lam, complex(coeff * (2.0 * lam + a + c) / a)) for lam, coeff in terms]
+    if op.kind == "E+":
+        shifted = [(lam + a, coeff * 1j / a) for lam, coeff in terms]
+    else:
+        shifted = [(lam - a, coeff * (1j / a) * (lam - m) * (lam + m + c)) for lam, coeff in terms]
+    out: Terms = []
+    for lam, coeff in shifted:
+        _merge_into(out, complex(lam), complex(coeff))
+    return out
+
+
+def _act_combination_terms(combo: OperatorCombination, terms: Terms) -> Terms:
+    out: Terms = []
+    for coeff, spec in combo:
+        _add_scaled(out, _act_terms(spec, terms), coeff)
+    return out
+
 
 class PowerSum:
     """Finite sum of terms c * r^lambda with complex c and lambda."""
@@ -57,32 +111,34 @@ class PowerSum:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Iterable[tuple[complex, complex]] = ()):
-        self.terms: list[tuple[complex, complex]] = []
+        self.terms: Terms = []
         for lam, coeff in terms:
-            self._accumulate(complex(lam), complex(coeff))
+            _merge_into(self.terms, complex(lam), complex(coeff))
 
     @classmethod
     def power(cls, lam: complex, coeff: complex = 1.0) -> "PowerSum":
         return cls([(lam, coeff)])
 
-    def _accumulate(self, lam: complex, coeff: complex) -> None:
-        for i, (lam0, c0) in enumerate(self.terms):
-            if abs(lam - lam0) <= _EXP_MERGE * (1.0 + abs(lam0)):
-                self.terms[i] = (lam0, c0 + coeff)
-                return
-        self.terms.append((lam, coeff))
-
-    def __add__(self, other: "PowerSum") -> "PowerSum":
-        out = PowerSum(self.terms)
-        for lam, c in other.terms:
-            out._accumulate(lam, c)
+    @classmethod
+    def _merged(cls, terms: Terms) -> "PowerSum":
+        # wrap a merged term list as it is
+        out = cls.__new__(cls)
+        out.terms = terms
         return out
 
+    def __add__(self, other: "PowerSum") -> "PowerSum":
+        out = list(self.terms)
+        for lam, c in other.terms:
+            _merge_into(out, lam, c)
+        return PowerSum._merged(out)
+
     def __sub__(self, other: "PowerSum") -> "PowerSum":
-        return self + other.scale(-1.0)
+        out = list(self.terms)
+        _add_scaled(out, other.terms, -1.0)
+        return PowerSum._merged(out)
 
     def scale(self, factor: complex) -> "PowerSum":
-        return PowerSum([(lam, factor * c) for lam, c in self.terms])
+        return PowerSum._merged([(lam, complex(factor * c)) for lam, c in self.terms])
 
     def max_coeff(self) -> float:
         return max((abs(c) for _, c in self.terms), default=0.0)
@@ -90,26 +146,7 @@ class PowerSum:
 
 def act(op: LadderOperatorSpec, f: PowerSum) -> PowerSum:
     """Apply one generator to a power sum, exactly termwise."""
-    c = op.dim - 2
-    m = op.degree
-    out: list[tuple[complex, complex]] = []
-    for lam, coeff in f.terms:
-        if op.a is None:
-            if op.kind == "H":
-                out.append((lam, coeff * (2.0 * lam + c)))
-            elif op.kind == "E+":
-                out.append((lam, coeff * 1j))
-            else:
-                out.append((lam, coeff * 1j * (lam - m) * (lam + m + c)))
-        else:
-            a = op.a
-            if op.kind == "H":
-                out.append((lam, coeff * (2.0 * lam + a + c) / a))
-            elif op.kind == "E+":
-                out.append((lam + a, coeff * 1j / a))
-            else:
-                out.append((lam - a, coeff * (1j / a) * (lam - m) * (lam + m + c)))
-    return PowerSum(out)
+    return PowerSum._merged(_act_terms(op, f.terms))
 
 
 def _as_combination(op) -> OperatorCombination:
@@ -119,10 +156,7 @@ def _as_combination(op) -> OperatorCombination:
 
 
 def act_combination(op, f: PowerSum) -> PowerSum:
-    out = PowerSum()
-    for coeff, spec in _as_combination(op):
-        out = out + act(spec, f).scale(coeff)
-    return out
+    return PowerSum._merged(_act_combination_terms(_as_combination(op), f.terms))
 
 
 def commutator_defect(x, y, expected, basis: Iterable[complex]) -> float:
@@ -131,15 +165,17 @@ def commutator_defect(x, y, expected, basis: Iterable[complex]) -> float:
     x, y, expected may each be a LadderOperatorSpec or a linear combination;
     expected may also be None for the zero operator.
     """
+    x, y = _as_combination(x), _as_combination(y)
+    if expected is not None:
+        expected = _as_combination(expected)
     worst = 0.0
     for lam in basis:
-        f = PowerSum.power(lam)
-        bracket = act_combination(x, act_combination(y, f)) - act_combination(
-            y, act_combination(x, f)
-        )
+        f = PowerSum.power(lam).terms
+        bracket = _act_combination_terms(x, _act_combination_terms(y, f))
+        _add_scaled(bracket, _act_combination_terms(y, _act_combination_terms(x, f)), -1.0)
         if expected is not None:
-            bracket = bracket - act_combination(expected, f)
-        worst = max(worst, bracket.max_coeff())
+            _add_scaled(bracket, _act_combination_terms(expected, f), -1.0)
+        worst = max(worst, PowerSum._merged(bracket).max_coeff())
     return worst
 
 

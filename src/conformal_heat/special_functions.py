@@ -27,6 +27,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import DomainError, SeriesDivergenceError
 
 _T_SLACK = 1e-12  # tolerated |t| overshoot from rounding of inner products
@@ -158,6 +160,30 @@ def gegenbauer_tilde(m, nu: float, t: float):
             raise DomainError(f"a degree range must be range(cut + 1) with cut >= 0, got {m!r}")
         return _tilde_run(0, len(m) - 1, nu, t)
     return _tilde_run(m, m, nu, t)[0]
+
+
+def gegenbauer_tilde_array(m: int, nu: float, t) -> np.ndarray:
+    """C~_m^nu at every entry of the array t, from one recurrence pass.
+
+    The pass runs the scalar recurrence elementwise, with the same
+    operations in the same order, so each entry equals
+    gegenbauer_tilde(m, nu, t_i) exactly.  Entries must lie in [-1, 1]
+    up to the usual rounding slack; NaN is rejected.
+    """
+    _check_index(nu, m)
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.abs(t) <= 1.0 + _T_SLACK):
+        raise DomainError("Gegenbauer arguments must lie in [-1, 1]")
+    t = np.minimum(1.0, np.maximum(-1.0, t))
+    out = np.empty_like(t)
+    if nu == 0.0:
+        out[...] = 2.0 * _chebyshev_run(m, t, t)[-1] if m else 1.0
+        return out
+    out[...] = (m + nu) / nu * _gegenbauer_run(m, nu, t)[-1]
+    if nu == -0.5:  # the three-value table at the poles
+        poles = np.abs(t) == 1.0
+        out[poles] = 1.0 if m == 0 else t[poles] if m == 1 else 0.0
+    return out
 
 
 def gegenbauer_tilde_sup(m: int, nu: float) -> float:

@@ -106,6 +106,9 @@ def apply_exp_g0(exponent: G0Exponent, field: FactoredField) -> FactoredField:
 
 def apply_exp_g0_grid(exponent: G0Exponent, field: GridField2D) -> GridField2D:
     """Apply the exponential to a full N = 1 or N = 2 grid field."""
+    _require_applicable(exponent)
+    if exponent.is_zero():  # the identity, with no transform round trip
+        return GridField2D(field.grid, field.values.copy())
     if field.grid.dim == 2:
         parts = decompose_2d(field)
         return recompose_2d([apply_exp_g0(exponent, p) for p in parts], n_phi=field.n_phi)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError
 from .log_radial import LogRadialGrid, RadialSamples, weighted_norm
-from .special_functions import gegenbauer_tilde
+from .special_functions import gegenbauer_tilde, gegenbauer_tilde_array
 
 
 @dataclass
@@ -111,12 +111,18 @@ class GridField2D:
         return math.sqrt(float(np.sum(np.abs(self.values) ** 2 * w) * self.grid.ds * dmu))
 
 
-def projection_kernel(m: int, dim: int, t: float) -> float:
-    """Zonal kernel of the projection onto H^m at cos angle t."""
+def projection_kernel(m: int, dim: int, t):
+    """Zonal kernel of the projection onto H^m at cos angle t.
+
+    t may also be an array of cos angles; the row then comes from one
+    recurrence pass and equals the scalar calls entry by entry.
+    """
     if dim < 1:
         raise DomainError("dim must be >= 1")
     nu = 0.5 * (dim - 2)
     pref = math.gamma(0.5 * dim) / (2.0 * math.pi ** (0.5 * dim))
+    if np.ndim(t):
+        return pref * gegenbauer_tilde_array(m, nu, t)
     return pref * gegenbauer_tilde(m, nu, t)
 
 

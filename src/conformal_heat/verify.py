@@ -47,6 +47,14 @@ _SL2_DIMS = (1, 2, 3, 4)
 _SL2_DEGREES = (0, 1, 2, 3)
 
 
+def _degrees(dim: int, higher: tuple[int, ...]) -> tuple[int, ...]:
+    """The degrees a sweep visits in dimension dim, given its set for N >= 2.
+
+    The two-point sphere of N = 1 carries only the parities 0 and 1.
+    """
+    return (0, 1) if dim == 1 else higher
+
+
 def _component(grid: LogRadialGrid, degree: int, values) -> FactoredField:
     mode = degree if grid.dim <= 2 else None
     return FactoredField(degree, RadialSamples(grid, values), mode)
@@ -75,8 +83,7 @@ def suite_sl2() -> list[CheckResult]:
         worst = 0.0
         for a in _SL2_A:
             for dim in _SL2_DIMS:
-                degrees = (0, 1) if dim == 1 else _SL2_DEGREES
-                for m in degrees:
+                for m in _degrees(dim, _SL2_DEGREES):
                     worst = max(worst, make_defect(a, m, dim))
         return worst
 
@@ -116,8 +123,7 @@ def suite_sl2() -> list[CheckResult]:
     for k1, k2 in (("H", "E+"), ("H", "E-"), ("E+", "E-")):
         worst = 0.0
         for dim in _SL2_DIMS:
-            degrees = (0, 1) if dim == 1 else _SL2_DEGREES
-            for m in degrees:
+            for m in _degrees(dim, _SL2_DEGREES):
                 worst = max(worst, limit_defect(k1, k2, m, dim))
         out.append(CheckResult("sl2", f"limit [{k1}, {k2}] = 0", worst, 1e-12))
     return out
@@ -131,8 +137,7 @@ def suite_degeneration() -> list[CheckResult]:
     for pair in (("H", "E+"), ("H", "E-"), ("E+", "E-")):
         worst_ratio_err = 0.0
         for dim in _SL2_DIMS:
-            degrees = (0, 1) if dim == 1 else _SL2_DEGREES
-            for m in degrees:
+            for m in _degrees(dim, _SL2_DEGREES):
                 defects = degeneration_trace(a_seq, pair, basis, m, dim)
                 for d0, d1 in zip(defects, defects[1:]):
                     ratio = d0 / d1 if d1 > 0 else math.inf
@@ -144,8 +149,7 @@ def suite_degeneration() -> list[CheckResult]:
     worst = 0.0
     for k1, k2 in (("H", "E+"), ("H", "E-"), ("E+", "E-")):
         for dim in _SL2_DIMS:
-            degrees = (0, 1) if dim == 1 else _SL2_DEGREES
-            for m in degrees:
+            for m in _degrees(dim, _SL2_DEGREES):
                 worst = max(
                     worst,
                     commutator_defect(
@@ -169,11 +173,11 @@ def suite_spectral(shape: GridShape = _DEFAULT_SHAPE) -> list[CheckResult]:
         base = u_inverse(grid, g)
         for z in (0.5 + 0.0j, 0.3 + 0.4j):
             matrix = radial_semigroup_matrix(dim, z, grid)
+            quadratures = apply_radial_kernel(base, range(5), z, matrix=matrix)
             worst = 0.0
-            for m in range(5):
+            for m, quadrature in enumerate(quadratures):
                 field = _component(grid, m, base.values)
                 spectral = apply_exp_g0(G0Exponent(z3=z), field).radial
-                quadrature = apply_radial_kernel(base, m, z, matrix=matrix)
                 worst = max(worst, _rel_error(spectral, quadrature))
             out.append(
                 CheckResult("spectral", f"N={dim}, z={z}: multiplier vs quadrature, m<=4",
@@ -250,8 +254,7 @@ def suite_unitarity(shape: GridShape = _DEFAULT_SHAPE) -> list[CheckResult]:
         worst = 0.0
         for dim in (1, 2, 3, 4):
             grid = LogRadialGrid(dim, s_min, s_max, n)
-            degrees = (0, 1) if dim == 1 else (0, 2)
-            for m in degrees:
+            for m in _degrees(dim, (0, 2)):
                 f = _random_band_limited(grid, rng)
                 field = _component(grid, m, f.values)
                 before = weighted_norm(field.radial)
@@ -273,8 +276,7 @@ def suite_scaling(shape: GridShape = _DEFAULT_SHAPE) -> list[CheckResult]:
             grid = LogRadialGrid(dim, s_min, s_max, n)
             t = 0.5 * steps * grid.ds
             g = _gaussian_samples(grid, center=-0.4, width=0.8)
-            degrees = (0, 1) if dim == 1 else (0, 1, 2)
-            for m in degrees:
+            for m in _degrees(dim, (0, 1, 2)):
                 field = _component(grid, m, u_inverse(grid, g).values)
                 spectral = apply_exp_g0(G0Exponent(z1=1j * t), field).radial
                 direct = apply_scaling_direct(t, field).radial
@@ -328,28 +330,26 @@ def suite_projection(n_phi: int = 256, max_degree: int = 20) -> list[CheckResult
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
     dphi = 2.0 * math.pi / n_phi
     row_cos = np.cos(phi)  # cos of angular separation from 0
-
-    def proj_matrix(m: int) -> np.ndarray:
-        row = np.array([projection_kernel(m, 2, c) for c in row_cos])
-        idx = (np.arange(n_phi)[:, None] - np.arange(n_phi)[None, :]) % n_phi
-        return row[idx] * dphi
+    idx = (np.arange(n_phi)[:, None] - np.arange(n_phi)[None, :]) % n_phi
+    ks = range(-max_degree, max_degree + 1)
+    modes = [np.exp(1j * k * phi) for k in ks]
 
     rng = np.random.default_rng(7)
     coeffs = rng.standard_normal(2 * max_degree + 1) + 1j * rng.standard_normal(2 * max_degree + 1)
     p = np.zeros(n_phi, dtype=complex)
-    for i, k in enumerate(range(-max_degree, max_degree + 1)):
-        p += coeffs[i] * np.exp(1j * k * phi)
+    for c, mode in zip(coeffs, modes):
+        p += c * mode
 
     worst_idem = 0.0
     worst_orth = 0.0
     for m in range(max_degree + 1):
-        proj = proj_matrix(m)
+        # complex up front: each product with complex data would convert it again
+        proj = (projection_kernel(m, 2, row_cos) * dphi).astype(complex)[idx]
         pm = proj @ p
         worst_idem = max(worst_idem, float(np.max(np.abs(proj @ pm - pm))))
-        for k in range(-max_degree, max_degree + 1):
+        for k, mode in zip(ks, modes):
             if abs(k) == m:
                 continue
-            mode = np.exp(1j * k * phi)
             worst_orth = max(worst_orth, float(np.max(np.abs(proj @ mode))))
     return [
         CheckResult("projection", "idempotence on band-limited data", worst_idem, 1e-10),

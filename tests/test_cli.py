@@ -132,14 +132,11 @@ def test_apply_echoes_the_dimension_of_the_field(tmp_path):
     assert json.loads(config[len("# config: "):])["dim"] == 3
 
 
-def test_closed_stdout_pipe_exits_141_quietly():
-    # about 0.4 MB of output, more than a pipe buffers
-    r_values = ",".join(str(0.5 + 0.05 * k) for k in range(20))
-    argv = [sys.executable, "-m", "conformal_heat.cli", "kernel", "--dim", "2", "--closed-form",
-            "--z", "0.5,0", "--r", r_values, "--rp", r_values, "--t", "-0.5,0,0.5,0.1,0.2,0.3,0.4,0.6,0.7,0.8"]
+def test_closed_stdout_pipe_exits_141_quietly(tmp_path):
+    # more output than a pipe buffers
+    argv = [sys.executable, "-m", "conformal_heat.cli", *_large_output_argv(tmp_path, "kernel")]
     env = dict(os.environ, PYTHONPATH=str(Path(conformal_heat.__file__).parents[1]))
-    # An unbuffered stdout loses the unsent part of a large write without an
-    # error (the text layer ignores a short write), so keep the default.
+    # buffered stdout; test_unbuffered_stdout_* cover PYTHONUNBUFFERED=1
     env.pop("PYTHONUNBUFFERED", None)
     proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     try:
@@ -151,6 +148,92 @@ def test_closed_stdout_pipe_exits_141_quietly():
         proc.kill()
         proc.stderr.close()
     assert err == b""
+
+
+_PIPE_R = ",".join(str(0.5 + 0.05 * k) for k in range(20))
+
+
+def _large_output_argv(tmp_path: Path, verb: str) -> list[str]:
+    """A command that writes about 0.4 MB (kernel) or 0.7 MB (apply) to stdout."""
+    if verb == "kernel":
+        return ["kernel", "--dim", "2", "--closed-form", "--z", "0.5,0", "--r", _PIPE_R,
+                "--rp", _PIPE_R, "--t", "-0.5,0,0.5,0.1,0.2,0.3,0.4,0.6,0.7,0.8"]
+    # one sector, so its samples leave in a single write
+    src = tmp_path / "big.csv"
+    if not src.exists():
+        rng = np.random.default_rng(5)
+        n = 16384
+        rows = [f"1,{j},%.17g,%.17g" % tuple(rng.standard_normal(2)) for j in range(n)]
+        geo = {"kind": "factored", "dim": 3, "s_min": -8, "s_max": 8, "n": n}
+        src.write_text("\n".join(["# geometry: " + json.dumps(geo), "m,s_index,re,im"] + rows) + "\n")
+    return ["apply", "--t", "0", "--in", str(src)]
+
+
+def _unbuffered_cli(argv: list[str]) -> subprocess.Popen:
+    env = dict(os.environ, PYTHONPATH=str(Path(conformal_heat.__file__).parents[1]),
+               PYTHONUNBUFFERED="1")
+    return subprocess.Popen([sys.executable, "-m", "conformal_heat.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+
+
+@pytest.mark.parametrize("verb", ["kernel", "apply"])
+def test_unbuffered_stdout_closed_pipe_exits_141(tmp_path, verb):
+    # The raw stdout of an unbuffered run takes part of a large write when
+    # the reader goes away; the rest must not vanish with exit status 0.
+    proc = _unbuffered_cli(_large_output_argv(tmp_path, verb))
+    try:
+        proc.stdout.read(1000)  # past the header lines, into the large write
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == b""
+
+
+@pytest.mark.parametrize("verb", ["kernel", "apply"])
+def test_unbuffered_stdout_delivers_every_byte(tmp_path, verb):
+    argv = _large_output_argv(tmp_path, verb)
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    proc = _unbuffered_cli(argv)
+    piped, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0 and err == b""
+    assert piped == out.read_bytes()
+
+
+def _grid_text(dim: int, n_phi: int, n: int) -> str:
+    """A grid2d field with signed zeros, integers and 17-digit values."""
+    rng = np.random.default_rng(dim)
+    values = rng.standard_normal((n_phi, n, 2))
+    values[0, :4] = [[-0.0, 1.5], [0.0, -0.0], [-0.0, -0.0], [2.0, 0.0]]
+    geo = {"kind": "grid2d", "dim": dim, "n": n, "n_phi": n_phi, "s_max": 1, "s_min": -1}
+    rows = [f"{a},{j},%.17g,%.17g" % tuple(values[a, j]) for a in range(n_phi) for j in range(n)]
+    return "\n".join(["# geometry: " + json.dumps(geo), "angle_index,s_index,re,im"] + rows) + "\n"
+
+
+@pytest.mark.parametrize("dim, n_phi", [(1, 2), (2, 8)])
+def test_apply_zero_exponent_is_the_identity_on_grid_fields(tmp_path, dim, n_phi):
+    text = _grid_text(dim, n_phi, 16)
+    assert "\n0,0,-0,1.5\n" in text and "\n0,2,-0,-0\n" in text
+    src = tmp_path / "grid.csv"
+    src.write_text(text)
+    out = tmp_path / "out.csv"
+    assert main(["apply", "--exponent", "0,0,0,0,0,0", "--in", str(src), "--out", str(out)]) == 0
+    assert _data_lines(out.read_text()) == _data_lines(text)
+
+
+@pytest.mark.parametrize("dim", ["2", "4"])
+@pytest.mark.parametrize("r, rp", [("0", "1"), ("-2", "1"), ("1", "0")])
+def test_exit_code_2_closed_form_non_positive_radius(tmp_path, capsys, dim, r, rp):
+    argv = ["kernel", "--dim", dim, "--z", "0.5,0", "--closed-form"]
+    assert main(argv + ["--r", r, "--rp", rp, "--t", "0.5"]) == 2
+    assert "radii must be positive" in capsys.readouterr().err
+    pts = tmp_path / "pts.csv"
+    pts.write_text(f"r,rp,t\n1.0,1.2,0.3\n{r},{rp},0.5\n")
+    assert main(argv + ["--in", str(pts), "--out", str(tmp_path / "k.csv")]) == 2
+    assert "radii must be positive" in capsys.readouterr().err
 
 
 def test_apply_zero_exponent_preserves_data_bytes(tmp_path):

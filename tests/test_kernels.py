@@ -272,6 +272,52 @@ def test_semigroup_matrix_matches_direct_formula(dim, z):
                                _direct_semigroup_matrix(dim, z, grid), rtol=1e-10, atol=0)
 
 
+@pytest.mark.parametrize("n", [8, 32, 64, 128, 512])
+@pytest.mark.parametrize("z", [0.5, 0.3 + 0.4j])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_semigroup_matrix_blocks_match_direct_formula(dim, z, n):
+    # the rows are written in blocks of 64; a dyadic ds = 1/32 keeps every
+    # offset exact, so below, at and above one block all entries agree
+    grid = LogRadialGrid(dim, -n / 64, n / 64, n)
+    assert np.array_equal(radial_semigroup_matrix(dim, z, grid), _direct_semigroup_matrix(dim, z, grid))
+
+
+@pytest.mark.parametrize("z", [0.5, 0.3 + 0.4j])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_apply_radial_kernel_range_equals_degree_calls(dim, z):
+    grid = LogRadialGrid(dim, -8.0, 8.0, 256)
+    f = RadialSamples(grid, np.exp(-(grid.s - 0.3) ** 2) * (1.0 + 0.5j))
+    matrix = radial_semigroup_matrix(dim, z, grid)
+    got = apply_radial_kernel(f, range(5), z, matrix=matrix)
+    assert len(got) == 5
+    for m, g in enumerate(got):
+        assert g.grid == grid
+        assert np.array_equal(g.values, apply_radial_kernel(f, m, z, matrix=matrix).values)
+    # without a matrix the kernel builds its own, with the same entries
+    last = apply_radial_kernel(f, range(2, 5), z)
+    assert np.array_equal(last[-1].values, got[-1].values)
+    assert apply_radial_kernel(f, range(0), z, matrix=matrix) == []
+
+
+def test_apply_radial_kernel_rejects_negative_degrees():
+    f = RadialSamples(LogRadialGrid(3, -4.0, 4.0, 64), np.ones(64))
+    with pytest.raises(DomainError):
+        apply_radial_kernel(f, -1, 0.5)
+    with pytest.raises(DomainError):
+        apply_radial_kernel(f, range(-1, 3), 0.5)
+
+
+@pytest.mark.parametrize("r, rp", [(0.0, 1.0), (-2.0, 1.0), (1.0, 0.0), (1.0, -0.5), (math.nan, 1.0)])
+def test_closed_forms_reject_non_positive_radii(r, rp):
+    with pytest.raises(DomainError, match="radii"):
+        closed_form_2d(r, rp, 0.5, t=0.3)
+    with pytest.raises(DomainError, match="radii"):
+        closed_form_2d(r, rp, 0.5, angle=0.3)
+    for t in (0.3, 1.0):  # also inside the near-pole series fallback
+        with pytest.raises(DomainError, match="radii"):
+            closed_form_4d(r, rp, t, 0.5)
+
+
 def test_semigroup_matrix_is_a_fresh_array():
     grid = LogRadialGrid(3, -4.0, 4.0, 64)
     b = radial_semigroup_matrix(3, 0.5, grid)

@@ -134,3 +134,115 @@ def test_spec_validation():
         LadderOperatorSpec("H", 0.0, 0, 3)
     with pytest.raises(DomainError):
         LadderOperatorSpec("H", 1.0, -1, 3)
+
+
+# The power-sum algebra as first written: every sum, scaling and action
+# builds a fresh PowerSum and merges all of its terms again.  The library
+# skips the merges that cannot change anything; the defects must not move.
+class _ReferencePowerSum:
+    def __init__(self, terms=()):
+        self.terms = []
+        for lam, coeff in terms:
+            self._accumulate(complex(lam), complex(coeff))
+
+    def _accumulate(self, lam, coeff):
+        for i, (lam0, c0) in enumerate(self.terms):
+            if abs(lam - lam0) <= 1e-12 * (1.0 + abs(lam0)):
+                self.terms[i] = (lam0, c0 + coeff)
+                return
+        self.terms.append((lam, coeff))
+
+    def __add__(self, other):
+        out = _ReferencePowerSum(self.terms)
+        for lam, c in other.terms:
+            out._accumulate(lam, c)
+        return out
+
+    def __sub__(self, other):
+        return self + other.scale(-1.0)
+
+    def scale(self, factor):
+        return _ReferencePowerSum([(lam, factor * c) for lam, c in self.terms])
+
+    def max_coeff(self):
+        return max((abs(c) for _, c in self.terms), default=0.0)
+
+
+def _reference_act(op, f):
+    c = op.dim - 2
+    m = op.degree
+    out = []
+    for lam, coeff in f.terms:
+        if op.a is None:
+            if op.kind == "H":
+                out.append((lam, coeff * (2.0 * lam + c)))
+            elif op.kind == "E+":
+                out.append((lam, coeff * 1j))
+            else:
+                out.append((lam, coeff * 1j * (lam - m) * (lam + m + c)))
+        else:
+            a = op.a
+            if op.kind == "H":
+                out.append((lam, coeff * (2.0 * lam + a + c) / a))
+            elif op.kind == "E+":
+                out.append((lam + a, coeff * 1j / a))
+            else:
+                out.append((lam - a, coeff * (1j / a) * (lam - m) * (lam + m + c)))
+    return _ReferencePowerSum(out)
+
+
+def _reference_act_combination(op, f):
+    combo = [(1.0, op)] if isinstance(op, LadderOperatorSpec) else list(op)
+    out = _ReferencePowerSum()
+    for coeff, spec in combo:
+        out = out + _reference_act(spec, f).scale(coeff)
+    return out
+
+
+def _reference_commutator_defect(x, y, expected, basis):
+    worst = 0.0
+    for lam in basis:
+        f = _ReferencePowerSum([(lam, 1.0)])
+        bracket = _reference_act_combination(x, _reference_act_combination(y, f)) - \
+            _reference_act_combination(y, _reference_act_combination(x, f))
+        if expected is not None:
+            bracket = bracket - _reference_act_combination(expected, f)
+        worst = max(worst, bracket.max_coeff())
+    return worst
+
+
+@pytest.mark.parametrize("suite", ["sl2", "degeneration"])
+def test_commutator_defects_equal_the_reference_algebra(monkeypatch, suite):
+    import conformal_heat.ladder as ladder
+    import conformal_heat.verify as verify
+
+    calls = []
+
+    def recording(x, y, expected, basis):
+        basis = list(basis)
+        defect = commutator_defect(x, y, expected, basis)
+        calls.append((x, y, expected, basis, defect))
+        return defect
+
+    monkeypatch.setattr(verify, "commutator_defect", recording)
+    monkeypatch.setattr(ladder, "commutator_defect", recording)
+    verify.SUITES[suite]()
+    assert len(calls) == {"sl2": 378, "degeneration": 168}[suite]
+    for x, y, expected, basis, defect in calls:
+        assert defect == _reference_commutator_defect(x, y, expected, basis)
+
+
+def test_power_sum_operations_equal_the_reference_algebra():
+    lams = [complex(p, q) for p, q in ((0.5, 1.0), (0.5 + 1e-13, 1.0), (-2.0, 0.0), (3.0, -1.0))]
+    terms = [(lam, complex(k + 1, -k)) for k, lam in enumerate(lams)]
+    p, ref = PowerSum(terms), _ReferencePowerSum(terms)
+    assert p.terms == ref.terms and len(p.terms) == 3
+    q, ref_q = PowerSum(terms[::-1]), _ReferencePowerSum(terms[::-1])
+    assert (p + q).terms == (ref + ref_q).terms
+    assert (p - q).terms == (ref - ref_q).terms
+    assert p.scale(0.25 - 2j).terms == ref.scale(0.25 - 2j).terms
+    for spec in (LadderOperatorSpec("H", 0.7, 1, 3), LadderOperatorSpec("E+", 1e-13, 0, 2),
+                 LadderOperatorSpec("E-", None, 2, 4)):
+        assert act(spec, p).terms == _reference_act(spec, ref).terms
+        combo = [(2.0, spec), (-0.5j, spec)]
+        assert act_combination(combo, p).terms == _reference_act_combination(combo, ref).terms

@@ -18,6 +18,7 @@ from conformal_heat.special_functions import (
     chebyshev_u,
     gegenbauer_c,
     gegenbauer_tilde,
+    gegenbauer_tilde_array,
     gegenbauer_tilde_sup,
     theta,
     theta_dv,
@@ -195,6 +196,34 @@ def test_tilde_range_equals_scalar_calls(nu, t):
 def test_tilde_range_must_start_at_zero(bad):
     with pytest.raises(DomainError):
         gegenbauer_tilde(bad, 1.0, 0.3)
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("nu", [-0.5, 0.0, 0.5, 1.0, 1.5])
+def test_tilde_array_equals_scalar_calls_bit_for_bit(nu):
+    t = np.concatenate([[1.0, -1.0, 0.0, 1.0 + 5e-13, -1.0 - 5e-13],
+                        np.random.default_rng(11).uniform(-1.0, 1.0, 40)]).reshape(5, 9)
+    for m in (0, 1, 2, 3, 20):
+        got = gegenbauer_tilde_array(m, nu, t)
+        assert got.shape == t.shape
+        want = [[gegenbauer_tilde(m, nu, x) for x in row] for row in t.tolist()]
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("t", [[0.2, 1.1], [float("nan")], [-1.0 - 1e-9]])
+def test_tilde_array_rejects_arguments_outside_the_interval(t):
+    with pytest.raises(DomainError):
+        gegenbauer_tilde_array(2, 0.5, np.array(t))
+
+
+def test_tilde_array_checks_the_index():
+    with pytest.raises(DomainError):
+        gegenbauer_tilde_array(-1, 0.5, np.zeros(3))
+    with pytest.raises(DomainError):
+        gegenbauer_tilde_array(2, -0.7, np.zeros(3))
 
 
 def test_theta_equals_termwise_loop():

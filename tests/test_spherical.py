@@ -52,6 +52,14 @@ def test_projection_kernel_sphere_addition_theorem():
         assert acc == pytest.approx(wz, abs=1e-10)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_projection_kernel_row_equals_scalar_calls(dim):
+    t = np.cos(np.linspace(0.0, math.pi, 33)) if dim > 1 else np.array([1.0, -1.0])
+    for m in (0, 1, 4, 20):
+        row = projection_kernel(m, dim, t)
+        assert row.tolist() == [projection_kernel(m, dim, x) for x in t.tolist()]
+
+
 def test_projection_kernel_two_point_sphere():
     # N = 1: kernel values (1 + t)/2 resp. (1 - t)/2 times the point masses
     assert projection_kernel(0, 1, 1.0) == pytest.approx(0.5)
