@@ -288,22 +288,15 @@ def _config_echo(cfg: RunConfig, dim: int) -> dict:
 
 def cmd_apply(cfg: RunConfig) -> int:
     data = read_field_file(cfg.in_path)
-    if isinstance(data, GridField2D):
-        dim = data.grid.dim
-        if cfg.t is not None:
-            result = apply_scaling_direct(cfg.t, data)
-        else:
-            result = apply_exp_g0_grid(cfg.exponent, data)
-        write = write_grid2d
+    if cfg.t is not None:
+        result = apply_scaling_direct(cfg.t, data)
+    elif isinstance(data, GridField2D):
+        result = apply_exp_g0_grid(cfg.exponent, data)
     else:
-        dim = data[0].radial.grid.dim
-        if cfg.t is not None:
-            result = [apply_scaling_direct(cfg.t, f) for f in data]
-        else:
-            result = [apply_exp_g0(cfg.exponent, f) for f in data]
-        write = write_factored
+        result = apply_exp_g0(cfg.exponent, data)
+    write = write_grid2d if isinstance(data, GridField2D) else write_factored
     with _output(cfg) as fp:
-        write(fp, result, _config_echo(cfg, dim))
+        write(fp, result, _config_echo(cfg, data.grid.dim))
     return 0
 
 

@@ -6,6 +6,8 @@ and numbers written with 17 significant digits:
 * factored fields:   columns (m, s_index, re, im); one component per
   distinct m.  For N = 2 the m column holds the signed angular mode, so the
   degree is |m|; for N = 1 it is the sign parity 0/1; for N >= 3 the degree.
+  It is read as one FactoredField whose rows are the components in
+  ascending m and whose keys are the m values.
 * N = 1 / N = 2 grid fields:  columns (angle_index, s_index, re, im).
 
 The grid geometry travels either in a comment line ahead of the data
@@ -173,7 +175,7 @@ def _scatter(path: str, names: tuple[str, str], keys: np.ndarray, flat: np.ndarr
 
 
 def read_field_file(path: str):
-    """Read a field file; returns a list[FactoredField] or a GridField2D."""
+    """Read a field file; returns a FactoredField or a GridField2D."""
     header, data = _read_table(path, 4)
     geo = _load_geometry(path, header)
     kind = geo.get("kind")
@@ -186,13 +188,9 @@ def read_field_file(path: str):
         keys, key_rank = np.unique(data[:, 0], return_inverse=True)
         flat = key_rank * grid.n + data[:, 1].astype(np.intp)
         values = _scatter(path, ("m", "s_index"), keys, flat, data, grid.n)
-        out = []
-        for m_f, row in zip(keys.tolist(), values):
-            m = int(m_f)
-            mode = m if grid.dim <= 2 else None
-            degree = abs(m) if grid.dim == 2 else m
-            out.append(FactoredField(degree, RadialSamples(grid, row), mode))
-        return out
+        if not (np.abs(keys) < 2.0**63).all():
+            raise FieldFormatError(f"{path}: m values must fit a machine integer")
+        return FactoredField(keys.astype(np.int64), RadialSamples(grid, values))
     if kind == "grid2d":
         n_phi = int(geo.get("n_phi", 2 if grid.dim == 1 else 0))
         if n_phi <= 0:
@@ -220,8 +218,8 @@ def _write_rows(fp: TextIO, keys: list[int], rows) -> None:
         fp.write(row_fmt.replace("K", str(key)) % tuple(re_im.tolist()))
 
 
-def write_factored(fp: TextIO, fields: list[FactoredField], config: dict | None = None) -> None:
-    grid = fields[0].radial.grid
+def write_factored(fp: TextIO, field: FactoredField, config: dict | None = None) -> None:
+    grid = field.grid
     geometry = {
         "kind": "factored",
         "dim": grid.dim,
@@ -231,8 +229,7 @@ def write_factored(fp: TextIO, fields: list[FactoredField], config: dict | None 
     }
     _write_header(fp, geometry, config)
     fp.write("m,s_index,re,im\n")
-    keys = [f.mode if grid.dim <= 2 else f.degree for f in fields]
-    _write_rows(fp, keys, [f.radial.values for f in fields])
+    _write_rows(fp, field.m.tolist(), field.radial.values)
 
 
 def write_grid2d(fp: TextIO, field: GridField2D, config: dict | None = None) -> None:

@@ -89,7 +89,7 @@ class KernelQuery:
             raise DomainError("dim must be >= 1")
         if not (self.r > 0 and self.r_prime > 0):
             raise DomainError("radii must be positive")
-        if abs(self.t) > 1.0 + 1e-12:
+        if not abs(self.t) <= 1.0 + 1e-12:  # NaN fails this test too
             raise DomainError(f"t={self.t} outside [-1, 1]")
         if not (0 < self.tol < math.inf):
             raise DomainError("tol must be finite and positive")
@@ -215,7 +215,7 @@ def closed_form_2d(r: float, r_prime: float, z, *, t: float | None = None,
     _require_positive_radii(r, r_prime)
     ct = _require_kernel_regime(as_time(z))
     if angle is None:
-        if abs(t) > 1.0 + 1e-12:
+        if not abs(t) <= 1.0 + 1e-12:  # NaN fails this test too
             raise DomainError(f"t={t} outside [-1, 1]")
         angle = math.acos(min(1.0, max(-1.0, t)))
     dlog = math.log(r) - math.log(r_prime)
@@ -234,7 +234,7 @@ def closed_form_4d(r: float, r_prime: float, t: float, z, tol: float = 1e-14) ->
     """
     _require_positive_radii(r, r_prime)
     ct = _require_kernel_regime(as_time(z))
-    if abs(t) > 1.0 + 1e-12:
+    if not abs(t) <= 1.0 + 1e-12:  # NaN fails this test too
         raise DomainError(f"t={t} outside [-1, 1]")
     t = min(1.0, max(-1.0, t))
     if abs(t) > _NEAR_DIAGONAL:
@@ -296,6 +296,8 @@ def apply_radial_kernel(f: RadialSamples, m, z,
     degrees = m if isinstance(m, range) else (m,)
     if any(k < 0 for k in degrees):
         raise DomainError("need m >= 0")
+    if f.values.ndim != 1:
+        raise DomainError("apply_radial_kernel takes one radial profile, not a stack of rows")
     ct = _require_kernel_regime(as_time(z))
     grid = f.grid
     if matrix is None:

@@ -18,6 +18,9 @@ with k = -n/2 .. n/2 - 1.
 Sampled functions should decay below roughly 1e-13 inside the central half
 of [s_min, s_max]; the transform is periodic and wraps anything that leaks
 past the ends.
+
+Samples are one row of n values or a (k, n) stack of rows, one profile per
+row; every transform acts along the last axis, row by row.
 """
 
 from __future__ import annotations
@@ -33,6 +36,14 @@ from .errors import DomainError
 
 def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
+
+
+def _rows(grid: LogRadialGrid, values) -> np.ndarray:
+    """values as complex samples: one row of grid.n, or a (k, grid.n) stack."""
+    values = np.asarray(values, dtype=complex)
+    if values.ndim not in (1, 2) or values.shape[-1] != grid.n:
+        raise DomainError(f"expected rows of {grid.n} samples, got shape {values.shape}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -72,15 +83,13 @@ class LogRadialGrid:
 
 @dataclass
 class RadialSamples:
-    """Samples of a radial profile f(r_j) on a log-radial grid."""
+    """Samples f(r_j) of one radial profile, or of a (k, n) stack of them."""
 
     grid: LogRadialGrid
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape != (self.grid.n,):
-            raise DomainError(f"expected {self.grid.n} samples, got shape {self.values.shape}")
+        self.values = _rows(self.grid, self.values)
 
     def copy(self) -> "RadialSamples":
         return RadialSamples(self.grid, self.values.copy())
@@ -94,9 +103,7 @@ class FrequencySamples:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape != (self.grid.n,):
-            raise DomainError(f"expected {self.grid.n} samples, got shape {self.values.shape}")
+        self.values = _rows(self.grid, self.values)
 
 
 def u_forward(f: RadialSamples) -> np.ndarray:
@@ -117,31 +124,28 @@ def fourier_forward(grid: LogRadialGrid, g: np.ndarray) -> FrequencySamples:
     g^(sigma_k) = (ds / sqrt(2 pi)) e^{-i sigma_k s_min} FFT(g)_k, stored in
     fftshift order to match grid.sigma.
     """
-    g = np.asarray(g, dtype=complex)
-    if g.shape != (grid.n,):
-        raise DomainError(f"expected {grid.n} samples, got shape {g.shape}")
-    spec = np.fft.fft(g)
+    spec = np.fft.fft(_rows(grid, g))
     sigma_unshifted = 2.0 * math.pi * np.fft.fftfreq(grid.n, d=grid.ds)
     spec *= grid.ds / math.sqrt(2.0 * math.pi) * np.exp(-1j * sigma_unshifted * grid.s_min)
-    return FrequencySamples(grid, np.fft.fftshift(spec))
+    return FrequencySamples(grid, np.fft.fftshift(spec, axes=-1))
 
 
 def fourier_inverse(gh: FrequencySamples) -> np.ndarray:
     """Inverse of fourier_forward; returns s-side samples g(s_j)."""
     grid = gh.grid
-    spec = np.fft.ifftshift(gh.values).astype(complex)
+    spec = np.fft.ifftshift(gh.values, axes=-1)
     sigma_unshifted = 2.0 * math.pi * np.fft.fftfreq(grid.n, d=grid.ds)
     spec = spec * np.exp(1j * sigma_unshifted * grid.s_min)
     return np.fft.ifft(spec) * (math.sqrt(2.0 * math.pi) / grid.ds)
 
 
 def weighted_norm(f: RadialSamples) -> float:
-    """Discrete L2(r^{N-3} dr) norm; r^{N-3} dr = r^{N-2} ds on the log grid."""
+    """Discrete L2(r^{N-3} dr) norm over all rows; r^{N-3} dr = r^{N-2} ds on the log grid."""
     w = f.grid.r ** (f.grid.dim - 2)
     return math.sqrt(float(np.sum(np.abs(f.values) ** 2 * w) * f.grid.ds))
 
 
 def frequency_norm(gh: FrequencySamples) -> float:
-    """Discrete L2(d sigma) norm on the frequency side."""
+    """Discrete L2(d sigma) norm over all rows on the frequency side."""
     dsigma = 2.0 * math.pi / (gh.grid.n * gh.grid.ds)
     return math.sqrt(float(np.sum(np.abs(gh.values) ** 2) * dsigma))

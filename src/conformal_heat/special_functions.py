@@ -74,7 +74,7 @@ class ThetaArgs:
 
 
 def _check_t(t: float) -> float:
-    if abs(t) > 1.0 + _T_SLACK:
+    if not abs(t) <= 1.0 + _T_SLACK:  # NaN fails this test too
         raise DomainError(f"Gegenbauer argument t={t} outside [-1, 1]")
     return min(1.0, max(-1.0, t))
 

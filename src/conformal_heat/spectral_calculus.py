@@ -12,6 +12,10 @@ therefore the Fourier multiplier
 
     exp(2 z1 sigma + z2 - z3 (sigma^2 + (m + (N-2)/2)^2)).
 
+A factored field holds its sectors as the rows of one array, so
+apply_exp_g0 is one batched transform pair with the multiplier broadcast
+over a column of degrees; a grid field is decomposed into such a field.
+
 Its operator norm over sigma in R classifies the exponent: unitary when all
 three real parts vanish, bounded when Re z1 = 0 and Re z3 >= 0 (the scalar
 |e^{z2}| only rescales), unbounded otherwise.  Unbounded exponents are
@@ -74,9 +78,14 @@ def is_bounded(exponent: G0Exponent) -> Boundedness:
     return Boundedness.UNBOUNDED
 
 
-def multiplier(exponent: G0Exponent, m: int, sigma, dim: int):
-    """Evaluate exp(2 z1 sigma + z2 - z3 (sigma^2 + (m + (N-2)/2)^2))."""
-    if m < 0 or dim < 1:
+def multiplier(exponent: G0Exponent, m, sigma, dim: int):
+    """Evaluate exp(2 z1 sigma + z2 - z3 (sigma^2 + (m + (N-2)/2)^2)).
+
+    m is a degree or an array of degrees; a column of degrees, shape (k, 1),
+    against a row of sigma gives the (k, n) multipliers of k sectors.
+    """
+    m = np.asarray(m)
+    if (m < 0).any() or dim < 1:
         raise DomainError("need m >= 0 and dim >= 1")
     sigma = np.asarray(sigma)
     shift = (m + 0.5 * (dim - 2)) ** 2
@@ -93,15 +102,14 @@ def _require_applicable(exponent: G0Exponent) -> None:
 
 
 def apply_exp_g0(exponent: G0Exponent, field: FactoredField) -> FactoredField:
-    """Apply the exponential through the spectral route on one component."""
+    """Apply the exponential through the spectral route to every sector at once."""
     _require_applicable(exponent)
     if exponent.is_zero():
-        return FactoredField(field.degree, field.radial.copy(), field.mode)
-    grid = field.radial.grid
+        return FactoredField(field.m.copy(), field.radial.copy())
+    grid = field.grid
     gh = fourier_forward(grid, u_forward(field.radial))
-    gh.values *= multiplier(exponent, field.degree, grid.sigma, grid.dim)
-    out = u_inverse(grid, fourier_inverse(gh))
-    return FactoredField(field.degree, out, field.mode)
+    gh.values *= multiplier(exponent, field.degrees[:, None], grid.sigma, grid.dim)
+    return FactoredField(field.m.copy(), u_inverse(grid, fourier_inverse(gh)))
 
 
 def apply_exp_g0_grid(exponent: G0Exponent, field: GridField2D) -> GridField2D:
@@ -110,10 +118,8 @@ def apply_exp_g0_grid(exponent: G0Exponent, field: GridField2D) -> GridField2D:
     if exponent.is_zero():  # the identity, with no transform round trip
         return GridField2D(field.grid, field.values.copy())
     if field.grid.dim == 2:
-        parts = decompose_2d(field)
-        return recompose_2d([apply_exp_g0(exponent, p) for p in parts], n_phi=field.n_phi)
-    parts = decompose_1d(field)
-    return recompose_1d([apply_exp_g0(exponent, p) for p in parts])
+        return recompose_2d(apply_exp_g0(exponent, decompose_2d(field)), n_phi=field.n_phi)
+    return recompose_1d(apply_exp_g0(exponent, decompose_1d(field)))
 
 
 def _shift_steps(t: float, ds: float) -> int:
@@ -133,7 +139,7 @@ def apply_scaling_direct(t: float, field: FactoredField | GridField2D | RadialSa
     which is harmless for data supported away from the grid ends.
     """
     if isinstance(field, FactoredField):
-        return FactoredField(field.degree, apply_scaling_direct(t, field.radial), field.mode)
+        return FactoredField(field.m.copy(), apply_scaling_direct(t, field.radial))
     grid = field.grid
     values = np.roll(field.values, -_shift_steps(t, grid.ds), axis=-1)
     # scale the parts as reals: a complex product would drop the sign of zeros

@@ -3,11 +3,16 @@
 A field on R^N \\ {0} splits over the spherical harmonic spaces H^m.  The
 library keeps two concrete representations:
 
-* FactoredField: one component p tensor f, with p in H^m tracked by a tag
-  (sign parity for N = 1, signed angular mode for N = 2, abstract slot for
-  N >= 3) and f as radial samples.
+* FactoredField: components p_i tensor f_i as one (k, n) stack of radial
+  samples, one row per component, and one integer key per row telling
+  which p_i it carries (sign parity for N = 1, signed angular mode for
+  N = 2, the degree of an abstract slot for N >= 3).
 * GridField2D: full samples on an (angle x log-radius) grid for N = 2, or
   on the two-point sign axis {+1, -1} x log-radius for N = 1.
+
+decompose_1d/decompose_2d turn a grid field into one FactoredField and
+recompose_1d/recompose_2d turn it back, each with array operations over all
+rows at once.
 
 The projection onto H^m is the integral against the zonal kernel
 
@@ -31,45 +36,57 @@ from .special_functions import gegenbauer_tilde, gegenbauer_tilde_array
 
 @dataclass
 class FactoredField:
-    """One spherical component p tensor f with p of degree m.
+    """Spherical components p_i tensor f_i, one radial profile per row.
 
-    ``mode`` pins the concrete spherical part where one exists: the sign
-    parity 0/1 for N = 1 (p = 1 or p = sgn), the signed angular mode k with
-    p = e^{i k phi} for N = 2, and None for the abstract degree-m slot in
-    N >= 3.  The degree is always nonnegative; for N = 2 it equals |mode|.
+    ``radial`` holds a (k, n) stack of radial samples and ``m`` one integer
+    key per row, the same key as the m column of a field file: the sign
+    parity 0/1 for N = 1 (p = 1 or p = sgn), the signed angular mode with
+    p = e^{i m phi} for N = 2, and the degree of an abstract slot for
+    N >= 3.  The degree of row i is |m[i]|.
     """
 
-    degree: int
+    m: np.ndarray
     radial: RadialSamples
-    mode: int | None = None
 
     def __post_init__(self):
-        n = self.dim
-        if self.degree < 0:
-            raise DomainError("degree must be nonnegative")
-        if n == 1:
-            if self.mode not in (0, 1) or self.degree != self.mode:
-                raise DomainError("N=1 components have degree = parity mode in {0, 1}")
-        elif n == 2:
-            if self.mode is None or abs(self.mode) != self.degree:
-                raise DomainError("N=2 components need a signed mode with |mode| = degree")
-        elif self.mode is not None:
-            raise DomainError("N>=3 spherical parts are abstract; mode must be None")
+        self.m = np.asarray(self.m)
+        if self.m.dtype.kind not in "iu":
+            raise DomainError(f"sector keys must be integers, got dtype {self.m.dtype}")
+        rows = self.radial.values
+        if rows.ndim != 2 or not len(rows) or self.m.shape != (len(rows),):
+            raise DomainError(f"need a (k, n) sample stack with one key per row, got keys of "
+                              f"shape {self.m.shape} for samples of shape {rows.shape}")
+        if len(np.unique(self.m)) != len(self.m):
+            raise DomainError("sector keys must be distinct")
+        if self.dim == 1 and not np.isin(self.m, (0, 1)).all():
+            raise DomainError("N=1 components carry the parity key 0 or 1")
+        if self.dim >= 3 and (self.m < 0).any():
+            raise DomainError("N>=3 keys are degrees and must be nonnegative")
+
+    def __len__(self) -> int:
+        return len(self.m)
+
+    @property
+    def grid(self) -> LogRadialGrid:
+        return self.radial.grid
 
     @property
     def dim(self) -> int:
-        return self.radial.grid.dim
+        return self.grid.dim
 
-    def sphere_weight(self) -> float:
-        """L2 norm of the tracked spherical part (1 for an abstract slot)."""
-        if self.dim == 1:
-            return math.sqrt(2.0)          # two points of mass one each
-        if self.dim == 2:
-            return math.sqrt(2.0 * math.pi)  # |e^{ik phi}| over the circle
-        return 1.0
+    @property
+    def degrees(self) -> np.ndarray:
+        return np.abs(self.m)
 
     def norm(self) -> float:
-        return self.sphere_weight() * weighted_norm(self.radial)
+        """L2 norm of the whole field.
+
+        The tracked spherical parts, one per key, are orthogonal, each of
+        norm sqrt(2) for N = 1 (two points of mass one), sqrt(2 pi) for
+        N = 2 (|e^{i m phi}| over the circle) and 1 for an abstract slot.
+        """
+        sphere = {1: math.sqrt(2.0), 2: math.sqrt(2.0 * math.pi)}.get(self.dim, 1.0)
+        return sphere * weighted_norm(self.radial)
 
 
 @dataclass
@@ -99,11 +116,6 @@ class GridField2D:
     @property
     def n_phi(self) -> int:
         return self.values.shape[0]
-
-    def angles(self) -> np.ndarray:
-        if self.grid.dim != 2:
-            raise DomainError("angles are defined for N = 2")
-        return 2.0 * math.pi * np.arange(self.n_phi) / self.n_phi
 
     def norm(self) -> float:
         w = self.grid.r ** (self.grid.dim - 2)
@@ -143,69 +155,53 @@ def project_pm(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _DROP = 1e-14  # relative cutoff below which an angular mode is considered absent
 
 
-def decompose_2d(field: GridField2D) -> list[FactoredField]:
-    """Angular DFT per radius; returns one component per surviving mode.
+def decompose_2d(field: GridField2D) -> FactoredField:
+    """Angular DFT per radius; one row per surviving mode, modes ascending.
 
-    Mode k carries p = e^{i k phi} and degree |k|.  Components whose radial
+    The row with key m carries p = e^{i m phi} and degree |m|.  Rows whose
     norm is below 1e-14 of the field norm are dropped, so a pure profile
-    f(r) comes back as the single k = 0 component.
+    f(r) comes back as the single m = 0 row.
     """
-    if field.grid.dim != 2:
+    grid = field.grid
+    if grid.dim != 2:
         raise DomainError("decompose_2d expects an N = 2 field")
     n_phi = field.n_phi
-    coeffs = np.fft.fft(field.values, axis=0) / n_phi
-    modes = np.fft.fftfreq(n_phi, d=1.0 / n_phi).astype(int)
+    coeffs = np.fft.fftshift(np.fft.fft(field.values, axis=0) / n_phi, axes=0)
+    modes = np.arange(-(n_phi // 2), n_phi // 2)
+    # the norm of each row as a component: r^{N-2} = 1 for N = 2
+    norms = math.sqrt(2.0 * math.pi) * np.sqrt(np.sum(np.abs(coeffs) ** 2, axis=1) * grid.ds)
     total = field.norm()
-    out: list[FactoredField] = []
-    for i in np.argsort(modes):
-        k = int(modes[i])
-        comp = RadialSamples(field.grid, coeffs[i])
-        if total > 0 and math.sqrt(2.0 * math.pi) * weighted_norm(comp) <= _DROP * total:
-            continue
-        out.append(FactoredField(degree=abs(k), radial=comp, mode=k))
-    return out
+    # a zero field drops nothing, so the result is never empty
+    kept = ~((total > 0) & (norms <= _DROP * total))
+    return FactoredField(modes[kept], RadialSamples(grid, coeffs[kept]))
 
 
-def recompose_2d(components: list[FactoredField], n_phi: int | None = None) -> GridField2D:
-    """Sum mode components back onto the angle x radius grid."""
-    if not components:
-        raise DomainError("nothing to recompose")
-    grid = components[0].radial.grid
+def recompose_2d(components: FactoredField, n_phi: int | None = None) -> GridField2D:
+    """Sum mode rows back onto the angle x radius grid; aliased modes add up."""
+    grid = components.grid
     if grid.dim != 2:
         raise DomainError("recompose_2d expects N = 2 components")
     if n_phi is None:
-        n_phi = max(8, 2 * (max(abs(c.mode) for c in components) + 1))
+        n_phi = max(8, 2 * (int(components.degrees.max()) + 1))
         n_phi = 1 << (n_phi - 1).bit_length()
     coeffs = np.zeros((n_phi, grid.n), dtype=complex)
-    for c in components:
-        if c.radial.grid != grid:
-            raise DomainError("components live on different grids")
-        k = c.mode % n_phi
-        coeffs[k] += c.radial.values
+    np.add.at(coeffs, components.m % n_phi, components.radial.values)
     return GridField2D(grid, np.fft.ifft(coeffs, axis=0) * n_phi)
 
 
-def decompose_1d(field: GridField2D) -> list[FactoredField]:
-    """Parity split of an N = 1 field along its sign axis."""
+def decompose_1d(field: GridField2D) -> FactoredField:
+    """Parity split of an N = 1 field along its sign axis: rows m = 0, 1."""
     if field.grid.dim != 1:
         raise DomainError("decompose_1d expects an N = 1 field")
     even, odd = project_pm(field.values)
-    return [
-        FactoredField(degree=0, radial=RadialSamples(field.grid, even[0]), mode=0),
-        FactoredField(degree=1, radial=RadialSamples(field.grid, odd[0]), mode=1),
-    ]
+    return FactoredField(np.array([0, 1]), RadialSamples(field.grid, np.stack([even[0], odd[0]])))
 
 
-def recompose_1d(components: list[FactoredField]) -> GridField2D:
-    """Rebuild an N = 1 field from its parity components."""
-    if not components:
-        raise DomainError("nothing to recompose")
-    grid = components[0].radial.grid
-    rows = np.zeros((2, grid.n), dtype=complex)
-    for c in components:
-        if c.dim != 1:
-            raise DomainError("recompose_1d expects N = 1 components")
-        sign = 1.0 if c.mode == 0 else -1.0
-        rows[0] += c.radial.values
-        rows[1] += sign * c.radial.values
-    return GridField2D(grid, rows)
+def recompose_1d(components: FactoredField) -> GridField2D:
+    """Rebuild an N = 1 field: the even part plus and minus the odd part."""
+    if components.dim != 1:
+        raise DomainError("recompose_1d expects N = 1 components")
+    rows = components.radial.values
+    even = rows[components.m == 0].sum(axis=0)
+    odd = rows[components.m == 1].sum(axis=0)
+    return GridField2D(components.grid, np.stack([even + odd, even - odd]))

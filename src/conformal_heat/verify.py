@@ -56,8 +56,7 @@ def _degrees(dim: int, higher: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _component(grid: LogRadialGrid, degree: int, values) -> FactoredField:
-    mode = degree if grid.dim <= 2 else None
-    return FactoredField(degree, RadialSamples(grid, values), mode)
+    return FactoredField(np.array([degree]), RadialSamples(grid, values[None, :]))
 
 
 def _gaussian_samples(grid: LogRadialGrid, center: float = 0.3, width: float = 1.0) -> np.ndarray:
@@ -174,11 +173,11 @@ def suite_spectral(shape: GridShape = _DEFAULT_SHAPE) -> list[CheckResult]:
         for z in (0.5 + 0.0j, 0.3 + 0.4j):
             matrix = radial_semigroup_matrix(dim, z, grid)
             quadratures = apply_radial_kernel(base, range(5), z, matrix=matrix)
+            field = FactoredField(np.arange(5), RadialSamples(grid, np.tile(base.values, (5, 1))))
+            spectral = apply_exp_g0(G0Exponent(z3=z), field).radial.values
             worst = 0.0
-            for m, quadrature in enumerate(quadratures):
-                field = _component(grid, m, base.values)
-                spectral = apply_exp_g0(G0Exponent(z3=z), field).radial
-                worst = max(worst, _rel_error(spectral, quadrature))
+            for row, quadrature in zip(spectral, quadratures):
+                worst = max(worst, _rel_error(RadialSamples(grid, row), quadrature))
             out.append(
                 CheckResult("spectral", f"N={dim}, z={z}: multiplier vs quadrature, m<=4",
                             worst, 1e-8)
@@ -196,39 +195,28 @@ def _rel(a: complex, b: complex) -> float:
     return abs(a - b) / scale if scale > 0 else 0.0
 
 
+# (dim, cos angles t, closed form as a function of (r, r', t, z), tol); the
+# lambdas look the closed forms up by name when called, so a wrapper put on
+# this module's names sees every call
+_FORM_CASES = (
+    (1, (-1.0, 1.0), lambda r, rp, t, z: closed_form_1d(r, t * rp, z), 1e-14),
+    (2, (-0.7, 0.2, 0.85), lambda r, rp, t, z: closed_form_2d(r, rp, z, t=t), 1e-9),
+    (4, (-0.7, 0.2, 0.85), lambda r, rp, t, z: closed_form_4d(r, rp, t, z), 1e-8),
+)
+
+
 def suite_theta_forms() -> list[CheckResult]:
     """Closed theta forms against the truncated Gegenbauer series."""
     out: list[CheckResult] = []
-
-    worst = 0.0
-    for r in _FORM_RADII:
-        for rp in _FORM_RADII_P:
-            for t in (-1.0, 1.0):
-                for z in _FORM_TIMES:
-                    series = full_kernel_series(KernelQuery(1, as_time(z), r, rp, t, 1e-15))
-                    closed = closed_form_1d(r, t * rp, z)
-                    worst = max(worst, _rel(series, closed))
-    out.append(CheckResult("theta", "N=1 closed form vs series", worst, 1e-14))
-
-    worst = 0.0
-    for r in _FORM_RADII:
-        for rp in _FORM_RADII_P:
-            for t in (-0.7, 0.2, 0.85):
-                for z in _FORM_TIMES:
-                    series = full_kernel_series(KernelQuery(2, as_time(z), r, rp, t, 1e-15))
-                    closed = closed_form_2d(r, rp, z, t=t)
-                    worst = max(worst, _rel(series, closed))
-    out.append(CheckResult("theta", "N=2 closed form vs series", worst, 1e-9))
-
-    worst = 0.0
-    for r in _FORM_RADII:
-        for rp in _FORM_RADII_P:
-            for t in (-0.7, 0.2, 0.85):
-                for z in _FORM_TIMES:
-                    series = full_kernel_series(KernelQuery(4, as_time(z), r, rp, t, 1e-15))
-                    closed = closed_form_4d(r, rp, t, z)
-                    worst = max(worst, _rel(series, closed))
-    out.append(CheckResult("theta", "N=4 closed form vs series", worst, 1e-8))
+    for dim, cos_angles, closed_form, tol in _FORM_CASES:
+        worst = 0.0
+        for r in _FORM_RADII:
+            for rp in _FORM_RADII_P:
+                for t in cos_angles:
+                    for z in _FORM_TIMES:
+                        series = full_kernel_series(KernelQuery(dim, as_time(z), r, rp, t, 1e-15))
+                        worst = max(worst, _rel(series, closed_form(r, rp, t, z)))
+        out.append(CheckResult("theta", f"N={dim} closed form vs series", worst, tol))
     return out
 
 

@@ -125,6 +125,27 @@ def test_kernel_matches_golden_bytes(tmp_path, name, fmt):
     assert out.read_bytes() == (FIXTURES / f"{name}.{fmt}").read_bytes()
 
 
+# The apply_*.csv fixtures: four seeded inputs on n = 128 samples over
+# s in [-12, 12] (N = 3 factored with degrees 0, 1, 2, 5; N = 2 factored with
+# modes -3, -1, 0, 2; an N = 2 grid with 16 angles and modes |k| <= 4; an
+# N = 1 grid), and their outputs under one complex exponent (*_exp.csv) and
+# one grid-aligned dilation (*_t.csv), written by the CLI before factored
+# fields became one array.  Never regenerate them to absorb a change.
+APPLY_GOLDEN = {
+    "exp": ["--exponent", "0,0.3,0,0.1,0.5,0.2"],
+    "t": ["--t", "0.375"],
+}
+
+
+@pytest.mark.parametrize("leg", list(APPLY_GOLDEN))
+@pytest.mark.parametrize("name", ["apply_n3_factored", "apply_n2_factored", "apply_n2_grid", "apply_n1_grid"])
+def test_apply_matches_golden_bytes(tmp_path, name, leg):
+    out = tmp_path / "out.csv"
+    argv = ["apply", *APPLY_GOLDEN[leg], "--in", str(FIXTURES / f"{name}.csv"), "--out", str(out)]
+    assert main(argv) == 0
+    assert out.read_bytes() == (FIXTURES / f"{name}_{leg}.csv").read_bytes()
+
+
 def test_apply_echoes_the_dimension_of_the_field(tmp_path):
     out = tmp_path / "same.csv"
     assert main(["apply", "--t", "0", "--in", IN_FIELD, "--out", str(out)]) == 0  # --dim defaults to 2
@@ -258,18 +279,18 @@ def test_apply_identity_keeps_signed_zeros(tmp_path, kind):
 def test_apply_matches_golden_output(tmp_path):
     out = tmp_path / "half.csv"
     assert main(["apply", "--exponent", "0,0,0,0,0.5,0", "--in", IN_FIELD, "--out", str(out)]) == 0
-    (got,) = read_field_file(str(out))
-    (want,) = read_field_file(GOLDEN)
+    got = read_field_file(str(out))
+    want = read_field_file(GOLDEN)
     assert np.max(np.abs(got.radial.values - want.radial.values)) < 1e-9
 
 
 def test_apply_aligned_dilation(tmp_path):
-    (field,) = read_field_file(IN_FIELD)
+    field = read_field_file(IN_FIELD)
     ds = field.radial.grid.ds
     t = 0.5 * 10 * ds
     out = tmp_path / "scaled.csv"
     assert main(["apply", "--t", repr(t), "--in", IN_FIELD, "--out", str(out)]) == 0
-    (got,) = read_field_file(str(out))
+    got = read_field_file(str(out))
     want = apply_scaling_direct(t, field)
     assert np.max(np.abs(got.radial.values - want.radial.values)) < 1e-15
 
@@ -279,8 +300,8 @@ def test_apply_roundtrip_inverse_exponent(tmp_path):
     back = tmp_path / "back.csv"
     assert main(["apply", "--exponent", "0,0.2,0,0,0,1.3", "--in", IN_FIELD, "--out", str(mid)]) == 0
     assert main(["apply", "--exponent", "0,-0.2,0,0,0,-1.3", "--in", str(mid), "--out", str(back)]) == 0
-    (got,) = read_field_file(str(back))
-    (orig,) = read_field_file(IN_FIELD)
+    got = read_field_file(str(back))
+    orig = read_field_file(IN_FIELD)
     assert np.max(np.abs(got.radial.values - orig.radial.values)) < 1e-10
 
 

@@ -42,9 +42,9 @@ def _edge_samples(count: int, n: int) -> np.ndarray:
 def test_write_factored_bytes_match_reference():
     grid = LogRadialGrid(dim=3, s_min=-2.0, s_max=2.0, n=16)
     samples = _edge_samples(3, grid.n)
-    fields = [FactoredField(m, RadialSamples(grid, row)) for m, row in zip((0, 2, 7), samples)]
+    field = FactoredField([0, 2, 7], RadialSamples(grid, samples))
     fp = io.StringIO()
-    write_factored(fp, fields)
+    write_factored(fp, field)
     rows = fp.getvalue().split("m,s_index,re,im\n", 1)[1]
     assert rows == _reference_rows((0, 2, 7), samples)
 
@@ -109,3 +109,11 @@ def test_read_points_skips_names_comments_and_blank_lines(tmp_path):
     path = tmp_path / "pts.csv"
     path.write_text("# points\nr,rp,t\n1.0,1.5,0.3\n\n  \n# mid\n0.7,0.7,-0.2\r\n")
     assert read_points(str(path)) == [(1.0, 1.5, 0.3), (0.7, 0.7, -0.2)]
+
+
+def test_factored_keys_beyond_machine_integers_are_refused(tmp_path):
+    path = tmp_path / "huge.csv"
+    path.write_text('# geometry: {"kind": "factored", "dim": 2, "s_min": -1, "s_max": 1, "n": 8}\n'
+                    + "".join(f"1e20,{j},1,0\n" for j in range(8)))
+    with pytest.raises(FieldFormatError, match="machine integer"):
+        read_field_file(str(path))

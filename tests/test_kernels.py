@@ -299,6 +299,12 @@ def test_apply_radial_kernel_range_equals_degree_calls(dim, z):
     assert apply_radial_kernel(f, range(0), z, matrix=matrix) == []
 
 
+def test_apply_radial_kernel_rejects_a_stack_of_profiles():
+    grid = LogRadialGrid(3, -4.0, 4.0, 64)
+    with pytest.raises(DomainError):
+        apply_radial_kernel(RadialSamples(grid, np.ones((64, 64))), 0, 0.5)
+
+
 def test_apply_radial_kernel_rejects_negative_degrees():
     f = RadialSamples(LogRadialGrid(3, -4.0, 4.0, 64), np.ones(64))
     with pytest.raises(DomainError):
@@ -326,3 +332,14 @@ def test_semigroup_matrix_is_a_fresh_array():
     assert b.base is None
     b[0, 0] = 7.0
     assert radial_semigroup_matrix(3, 0.5, grid)[0, 0] != 7.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda t: full_kernel_series(KernelQuery(3, as_time(0.5), 1.0, 1.2, t)),
+    lambda t: closed_form_2d(1.0, 1.2, 0.5, t=t),
+    lambda t: closed_form_4d(1.0, 1.2, t, 0.5),
+], ids=["series", "closed-2d", "closed-4d"])
+def test_nan_cos_angle_is_refused(call):
+    # a NaN t used to pass the range check and be clamped to t = -1
+    with pytest.raises(DomainError):
+        call(math.nan)

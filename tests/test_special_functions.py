@@ -268,3 +268,16 @@ def test_domain_guards():
         gegenbauer_tilde_sup(4, -0.25)
     # a hair beyond 1 from rounding is tolerated
     assert gegenbauer_c(2, 1.0, 1.0 + 5e-13) == pytest.approx(gegenbauer_c(2, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda t: gegenbauer_tilde(3, 0.5, t),
+    lambda t: gegenbauer_tilde(range(4), 0.5, t),
+    lambda t: gegenbauer_c(3, 0.5, t),
+    lambda t: chebyshev_t(3, t),
+    lambda t: chebyshev_u(3, t),
+], ids=["tilde", "tilde-range", "gegenbauer-c", "chebyshev-t", "chebyshev-u"])
+def test_nan_argument_is_refused(call):
+    # a NaN t used to pass the range check and be clamped to t = -1
+    with pytest.raises(DomainError):
+        call(math.nan)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conformal_heat.errors import GridAlignmentError, UnboundedExponentError
+from conformal_heat.errors import DomainError, GridAlignmentError, UnboundedExponentError
 from conformal_heat.log_radial import (
     LogRadialGrid,
     RadialSamples,
@@ -25,8 +25,7 @@ from conformal_heat.spherical import FactoredField
 
 
 def _component(grid, degree, values):
-    mode = degree if grid.dim <= 2 else None
-    return FactoredField(degree, RadialSamples(grid, values), mode)
+    return FactoredField([degree], RadialSamples(grid, [values]))
 
 
 def test_multiplier_values():
@@ -113,7 +112,7 @@ def test_scaling_direct_matches_pointwise_formula():
     out = apply_scaling_direct(t, field)
     # e^{(N-2)t} f(e^{2t} r_j) sampled exactly on the shifted grid
     want = np.exp((grid.dim - 2) * t) * np.roll(f, -k)
-    np.testing.assert_allclose(out.radial.values, want, rtol=1e-14)
+    np.testing.assert_allclose(out.radial.values[0], want, rtol=1e-14)
 
 
 def test_scaling_alignment_guard():
@@ -169,3 +168,28 @@ def test_from_unitary_triple():
     e = G0Exponent.from_unitary_triple(0.3, -0.2, 1.1)
     assert e.z1 == 0.3j and e.z2 == -0.2j and e.z3 == 1.1j
     assert is_bounded(e) is Boundedness.BOUNDED_UNITARY
+
+
+@pytest.mark.parametrize("dim, keys", [(1, [1, 0]), (2, [-3, 0, 2, 5]), (3, [0, 1, 4]), (4, [2, 0, 7])])
+def test_stacked_apply_equals_one_row_calls_bit_for_bit(dim, keys):
+    grid = LogRadialGrid(dim, -12.0, 12.0, 256)
+    rng = np.random.default_rng(dim)
+    rows = (rng.standard_normal((len(keys), 1)) + 1j * rng.standard_normal((len(keys), 1))) * np.exp(
+        -((grid.s[None, :] - rng.uniform(-1, 1, (len(keys), 1))) ** 2))
+    exponent = G0Exponent(z1=0.3j, z2=0.1 + 0.2j, z3=0.5 + 0.2j)
+    stacked = apply_exp_g0(exponent, FactoredField(keys, RadialSamples(grid, rows)))
+    assert stacked.m.tolist() == keys
+    for key, row, got in zip(keys, rows, stacked.radial.values):
+        (want,) = apply_exp_g0(exponent, _component(grid, key, row)).radial.values
+        assert np.array_equal(got.view(float), want.view(float))
+
+
+def test_multiplier_broadcasts_over_a_column_of_degrees():
+    sigma = np.linspace(-4, 4, 9)
+    exponent = G0Exponent(z1=0.2j, z3=0.4 + 0.3j)
+    column = multiplier(exponent, np.array([[0], [3]]), sigma, 3)
+    assert column.shape == (2, 9)
+    for row, m in zip(column, (0, 3)):
+        assert np.array_equal(row, multiplier(exponent, m, sigma, 3))
+    with pytest.raises(DomainError):
+        multiplier(exponent, np.array([[1], [-1]]), sigma, 3)

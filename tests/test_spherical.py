@@ -89,7 +89,7 @@ def test_decompose_recompose_roundtrip():
     back = recompose_2d(parts, n_phi=16)
     assert np.max(np.abs(back.values - field.values)) < 1e-12 * np.max(np.abs(field.values))
     # Parseval across components
-    total = sum(p.norm() ** 2 for p in parts)
+    total = parts.norm() ** 2
     assert total == pytest.approx(field.norm() ** 2, rel=1e-12)
 
 
@@ -99,7 +99,7 @@ def test_decompose_pure_profile_single_mode():
     field = GridField2D(grid, np.tile(profile, (8, 1)))
     parts = decompose_2d(field)
     assert len(parts) == 1
-    assert parts[0].mode == 0 and parts[0].degree == 0
+    assert parts.m[0] == 0 and parts.degrees[0] == 0
 
 
 def test_decompose_cos2_gives_degree_two():
@@ -107,8 +107,8 @@ def test_decompose_cos2_gives_degree_two():
     phi = 2 * math.pi * np.arange(16) / 16
     field = GridField2D(grid, np.cos(2 * phi)[:, None] * np.exp(-grid.s**2)[None, :])
     parts = decompose_2d(field)
-    assert sorted(p.mode for p in parts) == [-2, 2]
-    assert all(p.degree == 2 for p in parts)
+    assert sorted(parts.m.tolist()) == [-2, 2]
+    assert all(parts.degrees == 2)
 
 
 def test_decompose_1d_roundtrip():
@@ -116,29 +116,21 @@ def test_decompose_1d_roundtrip():
     rng = np.random.default_rng(2)
     field = GridField2D(grid, rng.standard_normal((2, grid.n)))
     parts = decompose_1d(field)
-    assert [p.degree for p in parts] == [0, 1]
+    assert parts.degrees.tolist() == [0, 1]
     back = recompose_1d(parts)
     assert_allclose(back.values, field.values, atol=1e-14)
-    total = sum(p.norm() ** 2 for p in parts)
+    total = parts.norm() ** 2
     assert total == pytest.approx(field.norm() ** 2, rel=1e-12)
 
 
 def test_factored_field_validation():
     grid3 = _grid(3)
-    samples = RadialSamples(grid3, np.zeros(grid3.n))
-    FactoredField(2, samples, None)  # fine
-    with pytest.raises(DomainError):
-        FactoredField(2, samples, 2)  # N >= 3 slots are abstract
-    grid2 = _grid(2)
-    s2 = RadialSamples(grid2, np.zeros(grid2.n))
-    with pytest.raises(DomainError):
-        FactoredField(2, s2, None)
-    with pytest.raises(DomainError):
-        FactoredField(2, s2, 3)
+    samples = RadialSamples(grid3, np.zeros((1, grid3.n)))
+    FactoredField([2], samples)  # fine
     grid1 = _grid(1)
-    s1 = RadialSamples(grid1, np.zeros(grid1.n))
+    s1 = RadialSamples(grid1, np.zeros((1, grid1.n)))
     with pytest.raises(DomainError):
-        FactoredField(2, s1, 2)
+        FactoredField([2], s1)
 
 
 def test_grid_field_validation():
@@ -150,3 +142,48 @@ def test_grid_field_validation():
         GridField2D(grid2, np.zeros((4, grid2.n)))  # n_phi below 8
     with pytest.raises(DomainError):
         GridField2D(_grid(3), np.zeros((8, 64)))
+
+
+@pytest.mark.parametrize("dim, keys, rows", [
+    (3, [0, 1], 3),      # fewer keys than rows
+    (3, [0, 1, 2], 2),   # more keys than rows
+    (3, np.zeros(0, dtype=int), 0),  # no sector at all
+    (3, [2, -1], 2),     # N >= 3 keys are degrees
+    (1, [0, 2], 2),      # N = 1 keys are parities
+    (1, [-1], 1),
+    (2, [0.0, 1.0], 2),  # keys are integers
+    (1, [0, 1, 1], 3),   # one row per key
+    (2, [-3, 2, -3], 3),
+], ids=["few-keys", "many-keys", "empty", "negative-degree", "parity-2", "parity-minus-1", "float-keys",
+        "repeated-parity", "repeated-mode"])
+def test_factored_field_rejects_bad_keys(dim, keys, rows):
+    grid = _grid(dim)
+    with pytest.raises(DomainError):
+        FactoredField(np.array(keys), RadialSamples(grid, np.ones((rows, grid.n))))
+
+
+def test_factored_field_keys_match_the_file_column():
+    grid = _grid(2)
+    field = FactoredField([-3, 0, 2], RadialSamples(grid, np.ones((3, grid.n))))
+    assert len(field) == 3
+    assert field.degrees.tolist() == [3, 0, 2]
+
+
+def test_decompose_2d_keeps_the_modes_above_the_drop_threshold():
+    grid = _grid(2)
+    phi = 2 * math.pi * np.arange(32) / 32
+    profile = np.exp(-grid.s**2)
+    # modes -5, 0, 3 and 9 carry weight; mode 7 sits far below 1e-14 of the total
+    amplitudes = {-5: 1.0, 0: 0.5, 3: 2.0 + 1.0j, 9: 1e-6, 7: 1e-18}
+    values = sum(a * np.exp(1j * k * phi)[:, None] * profile[None, :] for k, a in amplitudes.items())
+    parts = decompose_2d(GridField2D(grid, values))
+    assert len(parts) == 4
+    assert parts.m.tolist() == [-5, 0, 3, 9]
+
+
+def test_recompose_2d_adds_aliased_modes():
+    grid = _grid(2)
+    rows = np.stack([np.exp(-grid.s**2), 2.0 * np.exp(-grid.s**2)])
+    back = recompose_2d(FactoredField([-1, 7], RadialSamples(grid, rows)), n_phi=8)
+    summed = recompose_2d(FactoredField([-1], RadialSamples(grid, 3.0 * rows[:1])), n_phi=8)
+    assert_allclose(back.values, summed.values)
