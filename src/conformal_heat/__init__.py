@@ -32,7 +32,6 @@ from .kernels import (
 )
 from .ladder import (
     LadderOperatorSpec,
-    PowerSum,
     act,
     commutator_defect,
     degeneration_trace,

@@ -34,6 +34,8 @@ from .errors import DomainError, InvalidRegimeError
 from .log_radial import LogRadialGrid, RadialSamples
 from .special_functions import (
     ThetaArgs,
+    check_t,
+    check_tol,
     gegenbauer_tilde,
     gegenbauer_tilde_sup,
     theta,
@@ -89,10 +91,8 @@ class KernelQuery:
             raise DomainError("dim must be >= 1")
         if not (self.r > 0 and self.r_prime > 0):
             raise DomainError("radii must be positive")
-        if not abs(self.t) <= 1.0 + 1e-12:  # NaN fails this test too
-            raise DomainError(f"t={self.t} outside [-1, 1]")
-        if not (0 < self.tol < math.inf):
-            raise DomainError("tol must be finite and positive")
+        check_t(self.t)
+        check_tol(self.tol)
 
 
 def _gauss_factor(ct: ComplexTime, r, rp, dim: int):
@@ -116,8 +116,7 @@ def radial_kernel(m: int, dim: int, r, r_prime, z) -> complex:
 
 def truncation_degree(dim: int, z, tol: float) -> int:
     """Smallest M with sum_{m > M} sup|C~_m| exp(-Re z (m + nu)^2) < tol."""
-    if not (0 < tol < math.inf):
-        raise DomainError("tol must be finite and positive")
+    check_tol(tol)
     ct = _require_kernel_regime(as_time(z))
     return _certified_cut(dim, ct.z.real, tol)
 
@@ -215,9 +214,7 @@ def closed_form_2d(r: float, r_prime: float, z, *, t: float | None = None,
     _require_positive_radii(r, r_prime)
     ct = _require_kernel_regime(as_time(z))
     if angle is None:
-        if not abs(t) <= 1.0 + 1e-12:  # NaN fails this test too
-            raise DomainError(f"t={t} outside [-1, 1]")
-        angle = math.acos(min(1.0, max(-1.0, t)))
+        angle = math.acos(check_t(t))
     dlog = math.log(r) - math.log(r_prime)
     pref = 1.0 / (2.0 * math.pi) / (2.0 * math.sqrt(math.pi) * ct.sqrt_z)
     th = theta(ThetaArgs(angle / (2.0 * math.pi), 1j * ct.z / math.pi, tol))
@@ -234,9 +231,7 @@ def closed_form_4d(r: float, r_prime: float, t: float, z, tol: float = 1e-14) ->
     """
     _require_positive_radii(r, r_prime)
     ct = _require_kernel_regime(as_time(z))
-    if not abs(t) <= 1.0 + 1e-12:  # NaN fails this test too
-        raise DomainError(f"t={t} outside [-1, 1]")
-    t = min(1.0, max(-1.0, t))
+    t = check_t(t)
     if abs(t) > _NEAR_DIAGONAL:
         return full_kernel_series(KernelQuery(4, ct, r, r_prime, t, tol))
     a = math.acos(t)
@@ -266,7 +261,7 @@ def radial_semigroup_matrix(dim: int, z, grid: LogRadialGrid) -> np.ndarray:
     straight into the result, so no n x n temporary is made and each
     block's weights stay in cache.  The result is still a dense n x n
     complex array, so callers doing many degrees at a fixed (dim, z)
-    should reuse one matrix, or pass apply_radial_kernel a degree range.
+    should pass apply_radial_kernel a degree range, which builds it once.
     """
     ct = _require_kernel_regime(as_time(z))
     s, n = grid.s, grid.n
@@ -284,14 +279,13 @@ def radial_semigroup_matrix(dim: int, z, grid: LogRadialGrid) -> np.ndarray:
     return out
 
 
-def apply_radial_kernel(f: RadialSamples, m, z,
-                        matrix: np.ndarray | None = None):
+def apply_radial_kernel(f: RadialSamples, m, z):
     """Apply the degree-m semigroup by direct kernel quadrature.
 
     m is a degree, or a range of degrees such as range(M + 1) for the list
     of results at m = 0 .. M.  The degrees differ only in the scalar
-    exp(-z (m + nu)^2), so the list costs one product with the matrix,
-    and entry k equals the call at degree m[k] exactly.
+    exp(-z (m + nu)^2), so the list costs one matrix build and one
+    product with it, and entry k equals the call at degree m[k] exactly.
     """
     degrees = m if isinstance(m, range) else (m,)
     if any(k < 0 for k in degrees):
@@ -300,10 +294,8 @@ def apply_radial_kernel(f: RadialSamples, m, z,
         raise DomainError("apply_radial_kernel takes one radial profile, not a stack of rows")
     ct = _require_kernel_regime(as_time(z))
     grid = f.grid
-    if matrix is None:
-        matrix = radial_semigroup_matrix(grid.dim, ct, grid)
     nu = 0.5 * (grid.dim - 2)
-    product = matrix @ f.values
+    product = radial_semigroup_matrix(grid.dim, ct, grid) @ f.values
     out = [RadialSamples(grid, cmath.exp(-ct.z * (k + nu) ** 2) * product) for k in degrees]
     return out if isinstance(m, range) else out[0]
 

@@ -1,7 +1,7 @@
 """Exact ladder-operator actions on power functions r^lambda.
 
-With theta = r d/dr the three radial generators at parameter a != 0 act on
-r^lambda as
+With theta = r d/dr the three radial generators at parameter a != 0 map
+each power function to one power function:
 
     H  : r^lambda -> ((2 lambda + a + N - 2)/a) r^lambda
     E+ : r^lambda -> (i/a) r^{lambda + a}
@@ -13,20 +13,23 @@ and their a -> 0 limits (after rescaling by a) become the commuting family
     E+ : r^lambda -> i r^lambda
     E- : r^lambda -> i (lambda - m)(lambda + m + N - 2) r^lambda.
 
-These actions are exact on finite power sums, so commutator identities can
-be checked to roundoff with no discretization error.  Exponents produced by
-chains like (lambda + a) - a may differ from lambda by an ulp, so PowerSum
-coalesces exponents closer than a tight tolerance before comparing.
+So each generator is a monomial map: a coefficient and a step, the shift
+of the exponent (0 for H and the limit family, +a for E+, -a for E-).  The
+contraction a -> 0 is the limit where the steps shrink to zero.  A linear
+combination with one common step is again a monomial map, and a bracket
+[X, Y] applied to r^lambda is one coefficient at lambda + step X + step Y,
+so commutator identities are checked to roundoff with no discretization
+error and no bookkeeping of sums of powers.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Sequence
 
 from .errors import DomainError
-
-_EXP_MERGE = 1e-12  # exponents closer than this collapse to one term
 
 
 @dataclass(frozen=True)
@@ -46,136 +49,90 @@ class LadderOperatorSpec:
         if self.degree < 0 or self.dim < 1:
             raise DomainError("need degree >= 0 and dim >= 1")
 
+    @property
+    def step(self) -> complex:
+        """Exponent shift: 0 for H and the limit family, +a for E+, -a for E-."""
+        if self.a is None or self.kind == "H":
+            return 0.0
+        return self.a if self.kind == "E+" else -self.a
+
 
 # a linear combination sum_k c_k X_k of generators
 OperatorCombination = Sequence[tuple[complex, LadderOperatorSpec]]
 
-# The algebra works on merged term lists [(lambda, c), ...]: complex
-# entries, no two exponents within the merge tolerance of each other.
-# Scaling a merged list or keeping its exponents keeps it merged, so only
-# terms with new exponents go through the merge.
-Terms = list[tuple[complex, complex]]
 
-
-def _merge_into(terms: Terms, lam: complex, coeff: complex) -> None:
-    for i, (lam0, c0) in enumerate(terms):
-        if abs(lam - lam0) <= _EXP_MERGE * (1.0 + abs(lam0)):
-            terms[i] = (lam0, c0 + coeff)
-            return
-    terms.append((lam, coeff))
-
-
-def _add_scaled(terms: Terms, other: Terms, factor: complex) -> None:
-    # terms += factor * other, in place; other is merged, so into an empty
-    # list its terms go as they are
-    if not terms:
-        terms.extend([(lam, complex(factor * c)) for lam, c in other])
-        return
-    for lam, c in other:
-        _merge_into(terms, lam, complex(factor * c))
-
-
-def _act_terms(op: LadderOperatorSpec, terms: Terms) -> Terms:
+def _coefficient(op: LadderOperatorSpec, lam: complex, coeff: complex) -> complex:
+    # the coefficient of op (coeff r^lam); the exponent moves by op.step
     c = op.dim - 2
     m = op.degree
     a = op.a
-    # H and the limit family keep the exponents, so the result stays merged
     if a is None:
         if op.kind == "H":
-            return [(lam, coeff * (2.0 * lam + c)) for lam, coeff in terms]
+            return coeff * (2.0 * lam + c)
         if op.kind == "E+":
-            return [(lam, coeff * 1j) for lam, coeff in terms]
-        return [(lam, coeff * 1j * (lam - m) * (lam + m + c)) for lam, coeff in terms]
+            return coeff * 1j
+        return coeff * 1j * (lam - m) * (lam + m + c)
     if op.kind == "H":
-        return [(lam, complex(coeff * (2.0 * lam + a + c) / a)) for lam, coeff in terms]
+        return coeff * (2.0 * lam + a + c) / a
     if op.kind == "E+":
-        shifted = [(lam + a, coeff * 1j / a) for lam, coeff in terms]
-    else:
-        shifted = [(lam - a, coeff * (1j / a) * (lam - m) * (lam + m + c)) for lam, coeff in terms]
-    out: Terms = []
-    for lam, coeff in shifted:
-        _merge_into(out, complex(lam), complex(coeff))
-    return out
+        return coeff * 1j / a
+    return coeff * (1j / a) * (lam - m) * (lam + m + c)
 
 
-def _act_combination_terms(combo: OperatorCombination, terms: Terms) -> Terms:
-    out: Terms = []
-    for coeff, spec in combo:
-        _add_scaled(out, _act_terms(spec, terms), coeff)
-    return out
+def _combination(op) -> tuple[OperatorCombination, complex]:
+    """op as a combination, with the one step all of its terms share."""
+    combo = [(1.0, op)] if isinstance(op, LadderOperatorSpec) else list(op)
+    steps = {spec.step for _, spec in combo}
+    if len(steps) != 1:
+        raise DomainError(f"a combination must shift every exponent by one step, got {steps}")
+    return combo, steps.pop()
 
 
-class PowerSum:
-    """Finite sum of terms c * r^lambda with complex c and lambda."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Iterable[tuple[complex, complex]] = ()):
-        self.terms: Terms = []
-        for lam, coeff in terms:
-            _merge_into(self.terms, complex(lam), complex(coeff))
-
-    @classmethod
-    def power(cls, lam: complex, coeff: complex = 1.0) -> "PowerSum":
-        return cls([(lam, coeff)])
-
-    @classmethod
-    def _merged(cls, terms: Terms) -> "PowerSum":
-        # wrap a merged term list as it is
-        out = cls.__new__(cls)
-        out.terms = terms
-        return out
-
-    def __add__(self, other: "PowerSum") -> "PowerSum":
-        out = list(self.terms)
-        for lam, c in other.terms:
-            _merge_into(out, lam, c)
-        return PowerSum._merged(out)
-
-    def __sub__(self, other: "PowerSum") -> "PowerSum":
-        out = list(self.terms)
-        _add_scaled(out, other.terms, -1.0)
-        return PowerSum._merged(out)
-
-    def scale(self, factor: complex) -> "PowerSum":
-        return PowerSum._merged([(lam, complex(factor * c)) for lam, c in self.terms])
-
-    def max_coeff(self) -> float:
-        return max((abs(c) for _, c in self.terms), default=0.0)
+def _act(combo: OperatorCombination, step: complex, lam: complex, coeff: complex):
+    # the terms are summed in order, starting from the first
+    total = reduce(operator.add, (w * _coefficient(spec, lam, coeff) for w, spec in combo))
+    return lam + step, total
 
 
-def act(op: LadderOperatorSpec, f: PowerSum) -> PowerSum:
-    """Apply one generator to a power sum, exactly termwise."""
-    return PowerSum._merged(_act_terms(op, f.terms))
+def act(op, lam: complex, coeff: complex = 1.0) -> tuple[complex, complex]:
+    """(exponent, coefficient) of op applied to coeff * r^lam, exactly.
 
-
-def _as_combination(op) -> OperatorCombination:
+    op is a LadderOperatorSpec or a combination [(w, spec), ...] whose
+    terms share one step; unequal steps raise DomainError.
+    """
+    lam, coeff = complex(lam), complex(coeff)
     if isinstance(op, LadderOperatorSpec):
-        return [(1.0, op)]
-    return list(op)
-
-
-def act_combination(op, f: PowerSum) -> PowerSum:
-    return PowerSum._merged(_act_combination_terms(_as_combination(op), f.terms))
+        return lam + op.step, _coefficient(op, lam, coeff)
+    return _act(*_combination(op), lam, coeff)
 
 
 def commutator_defect(x, y, expected, basis: Iterable[complex]) -> float:
     """Max coefficient of ([X, Y] - expected) r^lambda over the basis.
 
     x, y, expected may each be a LadderOperatorSpec or a linear combination;
-    expected may also be None for the zero operator.
+    expected may also be None for the zero operator.  When the expected
+    step differs from step X + step Y, its term sits at another exponent,
+    so it cannot cancel and the two coefficients count separately.
     """
-    x, y = _as_combination(x), _as_combination(y)
+    x, y = _combination(x), _combination(y)
     if expected is not None:
-        expected = _as_combination(expected)
+        expected = _combination(expected)
+        apart = expected[1] != x[1] + y[1]
     worst = 0.0
     for lam in basis:
-        f = PowerSum.power(lam).terms
-        bracket = _act_combination_terms(x, _act_combination_terms(y, f))
-        _add_scaled(bracket, _act_combination_terms(y, _act_combination_terms(x, f)), -1.0)
-        if expected is not None:
-            _add_scaled(bracket, _act_combination_terms(expected, f), -1.0)
-        worst = max(worst, PowerSum._merged(bracket).max_coeff())
+        # X Y r^lam and Y X r^lam: one coefficient each, at one exponent
+        lam = complex(lam)
+        c_xy = _act(*x, *_act(*y, lam, 1.0 + 0.0j))[1]
+        c_yx = _act(*y, *_act(*x, lam, 1.0 + 0.0j))[1]
+        if expected is None:
+            defect = abs(c_xy - c_yx)
+        else:
+            c_expected = _act(*expected, lam, 1.0 + 0.0j)[1]
+            if apart:
+                defect = max(abs(c_xy - c_yx), abs(c_expected))
+            else:
+                defect = abs(c_xy - c_yx - c_expected)
+        worst = max(worst, defect)
     return worst
 
 

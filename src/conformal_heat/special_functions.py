@@ -41,6 +41,19 @@ def _check_index(nu: float, degree: int) -> None:
         raise DomainError(f"degree m={degree} must be a nonnegative integer")
 
 
+def check_tol(tol: float) -> None:
+    """Refuse a truncation tolerance outside 0 < tol < inf (NaN included)."""
+    if not (0 < tol < math.inf):
+        raise DomainError("tol must be finite and positive")
+
+
+def check_t(t: float) -> float:
+    """A cos-angle t in [-1, 1] up to rounding slack, clamped into it; NaN is refused."""
+    if not abs(t) <= 1.0 + _T_SLACK:  # NaN fails this test too
+        raise DomainError(f"t={t} outside [-1, 1]")
+    return min(1.0, max(-1.0, t))
+
+
 @dataclass(frozen=True)
 class GegenbauerParam:
     """Index pair (nu, m) for the Gegenbauer family.
@@ -69,14 +82,7 @@ class ThetaArgs:
             raise SeriesDivergenceError(
                 f"theta series diverges for Im tau = {self.tau.imag}; need Im tau > 0"
             )
-        if not (0 < self.tol < math.inf):
-            raise DomainError("tol must be finite and positive")
-
-
-def _check_t(t: float) -> float:
-    if not abs(t) <= 1.0 + _T_SLACK:  # NaN fails this test too
-        raise DomainError(f"Gegenbauer argument t={t} outside [-1, 1]")
-    return min(1.0, max(-1.0, t))
+        check_tol(self.tol)
 
 
 def _gegenbauer_run(top: int, nu: float, t: float) -> list[float]:
@@ -111,14 +117,14 @@ def gegenbauer_c(m: int, nu: float, t: float) -> float:
     including nu = 0 (where C_m^0 = 0 for m >= 1) and nu = -1/2.
     """
     _check_index(nu, m)
-    return _gegenbauer_run(m, nu, _check_t(t))[-1]
+    return _gegenbauer_run(m, nu, check_t(t))[-1]
 
 
 def chebyshev_t(m: int, t: float):
     """Chebyshev polynomial of the first kind, T_m(cos x) = cos(m x)."""
     if m < 0:
         raise DomainError("degree must be nonnegative")
-    t = _check_t(t)
+    t = check_t(t)
     return _chebyshev_run(m, t, t)[-1]
 
 
@@ -126,14 +132,14 @@ def chebyshev_u(m: int, t: float):
     """Chebyshev polynomial of the second kind, U_m(cos x) = sin((m+1)x)/sin(x)."""
     if m < 0:
         raise DomainError("degree must be nonnegative")
-    t = _check_t(t)
+    t = check_t(t)
     return _chebyshev_run(m, t, 2.0 * t)[-1]
 
 
 def _tilde_run(first: int, top: int, nu: float, t: float) -> list[float]:
     # C~_first^nu(t) ... C~_top^nu(t), all from one recurrence pass
     _check_index(nu, top)
-    t = _check_t(t)
+    t = check_t(t)
     if nu == 0.0:
         values = _chebyshev_run(top, t, t)
         return [2.0 * x if k else 1.0 for k, x in enumerate(values[first:], first)]

@@ -1,6 +1,6 @@
 """Self-check suites: each returns a list of named defect measurements.
 
-The suites exercise the library along independent routes (exact power-sum
+The suites exercise the library along independent routes (exact monomial
 algebra, kernel quadrature, spectral multipliers, closed forms) and report
 the worst defect per check against its pinned tolerance.  They are shared
 between the command line verifier and the acceptance tests.
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import radial_kernel, radial_semigroup_matrix, closed_form_1d, closed_form_2d, closed_form_4d, full_kernel_series, KernelQuery, as_time, apply_radial_kernel
+from .kernels import radial_kernel, closed_form_1d, closed_form_2d, closed_form_4d, full_kernel_series, KernelQuery, as_time, apply_radial_kernel
 from .ladder import (
     LadderOperatorSpec,
     commutator_defect,
@@ -171,8 +171,7 @@ def suite_spectral(shape: GridShape = _DEFAULT_SHAPE) -> list[CheckResult]:
         g = _gaussian_samples(grid)
         base = u_inverse(grid, g)
         for z in (0.5 + 0.0j, 0.3 + 0.4j):
-            matrix = radial_semigroup_matrix(dim, z, grid)
-            quadratures = apply_radial_kernel(base, range(5), z, matrix=matrix)
+            quadratures = apply_radial_kernel(base, range(5), z)
             field = FactoredField(np.arange(5), RadialSamples(grid, np.tile(base.values, (5, 1))))
             spectral = apply_exp_g0(G0Exponent(z3=z), field).radial.values
             worst = 0.0

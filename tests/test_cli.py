@@ -146,6 +146,17 @@ def test_apply_matches_golden_bytes(tmp_path, name, leg):
     assert out.read_bytes() == (FIXTURES / f"{name}_{leg}.csv").read_bytes()
 
 
+# verify_sl2.json and verify_degeneration.json: `verify --suite <s> --format
+# json` as the CLI wrote it before the ladder generators became monomial
+# maps.  Both suites are pure complex arithmetic, so the bytes do not
+# depend on the numpy version.  Never regenerate them to absorb a change.
+@pytest.mark.parametrize("suite", ["sl2", "degeneration"])
+def test_verify_matches_golden_bytes(tmp_path, suite):
+    out = tmp_path / "v.json"
+    assert main(["verify", "--suite", suite, "--format", "json", "--out", str(out)]) == 0
+    assert out.read_bytes() == (FIXTURES / f"verify_{suite}.json").read_bytes()
+
+
 def test_apply_echoes_the_dimension_of_the_field(tmp_path):
     out = tmp_path / "same.csv"
     assert main(["apply", "--t", "0", "--in", IN_FIELD, "--out", str(out)]) == 0  # --dim defaults to 2

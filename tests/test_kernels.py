@@ -287,16 +287,14 @@ def test_semigroup_matrix_blocks_match_direct_formula(dim, z, n):
 def test_apply_radial_kernel_range_equals_degree_calls(dim, z):
     grid = LogRadialGrid(dim, -8.0, 8.0, 256)
     f = RadialSamples(grid, np.exp(-(grid.s - 0.3) ** 2) * (1.0 + 0.5j))
-    matrix = radial_semigroup_matrix(dim, z, grid)
-    got = apply_radial_kernel(f, range(5), z, matrix=matrix)
+    got = apply_radial_kernel(f, range(5), z)
     assert len(got) == 5
     for m, g in enumerate(got):
         assert g.grid == grid
-        assert np.array_equal(g.values, apply_radial_kernel(f, m, z, matrix=matrix).values)
-    # without a matrix the kernel builds its own, with the same entries
+        assert np.array_equal(g.values, apply_radial_kernel(f, m, z).values)
     last = apply_radial_kernel(f, range(2, 5), z)
     assert np.array_equal(last[-1].values, got[-1].values)
-    assert apply_radial_kernel(f, range(0), z, matrix=matrix) == []
+    assert apply_radial_kernel(f, range(0), z) == []
 
 
 def test_apply_radial_kernel_rejects_a_stack_of_profiles():
