@@ -26,6 +26,8 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 
+import numpy as np
+
 from .errors import (
     ConformalHeatError,
     DomainError,
@@ -230,19 +232,32 @@ def _emit(cfg: RunConfig, text: str) -> None:
 
 
 def _kernel_value(cfg: RunConfig, ct: ComplexTime, r: float, rp: float, t: float) -> complex:
-    if cfg.closed_form:
-        if cfg.dim == 1:
-            if abs(t) != 1.0:
-                raise DomainError("N = 1 admits only t = +1 or t = -1")
-            return closed_form_1d(r, t * rp, ct)
-        if cfg.dim == 2:
-            return closed_form_2d(r, rp, ct, t=t, tol=cfg.tol)
-        if cfg.dim == 4:
-            return closed_form_4d(r, rp, t, ct, tol=cfg.tol)
-        raise DomainError(f"closed forms exist for N in {{1, 2, 4}}, not N = {cfg.dim}")
     if cfg.dim == 1 and abs(t) != 1.0:
         raise DomainError("N = 1 admits only t = +1 or t = -1")
     return full_kernel_series(KernelQuery(cfg.dim, ct, r, rp, t, cfg.tol))
+
+
+def _closed_form_table(cfg: RunConfig, ct: ComplexTime, points: list) -> list[complex]:
+    """One closed-form call over the whole (nonempty) table.
+
+    A bad row raises what the first bad row of a loop over the table
+    would raise.
+    """
+    r, rp, t = np.array(points, dtype=float).T
+    if cfg.dim == 1:
+        bad_t = np.abs(t) != 1.0
+        first = int(np.argmax(bad_t)) if bad_t.any() else t.size
+        # rows ahead of the first bad t raise their own errors first
+        values = closed_form_1d(r[:first], t[:first] * rp[:first], ct)
+        if first < t.size:
+            raise DomainError("N = 1 admits only t = +1 or t = -1")
+    elif cfg.dim == 2:
+        values = closed_form_2d(r, rp, ct, t=t, tol=cfg.tol)
+    elif cfg.dim == 4:
+        values = closed_form_4d(r, rp, t, ct, tol=cfg.tol)
+    else:
+        raise DomainError(f"closed forms exist for N in {{1, 2, 4}}, not N = {cfg.dim}")
+    return values.tolist()
 
 
 # "%.17g" % x is the same string as format_float(x)
@@ -257,7 +272,11 @@ def cmd_kernel(cfg: RunConfig) -> int:
             raise FieldFormatError("kernel needs --in POINTS or all of --r, --rp, --t")
         points = [(r, rp, t) for r in cfg.r_list for rp in cfg.rp_list for t in cfg.t_list]
     ct = as_time(cfg.z)
-    rows = [(r, rp, t, _kernel_value(cfg, ct, r, rp, t)) for r, rp, t in points]
+    if cfg.closed_form and points:
+        values = _closed_form_table(cfg, ct, points)
+    else:  # the series route; an empty table raises nothing on either route
+        values = [_kernel_value(cfg, ct, r, rp, t) for r, rp, t in points]
+    rows = [(r, rp, t, k) for (r, rp, t), k in zip(points, values)]
     if cfg.fmt == "json":
         payload = {
             "dim": cfg.dim,

@@ -33,7 +33,9 @@ import numpy as np
 from .errors import DomainError, InvalidRegimeError
 from .log_radial import LogRadialGrid, RadialSamples
 from .special_functions import (
+    _T_SLACK,
     ThetaArgs,
+    _libm,
     check_t,
     check_tol,
     gegenbauer_tilde,
@@ -91,7 +93,8 @@ class KernelQuery:
             raise DomainError("dim must be >= 1")
         if not (self.r > 0 and self.r_prime > 0):
             raise DomainError("radii must be positive")
-        check_t(self.t)
+        if not abs(self.t) <= 1.0 + _T_SLACK:  # validated only: the series clamps t itself
+            check_t(self.t)
         check_tol(self.tol)
 
 
@@ -184,67 +187,140 @@ def full_kernel_series(q: KernelQuery) -> complex:
     return complex(pref * _gauss_factor(ct, q.r, q.r_prime, q.dim) * acc)
 
 
-def closed_form_1d(x: float, x_prime: float, z) -> complex:
-    """N = 1 kernel on R \\ {0}; vanishes for opposite signs."""
-    if x == 0 or x_prime == 0:
-        raise DomainError("the kernel lives on R \\ {0}")
-    ct = _require_kernel_regime(as_time(z))
-    if x * x_prime < 0:
-        return 0.0 + 0.0j
-    r, rp = abs(x), abs(x_prime)
-    dlog = math.log(r) - math.log(rp)
-    return complex(
-        cmath.exp(-ct.z / 4.0)
-        / (2.0 * math.sqrt(math.pi) * ct.sqrt_z)
-        * cmath.exp(-dlog * dlog / (4.0 * ct.z))
-        * math.sqrt(r * rp)
-    )
+def _columns(*values):
+    return np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in values))
 
 
-def closed_form_2d(r: float, r_prime: float, z, *, t: float | None = None,
-                   angle: float | None = None, tol: float = 1e-14) -> complex:
+def _check_rows(ok: np.ndarray, check_row) -> None:
+    """Raise the error a loop over the rows of a table would raise first.
+
+    ok marks the rows that pass their own checks; check_row(i) runs row
+    i's checks in the scalar order.  Checks every row shares (the regime,
+    the tolerance) fail a loop at row 0, so row 0 is checked first.  An
+    empty table raises nothing.
+    """
+    if ok.size:
+        check_row(0)
+        if not ok.all():
+            check_row(int(np.argmin(ok.ravel())))
+
+
+def _as_result(values, shape: tuple):
+    out = np.asarray(values, dtype=complex).reshape(shape)
+    return complex(out) if out.ndim == 0 else out
+
+
+def closed_form_1d(x, x_prime, z):
+    """N = 1 kernel on R \\ {0}; vanishes for opposite signs.
+
+    x and x_prime are numbers or arrays that broadcast together; the
+    result is a complex, or a complex array of the broadcast shape.  A
+    zero point in any row raises, as a loop over the rows would.
+    """
+    ct = as_time(z)
+    x, x_prime = _columns(x, x_prime)
+
+    def check_row(i):
+        if x.flat[i] == 0 or x_prime.flat[i] == 0:
+            raise DomainError("the kernel lives on R \\ {0}")
+        _require_kernel_regime(ct)
+
+    _check_rows((x != 0) & (x_prime != 0), check_row)
+    r, rp = np.abs(x), np.abs(x_prime)
+    dlog = _libm(math.log, r) - _libm(math.log, rp)
+    pref = cmath.exp(-ct.z / 4.0) / (2.0 * math.sqrt(math.pi) * ct.sqrt_z)
+    quarter = 4.0 * ct.z
+    values = [
+        0.0 + 0.0j if opposite else pref * cmath.exp(g / quarter) * root
+        for opposite, g, root in zip((x * x_prime < 0).ravel().tolist(), (-dlog * dlog).ravel().tolist(),
+                                     np.sqrt(r * rp).ravel().tolist())
+    ]
+    return _as_result(values, x.shape)
+
+
+def closed_form_2d(r, r_prime, z, *, t=None, angle=None, tol: float = 1e-14):
     """N = 2 kernel through the theta function.
 
     The angular separation enters as theta(dphi/(2 pi), i z / pi); pass
     either the cos-angle t (mapped through arccos into [0, pi]) or a signed
     angle, equivalent because theta is even in v.
+
+    r, r_prime and t (or angle) are numbers or arrays that broadcast
+    together: a table costs one array theta call, and the Gaussian factor
+    and the final products run per row in scalar arithmetic, so entry i
+    equals the call at row i exactly.  A bad row anywhere raises what a
+    loop over the rows would raise first.
     """
     if (t is None) == (angle is None):
         raise DomainError("give exactly one of t or angle")
-    _require_positive_radii(r, r_prime)
-    ct = _require_kernel_regime(as_time(z))
-    if angle is None:
-        angle = math.acos(check_t(t))
-    dlog = math.log(r) - math.log(r_prime)
+    ct = as_time(z)
+    r, r_prime, a = _columns(r, r_prime, angle if t is None else t)
+
+    def check_row(i):
+        _require_positive_radii(r.flat[i], r_prime.flat[i])
+        _require_kernel_regime(ct)
+        if t is not None:
+            check_t(a.flat[i])
+        check_tol(tol)
+
+    ok = (r > 0) & (r_prime > 0)
+    if t is not None:
+        ok &= np.abs(a) <= 1.0 + _T_SLACK
+    _check_rows(ok, check_row)
+    if not r.size:
+        return np.empty(r.shape, dtype=complex)
+    if t is not None:
+        a = _libm(math.acos, np.clip(a, -1.0, 1.0))
+    dlog = _libm(math.log, r) - _libm(math.log, r_prime)
     pref = 1.0 / (2.0 * math.pi) / (2.0 * math.sqrt(math.pi) * ct.sqrt_z)
-    th = theta(ThetaArgs(angle / (2.0 * math.pi), 1j * ct.z / math.pi, tol))
-    return complex(pref * cmath.exp(-dlog * dlog / (4.0 * ct.z)) * th)
+    th = theta(ThetaArgs(a / (2.0 * math.pi), 1j * ct.z / math.pi, tol))
+    quarter = 4.0 * ct.z
+    values = [pref * cmath.exp(g / quarter) * h
+              for g, h in zip((-dlog * dlog).ravel().tolist(), np.ravel(th).tolist())]
+    return _as_result(values, r.shape)
 
 
-def closed_form_4d(r: float, r_prime: float, t: float, z, tol: float = 1e-14) -> complex:
+def closed_form_4d(r, r_prime, t, z, tol: float = 1e-14):
     """N = 4 kernel through the v-derivative of theta.
 
     Uses the identity sum_m exp(-z (m+1)^2) (m+1) U_m(cos a) =
     -(4 pi sin a)^{-1} theta_dv(a/(2 pi), i z / pi).  Within 1e-6 of the
     poles t = +-1 the sin-a cancellation is avoided by falling back to the
     Gegenbauer series, which is regular there (U_m(1) = m + 1).
+
+    r, r_prime and t are numbers or arrays that broadcast together: the
+    rows away from the poles cost one array theta_dv call, with the
+    Gaussian factor and the final products per row in scalar arithmetic;
+    each near-pole row makes its own series call.  Entry i equals the call
+    at row i exactly, and a bad row anywhere raises what a loop over the
+    rows would raise first.
     """
-    _require_positive_radii(r, r_prime)
-    ct = _require_kernel_regime(as_time(z))
-    t = check_t(t)
-    if abs(t) > _NEAR_DIAGONAL:
-        return full_kernel_series(KernelQuery(4, ct, r, r_prime, t, tol))
-    a = math.acos(t)
-    dlog = math.log(r) - math.log(r_prime)
-    dv = theta_dv(ThetaArgs(a / (2.0 * math.pi), 1j * ct.z / math.pi, tol))
-    pref = -1.0 / (8.0 * math.pi**3) / (2.0 * math.sqrt(math.pi) * ct.sqrt_z)
-    return complex(
-        pref
-        * cmath.exp(-dlog * dlog / (4.0 * ct.z))
-        / (r * r_prime)
-        / math.sqrt(1.0 - t * t)
-        * dv
-    )
+    ct = as_time(z)
+    r, r_prime, t = _columns(r, r_prime, t)
+
+    def check_row(i):
+        _require_positive_radii(r.flat[i], r_prime.flat[i])
+        _require_kernel_regime(ct)
+        check_t(t.flat[i])
+        check_tol(tol)
+
+    _check_rows((r > 0) & (r_prime > 0) & (np.abs(t) <= 1.0 + _T_SLACK), check_row)
+    shape = r.shape
+    r, r_prime, t = r.ravel(), r_prime.ravel(), np.clip(t, -1.0, 1.0).ravel()
+    out = np.empty(t.shape, dtype=complex)
+    near = np.abs(t) > _NEAR_DIAGONAL
+    for i in np.flatnonzero(near).tolist():
+        out[i] = full_kernel_series(KernelQuery(4, ct, float(r[i]), float(r_prime[i]), float(t[i]), tol))
+    far = ~near
+    if far.any():
+        r, r_prime, t = r[far], r_prime[far], t[far]
+        dlog = _libm(math.log, r) - _libm(math.log, r_prime)
+        dv = theta_dv(ThetaArgs(_libm(math.acos, t) / (2.0 * math.pi), 1j * ct.z / math.pi, tol))
+        pref = -1.0 / (8.0 * math.pi**3) / (2.0 * math.sqrt(math.pi) * ct.sqrt_z)
+        quarter = 4.0 * ct.z
+        out[far] = [pref * cmath.exp(g / quarter) / rr / s * d for g, rr, s, d in zip(
+            (-dlog * dlog).tolist(), (r * r_prime).tolist(), np.sqrt(1.0 - t * t).tolist(), dv.tolist())]
+    return _as_result(out, shape)
 
 
 _BUILD_ROWS = 64  # rows per block of the quadrature matrix build
@@ -293,6 +369,8 @@ def apply_radial_kernel(f: RadialSamples, m, z):
     if f.values.ndim != 1:
         raise DomainError("apply_radial_kernel takes one radial profile, not a stack of rows")
     ct = _require_kernel_regime(as_time(z))
+    if not degrees:
+        return []
     grid = f.grid
     nu = 0.5 * (grid.dim - 2)
     product = radial_semigroup_matrix(grid.dim, ct, grid) @ f.values
@@ -315,7 +393,7 @@ def apply_full_kernel_2d(field, z, tol: float = 1e-13):
     n_phi = field.n_phi
     radial = radial_semigroup_matrix(2, ct, grid)
     tau = 1j * ct.z / math.pi
-    th_row = np.array([theta(ThetaArgs(k / n_phi, tau, tol)) for k in range(n_phi)])
+    th_row = theta(ThetaArgs(np.arange(n_phi) / n_phi, tau, tol))
     idx = (np.arange(n_phi)[:, None] - np.arange(n_phi)[None, :]) % n_phi
     angular = th_row[idx] / n_phi  # (1/2pi) theta(dphi/2pi) dphi with dphi = 2pi/n_phi
     return GridField2D(grid, angular @ field.values @ radial.T)

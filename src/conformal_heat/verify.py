@@ -194,9 +194,9 @@ def _rel(a: complex, b: complex) -> float:
     return abs(a - b) / scale if scale > 0 else 0.0
 
 
-# (dim, cos angles t, closed form as a function of (r, r', t, z), tol); the
-# lambdas look the closed forms up by name when called, so a wrapper put on
-# this module's names sees every call
+# (dim, cos angles t, closed form as a function of arrays (r, r', t) and z,
+# tol); the lambdas look the closed forms up by name when called, so a
+# wrapper put on this module's names sees every call
 _FORM_CASES = (
     (1, (-1.0, 1.0), lambda r, rp, t, z: closed_form_1d(r, t * rp, z), 1e-14),
     (2, (-0.7, 0.2, 0.85), lambda r, rp, t, z: closed_form_2d(r, rp, z, t=t), 1e-9),
@@ -205,16 +205,19 @@ _FORM_CASES = (
 
 
 def suite_theta_forms() -> list[CheckResult]:
-    """Closed theta forms against the truncated Gegenbauer series."""
+    """Closed theta forms against the truncated Gegenbauer series.
+
+    Each closed form is one array call per (N, z) over every (r, r', t).
+    """
     out: list[CheckResult] = []
     for dim, cos_angles, closed_form, tol in _FORM_CASES:
+        points = [(r, rp, t) for r in _FORM_RADII for rp in _FORM_RADII_P for t in cos_angles]
+        r, rp, t = np.array(points).T
         worst = 0.0
-        for r in _FORM_RADII:
-            for rp in _FORM_RADII_P:
-                for t in cos_angles:
-                    for z in _FORM_TIMES:
-                        series = full_kernel_series(KernelQuery(dim, as_time(z), r, rp, t, 1e-15))
-                        worst = max(worst, _rel(series, closed_form(r, rp, t, z)))
+        for z in _FORM_TIMES:
+            for (a, b, c), closed in zip(points, closed_form(r, rp, t, z).tolist()):
+                series = full_kernel_series(KernelQuery(dim, as_time(z), a, b, c, 1e-15))
+                worst = max(worst, _rel(series, closed))
         out.append(CheckResult("theta", f"N={dim} closed form vs series", worst, tol))
     return out
 

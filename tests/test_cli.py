@@ -268,6 +268,46 @@ def test_exit_code_2_closed_form_non_positive_radius(tmp_path, capsys, dim, r, r
     assert "radii must be positive" in capsys.readouterr().err
 
 
+_GOOD_ROWS = ["1.0,1.2,1", "0.7,1.1,-1", "1.3,0.9,1", "2.0,0.6,-1"]
+
+
+@pytest.mark.parametrize("where", [0, 2, 4], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("dim, bad, message", [
+    ("2", "0,1.2,0.5", "radii must be positive"),
+    ("4", "1.1,-0.3,0.5", "radii must be positive"),
+    ("4", "0,1.2,1", "radii must be positive"),  # a near-pole row
+    ("1", "1.1,0.9,0.5", "N = 1 admits only t = +1 or t = -1"),
+    ("1", "0,0.9,1", "the kernel lives on R"),
+])
+def test_closed_form_table_bad_row_anywhere_exits_2(tmp_path, capsys, dim, bad, message, where):
+    rows = _GOOD_ROWS[:where] + [bad] + _GOOD_ROWS[where:]
+    pts = tmp_path / "pts.csv"
+    pts.write_text("r,rp,t\n" + "\n".join(rows) + "\n")
+    argv = ["kernel", "--dim", dim, "--z", "0.5,0", "--closed-form", "--in", str(pts)]
+    assert main(argv + ["--out", str(tmp_path / "k.csv")]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("first, message", [
+    ("0,0.9,1", "the kernel lives on R"), ("1.1,0.9,0.5", "N = 1 admits only")])
+def test_closed_form_table_reports_the_first_bad_row(tmp_path, capsys, first, message):
+    # two bad rows of different kinds: the earlier one decides the message
+    later = "1.1,0.9,0.5" if first.startswith("0") else "0,0.9,1"
+    pts = tmp_path / "pts.csv"
+    pts.write_text("\n".join(["r,rp,t", _GOOD_ROWS[0], first, _GOOD_ROWS[1], later]) + "\n")
+    assert main(["kernel", "--dim", "1", "--z", "0.5,0", "--closed-form", "--in", str(pts)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_closed_form_empty_table_exits_0(tmp_path):
+    pts = tmp_path / "empty.csv"
+    pts.write_text("r,r_prime,t\n")
+    out = tmp_path / "k.csv"
+    for dim in ("1", "2", "3", "4"):
+        assert main(["kernel", "--dim", dim, "--z", "0.5,0", "--closed-form", "--in", str(pts), "--out", str(out)]) == 0
+        assert out.read_text() == "r,r_prime,t,re_k,im_k\n"
+
+
 def test_apply_zero_exponent_preserves_data_bytes(tmp_path):
     out = tmp_path / "same.csv"
     assert main(["apply", "--exponent", "0,0,0,0,0,0", "--in", IN_FIELD, "--out", str(out)]) == 0

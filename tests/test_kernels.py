@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from conformal_heat import kernels
 from conformal_heat.errors import DomainError, InvalidRegimeError
 from conformal_heat.kernels import (
     ComplexTime,
@@ -28,7 +29,7 @@ from conformal_heat.kernels import (
 from conformal_heat.log_radial import LogRadialGrid, RadialSamples, u_inverse, weighted_norm
 from conformal_heat.spectral_calculus import G0Exponent, apply_exp_g0_grid
 from conformal_heat.spherical import GridField2D
-from conformal_heat.special_functions import gegenbauer_tilde, gegenbauer_tilde_sup
+from conformal_heat.special_functions import ThetaArgs, gegenbauer_tilde, gegenbauer_tilde_sup, theta, theta_dv
 
 
 def test_complex_time_principal_branch():
@@ -341,3 +342,125 @@ def test_nan_cos_angle_is_refused(call):
     # a NaN t used to pass the range check and be clamped to t = -1
     with pytest.raises(DomainError):
         call(math.nan)
+
+
+@pytest.mark.parametrize("t", [1.0 + 1e-13, -1.0 - 1e-13])
+def test_kernel_query_accepts_the_rounding_slack(t):
+    q = KernelQuery(3, as_time(0.5), 1.0, 1.2, t)
+    assert full_kernel_series(q) == full_kernel_series(KernelQuery(3, as_time(0.5), 1.0, 1.2, round(t)))
+
+
+@pytest.mark.parametrize("t", [math.nan, 1.0 + 2e-12, -1.0 - 2e-12])
+def test_kernel_query_refuses_t_outside_the_slack(t):
+    with pytest.raises(DomainError, match="outside"):
+        KernelQuery(3, as_time(0.5), 1.0, 1.2, t)
+
+
+def test_apply_radial_kernel_empty_range_builds_no_matrix(monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a matrix was built for no degrees")
+
+    monkeypatch.setattr(kernels, "radial_semigroup_matrix", no_build)
+    f = RadialSamples(LogRadialGrid(3, -4.0, 4.0, 256), np.ones(256))
+    assert apply_radial_kernel(f, range(0), 0.5) == []
+
+
+# Per-point references: the scalar formulas of each closed form, with one
+# scalar theta / theta_dv / series call per point.
+def _reference_1d(x, xp, z):
+    ct = as_time(z)
+    if x * xp < 0:
+        return 0.0 + 0.0j
+    r, rp = abs(x), abs(xp)
+    dlog = math.log(r) - math.log(rp)
+    return (cmath.exp(-ct.z / 4.0) / (2.0 * math.sqrt(math.pi) * ct.sqrt_z)
+            * cmath.exp(-dlog * dlog / (4.0 * ct.z)) * math.sqrt(r * rp))
+
+
+def _reference_2d(r, rp, t, z, tol):
+    ct = as_time(z)
+    dlog = math.log(r) - math.log(rp)
+    pref = 1.0 / (2.0 * math.pi) / (2.0 * math.sqrt(math.pi) * ct.sqrt_z)
+    th = theta(ThetaArgs(math.acos(t) / (2.0 * math.pi), 1j * ct.z / math.pi, tol))
+    return pref * cmath.exp(-dlog * dlog / (4.0 * ct.z)) * th
+
+
+def _reference_4d(r, rp, t, z, tol):
+    ct = as_time(z)
+    if abs(t) > 1.0 - 1e-6:
+        return full_kernel_series(KernelQuery(4, ct, r, rp, t, tol))
+    dlog = math.log(r) - math.log(rp)
+    dv = theta_dv(ThetaArgs(math.acos(t) / (2.0 * math.pi), 1j * ct.z / math.pi, tol))
+    pref = -1.0 / (8.0 * math.pi**3) / (2.0 * math.sqrt(math.pi) * ct.sqrt_z)
+    return pref * cmath.exp(-dlog * dlog / (4.0 * ct.z)) / (r * rp) / math.sqrt(1.0 - t * t) * dv
+
+
+def _table(seed: int, count: int = 2000):
+    rng = np.random.default_rng(seed)
+    r, rp = np.exp(rng.uniform(math.log(0.3), math.log(3.0), (2, count)))
+    return r, rp, rng.uniform(-1.0, 1.0, count), rng
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=complex).view(np.int64)
+
+
+def test_closed_form_1d_table_equals_per_point_reference():
+    r, rp, _, rng = _table(21)
+    x = r * rng.choice([-1.0, 1.0], r.size)
+    xp = rp * rng.choice([-1.0, 1.0], r.size)  # t = +-1: x' = t r'
+    z = 0.3 + 0.1j
+    got = closed_form_1d(x, xp, z)
+    assert got.shape == (2000,)
+    assert np.array_equal(_bits(got), _bits([_reference_1d(a, b, z) for a, b in zip(x.tolist(), xp.tolist())]))
+    assert np.sum(got == 0) > 500  # opposite signs vanish
+    assert closed_form_1d(float(x[0]), float(xp[0]), z) == got[0]
+
+
+@pytest.mark.parametrize("z", [0.5 + 0.2j, 0.5])
+def test_closed_form_2d_table_equals_per_point_reference(z):
+    r, rp, t, _ = _table(22)
+    t[:4] = [1.0, -1.0, 0.0, -0.0]
+    got = closed_form_2d(r, rp, z, t=t, tol=1e-10)
+    want = [_reference_2d(a, b, c, z, 1e-10) for a, b, c in zip(r.tolist(), rp.tolist(), t.tolist())]
+    assert np.array_equal(_bits(got), _bits(want))
+    one = closed_form_2d(float(r[5]), float(rp[5]), z, t=float(t[5]), tol=1e-10)
+    assert type(one) is complex and one == got[5]
+    # the signed-angle form takes arrays too
+    angles = np.arccos(t[:50]) * np.where(np.arange(50) % 2, -1.0, 1.0)
+    by_angle = closed_form_2d(r[:50], rp[:50], z, angle=angles, tol=1e-10)
+    assert np.array_equal(by_angle, [closed_form_2d(a, b, z, angle=c, tol=1e-10)
+                                     for a, b, c in zip(r[:50].tolist(), rp[:50].tolist(), angles.tolist())])
+
+
+@pytest.mark.parametrize("z", [0.4 + 0.2j, 0.7])
+def test_closed_form_4d_table_with_pole_rows_equals_per_point_reference(z):
+    r, rp, t, rng = _table(24)
+    poles = rng.choice(t.size, 60, replace=False)
+    t[poles] = rng.choice([1.0, -1.0, 1.0 - 1e-7, -1.0 + 5e-7, 1.0 - 1e-6, -1.0 + 2e-6], poles.size)
+    got = closed_form_4d(r, rp, t, z, tol=1e-10)
+    want = [_reference_4d(a, b, c, z, 1e-10) for a, b, c in zip(r.tolist(), rp.tolist(), t.tolist())]
+    assert np.array_equal(_bits(got), _bits(want))
+    grid = closed_form_4d(r[:12].reshape(3, 4), rp[:12].reshape(3, 4), t[poles[:12]].reshape(3, 4), z, tol=1e-10)
+    assert grid.shape == (3, 4)
+    assert np.array_equal(grid.ravel(), closed_form_4d(r[:12], rp[:12], t[poles[:12]], z, tol=1e-10))
+
+
+def test_closed_form_tables_raise_what_a_row_loop_raises_first():
+    r = np.array([1.0, 1.2, 0.0, 0.9])
+    t = np.array([0.1, 1.5, 0.2, 0.3])
+    for call in (lambda r, t, z: closed_form_2d(r, np.ones_like(r), z, t=t),
+                 lambda r, t, z: closed_form_4d(r, np.ones_like(r), t, z)):
+        with pytest.raises(DomainError, match="outside"):  # row 1 comes before row 2
+            call(r, t, 0.5)
+        with pytest.raises(DomainError, match="radii"):
+            call(r, np.where(t > 1, 0.4, t), 0.5)
+        with pytest.raises(InvalidRegimeError):  # the regime fails at row 0
+            call(r, t, 1j)
+        with pytest.raises(DomainError, match="radii"):  # after row 0's radii
+            call(np.concatenate([[-1.0], r[1:]]), t, 1j)
+        assert call(np.ones(0), np.ones(0), 1j).shape == (0,)  # no rows, nothing to refuse
+    with pytest.raises(DomainError, match="R"):
+        closed_form_1d([1.0, 0.0, 2.0], [1.0, 1.0, -1.0], 0.5)
+    with pytest.raises(InvalidRegimeError):
+        closed_form_1d([1.0, 0.0], [1.0, 1.0], -0.5)

@@ -14,6 +14,7 @@ from conformal_heat.errors import DomainError, SeriesDivergenceError
 from conformal_heat.special_functions import (
     GegenbauerParam,
     ThetaArgs,
+    check_t,
     chebyshev_t,
     chebyshev_u,
     gegenbauer_c,
@@ -199,7 +200,9 @@ def test_tilde_range_must_start_at_zero(bad):
 
 
 def _bits(values) -> np.ndarray:
-    return np.asarray(values, dtype=float).view(np.int64)
+    # complex values read as two int64 words each: real and imaginary bits
+    values = np.asarray(values)
+    return values.astype(complex if np.iscomplexobj(values) else float).view(np.int64)
 
 
 @pytest.mark.parametrize("nu", [-0.5, 0.0, 0.5, 1.0, 1.5])
@@ -226,22 +229,58 @@ def test_tilde_array_checks_the_index():
         gegenbauer_tilde_array(2, -0.7, np.zeros(3))
 
 
+def _termwise_theta(v, tau, tol):
+    """theta and theta_dv at one point by the scalar termwise loop."""
+    cut = 4
+    while math.exp(-math.pi * tau.imag * cut * cut + 2.0 * math.pi * cut * abs(complex(v).imag)) * (
+        1.0 + 2.0 * math.pi * cut
+    ) >= tol / 4.0:
+        cut += 1
+    th, dv = 1.0 + 0.0j, 0.0 + 0.0j
+    for m in range(1, cut + 1):
+        th += 2.0 * cmath.exp(1j * math.pi * tau * m * m) * cmath.cos(2.0 * math.pi * m * v)
+        dv += -4.0 * math.pi * m * cmath.exp(1j * math.pi * tau * m * m) * cmath.sin(2.0 * math.pi * m * v)
+    return th, dv
+
+
 def test_theta_equals_termwise_loop():
     # the loops the cached terms replaced, bit for bit
     for v, tau in [(0.13, 0.3 + 0.4j), (0.2 + 0.05j, 0.1 + 0.15j), (0.0, 1j)]:
         args = ThetaArgs(v, tau, 1e-13)
         for _ in range(2):  # the second call reads the caches
-            cut = 4
-            while math.exp(-math.pi * tau.imag * cut * cut + 2.0 * math.pi * cut * abs(complex(v).imag)) * (
-                1.0 + 2.0 * math.pi * cut
-            ) >= 1e-13 / 4.0:
-                cut += 1
-            th, dv = 1.0 + 0.0j, 0.0 + 0.0j
-            for m in range(1, cut + 1):
-                th += 2.0 * cmath.exp(1j * math.pi * tau * m * m) * cmath.cos(2.0 * math.pi * m * v)
-                dv += -4.0 * math.pi * m * cmath.exp(1j * math.pi * tau * m * m) * cmath.sin(2.0 * math.pi * m * v)
+            th, dv = _termwise_theta(v, tau, 1e-13)
             assert theta(args) == th
             assert theta_dv(args) == dv
+
+
+def _theta_points(kind: str) -> np.ndarray:
+    rng = np.random.default_rng({"real": 1, "complex": 2, "mixed": 3}[kind])
+    x = np.concatenate([[0.0, -0.0, 0.5, -0.5, 1.0], rng.uniform(-1.0, 1.0, 395)])
+    if kind == "real":
+        return x
+    if kind == "complex":
+        return x + 1j * rng.uniform(-0.2, 0.2, x.size)
+    # a few |Im v| values, so entries sum to different cutoffs
+    return x + 1j * rng.choice([0.0, -0.0, 0.03, -0.03, 0.25], x.size)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "mixed"])
+@pytest.mark.parametrize("tau, tol", [(0.3 + 0.4j, 1e-13), (1j * (0.5 + 0.2j) / math.pi, 1e-10), (1j, 1e-15)])
+def test_theta_arrays_equal_termwise_loop_bit_for_bit(kind, tau, tol):
+    v = _theta_points(kind)
+    want = [_termwise_theta(p, tau, tol) for p in v.tolist()]
+    shaped = v.reshape(20, 20)
+    th, dv = theta(ThetaArgs(shaped, tau, tol)), theta_dv(ThetaArgs(shaped, tau, tol))
+    assert th.shape == dv.shape == (20, 20) and th.dtype == dv.dtype == complex
+    assert np.array_equal(_bits(th.ravel()), _bits([w[0] for w in want]))
+    assert np.array_equal(_bits(dv.ravel()), _bits([w[1] for w in want]))
+
+
+def test_theta_scalar_is_the_zero_dimensional_case():
+    args = ThetaArgs(0.3 + 0.01j, 0.2 + 0.5j, 1e-12)
+    assert type(theta(args)) is complex and type(theta_dv(args)) is complex
+    empty = ThetaArgs(np.zeros((0, 3)), 0.5j)
+    assert theta(empty).shape == theta_dv(empty).shape == (0, 3)
 
 
 def test_theta_divergence_guard():
@@ -281,3 +320,11 @@ def test_nan_argument_is_refused(call):
     # a NaN t used to pass the range check and be clamped to t = -1
     with pytest.raises(DomainError):
         call(math.nan)
+
+
+def test_check_t_clamps_the_rounding_slack_only():
+    assert check_t(1.0 + 1e-13) == 1.0 and check_t(-1.0 - 1e-13) == -1.0
+    assert check_t(0.3) == 0.3 and math.copysign(1.0, check_t(-0.0)) == -1.0
+    for bad in (math.nan, 1.0 + 2e-12, -1.0 - 2e-12):
+        with pytest.raises(DomainError, match="outside"):
+            check_t(bad)
