@@ -35,7 +35,7 @@ from .errors import (
     GridAlignmentError,
     InvalidRegimeError,
 )
-from .fields_io import format_float, read_field_file, read_points, write_factored, write_grid2d
+from .fields_io import format_float, read_field_file, read_points, write_factored, write_float_rows, write_grid2d
 from .kernels import ComplexTime, KernelQuery, as_time, closed_form_1d, closed_form_2d, closed_form_4d, full_kernel_series
 from .spectral_calculus import G0Exponent, apply_exp_g0, apply_exp_g0_grid, apply_scaling_direct
 from .spherical import GridField2D
@@ -237,13 +237,13 @@ def _kernel_value(cfg: RunConfig, ct: ComplexTime, r: float, rp: float, t: float
     return full_kernel_series(KernelQuery(cfg.dim, ct, r, rp, t, cfg.tol))
 
 
-def _closed_form_table(cfg: RunConfig, ct: ComplexTime, points: list) -> list[complex]:
+def _closed_form_table(cfg: RunConfig, ct: ComplexTime, points: np.ndarray) -> np.ndarray:
     """One closed-form call over the whole (nonempty) table.
 
     A bad row raises what the first bad row of a loop over the table
     would raise.
     """
-    r, rp, t = np.array(points, dtype=float).T
+    r, rp, t = points.T
     if cfg.dim == 1:
         bad_t = np.abs(t) != 1.0
         first = int(np.argmax(bad_t)) if bad_t.any() else t.size
@@ -257,11 +257,7 @@ def _closed_form_table(cfg: RunConfig, ct: ComplexTime, points: list) -> list[co
         values = closed_form_4d(r, rp, t, ct, tol=cfg.tol)
     else:
         raise DomainError(f"closed forms exist for N in {{1, 2, 4}}, not N = {cfg.dim}")
-    return values.tolist()
-
-
-# "%.17g" % x is the same string as format_float(x)
-_KERNEL_ROW = ",".join(["%.17g"] * 5)
+    return values
 
 
 def cmd_kernel(cfg: RunConfig) -> int:
@@ -270,13 +266,12 @@ def cmd_kernel(cfg: RunConfig) -> int:
     else:
         if not (cfg.r_list and cfg.rp_list and cfg.t_list):
             raise FieldFormatError("kernel needs --in POINTS or all of --r, --rp, --t")
-        points = [(r, rp, t) for r in cfg.r_list for rp in cfg.rp_list for t in cfg.t_list]
+        points = np.array([(r, rp, t) for r in cfg.r_list for rp in cfg.rp_list for t in cfg.t_list])
     ct = as_time(cfg.z)
-    if cfg.closed_form and points:
+    if cfg.closed_form and len(points):
         values = _closed_form_table(cfg, ct, points)
     else:  # the series route; an empty table raises nothing on either route
-        values = [_kernel_value(cfg, ct, r, rp, t) for r, rp, t in points]
-    rows = [(r, rp, t, k) for (r, rp, t), k in zip(points, values)]
+        values = np.array([_kernel_value(cfg, ct, r, rp, t) for r, rp, t in points.tolist()], dtype=complex)
     if cfg.fmt == "json":
         payload = {
             "dim": cfg.dim,
@@ -284,14 +279,14 @@ def cmd_kernel(cfg: RunConfig) -> int:
             "closed_form": cfg.closed_form,
             "rows": [
                 {"r": r, "r_prime": rp, "t": t, "re_k": k.real, "im_k": k.imag}
-                for r, rp, t, k in rows
+                for (r, rp, t), k in zip(points.tolist(), values.tolist())
             ],
         }
         _emit(cfg, json.dumps(payload, indent=2) + "\n")
     else:
-        buf = ["r,r_prime,t,re_k,im_k"]
-        buf += [_KERNEL_ROW % (r, rp, t, k.real, k.imag) for r, rp, t, k in rows]
-        _emit(cfg, "\n".join(buf) + "\n")
+        with _output(cfg) as fp:
+            fp.write("r,r_prime,t,re_k,im_k\n")
+            write_float_rows(fp, np.column_stack([points, values.real, values.imag]))
     return 0
 
 

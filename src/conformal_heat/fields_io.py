@@ -23,16 +23,20 @@ The reader is strict: indices must be integers in range, every
 pair of a grid field must appear exactly once, and every value must be
 finite.  Anything else raises FieldFormatError.
 
-Tables are parsed by one np.loadtxt pass streaming from the file and
-written one sector or angle row per write, so neither side holds the
-whole text in memory.
+Tables are parsed by one np.loadtxt pass streaming from the file.  They
+are written a chunk of lines per write, each chunk's floats turned into
+exactly the "%.17g" text by one array formatter (write_float_rows writes
+kernel tables the same way), so neither side holds the whole text in
+memory.  format_float is the scalar definition of that text.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import os
-from typing import Iterator, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -81,18 +85,6 @@ def _scan_head(fp: TextIO) -> tuple[str | None, str | None]:
     return geometry, None
 
 
-def _data_lines(first: str, fp: TextIO) -> Iterator[str]:
-    # np.loadtxt skips empty lines and lines starting with '#' itself, but
-    # rejects whitespace-only lines and indented comments.
-    yield first
-    for line in fp:
-        if line[:1].isspace():
-            body = line.strip()
-            if not body or body.startswith("#"):
-                continue
-        yield line
-
-
 def _read_table(path: str, n_cols: int) -> tuple[str | None, np.ndarray]:
     """Geometry header text (or None) and the finite (rows, n_cols) data."""
     try:
@@ -100,7 +92,10 @@ def _read_table(path: str, n_cols: int) -> tuple[str | None, np.ndarray]:
             geometry, first = _scan_head(fp)
             if first is None:
                 return geometry, np.empty((0, n_cols))
-            data = np.loadtxt(_data_lines(first, fp), delimiter=",", comments="#", ndmin=2)
+            # lstrip turns whitespace-only lines and indented comments into
+            # the empty and '#' lines that np.loadtxt skips itself
+            lines = itertools.chain([first], map(str.lstrip, fp))
+            data = np.loadtxt(lines, delimiter=",", comments="#", ndmin=2)
     except OSError as exc:
         raise FieldFormatError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
@@ -209,13 +204,182 @@ def _write_header(fp: TextIO, geometry: dict, config: dict | None) -> None:
         fp.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
 
 
-def _write_rows(fp: TextIO, keys: list[int], rows) -> None:
-    """Write "key,s_index,re,im" lines, one fp.write per row of samples."""
-    # "%.17g" % x == "{:.17g}".format(x) for every float; K stands for the key
-    row_fmt = "".join([f"K,{j},%.17g,%.17g\n" for j in range(len(rows[0]))])
-    for key, values in zip(keys, rows):
-        re_im = np.ascontiguousarray(values, dtype=complex).view(float)
-        fp.write(row_fmt.replace("K", str(key)) % tuple(re_im.tolist()))
+# "%.17g" text of float arrays, a chunk of CSV lines at a time.
+#
+# A finite nonzero |x| prints the 17 digits D = round(|x|*10^(16-e)), with
+# e its decimal exponent, so that 10^16 <= D < 10^17.  The product is formed
+# in double-double from 10^k = 2^s*(hi + lo), which is exact to 2^-106 of
+# 10^k; the fraction of |x|*10^(16-e) then errs by less than 2^-45.  Values
+# whose fraction lies within _TIE_BAND of 1/2 (ties, which "%.17g" rounds
+# half to even, and values too close to one to tell) and non-finite values
+# go to format_float, as in Loitsch's guarded digit generation (PLDI 2010).
+# The %g layout (fixed or scientific, trailing zeros stripped) is one
+# gather from a table keyed on the exponent class, the sign and the count
+# of significant digits.  Texts are NUL-padded to a fixed width, and the
+# NULs are deleted from each chunk.
+
+_CHUNK_LINES = 2048
+_WIDTH = 25                  # the longest "%.17g" text, 24 bytes, and a separator
+_K_MIN, _K_MAX = -293, 341   # 10^(16-e) for every double, e off by at most one
+_TIE_BAND = 2.0**-40
+_SPLIT = 134217729.0         # 2^27 + 1, Dekker's splitting constant
+# Columns of one value's source bytes: the 17 digits, |e| as four digits,
+# the constants ".0e+-", the separator after the value and a NUL.
+_EXP, _DOT, _ZERO, _E, _PLUS, _MINUS, _SEP, _PAD = 17, 21, 22, 23, 24, 25, 26, 27
+_SRC = 28
+_SCI, _ZERO_CLASS = 21, 25  # layout classes: e + 4 for -4 <= e <= 16, four scientific, zero
+
+
+@functools.cache
+def _powers_of_ten() -> tuple[np.ndarray, ...]:
+    """10^k = 2^s*(hi + lo) for k in [_K_MIN, _K_MAX]: hi, hi split in two halves, lo, s."""
+    hi, lo, shift = [], [], []
+    for k in range(_K_MIN, _K_MAX + 1):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        s = num.bit_length() - den.bit_length()
+        if s >= 0:
+            den <<= s
+        else:
+            num <<= -s
+        if num < den:
+            num <<= 1
+            s -= 1
+        # num/den = 10^k/2^s in [1, 2); int true division rounds correctly
+        hi.append(num / den)
+        lo.append((num * 2**52 - int(hi[-1] * 2**52) * den) / (den * 2**52))
+        shift.append(s)
+    hi = np.array(hi)
+    c = _SPLIT * hi
+    hi_hi = c - (c - hi)
+    return hi, hi_hi, hi - hi_hi, np.array(lo), np.array(shift)
+
+
+@functools.cache
+def _text_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The ASCII digits of 0..9999 as 4-byte words; the source columns of each %g layout."""
+    d = np.arange(10000)
+    quads = np.stack([d // 1000, d // 100 % 10, d // 10 % 10, d % 10], axis=1) + ord("0")
+    words = quads.astype(np.uint8).view(np.uint32).ravel()
+
+    layout = np.full((26, 2, 18, _WIDTH), _PAD, dtype=np.intp)
+    for cls, neg, nz in itertools.product(range(26), (0, 1), range(1, 18)):
+        digits = list(range(nz))  # the significant digits, trailing zeros stripped
+        e = cls - 4
+        if cls == _ZERO_CLASS:
+            body = [_ZERO]
+        elif cls >= _SCI:  # bit 0: a negative exponent, bit 1: three exponent digits
+            body = [0] + ([_DOT] + digits[1:] if nz > 1 else [])
+            exp_digits = [_EXP + 1, _EXP + 2, _EXP + 3] if cls - _SCI & 2 else [_EXP + 2, _EXP + 3]
+            body += [_E, _MINUS if cls - _SCI & 1 else _PLUS] + exp_digits
+        elif e < 0:
+            body = [_ZERO, _DOT] + [_ZERO] * (-e - 1) + digits
+        else:
+            body = list(range(e + 1)) + ([_DOT] + digits[e + 1:] if nz > e + 1 else [])
+        body = [_MINUS] * neg + body + [_SEP]
+        layout[cls, neg, nz, :len(body)] = body
+    return words, layout.reshape(-1, _WIDTH)
+
+
+def _scaled(v: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """floor(v*10^(16-e)) as int64 and the fraction left over, for v > 0."""
+    hi_t, hi_hi_t, hi_lo_t, lo_t, shift_t = _powers_of_ten()
+    k = 16 - _K_MIN - e
+    m, ex = np.frexp(v)
+    hi, hi_hi, hi_lo = hi_t[k], hi_hi_t[k], hi_lo_t[k]
+    # Dekker: p + (m*hi - p) is m*hi exactly; add m*lo to the error term
+    p = m * hi
+    c = _SPLIT * m
+    m_hi = c - (c - m)
+    m_lo = m - m_hi
+    t = (((m_hi * hi_hi - p) + m_hi * hi_lo + m_lo * hi_hi) + m_lo * hi_lo) + m * lo_t[k]
+    top = p + t
+    bottom = t - (top - p)
+    shift = ex + shift_t[k]
+    top = np.ldexp(top, shift)
+    bottom = np.ldexp(bottom, shift)
+    whole = np.floor(top)
+    rest = (top - whole) + bottom  # exact once top >= 2^53, as it is in range
+    carry = np.floor(rest)
+    return whole.astype(np.int64) + carry.astype(np.int64), rest - carry
+
+
+def _g17_text(values: np.ndarray) -> np.ndarray:
+    """(L, c) floats -> (L, c*_WIDTH) bytes: each "%.17g" text and ',' or '\n' after it, NUL-padded."""
+    lines, cols = values.shape
+    x = values.ravel()
+    a = np.abs(x)
+    regular = np.isfinite(a) & (a > 0)
+    v = np.where(regular, a, 1.0)
+    e = np.floor(np.log10(v)).astype(np.int64)
+    digits, frac = _scaled(v, e)
+    out = (digits < 10**16) | (digits >= 10**17)
+    if out.any():  # the log10 estimate of e was one off
+        redo = np.flatnonzero(out)
+        e[redo] += np.where(digits[redo] < 10**16, -1, 1)
+        digits[redo], frac[redo] = _scaled(v[redo], e[redo])
+        out[redo] = (digits[redo] < 10**16) | (digits[redo] >= 10**17)
+    by_python = ~np.isfinite(a) | (regular & (out | (np.abs(frac - 0.5) <= _TIE_BAND)))
+    digits += frac > 0.5
+    carry = digits == 10**17
+    digits[carry] = 10**16
+    e += carry
+
+    words, layout = _text_tables()
+    top, low = np.divmod(digits, 10**8)
+    lead, high = np.divmod(top.astype(np.uint32), 10**8)
+    low = low.astype(np.uint32)
+    groups = np.stack([high // 10**4, high % 10**4, low // 10**4, low % 10**4], axis=1)
+    src = np.empty((x.size, _SRC), dtype=np.uint8)
+    src[:, 0] = lead + ord("0")
+    src[:, 1:_EXP] = words[groups].view(np.uint8)
+    ae = np.abs(e)
+    src[:, _EXP:_DOT] = words[ae].view(np.uint8).reshape(-1, 4)
+    constants = src.reshape(lines, cols, _SRC)[:, :, _DOT:]
+    constants[...] = np.frombuffer(b".0e+-,\0", dtype=np.uint8)
+    constants[:, -1, _SEP - _DOT] = ord("\n")
+    nz = _EXP - np.argmax(src[:, _EXP - 1::-1] != ord("0"), axis=1)
+    cls = np.where((e >= -4) & (e <= 16), e + 4, _SCI + (e < 0) + 2 * (ae >= 100))
+    cls[a == 0] = _ZERO_CLASS
+    index = layout[(cls * 2 + np.signbit(x)) * 18 + nz]
+    index += np.arange(0, src.size, _SRC)[:, None]
+    text = src.ravel().take(index)
+    if by_python.any():
+        rows = np.flatnonzero(by_python)
+        seps = np.where(rows % cols == cols - 1, "\n", ",").tolist()
+        strs = [format_float(f) + sep for f, sep in zip(x[rows].tolist(), seps)]
+        text[rows] = np.array(strs, dtype=f"S{_WIDTH}").view(np.uint8).reshape(-1, _WIDTH)
+    return text.reshape(lines, cols * _WIDTH)
+
+
+def _csv_lines(values: np.ndarray, *lead: np.ndarray) -> str:
+    """One line per row: the lead byte columns, then the "%.17g" values joined by ','."""
+    text = _g17_text(values)
+    if lead:
+        text = np.concatenate([*lead, text], axis=1)
+    return text.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _ascii(items) -> np.ndarray:
+    """One NUL-padded row of bytes per item: str(item) and ','."""
+    text = np.array([f"{item}," for item in items], dtype=bytes)
+    return text.view(np.uint8).reshape(len(text), -1)
+
+
+def write_float_rows(fp: TextIO, table: np.ndarray) -> None:
+    """Write each row of a float table as one CSV line of "%.17g" values."""
+    table = np.ascontiguousarray(table, dtype=float)
+    for start in range(0, len(table), _CHUNK_LINES):
+        fp.write(_csv_lines(table[start:start + _CHUNK_LINES]))
+
+
+def _write_rows(fp: TextIO, keys, rows: np.ndarray) -> None:
+    """Write "key,s_index,re,im" lines, one fp.write per chunk of lines."""
+    n = rows.shape[1]
+    key_text, index_text = _ascii(keys), _ascii(range(n))
+    re_im = np.ascontiguousarray(rows, dtype=complex).view(float).reshape(-1, 2)
+    for start in range(0, len(re_im), _CHUNK_LINES):
+        line = np.arange(start, min(start + _CHUNK_LINES, len(re_im)))
+        fp.write(_csv_lines(re_im[start:start + len(line)], key_text[line // n], index_text[line % n]))
 
 
 def write_factored(fp: TextIO, field: FactoredField, config: dict | None = None) -> None:
@@ -247,7 +411,6 @@ def write_grid2d(fp: TextIO, field: GridField2D, config: dict | None = None) -> 
     _write_rows(fp, list(range(field.n_phi)), field.values)
 
 
-def read_points(path: str) -> list[tuple[float, float, float]]:
-    """Read kernel query points (r, r_prime, t) from CSV; '#' lines skipped."""
-    _, data = _read_table(path, 3)
-    return list(map(tuple, data.tolist()))
+def read_points(path: str) -> np.ndarray:
+    """Read kernel query points from CSV as a (rows, 3) array of (r, r_prime, t)."""
+    return _read_table(path, 3)[1]

@@ -308,6 +308,27 @@ def test_closed_form_empty_table_exits_0(tmp_path):
         assert out.read_text() == "r,r_prime,t,re_k,im_k\n"
 
 
+def test_series_empty_table_writes_the_header_only(tmp_path, capsys):
+    pts = tmp_path / "empty.csv"
+    pts.write_text("r,r_prime,t\n")
+    assert main(["kernel", "--dim", "3", "--z", "0.5,0", "--in", str(pts)]) == 0
+    assert capsys.readouterr().out == "r,r_prime,t,re_k,im_k\n"
+
+
+def test_kernel_csv_rows_across_chunks_match_the_json_values(tmp_path):
+    # 13^3 = 2197 rows: one full chunk of lines and a part
+    grid = ["--r", "0.5,0.6,0.7,0.8,0.9,1,1.1,1.2,1.3,1.4,1.5,1.6,1.7", "--rp", "0.4,0.7,1,1.3,1.6,1.9,2.2,2.5,2.8,3.1,3.4,3.7,4",
+            "--t", "-0.9,-0.75,-0.6,-0.45,-0.3,-0.15,0,0.15,0.3,0.45,0.6,0.75,0.9"]
+    argv = ["kernel", "--dim", "2", "--z", "0.5,0.2", "--closed-form"] + grid
+    assert main(argv + ["--format", "json", "--out", str(tmp_path / "k.json")]) == 0
+    assert main(argv + ["--out", str(tmp_path / "k.csv")]) == 0
+    rows = json.loads((tmp_path / "k.json").read_text())["rows"]
+    want = "".join("%.17g,%.17g,%.17g,%.17g,%.17g\n" % (r["r"], r["r_prime"], r["t"], r["re_k"], r["im_k"])
+                   for r in rows)
+    assert len(rows) == 13**3
+    assert (tmp_path / "k.csv").read_text() == "r,r_prime,t,re_k,im_k\n" + want
+
+
 def test_apply_zero_exponent_preserves_data_bytes(tmp_path):
     out = tmp_path / "same.csv"
     assert main(["apply", "--exponent", "0,0,0,0,0,0", "--in", IN_FIELD, "--out", str(out)]) == 0

@@ -11,7 +11,7 @@ import pytest
 
 from conformal_heat.cli import main
 from conformal_heat.errors import FieldFormatError
-from conformal_heat.fields_io import read_field_file, read_points, write_factored, write_grid2d
+from conformal_heat.fields_io import _CHUNK_LINES, read_field_file, read_points, write_factored, write_grid2d
 from conformal_heat.log_radial import LogRadialGrid, RadialSamples
 from conformal_heat.spherical import FactoredField, GridField2D
 
@@ -57,6 +57,37 @@ def test_write_grid2d_bytes_match_reference():
     lines = fp.getvalue().split("angle_index,s_index,re,im\n", 1)
     assert lines[0].endswith('# config: {"dim": 2}\n')
     assert lines[1] == _reference_rows(range(8), values)
+
+
+@pytest.mark.parametrize("dim, n_phi, n", [(1, 2, _CHUNK_LINES // 4), (1, 2, _CHUNK_LINES // 2),
+                                         (2, 8, _CHUNK_LINES // 8), (2, 16, _CHUNK_LINES // 8)])
+def test_write_grid2d_bytes_around_a_chunk(dim, n_phi, n):
+    # grid line counts are powers of two: half a chunk, one chunk or two
+    grid = LogRadialGrid(dim=dim, s_min=-2.0, s_max=2.0, n=n)
+    values = _edge_samples(n_phi, grid.n)
+    fp = io.StringIO()
+    write_grid2d(fp, GridField2D(grid, values))
+    assert fp.getvalue().split("angle_index,s_index,re,im\n", 1)[1] == _reference_rows(range(n_phi), values)
+
+
+@pytest.mark.parametrize("lines", [8, _CHUNK_LINES - 8, _CHUNK_LINES, _CHUNK_LINES + 8])
+def test_write_factored_bytes_with_signed_keys_around_a_chunk(lines):
+    # N = 2 keys are signed angular modes; one 8-sample key is the smallest field
+    grid = LogRadialGrid(dim=2, s_min=-2.0, s_max=2.0, n=8)
+    count = lines // grid.n
+    keys = np.arange(count) * 7 - 3 * count
+    samples = _edge_samples(count, grid.n)
+    fp = io.StringIO()
+    write_factored(fp, FactoredField(keys, RadialSamples(grid, samples)))
+    assert fp.getvalue().split("m,s_index,re,im\n", 1)[1] == _reference_rows(keys.tolist(), samples)
+
+
+def test_write_factored_bytes_with_chunks_inside_a_key():
+    grid = LogRadialGrid(dim=2, s_min=-2.0, s_max=2.0, n=2 * _CHUNK_LINES)
+    samples = _edge_samples(3, grid.n)
+    fp = io.StringIO()
+    write_factored(fp, FactoredField([-12, 0, 345], RadialSamples(grid, samples)))
+    assert fp.getvalue().split("m,s_index,re,im\n", 1)[1] == _reference_rows((-12, 0, 345), samples)
 
 
 def test_apply_stdout_matches_out_file(tmp_path, capsys):
@@ -108,7 +139,9 @@ def test_reader_rejects(tmp_path, text):
 def test_read_points_skips_names_comments_and_blank_lines(tmp_path):
     path = tmp_path / "pts.csv"
     path.write_text("# points\nr,rp,t\n1.0,1.5,0.3\n\n  \n# mid\n0.7,0.7,-0.2\r\n")
-    assert read_points(str(path)) == [(1.0, 1.5, 0.3), (0.7, 0.7, -0.2)]
+    points = read_points(str(path))
+    assert points.dtype == float
+    assert np.array_equal(points, [[1.0, 1.5, 0.3], [0.7, 0.7, -0.2]])
 
 
 def test_factored_keys_beyond_machine_integers_are_refused(tmp_path):
