@@ -18,6 +18,8 @@ be finite and positive.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -53,7 +55,6 @@ class RunConfig:
     s_min: float = -16.0
     s_max: float = 16.0
     n: int = 2048
-    n_phi: int = 256
     tol: float = _DEFAULT_TOL
     closed_form: bool = False
     suite: str | None = None
@@ -88,6 +89,15 @@ def _parse_float_list(text: str, what: str) -> list[float]:
         raise FieldFormatError(f"{what}: {exc}") from exc
 
 
+def _parse_grid(text: str) -> tuple[float, float, int]:
+    """smin,smax,n with finite smin, smax and an integer n; nothing else."""
+    parts = text.split(",")
+    if len(parts) != 3 or not re.fullmatch(r"\s*[+-]?\d+\s*", parts[2]):
+        raise FieldFormatError(f"--grid needs smin,smax,n with an integer n, got {text!r}")
+    s_min, s_max = _parse_floats(",".join(parts[:2]), 2, "--grid")
+    return s_min, s_max, int(parts[2])
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """argparse with the package's exit codes and negative comma lists.
 
@@ -113,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--dim", type=int, default=2, help="ambient dimension N >= 1")
-        p.add_argument("--grid", help="smin,smax,n[,nphi]")
+        p.add_argument("--grid", help="verify grid smin,smax,n with an integer n")
         p.add_argument("--tol", type=float, help="series tolerance (default 1e-10, env CONFORMAL_HEAT_TOL)")
         p.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None)
         p.add_argument("--in", dest="in_path", help="input file")
@@ -154,12 +164,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if cfg.tol <= 0:
         raise DomainError("tolerance must be positive")
     if args.grid:
-        parts = _parse_float_list(args.grid, "--grid")
-        if len(parts) not in (3, 4):
-            raise FieldFormatError("--grid needs smin,smax,n[,nphi]")
-        cfg.s_min, cfg.s_max, cfg.n = parts[0], parts[1], int(parts[2])
-        if len(parts) == 4:
-            cfg.n_phi = int(parts[3])
+        cfg.s_min, cfg.s_max, cfg.n = _parse_grid(args.grid)
     if args.fmt:
         cfg.fmt = args.fmt
     cfg.in_path = args.in_path
@@ -319,12 +324,12 @@ def cmd_verify(cfg: RunConfig) -> int:
     results = run_suites(names, shape=(cfg.s_min, cfg.s_max, cfg.n))
     all_passed = all(c.passed for c in results)
     if cfg.fmt == "csv":
-        buf = ["suite,check,defect,tol,passed"]
-        for c in results:
-            buf.append(
-                f"{c.suite},{c.name!r},{format_float(c.defect)},{format_float(c.tol)},{int(c.passed)}"
-            )
-        _emit(cfg, "\n".join(buf) + "\n")
+        buf = io.StringIO()
+        rows = csv.writer(buf, lineterminator="\n")  # RFC 4180 quoting: names hold commas
+        rows.writerow(["suite", "check", "defect", "tol", "passed"])
+        rows.writerows([c.suite, c.name, format_float(c.defect), format_float(c.tol), int(c.passed)]
+                       for c in results)
+        _emit(cfg, buf.getvalue())
     else:
         suites: dict = {}
         for c in results:

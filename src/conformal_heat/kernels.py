@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -50,13 +51,24 @@ _NEAR_DIAGONAL = 1.0 - 1e-6
 
 @dataclass(frozen=True)
 class ComplexTime:
-    """Complex semigroup time with its principal square root pinned down."""
+    """Complex semigroup time with its principal square root pinned down.
+
+    It also holds two constants of the series route's Gaussian factor:
+    (4 pi z)^{-1/2}, and 4 z as a numpy scalar, by which numpy divides
+    with the bits it gets for a Python complex divisor, without
+    converting one per call.
+    """
 
     z: complex
     sqrt_z: complex = field(init=False)
+    inv_sqrt_4pi_z: complex = field(init=False, repr=False, compare=False)
+    four_z: np.complex128 = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "sqrt_z", cmath.sqrt(self.z))
+        sqrt_z = cmath.sqrt(self.z)
+        object.__setattr__(self, "sqrt_z", sqrt_z)
+        object.__setattr__(self, "inv_sqrt_4pi_z", 1.0 / (2.0 * math.sqrt(math.pi) * sqrt_z))
+        object.__setattr__(self, "four_z", np.complex128(4.0 * self.z))
 
 
 def as_time(z) -> ComplexTime:
@@ -99,10 +111,22 @@ class KernelQuery:
 
 
 def _gauss_factor(ct: ComplexTime, r, rp, dim: int):
-    # (4 pi z)^{-1/2} exp(-(log r - log r')^2 / (4 z)) (r r')^{-(N-2)/2}
+    # (4 pi z)^{-1/2} exp(-(log r - log r')^2 / (4 z)) (r r')^{-(N-2)/2}, over arrays.
+    # The power stays an array `**`: on arrays it rounds unlike math.pow, so
+    # _gauss_point's libm factors would change radial_kernel's values.
     dlog = np.log(r) - np.log(rp)
-    inv_sqrt = 1.0 / (2.0 * math.sqrt(math.pi) * ct.sqrt_z)
-    return inv_sqrt * np.exp(-dlog * dlog / (4.0 * ct.z)) * (np.asarray(r) * np.asarray(rp)) ** (-0.5 * (dim - 2))
+    return ct.inv_sqrt_4pi_z * np.exp(-dlog * dlog / (4.0 * ct.z)) * (np.asarray(r) * np.asarray(rp)) ** (-0.5 * (dim - 2))
+
+
+def _gauss_point(ct: ComplexTime, r: float, rp: float, dim: int) -> complex:
+    """_gauss_factor at one point (r, r'), with the same bits.
+
+    math.pow and cmath.exp round as numpy's float64 scalar power and
+    complex exp do.  np.log and numpy's complex quotient stay: math.log
+    and Python's complex division round differently on part of the points.
+    """
+    dlog = np.log(r) - np.log(rp)
+    return ct.inv_sqrt_4pi_z * cmath.exp(-dlog * dlog / ct.four_z) * math.pow(r * rp, -0.5 * (dim - 2))
 
 
 def radial_kernel(m: int, dim: int, r, r_prime, z) -> complex:
@@ -168,23 +192,34 @@ def _series_weights(z: complex, nu: float, cut: int) -> tuple[complex, ...]:
     return tuple(cmath.exp(-z * (m + nu) ** 2) for m in range(cut + 1))
 
 
+@lru_cache(maxsize=64)
+def _zonal_prefactor(dim: int) -> float:
+    """Gamma(N/2) / (2 pi^{N/2}); dim keys the cache completely."""
+    return math.gamma(0.5 * dim) / (2.0 * math.pi ** (0.5 * dim))
+
+
 def full_kernel_series(q: KernelQuery) -> complex:
     """Full kernel by the truncated Gegenbauer series.
 
     The absolute truncation error is at most q.tol times the Gaussian
     prefactor (the zonal prefactor Gamma(N/2)/(2 pi^{N/2}) < 1 shrinks it
-    further).  One call costs O(cut): the weights come from a cache and
-    the C~_m from one recurrence pass, summed in increasing m.
+    further).  One call costs O(cut): the weights and the zonal prefactor
+    come from caches and the C~_m from one recurrence pass, summed in
+    increasing m.
+
+    The bytes are those of the numpy formula in _gauss_factor, so two of
+    its factors stay numpy at this one point: np.log (math.log differs in
+    the last bit on about 0.3% of points) and the complex quotient
+    -dlog^2/(4 z) (Python's complex division differs on most points at
+    complex z).  The power and the exponential go through math.pow and
+    cmath.exp, which round as numpy's scalar operations do.
     """
     ct = _require_kernel_regime(q.z)
     nu = 0.5 * (q.dim - 2)
     cut = truncation_degree(q.dim, ct, q.tol)
     weights = _series_weights(ct.z, nu, cut)
-    acc = 0.0 + 0.0j
-    for w, c in zip(weights, gegenbauer_tilde(range(cut + 1), nu, q.t)):
-        acc += w * c
-    pref = math.gamma(0.5 * q.dim) / (2.0 * math.pi ** (0.5 * q.dim))
-    return complex(pref * _gauss_factor(ct, q.r, q.r_prime, q.dim) * acc)
+    acc = sum(map(operator.mul, weights, gegenbauer_tilde(range(cut + 1), nu, q.t)), 0j)
+    return _zonal_prefactor(q.dim) * _gauss_point(ct, q.r, q.r_prime, q.dim) * acc
 
 
 def _columns(*values):

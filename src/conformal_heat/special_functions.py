@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -90,14 +91,21 @@ class ThetaArgs:
         check_tol(self.tol)
 
 
+@lru_cache(maxsize=64)
+def _recurrence_coefficients(nu: float, top: int) -> tuple[tuple[int, float, float], ...]:
+    """(k, k + nu - 1, k + 2 nu - 2) for k = 2 .. top; (nu, top) keys the cache completely."""
+    return tuple((k, k + nu - 1.0, k + 2.0 * nu - 2.0) for k in range(2, top + 1))
+
+
 def _gegenbauer_run(top: int, nu: float, t: float) -> list[float]:
     # C_0^nu(t) ... C_top^nu(t); t already checked
     values = [1.0]
     if top >= 1:
         prev, cur = 1.0, 2.0 * nu * t
         values.append(cur)
-        for k in range(2, top + 1):
-            prev, cur = cur, (2.0 * t * (k + nu - 1.0) * cur - (k + 2.0 * nu - 2.0) * prev) / k
+        two_t = 2.0 * t
+        for k, a, b in _recurrence_coefficients(nu, top):
+            prev, cur = cur, (two_t * a * cur - b * prev) / k
             values.append(cur)
     return values
 
@@ -147,17 +155,15 @@ def _tilde_factors(nu: float, top: int) -> tuple[float, ...]:
     return tuple((k + nu) / nu for k in range(top + 1))
 
 
-def _tilde_run(first: int, top: int, nu: float, t: float) -> list[float]:
-    # C~_first^nu(t) ... C~_top^nu(t), all from one recurrence pass
+def _tilde_run(top: int, nu: float, t: float) -> list[float]:
+    # C~_0^nu(t) ... C~_top^nu(t), all from one recurrence pass
     _check_index(nu, top)
     t = check_t(t)
     if nu == 0.0:
-        values = _chebyshev_run(top, t, t)
-        return [2.0 * x if k else 1.0 for k, x in enumerate(values[first:], first)]
+        return [1.0] + [2.0 * x for x in _chebyshev_run(top, t, t)[1:]]
     if nu == -0.5 and abs(t) == 1.0:
-        return ([1.0, t] + [0.0] * (top - 1))[first : top + 1]
-    values = _gegenbauer_run(top, nu, t)
-    return [f * c for f, c in zip(_tilde_factors(nu, top)[first:], values[first:])]
+        return ([1.0, t] + [0.0] * (top - 1))[: top + 1]
+    return list(map(operator.mul, _tilde_factors(nu, top), _gegenbauer_run(top, nu, t)))
 
 
 def gegenbauer_tilde(m, nu: float, t: float):
@@ -175,8 +181,8 @@ def gegenbauer_tilde(m, nu: float, t: float):
     if isinstance(m, range):
         if m.start != 0 or m.step != 1 or not m:
             raise DomainError(f"a degree range must be range(cut + 1) with cut >= 0, got {m!r}")
-        return _tilde_run(0, len(m) - 1, nu, t)
-    return _tilde_run(m, m, nu, t)[0]
+        return _tilde_run(len(m) - 1, nu, t)
+    return _tilde_run(m, nu, t)[-1]
 
 
 def gegenbauer_tilde_array(m: int, nu: float, t) -> np.ndarray:

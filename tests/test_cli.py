@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import subprocess
@@ -409,6 +410,33 @@ def test_verify_suite_csv(tmp_path):
     assert lines[0] == "suite,check,defect,tol,passed"
     assert len(lines) > 1
     assert all(line.endswith(",1") for line in lines[1:])
+
+
+def test_verify_csv_rows_parse_into_five_fields(tmp_path):
+    out_csv, out_json = tmp_path / "v.csv", tmp_path / "v.json"
+    assert main(["verify", "--format", "csv", "--out", str(out_csv)]) == 0
+    assert main(["verify", "--format", "json", "--out", str(out_json)]) == 0
+    with open(out_csv, newline="") as fp:
+        header, *rows = list(csv.reader(fp))
+    assert header == ["suite", "check", "defect", "tol", "passed"]
+    assert all(len(row) == 5 for row in rows)
+    suites = json.loads(out_json.read_text())["suites"]
+    assert [(row[0], row[1]) for row in rows] == [
+        (name, check["name"]) for name, suite in suites.items() for check in suite["checks"]]
+    assert any("," in row[1] for row in rows)
+    assert out_csv.read_bytes().count(b"\r") == 0
+
+
+@pytest.mark.parametrize("grid", ["-16,16,512.5", "-16,16,512,8", "-16,16", "-16,16,", "-16,16,5e2", "-16,nan,512"])
+def test_verify_grid_takes_exactly_three_values_with_an_integer_n(grid, capsys):
+    assert main(["verify", "--suite", "special", f"--grid={grid}"]) == 3
+    assert "--grid" in capsys.readouterr().err
+
+
+def test_verify_grid_sets_the_grid(tmp_path):
+    out = tmp_path / "v.json"
+    assert main(["verify", "--suite", "semigroup", "--grid= -12, 12 , 256 ", "--out", str(out)]) == 0
+    assert main(["verify", "--suite", "semigroup", "--grid=-12,12,255"]) == 2  # n must be a power of two
 
 
 def test_exit_code_2_unbounded_exponent(capsys):

@@ -29,7 +29,15 @@ from conformal_heat.kernels import (
 from conformal_heat.log_radial import LogRadialGrid, RadialSamples, u_inverse, weighted_norm
 from conformal_heat.spectral_calculus import G0Exponent, apply_exp_g0_grid
 from conformal_heat.spherical import GridField2D
-from conformal_heat.special_functions import ThetaArgs, gegenbauer_tilde, gegenbauer_tilde_sup, theta, theta_dv
+from conformal_heat.special_functions import (
+    ThetaArgs,
+    _chebyshev_run,
+    check_t,
+    gegenbauer_tilde,
+    gegenbauer_tilde_sup,
+    theta,
+    theta_dv,
+)
 
 
 def test_complex_time_principal_branch():
@@ -100,6 +108,57 @@ def test_series_equals_per_degree_sum(dim, z, t):
     want = complex(pref * _gauss_factor(q.z, 0.7, 1.6, dim) * acc)
     assert full_kernel_series(q) == want
     assert full_kernel_series(q) == want  # again, from the caches
+
+
+def _numpy_series(q: KernelQuery) -> complex:
+    """full_kernel_series written out with numpy factors and a plain loop.
+
+    Every factor is computed in full per call, with no cache: the
+    weights, the Gegenbauer recurrence with its coefficients and the
+    (k + nu)/nu factors, a loop sum, the zonal prefactor, and the
+    Gaussian factor from numpy scalar operations (np.exp and a float64
+    power included).  The series route must match it bit for bit.
+    """
+    ct, nu = q.z, 0.5 * (q.dim - 2)
+    cut = truncation_degree(q.dim, ct, q.tol)
+    t = check_t(q.t)
+    if nu == 0.0:
+        tildes = [2.0 * x if k else 1.0 for k, x in enumerate(_chebyshev_run(cut, t, t))]
+    elif nu == -0.5 and abs(t) == 1.0:
+        tildes = ([1.0, t] + [0.0] * (cut - 1))[: cut + 1]
+    else:
+        gegen = [1.0, 2.0 * nu * t]
+        for k in range(2, cut + 1):
+            gegen.append((2.0 * t * (k + nu - 1.0) * gegen[-1] - (k + 2.0 * nu - 2.0) * gegen[-2]) / k)
+        tildes = [(k + nu) / nu * x for k, x in enumerate(gegen[: cut + 1])]
+    acc = 0.0 + 0.0j
+    for w, c in zip([cmath.exp(-ct.z * (m + nu) ** 2) for m in range(cut + 1)], tildes):
+        acc += w * c
+    pref = math.gamma(0.5 * q.dim) / (2.0 * math.pi ** (0.5 * q.dim))
+    dlog = np.log(q.r) - np.log(q.r_prime)
+    inv_sqrt = 1.0 / (2.0 * math.sqrt(math.pi) * ct.sqrt_z)
+    gauss = (inv_sqrt * np.exp(-dlog * dlog / (4.0 * ct.z))
+             * (np.asarray(q.r) * np.asarray(q.r_prime)) ** (-0.5 * (q.dim - 2)))
+    return complex(pref * gauss * acc)
+
+
+def _bits(values) -> np.ndarray:
+    return np.array(values, dtype=complex).view(np.uint64)
+
+
+@pytest.mark.parametrize("z", [0.5, complex(0.5, -0.0), 0.05 + 0.1j, 0.4 + 0.2j, 0.01])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+def test_series_has_the_bits_of_the_numpy_formula(dim, z):
+    rng = np.random.default_rng(1000 * dim + int(100 * abs(z)))
+    near_pole = 1.0 - 1e-6 * rng.random(8)
+    ts = np.concatenate([[1.0, -1.0, 0.0, 1.0 + 1e-13, -1.0 - 1e-13], rng.uniform(-1.0, 1.0, 20),
+                         near_pole, -near_pole])
+    r, rp = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), (2, ts.size)))
+    ct = as_time(z)
+    queries = [KernelQuery(dim, ct, a, b, c, 1e-10) for a, b, c in zip(r.tolist(), rp.tolist(), ts.tolist())]
+    got = [full_kernel_series(q) for q in queries]
+    assert all(type(v) is complex for v in got)
+    np.testing.assert_array_equal(_bits(got), _bits([_numpy_series(q) for q in queries]))
 
 
 @pytest.mark.parametrize("dim,z", [(2, 1.0), (3, 0.4), (4, 0.8 + 0.5j)])
