@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -218,7 +217,11 @@ def full_kernel_series(q: KernelQuery) -> complex:
     nu = 0.5 * (q.dim - 2)
     cut = truncation_degree(q.dim, ct, q.tol)
     weights = _series_weights(ct.z, nu, cut)
-    acc = sum(map(operator.mul, weights, gegenbauer_tilde(range(cut + 1), nu, q.t)), 0j)
+    # A plain += loop, not sum(): from CPython 3.14 on, sum() of complex
+    # values compensates its adds and would change the last bits.
+    acc = 0j
+    for w, c in zip(weights, gegenbauer_tilde(range(cut + 1), nu, q.t)):
+        acc += w * c
     return _zonal_prefactor(q.dim) * _gauss_point(ct, q.r, q.r_prime, q.dim) * acc
 
 

@@ -91,12 +91,6 @@ class ThetaArgs:
         check_tol(self.tol)
 
 
-@lru_cache(maxsize=64)
-def _recurrence_coefficients(nu: float, top: int) -> tuple[tuple[int, float, float], ...]:
-    """(k, k + nu - 1, k + 2 nu - 2) for k = 2 .. top; (nu, top) keys the cache completely."""
-    return tuple((k, k + nu - 1.0, k + 2.0 * nu - 2.0) for k in range(2, top + 1))
-
-
 def _gegenbauer_run(top: int, nu: float, t: float) -> list[float]:
     # C_0^nu(t) ... C_top^nu(t); t already checked
     values = [1.0]
@@ -104,8 +98,8 @@ def _gegenbauer_run(top: int, nu: float, t: float) -> list[float]:
         prev, cur = 1.0, 2.0 * nu * t
         values.append(cur)
         two_t = 2.0 * t
-        for k, a, b in _recurrence_coefficients(nu, top):
-            prev, cur = cur, (two_t * a * cur - b * prev) / k
+        for k in range(2, top + 1):
+            prev, cur = cur, (two_t * (k + nu - 1.0) * cur - (k + 2.0 * nu - 2.0) * prev) / k
             values.append(cur)
     return values
 
@@ -166,6 +160,17 @@ def _tilde_run(top: int, nu: float, t: float) -> list[float]:
     return list(map(operator.mul, _tilde_factors(nu, top), _gegenbauer_run(top, nu, t)))
 
 
+def _tilde_one(m: int, nu: float, t: float) -> float:
+    # C~_m^nu(t) alone: entry m of _tilde_run, with only degree m scaled
+    _check_index(nu, m)
+    t = check_t(t)
+    if nu == 0.0:
+        return 2.0 * _chebyshev_run(m, t, t)[-1] if m else 1.0
+    if nu == -0.5 and abs(t) == 1.0:
+        return (1.0, t, 0.0)[min(m, 2)]
+    return (m + nu) / nu * _gegenbauer_run(m, nu, t)[-1]
+
+
 def gegenbauer_tilde(m, nu: float, t: float):
     """Renormalized Gegenbauer C~_m^nu(t) = ((m + nu)/nu) C_m^nu(t).
 
@@ -182,7 +187,7 @@ def gegenbauer_tilde(m, nu: float, t: float):
         if m.start != 0 or m.step != 1 or not m:
             raise DomainError(f"a degree range must be range(cut + 1) with cut >= 0, got {m!r}")
         return _tilde_run(len(m) - 1, nu, t)
-    return _tilde_run(m, nu, t)[-1]
+    return _tilde_one(m, nu, t)
 
 
 def gegenbauer_tilde_array(m: int, nu: float, t) -> np.ndarray:
