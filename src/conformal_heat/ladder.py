@@ -20,14 +20,20 @@ combination with one common step is again a monomial map, and a bracket
 [X, Y] applied to r^lambda is one coefficient at lambda + step X + step Y,
 so commutator identities are checked to roundoff with no discretization
 error and no bookkeeping of sums of powers.
+
+Each operator, generator or combination, is compiled once per bracket
+into its step and one coefficient function, so the 18 basis exponents
+of a bracket pay only the arithmetic.  The function bodies are the
+coefficient formulas as written above, operand for operand and in the
+same grouping, and a combination adds its weighted terms left to right
+from the first: the coefficients keep their bits on every interpreter,
+including the mixed real/complex rules of CPython 3.14.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from functools import reduce
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError
 
@@ -61,37 +67,46 @@ class LadderOperatorSpec:
 OperatorCombination = Sequence[tuple[complex, LadderOperatorSpec]]
 
 
-def _coefficient(op: LadderOperatorSpec, lam: complex, coeff: complex) -> complex:
-    # the coefficient of op (coeff r^lam); the exponent moves by op.step
+def _coefficient_map(op: LadderOperatorSpec) -> Callable[[complex, complex], complex]:
+    """op's coefficient map (lam, coeff) -> coefficient of op (coeff r^lam)."""
     c = op.dim - 2
     m = op.degree
     a = op.a
     if a is None:
         if op.kind == "H":
-            return coeff * (2.0 * lam + c)
+            return lambda lam, coeff: coeff * (2.0 * lam + c)
         if op.kind == "E+":
-            return coeff * 1j
-        return coeff * 1j * (lam - m) * (lam + m + c)
+            return lambda lam, coeff: coeff * 1j
+        return lambda lam, coeff: coeff * 1j * (lam - m) * (lam + m + c)
     if op.kind == "H":
-        return coeff * (2.0 * lam + a + c) / a
+        return lambda lam, coeff: coeff * (2.0 * lam + a + c) / a
     if op.kind == "E+":
-        return coeff * 1j / a
-    return coeff * (1j / a) * (lam - m) * (lam + m + c)
+        return lambda lam, coeff: coeff * 1j / a
+    i_over_a = 1j / a
+    return lambda lam, coeff: coeff * i_over_a * (lam - m) * (lam + m + c)
 
 
-def _combination(op) -> tuple[OperatorCombination, complex]:
-    """op as a combination, with the one step all of its terms share."""
+def _compile(op) -> tuple[complex, Callable[[complex, complex], complex]]:
+    """op as (step, coefficient map); a bare spec is the combination [(1.0, op)].
+
+    Every term shares the one step; the weighted terms are summed in
+    order, starting from the first.
+    """
     combo = [(1.0, op)] if isinstance(op, LadderOperatorSpec) else list(op)
     steps = {spec.step for _, spec in combo}
     if len(steps) != 1:
         raise DomainError(f"a combination must shift every exponent by one step, got {steps}")
-    return combo, steps.pop()
+    (w0, f0), *rest = [(w, _coefficient_map(spec)) for w, spec in combo]
+    if not rest:
+        return steps.pop(), lambda lam, coeff: w0 * f0(lam, coeff)
 
+    def combined(lam, coeff):
+        total = w0 * f0(lam, coeff)
+        for w, f in rest:
+            total = total + w * f(lam, coeff)
+        return total
 
-def _act(combo: OperatorCombination, step: complex, lam: complex, coeff: complex):
-    # the terms are summed in order, starting from the first
-    total = reduce(operator.add, (w * _coefficient(spec, lam, coeff) for w, spec in combo))
-    return lam + step, total
+    return steps.pop(), combined
 
 
 def act(op, lam: complex, coeff: complex = 1.0) -> tuple[complex, complex]:
@@ -102,8 +117,9 @@ def act(op, lam: complex, coeff: complex = 1.0) -> tuple[complex, complex]:
     """
     lam, coeff = complex(lam), complex(coeff)
     if isinstance(op, LadderOperatorSpec):
-        return lam + op.step, _coefficient(op, lam, coeff)
-    return _act(*_combination(op), lam, coeff)
+        return lam + op.step, _coefficient_map(op)(lam, coeff)
+    step, coefficient = _compile(op)
+    return lam + step, coefficient(lam, coeff)
 
 
 def commutator_defect(x, y, expected, basis: Iterable[complex]) -> float:
@@ -114,20 +130,21 @@ def commutator_defect(x, y, expected, basis: Iterable[complex]) -> float:
     step differs from step X + step Y, its term sits at another exponent,
     so it cannot cancel and the two coefficients count separately.
     """
-    x, y = _combination(x), _combination(y)
+    (sx, fx), (sy, fy) = _compile(x), _compile(y)
     if expected is not None:
-        expected = _combination(expected)
-        apart = expected[1] != x[1] + y[1]
+        s_expected, f_expected = _compile(expected)
+        apart = s_expected != sx + sy
+    one = 1.0 + 0.0j
     worst = 0.0
     for lam in basis:
         # X Y r^lam and Y X r^lam: one coefficient each, at one exponent
         lam = complex(lam)
-        c_xy = _act(*x, *_act(*y, lam, 1.0 + 0.0j))[1]
-        c_yx = _act(*y, *_act(*x, lam, 1.0 + 0.0j))[1]
+        c_xy = fx(lam + sy, fy(lam, one))
+        c_yx = fy(lam + sx, fx(lam, one))
         if expected is None:
             defect = abs(c_xy - c_yx)
         else:
-            c_expected = _act(*expected, lam, 1.0 + 0.0j)[1]
+            c_expected = f_expected(lam, one)
             if apart:
                 defect = max(abs(c_xy - c_yx), abs(c_expected))
             else:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 
 from conformal_heat.errors import DomainError
@@ -278,3 +281,54 @@ def test_mismatched_expected_step_equals_the_reference(a):
         got = commutator_defect(H, Ep, H, basis)
         assert got == _reference_commutator_defect(H, Ep, H, basis)
         assert got > 1.0
+
+
+# Seeded random brackets that the suites never build: complex, negative and
+# tiny a, combinations of up to three terms with complex weights, degrees
+# 0-4 in dimensions 1-6, random complex exponents, and an expected operator
+# that is absent, at the bracket's step or at another step.  The reference
+# merges exponents closer than 1e-12, so it cannot tell a step of 1e-13 from
+# none: an expected operator at another step comes only with |a| >= 0.3.
+_RANDOM_A = (0.3 + 0.1j, -2.0, 1e-13, None)
+
+
+def _random_operator(rnd, a, sign, terms):
+    """A generator (terms = 0) or a combination of terms generators of step sign * a."""
+    def generator():
+        if sign:
+            kind, at = ("E+" if sign > 0 else "E-"), a
+        else:  # step 0: H_a or any member of the limit family
+            kind, at = rnd.choice([("H", a), ("H", None), ("E+", None), ("E-", None)])
+        return LadderOperatorSpec(kind, at, rnd.randrange(5), rnd.randrange(1, 7))
+
+    if terms == 0:
+        return generator()
+    return [(complex(rnd.gauss(0, 1), rnd.gauss(0, 1)), generator()) for _ in range(terms)]
+
+
+@pytest.mark.parametrize("a", _RANDOM_A)
+def test_random_brackets_equal_the_reference_bit_for_bit(a):
+    rnd = random.Random(f"brackets {a}")
+    signs = (-1, 0, 1) if a is not None else (0,)
+    seen = set()
+    for terms_x, terms_y, mode in itertools.product(range(4), range(4), ("none", "same", "apart")):
+        sx, sy = rnd.choice(signs), rnd.choice(signs)
+        bracket = sx + sy
+        if mode == "none":
+            expected = None
+        elif mode == "same":
+            if bracket not in signs:  # no generator moves the exponent by 2a
+                continue
+            expected = _random_operator(rnd, a, bracket, rnd.randrange(4))
+        else:
+            if a is None or abs(a) < 0.3:
+                continue
+            expected = _random_operator(rnd, a, rnd.choice([s for s in signs if s != bracket]),
+                                        rnd.randrange(4))
+        x = _random_operator(rnd, a, sx, terms_x)
+        y = _random_operator(rnd, a, sy, terms_y)
+        basis = [complex(rnd.uniform(-3, 4), rnd.uniform(-2, 2)) for _ in range(6)]
+        got = commutator_defect(x, y, expected, basis)
+        assert got.hex() == _reference_commutator_defect(x, y, expected, basis).hex(), (x, y, expected)
+        seen.add(mode)
+    assert seen == ({"none", "same"} if a is None or abs(a) < 0.3 else {"none", "same", "apart"})

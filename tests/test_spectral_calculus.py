@@ -22,6 +22,7 @@ from conformal_heat.spectral_calculus import (
     multiplier,
 )
 from conformal_heat.spherical import FactoredField
+from conformal_heat.verify import suite_scaling
 
 
 def _component(grid, degree, values):
@@ -131,6 +132,20 @@ def test_scaling_spectral_vs_direct():
     direct = apply_scaling_direct(t, field)
     diff = weighted_norm(RadialSamples(grid, spectral.radial.values - direct.radial.values))
     assert diff / weighted_norm(direct.radial) < 1e-10
+
+
+@pytest.mark.parametrize("shape,steps", [((-12.0, 12.0, 256), (5, -16)), ((-16.0, 16.0, 256), (4, -12)),
+                                         ((-10.0, 10.0, 128), (3, -10)), ((-8.0, 8.0, 256), (8, -24))])
+def test_scaling_suite_passes_on_coarse_grids(shape, steps):
+    # the dilations move log-radius by 0.5 and -1.5, rounded to whole samples;
+    # fixed shifts of 32 and -96 samples pushed the Gaussian to the grid end
+    results = suite_scaling(shape)
+    assert all(r.passed for r in results), [(r.name, r.defect) for r in results]
+    assert [r.name for r in results] == [f"shift by {k} samples" for k in steps]
+
+
+def test_scaling_suite_names_on_the_default_grid():
+    assert [r.name for r in suite_scaling()] == ["shift by 32 samples", "shift by -96 samples"]
 
 
 def _five_point_second_derivative(g: np.ndarray, ds: float) -> np.ndarray:
