@@ -68,13 +68,8 @@ from .spherical import (
     recompose_2d,
 )
 from .special_functions import (
-    GegenbauerParam,
     ThetaArgs,
-    chebyshev_t,
-    chebyshev_u,
-    gegenbauer_c,
     gegenbauer_tilde,
-    gegenbauer_tilde_array,
     gegenbauer_tilde_sup,
     theta,
     theta_dv,

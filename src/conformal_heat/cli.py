@@ -4,15 +4,19 @@
     conformal-heat apply  --exponent 0,0,0,0,0.5,0 --in field.csv --out out.csv
     conformal-heat verify --suite sl2 --format json
 
+Each verb parses only the options it reads (`conformal-heat VERB --help`
+lists them); kernel takes its points from --in or from --r, --rp and --t,
+not both, and apply --dim must equal the dim of the field file.
+
 Exit codes: 0 success, 1 failed verification, 2 invalid mathematical
 regime, 3 unreadable or malformed input (usage errors and non-finite
 numbers included), 141 (128 + SIGPIPE), with no message, when the reader
 of stdout closes it early, as `| head` does; that holds with an unbuffered
 stdout (PYTHONUNBUFFERED=1) as well.  Numeric output is
 deterministic: identical configuration and input produce identical bytes,
-floats carry 17 significant digits.  The CONFORMAL_HEAT_TOL environment
-variable overrides the default series tolerance of 1e-10; a tolerance must
-be finite and positive.
+floats carry 17 significant digits.  For the verbs that take --tol, the
+CONFORMAL_HEAT_TOL environment variable overrides the default series
+tolerance of 1e-10; a tolerance must be finite and positive.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ _DEFAULT_TOL = 1e-10
 
 @dataclass
 class RunConfig:
-    dim: int = 2
+    dim: int | None = None
     z: complex | None = None
     exponent: G0Exponent | None = None
     t: float | None = None
@@ -121,37 +125,47 @@ def _build_parser() -> argparse.ArgumentParser:
                              formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--dim", type=int, default=2, help="ambient dimension N >= 1")
-        p.add_argument("--grid", help="verify grid smin,smax,n with an integer n")
-        p.add_argument("--tol", type=float, help="series tolerance (default 1e-10, env CONFORMAL_HEAT_TOL)")
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None)
-        p.add_argument("--in", dest="in_path", help="input file")
-        p.add_argument("--out", dest="out_path", help="output file (default stdout)")
+    out_help = "output file (default stdout)"
 
     k = sub.add_parser("kernel", help="tabulate semigroup kernels")
-    common(k)
+    k.add_argument("--dim", type=int, default=2, help="ambient dimension N >= 1 (default 2)")
     k.add_argument("--z", required=True, help="complex time, re,im")
+    k.add_argument("--tol", type=float, help="series tolerance (default 1e-10, env CONFORMAL_HEAT_TOL)")
     k.add_argument("--closed-form", action="store_true", help="use the N in {1,2,4} closed forms")
+    k.add_argument("--in", dest="in_path", help="points file with columns r,r_prime,t")
     k.add_argument("--r", help="comma list of r values (with --rp/--t builds a product grid)")
     k.add_argument("--rp", help="comma list of r' values")
     k.add_argument("--t", help="comma list of cos-angle values")
+    k.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
+    k.add_argument("--out", dest="out_path", help=out_help)
 
     a = sub.add_parser("apply", help="apply an exponential to a field file")
-    common(a)
     a.add_argument("--exponent", help="z1re,z1im,z2re,z2im,z3re,z3im")
     a.add_argument("--t", help="apply the dilation for this t instead")
+    a.add_argument("--in", dest="in_path", help="field file")
+    a.add_argument("--dim", type=int, help="check that the field file has this dimension N")
+    a.add_argument("--tol", type=float, help="tolerance echoed in the output's config line")
+    a.add_argument("--out", dest="out_path", help=out_help)
 
     v = sub.add_parser("verify", help="run self-check suites")
-    common(v)
     v.add_argument("--suite", choices=sorted(SUITES), help="run one suite (default: all)")
+    v.add_argument("--grid", help="log-radial grid smin,smax,n with an integer n")
+    v.add_argument("--format", dest="fmt", choices=("csv", "json"), default="json")
+    v.add_argument("--out", dest="out_path", help=out_help)
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
+    cfg = RunConfig(out_path=args.out_path)
+    if args.command == "verify":
+        if args.grid:
+            cfg.s_min, cfg.s_max, cfg.n = _parse_grid(args.grid)
+        cfg.fmt = args.fmt
+        cfg.suite = args.suite
+        return cfg
+
     cfg.dim = args.dim
-    if cfg.dim < 1:
+    if cfg.dim is not None and cfg.dim < 1:
         raise DomainError(f"dim must be >= 1, got {cfg.dim}")
     env_tol = os.environ.get("CONFORMAL_HEAT_TOL")
     if args.tol is not None:
@@ -163,24 +177,22 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             raise FieldFormatError(f"CONFORMAL_HEAT_TOL: {exc}") from exc
     if cfg.tol <= 0:
         raise DomainError("tolerance must be positive")
-    if args.grid:
-        cfg.s_min, cfg.s_max, cfg.n = _parse_grid(args.grid)
-    if args.fmt:
-        cfg.fmt = args.fmt
     cfg.in_path = args.in_path
-    cfg.out_path = args.out_path
 
     if args.command == "kernel":
+        cfg.fmt = args.fmt
         re_z, im_z = _parse_floats(args.z, 2, "--z")
         cfg.z = complex(re_z, im_z)
         cfg.closed_form = args.closed_form
+        if cfg.in_path is not None and (args.r, args.rp, args.t) != (None, None, None):
+            raise FieldFormatError("kernel takes its points from --in or from --r, --rp, --t, not both")
         if args.r:
             cfg.r_list = _parse_float_list(args.r, "--r")
         if args.rp:
             cfg.rp_list = _parse_float_list(args.rp, "--rp")
         if args.t:
             cfg.t_list = _parse_float_list(args.t, "--t")
-    elif args.command == "apply":
+    else:
         if (args.exponent is None) == (args.t is None):
             raise FieldFormatError("apply needs exactly one of --exponent or --t")
         if args.exponent is not None:
@@ -190,9 +202,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             (cfg.t,) = _parse_floats(args.t, 1, "--t")
         if cfg.in_path is None:
             raise FieldFormatError("apply needs --in FIELD_FILE")
-    elif args.command == "verify":
-        cfg.suite = args.suite
-        cfg.fmt = args.fmt or "json"
     return cfg
 
 
@@ -307,6 +316,8 @@ def _config_echo(cfg: RunConfig, dim: int) -> dict:
 
 def cmd_apply(cfg: RunConfig) -> int:
     data = read_field_file(cfg.in_path)
+    if cfg.dim is not None and cfg.dim != data.grid.dim:
+        raise FieldFormatError(f"--dim {cfg.dim} does not match dim {data.grid.dim} of {cfg.in_path}")
     if cfg.t is not None:
         result = apply_scaling_direct(cfg.t, data)
     elif isinstance(data, GridField2D):

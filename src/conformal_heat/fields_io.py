@@ -1,4 +1,4 @@
-"""CSV field files with a JSON geometry header (or sidecar).
+"""CSV field files with a JSON geometry header.
 
 Two layouts, both plain CSV with complex values split into re/im columns
 and numbers written with 17 significant digits:
@@ -10,13 +10,13 @@ and numbers written with 17 significant digits:
   ascending m and whose keys are the m values.
 * N = 1 / N = 2 grid fields:  columns (angle_index, s_index, re, im).
 
-The grid geometry travels either in a comment line ahead of the data
+The grid geometry travels in a comment line ahead of the data
 
     # geometry: {"kind": "factored", "dim": 3, "s_min": -16.0, ...}
 
-or in a JSON sidecar next to the data file (same path plus ".json"), which
-wins when both are present.  Other '#' lines and blank lines are ignored
-anywhere; a single column-name row may precede the data.
+and nowhere else: a JSON file next to the data is not read.  Other '#'
+lines and blank lines are ignored anywhere; a single column-name row may
+precede the data.
 
 The reader is strict: indices must be integers in range, every
 (key, s_index) pair of a factored field and every (angle_index, s_index)
@@ -35,7 +35,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import os
 from typing import TextIO
 
 import numpy as np
@@ -110,20 +109,12 @@ def _read_table(path: str, n_cols: int) -> tuple[str | None, np.ndarray]:
 
 
 def _load_geometry(path: str, header: str | None) -> dict:
-    sidecar = path + ".json"
-    if os.path.exists(sidecar):
-        try:
-            with open(sidecar) as fp:
-                geo = json.load(fp)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise FieldFormatError(f"bad geometry sidecar {sidecar}: {exc}") from exc
-    elif header is None:
-        raise FieldFormatError(f"{path}: no geometry header or sidecar found")
-    else:
-        try:
-            geo = json.loads(header)
-        except json.JSONDecodeError as exc:
-            raise FieldFormatError(f"bad geometry header: {exc}") from exc
+    if header is None:
+        raise FieldFormatError(f"{path}: no geometry header found")
+    try:
+        geo = json.loads(header)
+    except json.JSONDecodeError as exc:
+        raise FieldFormatError(f"bad geometry header: {exc}") from exc
     if not isinstance(geo, dict):
         raise FieldFormatError(f"{path}: geometry must be a JSON object")
     return geo

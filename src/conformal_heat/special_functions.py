@@ -1,14 +1,14 @@
-"""Gegenbauer polynomials, Chebyshev polynomials, and the Jacobi theta function.
+"""Renormalized Gegenbauer functions and the Jacobi theta function.
 
 Gegenbauer polynomials are defined through the generating function
 
     (1 - 2 t xi + xi^2)^(-nu) = sum_{m>=0} C_m^nu(t) xi^m,
 
-and evaluated by the standard three-term recurrence.  The renormalized
-family is C~_m^nu = ((m + nu)/nu) C_m^nu for nu != 0; at nu = 0 the limit
-is C~_0^0 = 1 and C~_m^0 = 2 T_m for m >= 1, which is evaluated through
-the Chebyshev route (never by dividing by nu).  At nu = -1/2 the only
-geometric evaluation points are t = +-1, where
+and evaluated by the standard three-term recurrence.  The library uses
+only the renormalized family C~_m^nu = ((m + nu)/nu) C_m^nu for nu != 0;
+at nu = 0 the limit is C~_0^0 = 1 and C~_m^0 = 2 T_m for m >= 1, which
+is evaluated through the Chebyshev recurrence (never by dividing by nu).
+At nu = -1/2 the only geometric evaluation points are t = +-1, where
 
     C~_m^{-1/2}(+-1) = 1 (m = 0),  +-1 (m = 1),  0 (m >= 2).
 
@@ -57,21 +57,6 @@ def check_t(t: float) -> float:
 
 
 @dataclass(frozen=True)
-class GegenbauerParam:
-    """Index pair (nu, m) for the Gegenbauer family.
-
-    nu is the half-integer (N - 2)/2 in geometric use but any real
-    nu >= -1/2 is accepted; degree m must be a nonnegative integer.
-    """
-
-    nu: float
-    degree: int
-
-    def __post_init__(self):
-        _check_index(self.nu, self.degree)
-
-
-@dataclass(frozen=True)
 class ThetaArgs:
     """Arguments (v, tau, tol) for the theta series; requires Im tau > 0.
 
@@ -104,43 +89,16 @@ def _gegenbauer_run(top: int, nu: float, t: float) -> list[float]:
     return values
 
 
-def _chebyshev_run(top: int, t: float, first: float) -> list[float]:
-    # T_0 ... T_top (first = t) or U_0 ... U_top (first = 2 t); t already checked
+def _chebyshev_run(top: int, t: float) -> list[float]:
+    # T_0(t) ... T_top(t); t already checked
     values = [1.0]
     if top >= 1:
-        prev, cur = 1.0, first
+        prev, cur = 1.0, t
         values.append(cur)
         for _ in range(2, top + 1):
             prev, cur = cur, 2.0 * t * cur - prev
             values.append(cur)
     return values
-
-
-def gegenbauer_c(m: int, nu: float, t: float) -> float:
-    """Gegenbauer polynomial C_m^nu(t) by the three-term recurrence.
-
-    The recurrence m C_m = 2 t (m + nu - 1) C_{m-1} - (m + 2 nu - 2) C_{m-2}
-    reproduces the generating-function coefficients for every real nu,
-    including nu = 0 (where C_m^0 = 0 for m >= 1) and nu = -1/2.
-    """
-    _check_index(nu, m)
-    return _gegenbauer_run(m, nu, check_t(t))[-1]
-
-
-def chebyshev_t(m: int, t: float):
-    """Chebyshev polynomial of the first kind, T_m(cos x) = cos(m x)."""
-    if m < 0:
-        raise DomainError("degree must be nonnegative")
-    t = check_t(t)
-    return _chebyshev_run(m, t, t)[-1]
-
-
-def chebyshev_u(m: int, t: float):
-    """Chebyshev polynomial of the second kind, U_m(cos x) = sin((m+1)x)/sin(x)."""
-    if m < 0:
-        raise DomainError("degree must be nonnegative")
-    t = check_t(t)
-    return _chebyshev_run(m, t, 2.0 * t)[-1]
 
 
 @lru_cache(maxsize=64)
@@ -154,24 +112,13 @@ def _tilde_run(top: int, nu: float, t: float) -> list[float]:
     _check_index(nu, top)
     t = check_t(t)
     if nu == 0.0:
-        return [1.0] + [2.0 * x for x in _chebyshev_run(top, t, t)[1:]]
+        return [1.0] + [2.0 * x for x in _chebyshev_run(top, t)[1:]]
     if nu == -0.5 and abs(t) == 1.0:
         return ([1.0, t] + [0.0] * (top - 1))[: top + 1]
     return list(map(operator.mul, _tilde_factors(nu, top), _gegenbauer_run(top, nu, t)))
 
 
-def _tilde_one(m: int, nu: float, t: float) -> float:
-    # C~_m^nu(t) alone: entry m of _tilde_run, with only degree m scaled
-    _check_index(nu, m)
-    t = check_t(t)
-    if nu == 0.0:
-        return 2.0 * _chebyshev_run(m, t, t)[-1] if m else 1.0
-    if nu == -0.5 and abs(t) == 1.0:
-        return (1.0, t, 0.0)[min(m, 2)]
-    return (m + nu) / nu * _gegenbauer_run(m, nu, t)[-1]
-
-
-def gegenbauer_tilde(m, nu: float, t: float):
+def gegenbauer_tilde(m, nu: float, t):
     """Renormalized Gegenbauer C~_m^nu(t) = ((m + nu)/nu) C_m^nu(t).
 
     nu = 0 goes through the Chebyshev limit (1 for m = 0, 2 T_m otherwise);
@@ -179,39 +126,31 @@ def gegenbauer_tilde(m, nu: float, t: float):
     points the two-point sphere provides.
 
     m is a degree, or range(cut + 1) for the list [C~_0^nu(t), ...,
-    C~_cut^nu(t)].  The list costs one recurrence pass, O(cut) operations;
-    the scalar form runs the same pass up to degree m, so entry k of the
-    list equals gegenbauer_tilde(k, nu, t) exactly.
+    C~_cut^nu(t)].  The list costs one recurrence pass, O(cut) operations.
+    For a degree, t is a number or an array of cos angles: the recurrence
+    runs up to degree m once, elementwise, and a float comes back for a
+    number.  Both forms perform the same operations in the same order, so
+    entry k of the list and entry i of an array equal the calls
+    gegenbauer_tilde(k, nu, t) and gegenbauer_tilde(m, nu, t_i) exactly.
     """
     if isinstance(m, range):
         if m.start != 0 or m.step != 1 or not m:
             raise DomainError(f"a degree range must be range(cut + 1) with cut >= 0, got {m!r}")
         return _tilde_run(len(m) - 1, nu, t)
-    return _tilde_one(m, nu, t)
-
-
-def gegenbauer_tilde_array(m: int, nu: float, t) -> np.ndarray:
-    """C~_m^nu at every entry of the array t, from one recurrence pass.
-
-    The pass runs the scalar recurrence elementwise, with the same
-    operations in the same order, so each entry equals
-    gegenbauer_tilde(m, nu, t_i) exactly.  Entries must lie in [-1, 1]
-    up to the usual rounding slack; NaN is rejected.
-    """
     _check_index(nu, m)
     t = np.asarray(t, dtype=float)
-    if not np.all(np.abs(t) <= 1.0 + _T_SLACK):
+    if not np.all(np.abs(t) <= 1.0 + _T_SLACK):  # NaN fails this test too
         raise DomainError("Gegenbauer arguments must lie in [-1, 1]")
     t = np.minimum(1.0, np.maximum(-1.0, t))
     out = np.empty_like(t)
     if nu == 0.0:
-        out[...] = 2.0 * _chebyshev_run(m, t, t)[-1] if m else 1.0
-        return out
-    out[...] = (m + nu) / nu * _gegenbauer_run(m, nu, t)[-1]
-    if nu == -0.5:  # the three-value table at the poles
-        poles = np.abs(t) == 1.0
-        out[poles] = 1.0 if m == 0 else t[poles] if m == 1 else 0.0
-    return out
+        out[...] = 2.0 * _chebyshev_run(m, t)[-1] if m else 1.0
+    else:
+        out[...] = (m + nu) / nu * _gegenbauer_run(m, nu, t)[-1]
+        if nu == -0.5:  # the three-value table at the poles
+            poles = np.abs(t) == 1.0
+            out[poles] = 1.0 if m == 0 else t[poles] if m == 1 else 0.0
+    return float(out) if out.ndim == 0 else out
 
 
 def gegenbauer_tilde_sup(m: int, nu: float) -> float:

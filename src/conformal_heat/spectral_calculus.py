@@ -59,11 +59,6 @@ class G0Exponent:
     z2: complex = 0.0
     z3: complex = 0.0
 
-    @classmethod
-    def from_unitary_triple(cls, t1: float, t2: float, t3: float) -> "G0Exponent":
-        """Exponent of the unitary one-parameter groups: real t's, times i."""
-        return cls(1j * t1, 1j * t2, 1j * t3)
-
     def is_zero(self) -> bool:
         return self.z1 == 0 and self.z2 == 0 and self.z3 == 0
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError
 from .log_radial import LogRadialGrid, RadialSamples, weighted_norm
-from .special_functions import gegenbauer_tilde, gegenbauer_tilde_array
+from .special_functions import gegenbauer_tilde
 
 
 @dataclass
@@ -133,8 +133,6 @@ def projection_kernel(m: int, dim: int, t):
         raise DomainError("dim must be >= 1")
     nu = 0.5 * (dim - 2)
     pref = math.gamma(0.5 * dim) / (2.0 * math.pi ** (0.5 * dim))
-    if np.ndim(t):
-        return pref * gegenbauer_tilde_array(m, nu, t)
     return pref * gegenbauer_tilde(m, nu, t)
 
 

@@ -160,9 +160,44 @@ def test_verify_matches_golden_bytes(tmp_path, suite):
 
 def test_apply_echoes_the_dimension_of_the_field(tmp_path):
     out = tmp_path / "same.csv"
-    assert main(["apply", "--t", "0", "--in", IN_FIELD, "--out", str(out)]) == 0  # --dim defaults to 2
+    assert main(["apply", "--t", "0", "--in", IN_FIELD, "--out", str(out)]) == 0  # no --dim: nothing checked
     (config,) = [l for l in out.read_text().splitlines() if l.startswith("# config: ")]
     assert json.loads(config[len("# config: "):])["dim"] == 3
+
+
+def test_apply_dim_must_match_the_field(tmp_path, capsys):
+    out = tmp_path / "same.csv"
+    assert main(["apply", "--dim", "3", "--t", "0", "--in", IN_FIELD, "--out", str(out)]) == 0
+    assert main(["apply", "--dim", "2", "--t", "0", "--in", IN_FIELD]) == 3
+    err = capsys.readouterr().err
+    assert "--dim 2" in err and "dim 3" in err
+
+
+@pytest.mark.parametrize("lists", [["--r", "5", "--rp", "5", "--t", "0"], ["--r", "5"], ["--rp", "5"], ["--t", "0"]])
+def test_kernel_points_come_from_in_or_from_lists_not_both(capsys, lists):
+    argv = ["kernel", "--dim", "3", "--z", "0.5,0", "--in", str(FIXTURES / "kernel_points.csv")]
+    assert main(argv + lists) == 3
+    assert "not both" in capsys.readouterr().err
+
+
+# each verb refuses the options that only another verb reads
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--dim", "3", "--z", "0.5,0", "--r", "1", "--rp", "1", "--t", "0", "--grid=-12,12,256"],
+    ["apply", "--t", "0", "--in", IN_FIELD, "--grid=-12,12,256"],
+    ["apply", "--t", "0", "--in", IN_FIELD, "--format", "json"],
+    ["verify", "--suite", "sl2", "--dim", "7"],
+    ["verify", "--suite", "sl2", "--tol", "3"],
+    ["verify", "--suite", "sl2", "--in", "/nonexistent"],
+], ids=["kernel-grid", "apply-grid", "apply-format", "verify-dim", "verify-tol", "verify-in"])
+def test_options_of_other_verbs_are_usage_errors(capsys, argv):
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "unrecognized arguments" in err
+
+
+def test_verify_does_not_read_the_tolerance_variable(monkeypatch, tmp_path):
+    monkeypatch.setenv("CONFORMAL_HEAT_TOL", "not-a-number")
+    assert main(["verify", "--suite", "sl2", "--out", str(tmp_path / "v.json")]) == 0
 
 
 def test_closed_stdout_pipe_exits_141_quietly(tmp_path):

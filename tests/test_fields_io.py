@@ -150,3 +150,14 @@ def test_factored_keys_beyond_machine_integers_are_refused(tmp_path):
                     + "".join(f"1e20,{j},1,0\n" for j in range(8)))
     with pytest.raises(FieldFormatError, match="machine integer"):
         read_field_file(str(path))
+
+
+def test_geometry_comes_from_the_header_only(tmp_path, capsys):
+    # a JSON file next to the data holds no geometry for the reader
+    path = tmp_path / "f.csv"
+    path.write_text("".join(_grid_text([]).splitlines(keepends=True)[1:]))
+    (tmp_path / "f.csv.json").write_text(json.dumps({"kind": "grid2d", "dim": 1, "s_min": -1, "s_max": 1, "n": 8}))
+    with pytest.raises(FieldFormatError, match="no geometry header"):
+        read_field_file(str(path))
+    assert main(["apply", "--t", "0", "--in", str(path)]) == 3
+    assert "no geometry header" in capsys.readouterr().err

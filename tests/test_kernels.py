@@ -123,7 +123,7 @@ def _numpy_series(q: KernelQuery) -> complex:
     cut = truncation_degree(q.dim, ct, q.tol)
     t = check_t(q.t)
     if nu == 0.0:
-        tildes = [2.0 * x if k else 1.0 for k, x in enumerate(_chebyshev_run(cut, t, t))]
+        tildes = [2.0 * x if k else 1.0 for k, x in enumerate(_chebyshev_run(cut, t))]
     elif nu == -0.5 and abs(t) == 1.0:
         tildes = ([1.0, t] + [0.0] * (cut - 1))[: cut + 1]
     else:

@@ -1,4 +1,4 @@
-"""Gegenbauer / Chebyshev / theta checks against independent oracles."""
+"""Renormalized Gegenbauer and theta checks against independent oracles."""
 
 from __future__ import annotations
 
@@ -12,14 +12,9 @@ from numpy.testing import assert_allclose
 
 from conformal_heat.errors import DomainError, SeriesDivergenceError
 from conformal_heat.special_functions import (
-    GegenbauerParam,
     ThetaArgs,
     check_t,
-    chebyshev_t,
-    chebyshev_u,
-    gegenbauer_c,
     gegenbauer_tilde,
-    gegenbauer_tilde_array,
     gegenbauer_tilde_sup,
     theta,
     theta_dv,
@@ -36,10 +31,14 @@ def _conv_exact(a, b, order):
     return res
 
 
-def _generating_coeffs(nu: float, t: float, order: int) -> np.ndarray:
-    # Expand (1 - u)^(-nu), u = 2 t xi - xi^2.  This is the defining series,
-    # independent of the recurrence under test.  Exact rationals throughout:
-    # float convolution cancels ~10 digits at order 25 for |t| near 1.
+def _tilde_coeffs(nu: float, t: float, order: int) -> np.ndarray:
+    # Expand (1 - u)^(-nu), u = 2 t xi - xi^2, to the coefficients C_m^nu
+    # and scale them to ((m + nu)/nu) C_m^nu.  At nu = 0 the limit of the
+    # scaled coefficients is 1 for m = 0 and, for m >= 1, m times those of
+    # -log(1 - u) = sum u^k / k.
+    # This is the defining series, independent of the recurrence under
+    # test.  Exact rationals throughout: float convolution cancels ~10
+    # digits at order 25 for |t| near 1.
     nu_q, t_q = Fraction(nu), Fraction(t)
     out = [Fraction(0)] * (order + 1)
     out[0] = Fraction(1)
@@ -53,22 +52,24 @@ def _generating_coeffs(nu: float, t: float, order: int) -> np.ndarray:
     for k in range(1, order + 1):
         binom *= (nu_q + k - 1) / k
         upow = _conv_exact(upow, u, order)
-        out = [c + binom * p for c, p in zip(out, upow)]
-    return np.array([float(c) for c in out])
+        weight = binom if nu else Fraction(1, k)
+        out = [c + weight * p for c, p in zip(out, upow)]
+    scale = [(m + nu_q) / nu_q if nu else max(m, 1) for m in range(order + 1)]
+    return np.array([float(f * c) for f, c in zip(scale, out)])
 
 
 @pytest.mark.parametrize("nu", [0.5, 1.0, 1.5, 2.5, -0.5, 0.0])
 @pytest.mark.parametrize("t", [-0.9, 0.0, 0.7])
 def test_gegenbauer_matches_generating_function(nu, t):
-    coeffs = _generating_coeffs(nu, t, 25)
-    got = np.array([gegenbauer_c(m, nu, t) for m in range(26)])
+    coeffs = _tilde_coeffs(nu, t, 25)
+    got = np.array([gegenbauer_tilde(m, nu, t) for m in range(26)])
     assert_allclose(got, coeffs, rtol=1e-10, atol=1e-10)
 
 
 def test_gegenbauer_frozen_values():
-    # frozen from the generating-function expansion
-    assert gegenbauer_c(3, 1.0, 1.0) == pytest.approx(4.0, abs=1e-14)
-    assert gegenbauer_c(2, 1.0, 0.0) == pytest.approx(-1.0, abs=1e-14)
+    # frozen from the generating-function expansion: C_3^1(1) = 4, C_2^1(0) = -1
+    assert gegenbauer_tilde(3, 1.0, 1.0) == pytest.approx(4.0 * 4.0, abs=1e-14)
+    assert gegenbauer_tilde(2, 1.0, 0.0) == pytest.approx(3.0 * -1.0, abs=1e-14)
 
 
 def test_tilde_nu0_is_chebyshev_limit():
@@ -77,7 +78,7 @@ def test_tilde_nu0_is_chebyshev_limit():
     assert gegenbauer_tilde(2, 0.0, 0.0) == pytest.approx(-2.0, abs=1e-14)
     for m in range(1, 8):
         for t in (-0.8, 0.1, 0.9):
-            assert gegenbauer_tilde(m, 0.0, t) == pytest.approx(2.0 * chebyshev_t(m, t), abs=1e-13)
+            assert gegenbauer_tilde(m, 0.0, t) == pytest.approx(2.0 * math.cos(m * math.acos(t)), abs=1e-13)
 
 
 @pytest.mark.parametrize("nu", [1e-7, -1e-7])
@@ -85,8 +86,8 @@ def test_tilde_continuous_at_nu0(nu):
     # ((m+nu)/nu) C_m^nu -> 2 T_m as nu -> 0
     for m in (1, 3, 6):
         for t in (-0.6, 0.4):
-            lim = (m + nu) / nu * gegenbauer_c(m, nu, t)
-            assert lim == pytest.approx(2.0 * chebyshev_t(m, t), rel=1e-5)
+            lim = gegenbauer_tilde(m, nu, t)
+            assert lim == pytest.approx(2.0 * math.cos(m * math.acos(t)), rel=1e-5)
 
 
 def test_tilde_table_nu_minus_half():
@@ -110,20 +111,23 @@ def test_tilde_sup_bound(nu, m):
 
 
 def test_chebyshev_cos_identities():
+    # C~_m^0 = 2 T_m (m >= 1) and C~_m^1 = (m + 1) U_m, with T_m(cos x) =
+    # cos(m x) and U_m(cos x) = sin((m + 1) x) / sin(x)
     for theta_ang in (0.3, 1.1, 2.7):
         t = math.cos(theta_ang)
+        for m in range(1, 9):
+            assert gegenbauer_tilde(m, 0.0, t) / 2.0 == pytest.approx(math.cos(m * theta_ang), abs=1e-12)
         for m in range(9):
-            assert chebyshev_t(m, t) == pytest.approx(math.cos(m * theta_ang), abs=1e-12)
-            assert chebyshev_u(m, t) == pytest.approx(
+            assert gegenbauer_tilde(m, 1.0, t) / (m + 1) == pytest.approx(
                 math.sin((m + 1) * theta_ang) / math.sin(theta_ang), abs=1e-11
             )
 
 
 def test_chebyshev_u_at_one():
-    # frozen limit value: U_m(1) = m + 1, checked against sin((m+1)x)/sin(x)
-    assert chebyshev_u(3, 1.0) == pytest.approx(4.0, abs=1e-14)
+    # frozen limit value: C~_3^1(1) = 4 U_3(1) = 4 * 4, checked against 4 sin(4x)/sin(x)
+    assert gegenbauer_tilde(3, 1.0, 1.0) == pytest.approx(16.0, abs=1e-14)
     x = 1e-8
-    assert chebyshev_u(3, 1.0) == pytest.approx(math.sin(4 * x) / math.sin(x), abs=1e-8)
+    assert gegenbauer_tilde(3, 1.0, 1.0) / 4.0 == pytest.approx(math.sin(4 * x) / math.sin(x), abs=1e-8)
 
 
 def _direct_theta(v, tau, order=200):
@@ -212,23 +216,27 @@ def test_tilde_array_equals_scalar_calls_bit_for_bit(nu):
     t = np.concatenate([[1.0, -1.0, 0.0, 1.0 + 5e-13, -1.0 - 5e-13],
                         np.random.default_rng(11).uniform(-1.0, 1.0, 40)]).reshape(5, 9)
     for m in (0, 1, 2, 3, 20):
-        got = gegenbauer_tilde_array(m, nu, t)
+        got = gegenbauer_tilde(m, nu, t)
         assert got.shape == t.shape
         want = [[gegenbauer_tilde(m, nu, x) for x in row] for row in t.tolist()]
+        assert all(type(x) is float for row in want for x in row)
         assert np.array_equal(_bits(got), _bits(want))
+        # and entry m of the list form, which runs the recurrence on floats
+        listed = [[gegenbauer_tilde(range(m + 1), nu, x)[m] for x in row] for row in t.tolist()]
+        assert np.array_equal(_bits(got), _bits(listed))
 
 
 @pytest.mark.parametrize("t", [[0.2, 1.1], [float("nan")], [-1.0 - 1e-9]])
 def test_tilde_array_rejects_arguments_outside_the_interval(t):
     with pytest.raises(DomainError):
-        gegenbauer_tilde_array(2, 0.5, np.array(t))
+        gegenbauer_tilde(2, 0.5, np.array(t))
 
 
 def test_tilde_array_checks_the_index():
     with pytest.raises(DomainError):
-        gegenbauer_tilde_array(-1, 0.5, np.zeros(3))
+        gegenbauer_tilde(-1, 0.5, np.zeros(3))
     with pytest.raises(DomainError):
-        gegenbauer_tilde_array(2, -0.7, np.zeros(3))
+        gegenbauer_tilde(2, -0.7, np.zeros(3))
 
 
 def _termwise_theta(v, tau, tol):
@@ -300,24 +308,24 @@ def test_theta_args_need_finite_positive_tol(tol):
 
 def test_domain_guards():
     with pytest.raises(DomainError):
-        gegenbauer_c(2, 1.0, 1.5)
+        gegenbauer_tilde(2, 1.0, 1.5)
     with pytest.raises(DomainError):
-        gegenbauer_c(-1, 1.0, 0.0)
+        gegenbauer_tilde(-1, 1.0, 0.0)
     with pytest.raises(DomainError):
-        GegenbauerParam(-1.0, 2)
+        gegenbauer_tilde(2, -1.0, 0.3)
     with pytest.raises(DomainError):
         gegenbauer_tilde_sup(4, -0.25)
     # a hair beyond 1 from rounding is tolerated
-    assert gegenbauer_c(2, 1.0, 1.0 + 5e-13) == pytest.approx(gegenbauer_c(2, 1.0, 1.0))
+    assert gegenbauer_tilde(2, 1.0, 1.0 + 5e-13) == pytest.approx(gegenbauer_tilde(2, 1.0, 1.0))
 
 
 @pytest.mark.parametrize("call", [
     lambda t: gegenbauer_tilde(3, 0.5, t),
     lambda t: gegenbauer_tilde(range(4), 0.5, t),
-    lambda t: gegenbauer_c(3, 0.5, t),
-    lambda t: chebyshev_t(3, t),
-    lambda t: chebyshev_u(3, t),
-], ids=["tilde", "tilde-range", "gegenbauer-c", "chebyshev-t", "chebyshev-u"])
+    lambda t: gegenbauer_tilde(3, 0.5, np.array([0.2, t])),
+    lambda t: gegenbauer_tilde(3, 0.0, t),
+    lambda t: gegenbauer_tilde(3, 1.0, t),
+], ids=["tilde", "tilde-range", "tilde-array", "chebyshev-t", "chebyshev-u"])
 def test_nan_argument_is_refused(call):
     # a NaN t used to pass the range check and be clamped to t = -1
     with pytest.raises(DomainError):

@@ -179,10 +179,8 @@ def test_generator_limit_matches_finite_differences(dim, m):
     assert err / weighted_norm(expected) < 1e-4
 
 
-def test_from_unitary_triple():
-    e = G0Exponent.from_unitary_triple(0.3, -0.2, 1.1)
-    assert e.z1 == 0.3j and e.z2 == -0.2j and e.z3 == 1.1j
-    assert is_bounded(e) is Boundedness.BOUNDED_UNITARY
+def test_imaginary_exponent_is_bounded_unitary():
+    assert is_bounded(G0Exponent(0.3j, -0.2j, 1.1j)) is Boundedness.BOUNDED_UNITARY
 
 
 @pytest.mark.parametrize("dim, keys", [(1, [1, 0]), (2, [-3, 0, 2, 5]), (3, [0, 1, 4]), (4, [2, 0, 7])])
