@@ -17,7 +17,6 @@ from .errors import (
 )
 from .kernels import (
     ComplexTime,
-    KernelQuery,
     apply_full_kernel_1d,
     apply_full_kernel_2d,
     apply_radial_kernel,
@@ -68,7 +67,6 @@ from .spherical import (
     recompose_2d,
 )
 from .special_functions import (
-    ThetaArgs,
     gegenbauer_tilde,
     gegenbauer_tilde_sup,
     theta,

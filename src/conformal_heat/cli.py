@@ -6,7 +6,10 @@
 
 Each verb parses only the options it reads (`conformal-heat VERB --help`
 lists them); kernel takes its points from --in or from --r, --rp and --t,
-not both, and apply --dim must equal the dim of the field file.
+not both, and apply --dim must equal the dim of the field file.  Each
+cmd_* function reads its own argparse namespace and hands plain values
+to the library, checking --dim, then --tol, then the verb's own values,
+then the input file; the first bad one decides the message and exit code.
 
 Exit codes: 0 success, 1 failed verification, 2 invalid mathematical
 regime, 3 unreadable or malformed input (usage errors and non-finite
@@ -30,7 +33,6 @@ import os
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -42,32 +44,12 @@ from .errors import (
     InvalidRegimeError,
 )
 from .fields_io import format_float, read_field_file, read_points, write_factored, write_float_rows, write_grid2d
-from .kernels import ComplexTime, KernelQuery, as_time, closed_form_1d, closed_form_2d, closed_form_4d, full_kernel_series
+from .kernels import ComplexTime, as_time, closed_form_1d, closed_form_2d, closed_form_4d, full_kernel_series
 from .spectral_calculus import G0Exponent, apply_exp_g0, apply_exp_g0_grid, apply_scaling_direct
 from .spherical import GridField2D
 from .verify import SUITES, run_suites
 
 _DEFAULT_TOL = 1e-10
-
-
-@dataclass
-class RunConfig:
-    dim: int | None = None
-    z: complex | None = None
-    exponent: G0Exponent | None = None
-    t: float | None = None
-    s_min: float = -16.0
-    s_max: float = 16.0
-    n: int = 2048
-    tol: float = _DEFAULT_TOL
-    closed_form: bool = False
-    suite: str | None = None
-    fmt: str = "csv"
-    in_path: str | None = None
-    out_path: str | None = None
-    r_list: list[float] = dc_field(default_factory=list)
-    rp_list: list[float] = dc_field(default_factory=list)
-    t_list: list[float] = dc_field(default_factory=list)
 
 
 def _finite(values: list[float], what: str) -> list[float]:
@@ -155,54 +137,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(out_path=args.out_path)
-    if args.command == "verify":
-        if args.grid:
-            cfg.s_min, cfg.s_max, cfg.n = _parse_grid(args.grid)
-        cfg.fmt = args.fmt
-        cfg.suite = args.suite
-        return cfg
+def _check_dim(dim: int | None) -> None:
+    if dim is not None and dim < 1:
+        raise DomainError(f"dim must be >= 1, got {dim}")
 
-    cfg.dim = args.dim
-    if cfg.dim is not None and cfg.dim < 1:
-        raise DomainError(f"dim must be >= 1, got {cfg.dim}")
+
+def _tolerance(args: argparse.Namespace) -> float:
+    """--tol, else CONFORMAL_HEAT_TOL, else the default; finite and positive."""
+    tol = _DEFAULT_TOL
     env_tol = os.environ.get("CONFORMAL_HEAT_TOL")
     if args.tol is not None:
-        (cfg.tol,) = _finite([args.tol], "--tol")
+        (tol,) = _finite([args.tol], "--tol")
     elif env_tol is not None:
         try:
-            (cfg.tol,) = _finite([float(env_tol)], "CONFORMAL_HEAT_TOL")
+            (tol,) = _finite([float(env_tol)], "CONFORMAL_HEAT_TOL")
         except ValueError as exc:
             raise FieldFormatError(f"CONFORMAL_HEAT_TOL: {exc}") from exc
-    if cfg.tol <= 0:
+    if tol <= 0:
         raise DomainError("tolerance must be positive")
-    cfg.in_path = args.in_path
-
-    if args.command == "kernel":
-        cfg.fmt = args.fmt
-        re_z, im_z = _parse_floats(args.z, 2, "--z")
-        cfg.z = complex(re_z, im_z)
-        cfg.closed_form = args.closed_form
-        if cfg.in_path is not None and (args.r, args.rp, args.t) != (None, None, None):
-            raise FieldFormatError("kernel takes its points from --in or from --r, --rp, --t, not both")
-        if args.r:
-            cfg.r_list = _parse_float_list(args.r, "--r")
-        if args.rp:
-            cfg.rp_list = _parse_float_list(args.rp, "--rp")
-        if args.t:
-            cfg.t_list = _parse_float_list(args.t, "--t")
-    else:
-        if (args.exponent is None) == (args.t is None):
-            raise FieldFormatError("apply needs exactly one of --exponent or --t")
-        if args.exponent is not None:
-            v = _parse_floats(args.exponent, 6, "--exponent")
-            cfg.exponent = G0Exponent(complex(v[0], v[1]), complex(v[2], v[3]), complex(v[4], v[5]))
-        if args.t is not None:
-            (cfg.t,) = _parse_floats(args.t, 1, "--t")
-        if cfg.in_path is None:
-            raise FieldFormatError("apply needs --in FIELD_FILE")
-    return cfg
+    return tol
 
 
 class _StdoutBytes:
@@ -229,9 +182,9 @@ class _StdoutBytes:
 
 
 @contextmanager
-def _output(cfg: RunConfig):
-    if cfg.out_path:
-        with open(cfg.out_path, "w") as fp:
+def _output(out_path: str | None):
+    if out_path:
+        with open(out_path, "w") as fp:
             yield fp
     elif hasattr(sys.stdout, "buffer"):
         sys.stdout.flush()
@@ -240,107 +193,119 @@ def _output(cfg: RunConfig):
         yield sys.stdout
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    with _output(cfg) as fp:
+def _emit(out_path: str | None, text: str) -> None:
+    with _output(out_path) as fp:
         fp.write(text)
 
 
-def _kernel_value(cfg: RunConfig, ct: ComplexTime, r: float, rp: float, t: float) -> complex:
-    if cfg.dim == 1 and abs(t) != 1.0:
+def _kernel_value(dim: int, ct: ComplexTime, r: float, rp: float, t: float, tol: float) -> complex:
+    if dim == 1 and abs(t) != 1.0:
         raise DomainError("N = 1 admits only t = +1 or t = -1")
-    return full_kernel_series(KernelQuery(cfg.dim, ct, r, rp, t, cfg.tol))
+    return full_kernel_series(dim, r, rp, t, ct, tol)
 
 
-def _closed_form_table(cfg: RunConfig, ct: ComplexTime, points: np.ndarray) -> np.ndarray:
+def _closed_form_table(dim: int, ct: ComplexTime, points: np.ndarray, tol: float) -> np.ndarray:
     """One closed-form call over the whole (nonempty) table.
 
     A bad row raises what the first bad row of a loop over the table
     would raise.
     """
     r, rp, t = points.T
-    if cfg.dim == 1:
+    if dim == 1:
         bad_t = np.abs(t) != 1.0
         first = int(np.argmax(bad_t)) if bad_t.any() else t.size
         # rows ahead of the first bad t raise their own errors first
         values = closed_form_1d(r[:first], t[:first] * rp[:first], ct)
         if first < t.size:
             raise DomainError("N = 1 admits only t = +1 or t = -1")
-    elif cfg.dim == 2:
-        values = closed_form_2d(r, rp, ct, t=t, tol=cfg.tol)
-    elif cfg.dim == 4:
-        values = closed_form_4d(r, rp, t, ct, tol=cfg.tol)
+    elif dim == 2:
+        values = closed_form_2d(r, rp, t, ct, tol)
+    elif dim == 4:
+        values = closed_form_4d(r, rp, t, ct, tol)
     else:
-        raise DomainError(f"closed forms exist for N in {{1, 2, 4}}, not N = {cfg.dim}")
+        raise DomainError(f"closed forms exist for N in {{1, 2, 4}}, not N = {dim}")
     return values
 
 
-def cmd_kernel(cfg: RunConfig) -> int:
-    if cfg.in_path is not None:
-        points = read_points(cfg.in_path)
+def cmd_kernel(args: argparse.Namespace) -> int:
+    _check_dim(args.dim)
+    tol = _tolerance(args)
+    z = complex(*_parse_floats(args.z, 2, "--z"))
+    if args.in_path is not None:
+        if (args.r, args.rp, args.t) != (None, None, None):
+            raise FieldFormatError("kernel takes its points from --in or from --r, --rp, --t, not both")
+        points = read_points(args.in_path)
     else:
-        if not (cfg.r_list and cfg.rp_list and cfg.t_list):
+        r_list = _parse_float_list(args.r or "", "--r")
+        rp_list = _parse_float_list(args.rp or "", "--rp")
+        t_list = _parse_float_list(args.t or "", "--t")
+        if not (r_list and rp_list and t_list):
             raise FieldFormatError("kernel needs --in POINTS or all of --r, --rp, --t")
-        points = np.array([(r, rp, t) for r in cfg.r_list for rp in cfg.rp_list for t in cfg.t_list])
-    ct = as_time(cfg.z)
-    if cfg.closed_form and len(points):
-        values = _closed_form_table(cfg, ct, points)
+        points = np.array([(r, rp, t) for r in r_list for rp in rp_list for t in t_list])
+    ct = as_time(z)
+    if args.closed_form and len(points):
+        values = _closed_form_table(args.dim, ct, points, tol)
     else:  # the series route; an empty table raises nothing on either route
-        values = np.array([_kernel_value(cfg, ct, r, rp, t) for r, rp, t in points.tolist()], dtype=complex)
-    if cfg.fmt == "json":
+        values = np.array([_kernel_value(args.dim, ct, r, rp, t, tol) for r, rp, t in points.tolist()],
+                          dtype=complex)
+    if args.fmt == "json":
         payload = {
-            "dim": cfg.dim,
-            "z": [cfg.z.real, cfg.z.imag],
-            "closed_form": cfg.closed_form,
+            "dim": args.dim,
+            "z": [z.real, z.imag],
+            "closed_form": args.closed_form,
             "rows": [
                 {"r": r, "r_prime": rp, "t": t, "re_k": k.real, "im_k": k.imag}
                 for (r, rp, t), k in zip(points.tolist(), values.tolist())
             ],
         }
-        _emit(cfg, json.dumps(payload, indent=2) + "\n")
+        _emit(args.out_path, json.dumps(payload, indent=2) + "\n")
     else:
-        with _output(cfg) as fp:
+        with _output(args.out_path) as fp:
             fp.write("r,r_prime,t,re_k,im_k\n")
             write_float_rows(fp, np.column_stack([points, values.real, values.imag]))
     return 0
 
 
-def _config_echo(cfg: RunConfig, dim: int) -> dict:
-    echo: dict = {"dim": dim, "tol": cfg.tol}
-    if cfg.exponent is not None:
-        e = cfg.exponent
-        echo["exponent"] = [e.z1.real, e.z1.imag, e.z2.real, e.z2.imag, e.z3.real, e.z3.imag]
-    if cfg.t is not None:
-        echo["t"] = cfg.t
-    return echo
-
-
-def cmd_apply(cfg: RunConfig) -> int:
-    data = read_field_file(cfg.in_path)
-    if cfg.dim is not None and cfg.dim != data.grid.dim:
-        raise FieldFormatError(f"--dim {cfg.dim} does not match dim {data.grid.dim} of {cfg.in_path}")
-    if cfg.t is not None:
-        result = apply_scaling_direct(cfg.t, data)
-    elif isinstance(data, GridField2D):
-        result = apply_exp_g0_grid(cfg.exponent, data)
+def cmd_apply(args: argparse.Namespace) -> int:
+    _check_dim(args.dim)
+    tol = _tolerance(args)
+    if (args.exponent is None) == (args.t is None):
+        raise FieldFormatError("apply needs exactly one of --exponent or --t")
+    if args.exponent is not None:
+        v = _parse_floats(args.exponent, 6, "--exponent")
+        exponent = G0Exponent(complex(v[0], v[1]), complex(v[2], v[3]), complex(v[4], v[5]))
+        action = {"exponent": v}
     else:
-        result = apply_exp_g0(cfg.exponent, data)
+        (t,) = _parse_floats(args.t, 1, "--t")
+        action = {"t": t}
+    if args.in_path is None:
+        raise FieldFormatError("apply needs --in FIELD_FILE")
+    data = read_field_file(args.in_path)
+    if args.dim is not None and args.dim != data.grid.dim:
+        raise FieldFormatError(f"--dim {args.dim} does not match dim {data.grid.dim} of {args.in_path}")
+    if args.t is not None:
+        result = apply_scaling_direct(t, data)
+    elif isinstance(data, GridField2D):
+        result = apply_exp_g0_grid(exponent, data)
+    else:
+        result = apply_exp_g0(exponent, data)
     write = write_grid2d if isinstance(data, GridField2D) else write_factored
-    with _output(cfg) as fp:
-        write(fp, result, _config_echo(cfg, data.grid.dim))
+    with _output(args.out_path) as fp:
+        write(fp, result, {"dim": data.grid.dim, "tol": tol, **action})
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    names = [cfg.suite] if cfg.suite else None
-    results = run_suites(names, shape=(cfg.s_min, cfg.s_max, cfg.n))
+def cmd_verify(args: argparse.Namespace) -> int:
+    names = [args.suite] if args.suite else None
+    results = run_suites(names, _parse_grid(args.grid)) if args.grid else run_suites(names)
     all_passed = all(c.passed for c in results)
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         buf = io.StringIO()
         rows = csv.writer(buf, lineterminator="\n")  # RFC 4180 quoting: names hold commas
         rows.writerow(["suite", "check", "defect", "tol", "passed"])
         rows.writerows([c.suite, c.name, format_float(c.defect), format_float(c.tol), int(c.passed)]
                        for c in results)
-        _emit(cfg, buf.getvalue())
+        _emit(args.out_path, buf.getvalue())
     else:
         suites: dict = {}
         for c in results:
@@ -350,7 +315,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             )
             entry["passed"] = entry["passed"] and c.passed
         payload = {"passed": all_passed, "suites": suites}
-        _emit(cfg, json.dumps(payload, indent=2) + "\n")
+        _emit(args.out_path, json.dumps(payload, indent=2) + "\n")
     return 0 if all_passed else 1
 
 
@@ -358,13 +323,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _config_from_args(args)
         if args.command == "kernel":
-            code = cmd_kernel(cfg)
+            code = cmd_kernel(args)
         elif args.command == "apply":
-            code = cmd_apply(cfg)
+            code = cmd_apply(args)
         else:
-            code = cmd_verify(cfg)
+            code = cmd_verify(args)
         sys.stdout.flush()  # a closed pipe shows up here, not at interpreter exit
         return code
     except BrokenPipeError:

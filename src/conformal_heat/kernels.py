@@ -14,11 +14,21 @@ kernels gives the full-space kernel
                        sum_m exp(-z (m + (N-2)/2)^2) C~_m^{(N-2)/2}(<w, w'>),
 
 with certified truncation of the m-sum.  For N = 1, 2, 4 the sum collapses
-to theta-function closed forms.  All square roots of z take the principal
-branch (Re sqrt >= 0, positive on the positive reals), tracked explicitly
-by ComplexTime.  On the line Re z = 0 the operator is unitary but has no
-pointwise kernel; those requests raise InvalidRegimeError and must go
-through the spectral route.
+to theta-function closed forms.  Every kernel function takes plain
+arguments and z as a number or a ComplexTime:
+
+    full_kernel_series(dim, r, r', t, z, tol)    one point, t = <w, w'>
+    closed_form_1d(x, x', z)                     N = 1, signed points
+    closed_form_2d(r, r', t, z, tol)             N = 2, arrays broadcast
+    closed_form_4d(r, r', t, z, tol)             N = 4, arrays broadcast
+
+Each checks its own arguments and raises DomainError or
+InvalidRegimeError for the first bad one.
+
+All square roots of z take the principal branch (Re sqrt >= 0, positive
+on the positive reals), tracked explicitly by ComplexTime.  On the line
+Re z = 0 the operator is unitary but has no pointwise kernel; those
+requests raise InvalidRegimeError and must go through the spectral route.
 """
 
 from __future__ import annotations
@@ -34,7 +44,6 @@ from .errors import DomainError, InvalidRegimeError
 from .log_radial import LogRadialGrid, RadialSamples
 from .special_functions import (
     _T_SLACK,
-    ThetaArgs,
     _libm,
     check_t,
     check_tol,
@@ -88,27 +97,6 @@ def _require_positive_radii(r: float, r_prime: float) -> None:
         raise DomainError("radii must be positive")
 
 
-@dataclass(frozen=True)
-class KernelQuery:
-    """One full-kernel evaluation point (r w, r' w') with t = <w, w'>."""
-
-    dim: int
-    z: ComplexTime
-    r: float
-    r_prime: float
-    t: float
-    tol: float = 1e-12
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise DomainError("dim must be >= 1")
-        if not (self.r > 0 and self.r_prime > 0):
-            raise DomainError("radii must be positive")
-        if not abs(self.t) <= 1.0 + _T_SLACK:  # validated only: the series clamps t itself
-            check_t(self.t)
-        check_tol(self.tol)
-
-
 def _gauss_factor(ct: ComplexTime, r, rp, dim: int):
     # (4 pi z)^{-1/2} exp(-(log r - log r')^2 / (4 z)) (r r')^{-(N-2)/2}, over arrays.
     # The power stays an array `**`: on arrays it rounds unlike math.pow, so
@@ -132,7 +120,7 @@ def radial_kernel(m: int, dim: int, r, r_prime, z) -> complex:
     """Degree-m radial kernel K_m(r, r'; z); broadcasts over r, r'."""
     if m < 0 or dim < 1:
         raise DomainError("need m >= 0 and dim >= 1")
-    if np.any(np.asarray(r) <= 0) or np.any(np.asarray(r_prime) <= 0):
+    if not (np.all(np.asarray(r) > 0) and np.all(np.asarray(r_prime) > 0)):  # NaN fails too
         raise DomainError("radii must be positive")
     ct = _require_kernel_regime(as_time(z))
     nu = 0.5 * (dim - 2)
@@ -197,10 +185,12 @@ def _zonal_prefactor(dim: int) -> float:
     return math.gamma(0.5 * dim) / (2.0 * math.pi ** (0.5 * dim))
 
 
-def full_kernel_series(q: KernelQuery) -> complex:
-    """Full kernel by the truncated Gegenbauer series.
+def full_kernel_series(dim: int, r: float, r_prime: float, t: float, z, tol: float = 1e-12) -> complex:
+    """Full kernel K(r w, r' w'; z) with t = <w, w'>, by the truncated Gegenbauer series.
 
-    The absolute truncation error is at most q.tol times the Gaussian
+    z is a number or a ComplexTime.  The arguments are checked in the
+    order dim, radii, t, tol, then the regime Re z > 0.  The absolute
+    truncation error is at most tol times the Gaussian
     prefactor (the zonal prefactor Gamma(N/2)/(2 pi^{N/2}) < 1 shrinks it
     further).  One call costs O(cut): the weights and the zonal prefactor
     come from caches and the C~_m from one recurrence pass, summed in
@@ -213,16 +203,22 @@ def full_kernel_series(q: KernelQuery) -> complex:
     complex z).  The power and the exponential go through math.pow and
     cmath.exp, which round as numpy's scalar operations do.
     """
-    ct = _require_kernel_regime(q.z)
-    nu = 0.5 * (q.dim - 2)
-    cut = truncation_degree(q.dim, ct, q.tol)
+    if dim < 1:
+        raise DomainError("dim must be >= 1")
+    _require_positive_radii(r, r_prime)
+    if not abs(t) <= 1.0 + _T_SLACK:  # checked only: the recurrence clamps t itself
+        check_t(t)
+    check_tol(tol)
+    ct = _require_kernel_regime(as_time(z))
+    nu = 0.5 * (dim - 2)
+    cut = truncation_degree(dim, ct, tol)
     weights = _series_weights(ct.z, nu, cut)
     # A plain += loop, not sum(): from CPython 3.14 on, sum() of complex
     # values compensates its adds and would change the last bits.
     acc = 0j
-    for w, c in zip(weights, gegenbauer_tilde(range(cut + 1), nu, q.t)):
+    for w, c in zip(weights, gegenbauer_tilde(range(cut + 1), nu, t)):
         acc += w * c
-    return _zonal_prefactor(q.dim) * _gauss_point(ct, q.r, q.r_prime, q.dim) * acc
+    return _zonal_prefactor(dim) * _gauss_point(ct, r, r_prime, dim) * acc
 
 
 def _columns(*values):
@@ -276,42 +272,39 @@ def closed_form_1d(x, x_prime, z):
     return _as_result(values, x.shape)
 
 
-def closed_form_2d(r, r_prime, z, *, t=None, angle=None, tol: float = 1e-14):
-    """N = 2 kernel through the theta function.
-
-    The angular separation enters as theta(dphi/(2 pi), i z / pi); pass
-    either the cos-angle t (mapped through arccos into [0, pi]) or a signed
-    angle, equivalent because theta is even in v.
-
-    r, r_prime and t (or angle) are numbers or arrays that broadcast
-    together: a table costs one array theta call, and the Gaussian factor
-    and the final products run per row in scalar arithmetic, so entry i
-    equals the call at row i exactly.  A bad row anywhere raises what a
-    loop over the rows would raise first.
-    """
-    if (t is None) == (angle is None):
-        raise DomainError("give exactly one of t or angle")
-    ct = as_time(z)
-    r, r_prime, a = _columns(r, r_prime, angle if t is None else t)
+def _check_radii_and_angles(r, r_prime, t, ct: ComplexTime, tol: float) -> None:
+    """The row checks of the N = 2 and N = 4 closed forms: radii, regime, t, tol."""
 
     def check_row(i):
         _require_positive_radii(r.flat[i], r_prime.flat[i])
         _require_kernel_regime(ct)
-        if t is not None:
-            check_t(a.flat[i])
+        check_t(t.flat[i])
         check_tol(tol)
 
-    ok = (r > 0) & (r_prime > 0)
-    if t is not None:
-        ok &= np.abs(a) <= 1.0 + _T_SLACK
-    _check_rows(ok, check_row)
+    _check_rows((r > 0) & (r_prime > 0) & (np.abs(t) <= 1.0 + _T_SLACK), check_row)
+
+
+def closed_form_2d(r, r_prime, t, z, tol: float = 1e-14):
+    """N = 2 kernel through the theta function.
+
+    The angular separation a = arccos t in [0, pi] enters as
+    theta(a/(2 pi), i z / pi).
+
+    r, r_prime and t are numbers or arrays that broadcast together: a
+    table costs one array theta call, and the Gaussian factor and the
+    final products run per row in scalar arithmetic, so entry i equals the
+    call at row i exactly.  A bad row anywhere raises what a loop over the
+    rows would raise first.
+    """
+    ct = as_time(z)
+    r, r_prime, t = _columns(r, r_prime, t)
+    _check_radii_and_angles(r, r_prime, t, ct, tol)
     if not r.size:
         return np.empty(r.shape, dtype=complex)
-    if t is not None:
-        a = _libm(math.acos, np.clip(a, -1.0, 1.0))
+    a = _libm(math.acos, np.clip(t, -1.0, 1.0))
     dlog = _libm(math.log, r) - _libm(math.log, r_prime)
     pref = 1.0 / (2.0 * math.pi) / (2.0 * math.sqrt(math.pi) * ct.sqrt_z)
-    th = theta(ThetaArgs(a / (2.0 * math.pi), 1j * ct.z / math.pi, tol))
+    th = theta(a / (2.0 * math.pi), 1j * ct.z / math.pi, tol)
     quarter = 4.0 * ct.z
     values = [pref * cmath.exp(g / quarter) * h
               for g, h in zip((-dlog * dlog).ravel().tolist(), np.ravel(th).tolist())]
@@ -335,25 +328,18 @@ def closed_form_4d(r, r_prime, t, z, tol: float = 1e-14):
     """
     ct = as_time(z)
     r, r_prime, t = _columns(r, r_prime, t)
-
-    def check_row(i):
-        _require_positive_radii(r.flat[i], r_prime.flat[i])
-        _require_kernel_regime(ct)
-        check_t(t.flat[i])
-        check_tol(tol)
-
-    _check_rows((r > 0) & (r_prime > 0) & (np.abs(t) <= 1.0 + _T_SLACK), check_row)
+    _check_radii_and_angles(r, r_prime, t, ct, tol)
     shape = r.shape
     r, r_prime, t = r.ravel(), r_prime.ravel(), np.clip(t, -1.0, 1.0).ravel()
     out = np.empty(t.shape, dtype=complex)
     near = np.abs(t) > _NEAR_DIAGONAL
     for i in np.flatnonzero(near).tolist():
-        out[i] = full_kernel_series(KernelQuery(4, ct, float(r[i]), float(r_prime[i]), float(t[i]), tol))
+        out[i] = full_kernel_series(4, float(r[i]), float(r_prime[i]), float(t[i]), ct, tol)
     far = ~near
     if far.any():
         r, r_prime, t = r[far], r_prime[far], t[far]
         dlog = _libm(math.log, r) - _libm(math.log, r_prime)
-        dv = theta_dv(ThetaArgs(_libm(math.acos, t) / (2.0 * math.pi), 1j * ct.z / math.pi, tol))
+        dv = theta_dv(_libm(math.acos, t) / (2.0 * math.pi), 1j * ct.z / math.pi, tol)
         pref = -1.0 / (8.0 * math.pi**3) / (2.0 * math.sqrt(math.pi) * ct.sqrt_z)
         quarter = 4.0 * ct.z
         out[far] = [pref * cmath.exp(g / quarter) / rr / s * d for g, rr, s, d in zip(
@@ -431,7 +417,7 @@ def apply_full_kernel_2d(field, z, tol: float = 1e-13):
     n_phi = field.n_phi
     radial = radial_semigroup_matrix(2, ct, grid)
     tau = 1j * ct.z / math.pi
-    th_row = theta(ThetaArgs(np.arange(n_phi) / n_phi, tau, tol))
+    th_row = theta(np.arange(n_phi) / n_phi, tau, tol)
     idx = (np.arange(n_phi)[:, None] - np.arange(n_phi)[None, :]) % n_phi
     angular = th_row[idx] / n_phi  # (1/2pi) theta(dphi/2pi) dphi with dphi = 2pi/n_phi
     return GridField2D(grid, angular @ field.values @ radial.T)

@@ -58,6 +58,8 @@ class LogRadialGrid:
     def __post_init__(self):
         if self.dim < 1:
             raise DomainError(f"dim must be >= 1, got {self.dim}")
+        if not (math.isfinite(self.s_min) and math.isfinite(self.s_max) and math.isfinite(self.ds)):
+            raise DomainError(f"s_min, s_max and ds must be finite, got {self.s_min}, {self.s_max}, {self.ds}")
         if not (self.s_min < self.s_max):
             raise DomainError("need s_min < s_max")
         if not _is_pow2(self.n) or self.n < 8:

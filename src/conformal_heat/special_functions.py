@@ -16,9 +16,11 @@ The theta function uses the convention
 
     theta(v, tau) = sum_{m in Z} exp(i pi tau m^2 + 2 i pi m v),  Im tau > 0,
 
-with termwise v-derivative theta_dv.  Both truncate the sum by the same
-certified rule, see :func:`theta`, and both take v as a number or as an
-array of points, summed with one array operation per term.
+with termwise v-derivative theta_dv.  Both are called as f(v, tau, tol)
+with tol = 1e-14 by default, refuse Im tau <= 0 (SeriesDivergenceError)
+and then a tol outside 0 < tol < inf (DomainError), truncate the sum by
+the same certified rule, see :func:`theta`, and take v as a number or as
+an array of points, summed with one array operation per term.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -54,26 +55,6 @@ def check_t(t: float) -> float:
     if not abs(t) <= 1.0 + _T_SLACK:  # NaN fails this test too
         raise DomainError(f"t={t} outside [-1, 1]")
     return t if -1.0 <= t <= 1.0 else (1.0 if t > 0 else -1.0)
-
-
-@dataclass(frozen=True)
-class ThetaArgs:
-    """Arguments (v, tau, tol) for the theta series; requires Im tau > 0.
-
-    v is a real or complex number, or an array of them (one point per
-    entry); tau and tol are shared by every point.
-    """
-
-    v: complex | np.ndarray
-    tau: complex
-    tol: float = 1e-14
-
-    def __post_init__(self):
-        if not (self.tau.imag > 0):
-            raise SeriesDivergenceError(
-                f"theta series diverges for Im tau = {self.tau.imag}; need Im tau > 0"
-            )
-        check_tol(self.tol)
 
 
 def _gegenbauer_run(top: int, nu: float, t: float) -> list[float]:
@@ -214,20 +195,23 @@ def _libm(fn, x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
-def _theta_sum(args: ThetaArgs, start: float, weight, trig):
+def _theta_sum(v, tau, tol: float, start: float, weight, trig):
     """start + sum_m weight(m, e_m) * trig(2 pi m v), per entry of v.
 
-    Each entry is summed to its own certified cutoff, in increasing m,
+    Refuses Im tau <= 0, then a tol outside 0 < tol < inf.  Each entry is summed to its own certified cutoff, in increasing m,
     with the real operations that cmath and complex arithmetic perform
     on a scalar, so entry i equals the scalar sum at v_i exactly.
     trig(cos_x, sin_x, cosh_y, sinh_y) returns the real and imaginary
     parts of cos or sin at x + iy from the four real factors cmath uses.
     """
-    v = np.asarray(args.v, dtype=complex)
-    tau = complex(args.tau)
+    if not (tau.imag > 0):
+        raise SeriesDivergenceError(f"theta series diverges for Im tau = {tau.imag}; need Im tau > 0")
+    check_tol(tol)
+    v = np.asarray(v, dtype=complex)
+    tau = complex(tau)
     x, y = v.real.ravel(), v.imag.ravel()
     keys, which = np.unique(np.abs(y), return_inverse=True)
-    cuts = np.array([_theta_cutoff(tau.imag, k, args.tol) for k in keys.tolist()], dtype=int)
+    cuts = np.array([_theta_cutoff(tau.imag, k, tol) for k in keys.tolist()], dtype=int)
     cut = cuts[which]
     complex_v = np.flatnonzero(y != 0.0)
     re, im = np.full(x.shape, start), np.zeros(x.shape)
@@ -247,14 +231,17 @@ def _theta_sum(args: ThetaArgs, start: float, weight, trig):
     return complex(out) if out.ndim == 0 else out
 
 
-def theta(args: ThetaArgs):
+def theta(v, tau: complex, tol: float = 1e-14):
     """Jacobi theta function theta(v, tau) = sum_m exp(i pi tau m^2 + 2 i pi m v).
 
     Parameters
     ----------
-    args : ThetaArgs
-        Holds v (a complex number, or an array of them), tau (complex with
-        Im tau > 0) and the absolute truncation tolerance tol.
+    v : complex or ndarray
+        A real or complex number, or an array of them (one point per entry).
+    tau : complex
+        Shared by every point; needs Im tau > 0.
+    tol : float
+        Absolute truncation tolerance, finite and positive.
 
     Returns
     -------
@@ -273,19 +260,19 @@ def theta(args: ThetaArgs):
     2 pi M |Im v_i| <= 708, beyond which cmath switches to an
     overflow-safe formula).  The function is even and 1-periodic in v
     termwise, so both properties hold to roundoff.  Raises
-    SeriesDivergenceError when Im tau <= 0.
+    SeriesDivergenceError when Im tau <= 0, then DomainError for a bad tol.
     """
     # cmath.cos(x + iy) = (cos x cosh(-y), sin x sinh(-y))
-    return _theta_sum(args, 1.0, lambda m, e: 2.0 * e,
+    return _theta_sum(v, tau, tol, 1.0, lambda m, e: 2.0 * e,
                       lambda cx, sx, ch, sh: (cx * ch, sx * sh))
 
 
-def theta_dv(args: ThetaArgs):
+def theta_dv(v, tau: complex, tol: float = 1e-14):
     """Termwise v-derivative of theta: sum_m 2 i pi m exp(i pi tau m^2 + 2 i pi m v).
 
-    Takes the same arguments, cutoff and array forms as :func:`theta`;
-    entry i equals the scalar call at v_i bit for bit.
+    Takes the same arguments, checks, cutoff and array forms as
+    :func:`theta`; entry i equals the scalar call at v_i bit for bit.
     """
     # cmath.sin(x + iy) = (sin x cosh(-y), -(cos x sinh(-y)))
-    return _theta_sum(args, 0.0, lambda m, e: -4.0 * math.pi * m * e,
+    return _theta_sum(v, tau, tol, 0.0, lambda m, e: -4.0 * math.pi * m * e,
                       lambda cx, sx, ch, sh: (sx * ch, -(cx * sh)))

@@ -30,6 +30,7 @@ F -> e^{(N-2) t} F(e^{2 t} x), which on the log grid is an index shift by
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,12 +120,11 @@ def apply_exp_g0_grid(exponent: G0Exponent, field: GridField2D) -> GridField2D:
 
 def _shift_steps(t: float, ds: float) -> int:
     steps = 2.0 * t / ds
-    rounded = round(steps)
-    if abs(steps - rounded) > 1e-9:
+    if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9:
         raise GridAlignmentError(
             f"scaling by t={t} shifts log-radius by 2t={2*t}, not a multiple of ds={ds}"
         )
-    return int(rounded)
+    return int(round(steps))
 
 
 def apply_scaling_direct(t: float, field: FactoredField | GridField2D | RadialSamples):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import radial_kernel, closed_form_1d, closed_form_2d, closed_form_4d, full_kernel_series, KernelQuery, as_time, apply_radial_kernel
+from .kernels import radial_kernel, closed_form_1d, closed_form_2d, closed_form_4d, full_kernel_series, apply_radial_kernel
 from .ladder import (
     LadderOperatorSpec,
     commutator_defect,
@@ -24,7 +24,7 @@ from .ladder import (
 from .log_radial import LogRadialGrid, RadialSamples, u_inverse, weighted_norm
 from .spectral_calculus import G0Exponent, apply_exp_g0, apply_scaling_direct
 from .spherical import FactoredField, projection_kernel
-from .special_functions import ThetaArgs, theta, theta_dv
+from .special_functions import theta, theta_dv
 
 
 @dataclass
@@ -205,7 +205,7 @@ def _rel(a: complex, b: complex) -> float:
 # wrapper put on this module's names sees every call
 _FORM_CASES = (
     (1, (-1.0, 1.0), lambda r, rp, t, z: closed_form_1d(r, t * rp, z), 1e-14),
-    (2, (-0.7, 0.2, 0.85), lambda r, rp, t, z: closed_form_2d(r, rp, z, t=t), 1e-9),
+    (2, (-0.7, 0.2, 0.85), lambda r, rp, t, z: closed_form_2d(r, rp, t, z), 1e-9),
     (4, (-0.7, 0.2, 0.85), lambda r, rp, t, z: closed_form_4d(r, rp, t, z), 1e-8),
 )
 
@@ -222,7 +222,7 @@ def suite_theta_forms() -> list[CheckResult]:
         worst = 0.0
         for z in _FORM_TIMES:
             for (a, b, c), closed in zip(points, closed_form(r, rp, t, z).tolist()):
-                series = full_kernel_series(KernelQuery(dim, as_time(z), a, b, c, 1e-15))
+                series = full_kernel_series(dim, a, b, c, z, 1e-15)
                 worst = max(worst, _rel(series, closed))
         out.append(CheckResult("theta", f"N={dim} closed form vs series", worst, tol))
     return out
@@ -320,14 +320,14 @@ _THETA_AT_I = 1.086434811213308  # independent direct summation, frozen
 def suite_special() -> list[CheckResult]:
     """Theta value and derivative spot checks."""
     out: list[CheckResult] = []
-    val = theta(ThetaArgs(0.0, 1j, 1e-15))
+    val = theta(0.0, 1j, 1e-15)
     out.append(CheckResult("special", "theta(0, i)", abs(val - _THETA_AT_I), 1e-12))
 
     worst = 0.0
     h = 1e-5
     for v, tau in ((0.2, 0.5j), (0.4, 0.8j), (-0.15, 0.35j)):
-        d = theta_dv(ThetaArgs(v, tau, 1e-15))
-        fd = (theta(ThetaArgs(v + h, tau, 1e-15)) - theta(ThetaArgs(v - h, tau, 1e-15))) / (2 * h)
+        d = theta_dv(v, tau, 1e-15)
+        fd = (theta(v + h, tau, 1e-15) - theta(v - h, tau, 1e-15)) / (2 * h)
         worst = max(worst, abs(d - fd) / abs(d))
     out.append(CheckResult("special", "theta_dv vs centered differences", worst, 1e-6))
     return out

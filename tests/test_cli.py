@@ -15,7 +15,7 @@ import pytest
 import conformal_heat
 from conformal_heat.cli import main
 from conformal_heat.fields_io import read_field_file
-from conformal_heat.kernels import closed_form_2d, full_kernel_series, KernelQuery, as_time
+from conformal_heat.kernels import closed_form_2d, full_kernel_series
 from conformal_heat.spectral_calculus import apply_scaling_direct
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -44,7 +44,7 @@ def test_kernel_single_point_matches_closed_form(tmp_path):
     rows = _read_csv_rows(out)
     assert len(rows) == 1
     r, rp, t, re_k, im_k = rows[0]
-    want = closed_form_2d(1.0, 1.3, 0.5 + 0j, t=0.2, tol=1e-10)
+    want = closed_form_2d(1.0, 1.3, 0.2, 0.5 + 0j, tol=1e-10)
     assert re_k + 1j * im_k == pytest.approx(want, rel=1e-12)
 
 
@@ -55,7 +55,7 @@ def test_kernel_series_route_agrees(tmp_path):
         "--r", "0.8", "--rp", "1.1", "--t", "0.3", "--out", str(out),
     ]) == 0
     (row,) = _read_csv_rows(out)
-    want = full_kernel_series(KernelQuery(4, as_time(0.4 + 0.2j), 0.8, 1.1, 0.3, 1e-10))
+    want = full_kernel_series(4, 0.8, 1.1, 0.3, 0.4 + 0.2j, 1e-10)
     assert row[3] + 1j * row[4] == pytest.approx(want, rel=1e-12)
 
 
@@ -100,7 +100,7 @@ def test_kernel_json_format(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["dim"] == 2 and payload["z"] == [0.5, 0.0]
     assert len(payload["rows"]) == 1
-    want = full_kernel_series(KernelQuery(2, as_time(0.5 + 0j), 1.0, 1.0, 0.5, 1e-10))
+    want = full_kernel_series(2, 1.0, 1.0, 0.5, 0.5 + 0j, 1e-10)
     assert payload["rows"][0]["re_k"] == pytest.approx(want.real, rel=1e-12)
 
 
@@ -122,6 +122,26 @@ def test_kernel_matches_golden_bytes(tmp_path, name, fmt):
     out = tmp_path / f"k.{fmt}"
     argv = ["kernel", *KERNEL_GOLDEN[name], "--tol", "1e-10", "--format", fmt,
             "--in", str(FIXTURES / "kernel_points.csv"), "--out", str(out)]
+    assert main(argv) == 0
+    assert out.read_bytes() == (FIXTURES / f"{name}.{fmt}").read_bytes()
+
+
+# The kernel_n2_product*.csv / .json fixtures were written by the CLI
+# before the kernel verb read its options straight from argparse: the
+# product of the --r, --rp and --t lists, default tolerance, both routes.
+PRODUCT_GOLDEN = {
+    "kernel_n2_product": [],
+    "kernel_n2_product_closed": ["--closed-form"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", list(PRODUCT_GOLDEN))
+def test_kernel_product_lists_match_golden_bytes(tmp_path, monkeypatch, name, fmt):
+    monkeypatch.delenv("CONFORMAL_HEAT_TOL", raising=False)
+    out = tmp_path / f"k.{fmt}"
+    argv = ["kernel", "--dim", "2", "--z", "0.5,0", "--r", "0.8,1.0", "--rp", "1.1,1.3", "--t", "-0.5,0.2",
+            *PRODUCT_GOLDEN[name], "--format", fmt, "--out", str(out)]
     assert main(argv) == 0
     assert out.read_bytes() == (FIXTURES / f"{name}.{fmt}").read_bytes()
 
@@ -510,6 +530,17 @@ def test_exit_code_3_malformed_field(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("key, value", [("s_max", float("inf")), ("s_min", float("-inf")), ("s_min", float("nan"))])
+def test_exit_code_3_non_finite_geometry(tmp_path, capsys, key, value):
+    # json writes these as Infinity, -Infinity and NaN, which its reader takes
+    geo = {"kind": "factored", "dim": 3, "s_min": -1, "s_max": 1, "n": 8, key: value}
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(["# geometry: " + json.dumps(geo), "m,s_index,re,im"]
+                             + [f"0,{j},1,0" for j in range(8)]) + "\n")
+    assert main(["apply", "--exponent", "0,0,0,0,0.5,0", "--in", str(bad), "--out", str(tmp_path / "o.csv")]) == 3
+    assert "bad geometry value" in capsys.readouterr().err
+
+
 def _field_text(kind: str, drop: int | None = None, repeat: int | None = None,
                 value: str = "1") -> str:
     """A complete N = 1 field on 8 samples (two keys), optionally damaged."""
@@ -612,7 +643,7 @@ def test_env_tolerance_is_honored(monkeypatch, tmp_path):
     assert main(["kernel", "--dim", "2", "--z", "0.5,0", "--r", "1", "--rp", "1", "--t", "0.3",
                  "--out", str(out)]) == 0
     (row,) = _read_csv_rows(out)
-    want = full_kernel_series(KernelQuery(2, as_time(0.5 + 0j), 1.0, 1.0, 0.3, 1e-10))
+    want = full_kernel_series(2, 1.0, 1.0, 0.3, 0.5 + 0j, 1e-10)
     assert row[3] + 1j * row[4] == pytest.approx(want, rel=1e-6)
 
 

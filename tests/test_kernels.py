@@ -9,10 +9,9 @@ import numpy as np
 import pytest
 
 from conformal_heat import kernels
-from conformal_heat.errors import DomainError, InvalidRegimeError
+from conformal_heat.errors import DomainError, InvalidRegimeError, SeriesDivergenceError
 from conformal_heat.kernels import (
     ComplexTime,
-    KernelQuery,
     _gauss_factor,
     apply_full_kernel_1d,
     apply_full_kernel_2d,
@@ -30,7 +29,6 @@ from conformal_heat.log_radial import LogRadialGrid, RadialSamples, u_inverse, w
 from conformal_heat.spectral_calculus import G0Exponent, apply_exp_g0_grid
 from conformal_heat.spherical import GridField2D
 from conformal_heat.special_functions import (
-    ThetaArgs,
     _chebyshev_run,
     check_t,
     gegenbauer_tilde,
@@ -99,18 +97,18 @@ def test_truncation_validates_before_its_cache():
 ])
 def test_series_equals_per_degree_sum(dim, z, t):
     # the per-degree sum written out: one scalar weight and C~_m per degree
-    q = KernelQuery(dim, as_time(z), 0.7, 1.6, t, 1e-10)
+    ct = as_time(z)
     nu = 0.5 * (dim - 2)
     acc = 0.0 + 0.0j
     for m in range(truncation_degree(dim, z, 1e-10) + 1):
-        acc += cmath.exp(-q.z.z * (m + nu) ** 2) * gegenbauer_tilde(m, nu, t)
+        acc += cmath.exp(-ct.z * (m + nu) ** 2) * gegenbauer_tilde(m, nu, t)
     pref = math.gamma(0.5 * dim) / (2.0 * math.pi ** (0.5 * dim))
-    want = complex(pref * _gauss_factor(q.z, 0.7, 1.6, dim) * acc)
-    assert full_kernel_series(q) == want
-    assert full_kernel_series(q) == want  # again, from the caches
+    want = complex(pref * _gauss_factor(ct, 0.7, 1.6, dim) * acc)
+    assert full_kernel_series(dim, 0.7, 1.6, t, z, 1e-10) == want
+    assert full_kernel_series(dim, 0.7, 1.6, t, ct, 1e-10) == want  # again, from the caches
 
 
-def _numpy_series(q: KernelQuery) -> complex:
+def _numpy_series(dim: int, r: float, rp: float, t: float, ct: ComplexTime, tol: float) -> complex:
     """full_kernel_series written out with numpy factors and a plain loop.
 
     Every factor is computed in full per call, with no cache: the
@@ -119,9 +117,9 @@ def _numpy_series(q: KernelQuery) -> complex:
     Gaussian factor from numpy scalar operations (np.exp and a float64
     power included).  The series route must match it bit for bit.
     """
-    ct, nu = q.z, 0.5 * (q.dim - 2)
-    cut = truncation_degree(q.dim, ct, q.tol)
-    t = check_t(q.t)
+    nu = 0.5 * (dim - 2)
+    cut = truncation_degree(dim, ct, tol)
+    t = check_t(t)
     if nu == 0.0:
         tildes = [2.0 * x if k else 1.0 for k, x in enumerate(_chebyshev_run(cut, t))]
     elif nu == -0.5 and abs(t) == 1.0:
@@ -134,11 +132,11 @@ def _numpy_series(q: KernelQuery) -> complex:
     acc = 0.0 + 0.0j
     for w, c in zip([cmath.exp(-ct.z * (m + nu) ** 2) for m in range(cut + 1)], tildes):
         acc += w * c
-    pref = math.gamma(0.5 * q.dim) / (2.0 * math.pi ** (0.5 * q.dim))
-    dlog = np.log(q.r) - np.log(q.r_prime)
+    pref = math.gamma(0.5 * dim) / (2.0 * math.pi ** (0.5 * dim))
+    dlog = np.log(r) - np.log(rp)
     inv_sqrt = 1.0 / (2.0 * math.sqrt(math.pi) * ct.sqrt_z)
     gauss = (inv_sqrt * np.exp(-dlog * dlog / (4.0 * ct.z))
-             * (np.asarray(q.r) * np.asarray(q.r_prime)) ** (-0.5 * (q.dim - 2)))
+             * (np.asarray(r) * np.asarray(rp)) ** (-0.5 * (dim - 2)))
     return complex(pref * gauss * acc)
 
 
@@ -155,10 +153,10 @@ def test_series_has_the_bits_of_the_numpy_formula(dim, z):
                          near_pole, -near_pole])
     r, rp = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), (2, ts.size)))
     ct = as_time(z)
-    queries = [KernelQuery(dim, ct, a, b, c, 1e-10) for a, b, c in zip(r.tolist(), rp.tolist(), ts.tolist())]
-    got = [full_kernel_series(q) for q in queries]
+    points = list(zip(r.tolist(), rp.tolist(), ts.tolist()))
+    got = [full_kernel_series(dim, a, b, c, ct, 1e-10) for a, b, c in points]
     assert all(type(v) is complex for v in got)
-    np.testing.assert_array_equal(_bits(got), _bits([_numpy_series(q) for q in queries]))
+    np.testing.assert_array_equal(_bits(got), _bits([_numpy_series(dim, a, b, c, ct, 1e-10) for a, b, c in points]))
 
 
 @pytest.mark.parametrize("dim,z", [(2, 1.0), (3, 0.4), (4, 0.8 + 0.5j)])
@@ -180,9 +178,9 @@ def test_kernel_regime_guards():
     with pytest.raises(InvalidRegimeError):
         radial_kernel(0, 2, 1.0, 1.0, -0.5)
     with pytest.raises(InvalidRegimeError):
-        full_kernel_series(KernelQuery(2, as_time(0.0 + 1j), 1.0, 1.0, 0.5))
+        full_kernel_series(2, 1.0, 1.0, 0.5, 0.0 + 1j)
     with pytest.raises(InvalidRegimeError):
-        closed_form_2d(1.0, 1.0, 2j, t=0.5)
+        closed_form_2d(1.0, 1.0, 0.5, 2j)
     with pytest.raises(InvalidRegimeError):
         truncation_degree(2, -1.0, 1e-10)
 
@@ -213,9 +211,7 @@ def test_closed_2d_against_partial_sum():
         cmath.exp(-z * m * m) * math.cos(m * ang) for m in range(1, 60)
     )
     want = series * cmath.exp(-dlog**2 / (4 * z)) / (2 * math.pi * cmath.sqrt(4 * math.pi * z))
-    assert closed_form_2d(r, rp, z, t=t) == pytest.approx(want, rel=1e-12)
-    # a signed angle is equivalent (theta is even)
-    assert closed_form_2d(r, rp, z, angle=-ang) == pytest.approx(want, rel=1e-12)
+    assert closed_form_2d(r, rp, t, z) == pytest.approx(want, rel=1e-12)
 
 
 def test_closed_4d_against_partial_sum():
@@ -241,7 +237,7 @@ def test_closed_4d_near_diagonal_fallback():
     r, rp = 1.1, 0.9
     # at t = 1 the closed form must not divide by sin(0)
     at_one = closed_form_4d(r, rp, 1.0, z)
-    series = full_kernel_series(KernelQuery(4, as_time(z), r, rp, 1.0, 1e-14))
+    series = full_kernel_series(4, r, rp, 1.0, z, 1e-14)
     assert at_one == pytest.approx(series, rel=1e-13)
     # continuity across the fallback boundary
     t_in = 1.0 - 2e-6   # theta route
@@ -249,27 +245,44 @@ def test_closed_4d_near_diagonal_fallback():
     a = closed_form_4d(r, rp, t_in, z)
     b = closed_form_4d(r, rp, t_out, z)
     assert abs(a - b) / abs(a) < 1e-4
-    series_in = full_kernel_series(KernelQuery(4, as_time(z), r, rp, t_in, 1e-14))
+    series_in = full_kernel_series(4, r, rp, t_in, z, 1e-14)
     assert abs(a - series_in) / abs(a) < 1e-6
 
 
 def test_full_series_n3_has_no_closed_form_but_converges():
-    q = KernelQuery(3, as_time(0.6 + 0.2j), 1.3, 0.9, 0.25, 1e-13)
-    loose = KernelQuery(3, as_time(0.6 + 0.2j), 1.3, 0.9, 0.25, 1e-6)
-    tight = full_kernel_series(q)
-    assert abs(tight - full_kernel_series(loose)) < 1e-6
+    tight = full_kernel_series(3, 1.3, 0.9, 0.25, 0.6 + 0.2j, 1e-13)
+    loose = full_kernel_series(3, 1.3, 0.9, 0.25, 0.6 + 0.2j, 1e-6)
+    assert abs(tight - loose) < 1e-6
 
 
 def test_query_validation():
     with pytest.raises(DomainError):
-        KernelQuery(2, as_time(0.5), -1.0, 1.0, 0.5)
+        full_kernel_series(2, -1.0, 1.0, 0.5, 0.5)
     with pytest.raises(DomainError):
-        KernelQuery(2, as_time(0.5), 1.0, 1.0, 1.5)
+        full_kernel_series(2, 1.0, 1.0, 1.5, 0.5)
     with pytest.raises(DomainError):
-        KernelQuery(0, as_time(0.5), 1.0, 1.0, 0.5)
+        full_kernel_series(0, 1.0, 1.0, 0.5, 0.5)
     for tol in (math.inf, math.nan, 0.0):
         with pytest.raises(DomainError):
-            KernelQuery(2, as_time(0.5), 1.0, 1.0, 0.5, tol)
+            full_kernel_series(2, 1.0, 1.0, 0.5, 0.5, tol)
+
+
+# Two faults per call; the first in the order the checks run (dim, radii,
+# t, tol, then the regime; Im tau, then tol) decides the error.
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: full_kernel_series(0, -1.0, 1.0, 0.5, 0.5), DomainError, "dim must be"),
+    (lambda: full_kernel_series(2, math.nan, 1.0, 1.5, 0.5), DomainError, "radii must be positive"),
+    (lambda: full_kernel_series(2, 1.0, 1.0, 1.5, 0.5, 0.0), DomainError, "outside"),
+    (lambda: full_kernel_series(2, 1.0, 1.0, 0.5, 1j, math.nan), DomainError, "tol must be finite"),
+    (lambda: full_kernel_series(2, 0.0, 1.0, 0.5, -0.5), DomainError, "radii must be positive"),
+    (lambda: theta(0.1, 1.0 + 0.0j, 0.0), SeriesDivergenceError, "Im tau"),
+    (lambda: theta(np.zeros(3), -0.5j, math.nan), SeriesDivergenceError, "Im tau"),
+    (lambda: theta_dv(0.1, 0.5 - 0.1j, -1e-14), SeriesDivergenceError, "Im tau"),
+], ids=["series-dim-radii", "series-radii-t", "series-t-tol", "series-tol-regime", "series-radii-regime",
+        "theta-tau-tol", "theta-array-tau-tol", "theta_dv-tau-tol"])
+def test_two_faults_raise_the_first_in_check_order(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_apply_radial_kernel_mass_conservation_limit():
@@ -374,12 +387,15 @@ def test_apply_radial_kernel_rejects_negative_degrees():
 @pytest.mark.parametrize("r, rp", [(0.0, 1.0), (-2.0, 1.0), (1.0, 0.0), (1.0, -0.5), (math.nan, 1.0)])
 def test_closed_forms_reject_non_positive_radii(r, rp):
     with pytest.raises(DomainError, match="radii"):
-        closed_form_2d(r, rp, 0.5, t=0.3)
-    with pytest.raises(DomainError, match="radii"):
-        closed_form_2d(r, rp, 0.5, angle=0.3)
+        closed_form_2d(r, rp, 0.3, 0.5)
     for t in (0.3, 1.0):  # also inside the near-pole series fallback
         with pytest.raises(DomainError, match="radii"):
             closed_form_4d(r, rp, t, 0.5)
+    # the radial kernel too, for one point or inside an array
+    with pytest.raises(DomainError, match="radii"):
+        radial_kernel(0, 3, r, rp, 0.5)
+    with pytest.raises(DomainError, match="radii"):
+        radial_kernel(0, 3, np.array([1.0, r]), rp, 0.5)
 
 
 def test_semigroup_matrix_is_a_fresh_array():
@@ -393,8 +409,8 @@ def test_semigroup_matrix_is_a_fresh_array():
 
 
 @pytest.mark.parametrize("call", [
-    lambda t: full_kernel_series(KernelQuery(3, as_time(0.5), 1.0, 1.2, t)),
-    lambda t: closed_form_2d(1.0, 1.2, 0.5, t=t),
+    lambda t: full_kernel_series(3, 1.0, 1.2, t, 0.5),
+    lambda t: closed_form_2d(1.0, 1.2, t, 0.5),
     lambda t: closed_form_4d(1.0, 1.2, t, 0.5),
 ], ids=["series", "closed-2d", "closed-4d"])
 def test_nan_cos_angle_is_refused(call):
@@ -405,14 +421,13 @@ def test_nan_cos_angle_is_refused(call):
 
 @pytest.mark.parametrize("t", [1.0 + 1e-13, -1.0 - 1e-13])
 def test_kernel_query_accepts_the_rounding_slack(t):
-    q = KernelQuery(3, as_time(0.5), 1.0, 1.2, t)
-    assert full_kernel_series(q) == full_kernel_series(KernelQuery(3, as_time(0.5), 1.0, 1.2, round(t)))
+    assert full_kernel_series(3, 1.0, 1.2, t, 0.5) == full_kernel_series(3, 1.0, 1.2, round(t), 0.5)
 
 
 @pytest.mark.parametrize("t", [math.nan, 1.0 + 2e-12, -1.0 - 2e-12])
 def test_kernel_query_refuses_t_outside_the_slack(t):
     with pytest.raises(DomainError, match="outside"):
-        KernelQuery(3, as_time(0.5), 1.0, 1.2, t)
+        full_kernel_series(3, 1.0, 1.2, t, 0.5)
 
 
 def test_apply_radial_kernel_empty_range_builds_no_matrix(monkeypatch):
@@ -440,16 +455,16 @@ def _reference_2d(r, rp, t, z, tol):
     ct = as_time(z)
     dlog = math.log(r) - math.log(rp)
     pref = 1.0 / (2.0 * math.pi) / (2.0 * math.sqrt(math.pi) * ct.sqrt_z)
-    th = theta(ThetaArgs(math.acos(t) / (2.0 * math.pi), 1j * ct.z / math.pi, tol))
+    th = theta(math.acos(t) / (2.0 * math.pi), 1j * ct.z / math.pi, tol)
     return pref * cmath.exp(-dlog * dlog / (4.0 * ct.z)) * th
 
 
 def _reference_4d(r, rp, t, z, tol):
     ct = as_time(z)
     if abs(t) > 1.0 - 1e-6:
-        return full_kernel_series(KernelQuery(4, ct, r, rp, t, tol))
+        return full_kernel_series(4, r, rp, t, ct, tol)
     dlog = math.log(r) - math.log(rp)
-    dv = theta_dv(ThetaArgs(math.acos(t) / (2.0 * math.pi), 1j * ct.z / math.pi, tol))
+    dv = theta_dv(math.acos(t) / (2.0 * math.pi), 1j * ct.z / math.pi, tol)
     pref = -1.0 / (8.0 * math.pi**3) / (2.0 * math.sqrt(math.pi) * ct.sqrt_z)
     return pref * cmath.exp(-dlog * dlog / (4.0 * ct.z)) / (r * rp) / math.sqrt(1.0 - t * t) * dv
 
@@ -480,16 +495,11 @@ def test_closed_form_1d_table_equals_per_point_reference():
 def test_closed_form_2d_table_equals_per_point_reference(z):
     r, rp, t, _ = _table(22)
     t[:4] = [1.0, -1.0, 0.0, -0.0]
-    got = closed_form_2d(r, rp, z, t=t, tol=1e-10)
+    got = closed_form_2d(r, rp, t, z, tol=1e-10)
     want = [_reference_2d(a, b, c, z, 1e-10) for a, b, c in zip(r.tolist(), rp.tolist(), t.tolist())]
     assert np.array_equal(_bits(got), _bits(want))
-    one = closed_form_2d(float(r[5]), float(rp[5]), z, t=float(t[5]), tol=1e-10)
+    one = closed_form_2d(float(r[5]), float(rp[5]), float(t[5]), z, tol=1e-10)
     assert type(one) is complex and one == got[5]
-    # the signed-angle form takes arrays too
-    angles = np.arccos(t[:50]) * np.where(np.arange(50) % 2, -1.0, 1.0)
-    by_angle = closed_form_2d(r[:50], rp[:50], z, angle=angles, tol=1e-10)
-    assert np.array_equal(by_angle, [closed_form_2d(a, b, z, angle=c, tol=1e-10)
-                                     for a, b, c in zip(r[:50].tolist(), rp[:50].tolist(), angles.tolist())])
 
 
 @pytest.mark.parametrize("z", [0.4 + 0.2j, 0.7])
@@ -508,7 +518,7 @@ def test_closed_form_4d_table_with_pole_rows_equals_per_point_reference(z):
 def test_closed_form_tables_raise_what_a_row_loop_raises_first():
     r = np.array([1.0, 1.2, 0.0, 0.9])
     t = np.array([0.1, 1.5, 0.2, 0.3])
-    for call in (lambda r, t, z: closed_form_2d(r, np.ones_like(r), z, t=t),
+    for call in (lambda r, t, z: closed_form_2d(r, np.ones_like(r), t, z),
                  lambda r, t, z: closed_form_4d(r, np.ones_like(r), t, z)):
         with pytest.raises(DomainError, match="outside"):  # row 1 comes before row 2
             call(r, t, 0.5)

@@ -33,6 +33,14 @@ def test_grid_validation():
         LogRadialGrid(2, -4.0, 4.0, 4)  # too small
 
 
+@pytest.mark.parametrize("s_min, s_max", [
+    (-16.0, math.inf), (-math.inf, 16.0), (math.nan, 16.0), (-16.0, math.nan), (-1e308, 1e308),
+], ids=["inf-max", "inf-min", "nan-min", "nan-max", "ds-overflows"])
+def test_grid_refuses_non_finite_geometry(s_min, s_max):
+    with pytest.raises(DomainError, match="finite"):
+        LogRadialGrid(3, s_min, s_max, 8)
+
+
 def test_sigma_layout():
     grid = LogRadialGrid(2, -8.0, 8.0, 64)
     assert grid.sigma.shape == (64,)

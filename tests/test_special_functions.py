@@ -12,7 +12,6 @@ from numpy.testing import assert_allclose
 
 from conformal_heat.errors import DomainError, SeriesDivergenceError
 from conformal_heat.special_functions import (
-    ThetaArgs,
     check_t,
     gegenbauer_tilde,
     gegenbauer_tilde_sup,
@@ -149,39 +148,39 @@ def _direct_theta_dv(v, tau, order=200):
     [(0.0, 1j), (0.25, 1j), (0.3, 0.4 + 0.9j), (0.1 + 0.05j, 0.6j), (-0.7, 0.2 + 0.35j)],
 )
 def test_theta_against_direct_summation(v, tau):
-    got = theta(ThetaArgs(v, tau, 1e-15))
+    got = theta(v, tau, 1e-15)
     want = _direct_theta(v, tau)
     assert abs(got - want) < 1e-13 * max(1.0, abs(want))
-    got_dv = theta_dv(ThetaArgs(v, tau, 1e-15))
+    got_dv = theta_dv(v, tau, 1e-15)
     want_dv = _direct_theta_dv(v, tau)
     assert abs(got_dv - want_dv) < 1e-12 * max(1.0, abs(want_dv))
 
 
 def test_theta_frozen_value_at_i():
     # frozen by direct summation of 1 + 2 sum exp(-pi m^2)
-    assert abs(theta(ThetaArgs(0.0, 1j, 1e-15)) - 1.086434811213308) < 1e-12
+    assert abs(theta(0.0, 1j, 1e-15) - 1.086434811213308) < 1e-12
 
 
 def test_theta_cosine_form():
     partial = 1.0 + 2.0 * sum(
         math.exp(-math.pi * m * m) * math.cos(math.pi * m / 2.0) for m in range(1, 40)
     )
-    assert theta(ThetaArgs(0.25, 1j, 1e-15)) == pytest.approx(partial, abs=1e-14)
+    assert theta(0.25, 1j, 1e-15) == pytest.approx(partial, abs=1e-14)
 
 
 @pytest.mark.parametrize("v,tau", [(0.2, 0.5j), (-0.15, 0.3j), (0.37, 0.2 + 0.8j)])
 def test_theta_dv_finite_differences(v, tau):
     h = 1e-5
-    d = theta_dv(ThetaArgs(v, tau, 1e-15))
-    fd = (theta(ThetaArgs(v + h, tau, 1e-15)) - theta(ThetaArgs(v - h, tau, 1e-15))) / (2 * h)
+    d = theta_dv(v, tau, 1e-15)
+    fd = (theta(v + h, tau, 1e-15) - theta(v - h, tau, 1e-15)) / (2 * h)
     assert abs(d - fd) / abs(d) < 1e-8
 
 
 def test_theta_even_and_periodic():
     for v, tau in ((0.3, 0.7j), (0.12, 0.4 + 0.5j)):
-        a = theta(ThetaArgs(v, tau, 1e-15))
-        assert abs(a - theta(ThetaArgs(-v, tau, 1e-15))) < 1e-14 * abs(a)
-        assert abs(a - theta(ThetaArgs(v + 1.0, tau, 1e-15))) < 1e-12 * abs(a)
+        a = theta(v, tau, 1e-15)
+        assert abs(a - theta(-v, tau, 1e-15)) < 1e-14 * abs(a)
+        assert abs(a - theta(v + 1.0, tau, 1e-15)) < 1e-12 * abs(a)
 
 
 _RANGE_CASES = [(-0.5, 1.0), (-0.5, -1.0)] + [
@@ -256,11 +255,10 @@ def _termwise_theta(v, tau, tol):
 def test_theta_equals_termwise_loop():
     # the loops the cached terms replaced, bit for bit
     for v, tau in [(0.13, 0.3 + 0.4j), (0.2 + 0.05j, 0.1 + 0.15j), (0.0, 1j)]:
-        args = ThetaArgs(v, tau, 1e-13)
         for _ in range(2):  # the second call reads the caches
             th, dv = _termwise_theta(v, tau, 1e-13)
-            assert theta(args) == th
-            assert theta_dv(args) == dv
+            assert theta(v, tau, 1e-13) == th
+            assert theta_dv(v, tau, 1e-13) == dv
 
 
 def _theta_points(kind: str) -> np.ndarray:
@@ -280,30 +278,32 @@ def test_theta_arrays_equal_termwise_loop_bit_for_bit(kind, tau, tol):
     v = _theta_points(kind)
     want = [_termwise_theta(p, tau, tol) for p in v.tolist()]
     shaped = v.reshape(20, 20)
-    th, dv = theta(ThetaArgs(shaped, tau, tol)), theta_dv(ThetaArgs(shaped, tau, tol))
+    th, dv = theta(shaped, tau, tol), theta_dv(shaped, tau, tol)
     assert th.shape == dv.shape == (20, 20) and th.dtype == dv.dtype == complex
     assert np.array_equal(_bits(th.ravel()), _bits([w[0] for w in want]))
     assert np.array_equal(_bits(dv.ravel()), _bits([w[1] for w in want]))
 
 
 def test_theta_scalar_is_the_zero_dimensional_case():
-    args = ThetaArgs(0.3 + 0.01j, 0.2 + 0.5j, 1e-12)
-    assert type(theta(args)) is complex and type(theta_dv(args)) is complex
-    empty = ThetaArgs(np.zeros((0, 3)), 0.5j)
-    assert theta(empty).shape == theta_dv(empty).shape == (0, 3)
+    args = (0.3 + 0.01j, 0.2 + 0.5j, 1e-12)
+    assert type(theta(*args)) is complex and type(theta_dv(*args)) is complex
+    empty = (np.zeros((0, 3)), 0.5j)
+    assert theta(*empty).shape == theta_dv(*empty).shape == (0, 3)
 
 
 def test_theta_divergence_guard():
-    with pytest.raises(SeriesDivergenceError):
-        ThetaArgs(0.0, 1.0 + 0.0j)
-    with pytest.raises(SeriesDivergenceError):
-        ThetaArgs(0.0, 0.5 - 0.1j)
+    for f in (theta, theta_dv):
+        with pytest.raises(SeriesDivergenceError):
+            f(0.0, 1.0 + 0.0j)
+        with pytest.raises(SeriesDivergenceError):
+            f(0.0, 0.5 - 0.1j)
 
 
 @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-14])
 def test_theta_args_need_finite_positive_tol(tol):
-    with pytest.raises(DomainError):
-        ThetaArgs(0.1, 0.5j, tol)
+    for f in (theta, theta_dv):
+        with pytest.raises(DomainError):
+            f(0.1, 0.5j, tol)
 
 
 def test_domain_guards():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,9 @@ def test_scaling_alignment_guard():
     field = _component(grid, 0, np.exp(-grid.s**2))
     with pytest.raises(GridAlignmentError):
         apply_scaling_direct(0.3 * grid.ds, field)
+    for t in (math.nan, math.inf, -math.inf):  # no shift at all: refused as misaligned
+        with pytest.raises(GridAlignmentError):
+            apply_scaling_direct(t, field)
 
 
 def test_scaling_spectral_vs_direct():
