@@ -37,7 +37,6 @@ from .ladder import (
     standard_basis,
 )
 from .log_radial import (
-    FrequencySamples,
     LogRadialGrid,
     RadialSamples,
     fourier_forward,

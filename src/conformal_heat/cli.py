@@ -52,27 +52,24 @@ from .verify import SUITES, run_suites
 _DEFAULT_TOL = 1e-10
 
 
-def _finite(values: list[float], what: str) -> list[float]:
+def _numbers(what: str, text: str, count: int | None = None) -> list[float]:
+    """The finite comma-separated numbers that option (or variable) `what` holds.
+
+    With a count, text must hold exactly that many; without one, empty
+    items are skipped.  Every error names `what` once.
+    """
+    parts = [p.strip() for p in text.split(",")]
+    if count is None:
+        parts = [p for p in parts if p]
+    elif len(parts) != count:
+        raise FieldFormatError(f"{what}: expected {count} comma-separated numbers, got {text!r}")
+    try:
+        values = [float(p) for p in parts]
+    except ValueError as exc:
+        raise FieldFormatError(f"{what}: {exc}") from exc
     if not all(map(math.isfinite, values)):
         raise FieldFormatError(f"{what}: values must be finite, got {values}")
     return values
-
-
-def _parse_floats(text: str, count: int, what: str) -> list[float]:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != count:
-        raise FieldFormatError(f"{what}: expected {count} comma-separated numbers, got {text!r}")
-    try:
-        return _finite([float(p) for p in parts], what)
-    except ValueError as exc:
-        raise FieldFormatError(f"{what}: {exc}") from exc
-
-
-def _parse_float_list(text: str, what: str) -> list[float]:
-    try:
-        return _finite([float(p) for p in text.split(",") if p.strip()], what)
-    except ValueError as exc:
-        raise FieldFormatError(f"{what}: {exc}") from exc
 
 
 def _parse_grid(text: str) -> tuple[float, float, int]:
@@ -80,7 +77,7 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
     parts = text.split(",")
     if len(parts) != 3 or not re.fullmatch(r"\s*[+-]?\d+\s*", parts[2]):
         raise FieldFormatError(f"--grid needs smin,smax,n with an integer n, got {text!r}")
-    s_min, s_max = _parse_floats(",".join(parts[:2]), 2, "--grid")
+    s_min, s_max = _numbers("--grid", ",".join(parts[:2]), 2)
     return s_min, s_max, int(parts[2])
 
 
@@ -112,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     k = sub.add_parser("kernel", help="tabulate semigroup kernels")
     k.add_argument("--dim", type=int, default=2, help="ambient dimension N >= 1 (default 2)")
     k.add_argument("--z", required=True, help="complex time, re,im")
-    k.add_argument("--tol", type=float, help="series tolerance (default 1e-10, env CONFORMAL_HEAT_TOL)")
+    k.add_argument("--tol", help="series tolerance (default 1e-10, env CONFORMAL_HEAT_TOL)")
     k.add_argument("--closed-form", action="store_true", help="use the N in {1,2,4} closed forms")
     k.add_argument("--in", dest="in_path", help="points file with columns r,r_prime,t")
     k.add_argument("--r", help="comma list of r values (with --rp/--t builds a product grid)")
@@ -126,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
     a.add_argument("--t", help="apply the dilation for this t instead")
     a.add_argument("--in", dest="in_path", help="field file")
     a.add_argument("--dim", type=int, help="check that the field file has this dimension N")
-    a.add_argument("--tol", type=float, help="tolerance echoed in the output's config line")
+    a.add_argument("--tol", help="tolerance echoed in the output's config line")
     a.add_argument("--out", dest="out_path", help=out_help)
 
     v = sub.add_parser("verify", help="run self-check suites")
@@ -147,12 +144,9 @@ def _tolerance(args: argparse.Namespace) -> float:
     tol = _DEFAULT_TOL
     env_tol = os.environ.get("CONFORMAL_HEAT_TOL")
     if args.tol is not None:
-        (tol,) = _finite([args.tol], "--tol")
+        (tol,) = _numbers("--tol", args.tol, 1)
     elif env_tol is not None:
-        try:
-            (tol,) = _finite([float(env_tol)], "CONFORMAL_HEAT_TOL")
-        except ValueError as exc:
-            raise FieldFormatError(f"CONFORMAL_HEAT_TOL: {exc}") from exc
+        (tol,) = _numbers("CONFORMAL_HEAT_TOL", env_tol, 1)
     if tol <= 0:
         raise DomainError("tolerance must be positive")
     return tol
@@ -198,12 +192,6 @@ def _emit(out_path: str | None, text: str) -> None:
         fp.write(text)
 
 
-def _kernel_value(dim: int, ct: ComplexTime, r: float, rp: float, t: float, tol: float) -> complex:
-    if dim == 1 and abs(t) != 1.0:
-        raise DomainError("N = 1 admits only t = +1 or t = -1")
-    return full_kernel_series(dim, r, rp, t, ct, tol)
-
-
 def _closed_form_table(dim: int, ct: ComplexTime, points: np.ndarray, tol: float) -> np.ndarray:
     """One closed-form call over the whole (nonempty) table.
 
@@ -212,33 +200,26 @@ def _closed_form_table(dim: int, ct: ComplexTime, points: np.ndarray, tol: float
     """
     r, rp, t = points.T
     if dim == 1:
-        bad_t = np.abs(t) != 1.0
-        first = int(np.argmax(bad_t)) if bad_t.any() else t.size
-        # rows ahead of the first bad t raise their own errors first
-        values = closed_form_1d(r[:first], t[:first] * rp[:first], ct)
-        if first < t.size:
-            raise DomainError("N = 1 admits only t = +1 or t = -1")
-    elif dim == 2:
-        values = closed_form_2d(r, rp, t, ct, tol)
-    elif dim == 4:
-        values = closed_form_4d(r, rp, t, ct, tol)
-    else:
-        raise DomainError(f"closed forms exist for N in {{1, 2, 4}}, not N = {dim}")
-    return values
+        return closed_form_1d(r, rp, t, ct)
+    if dim == 2:
+        return closed_form_2d(r, rp, t, ct, tol)
+    if dim == 4:
+        return closed_form_4d(r, rp, t, ct, tol)
+    raise DomainError(f"closed forms exist for N in {{1, 2, 4}}, not N = {dim}")
 
 
 def cmd_kernel(args: argparse.Namespace) -> int:
     _check_dim(args.dim)
     tol = _tolerance(args)
-    z = complex(*_parse_floats(args.z, 2, "--z"))
+    z = complex(*_numbers("--z", args.z, 2))
     if args.in_path is not None:
         if (args.r, args.rp, args.t) != (None, None, None):
             raise FieldFormatError("kernel takes its points from --in or from --r, --rp, --t, not both")
         points = read_points(args.in_path)
     else:
-        r_list = _parse_float_list(args.r or "", "--r")
-        rp_list = _parse_float_list(args.rp or "", "--rp")
-        t_list = _parse_float_list(args.t or "", "--t")
+        r_list = _numbers("--r", args.r or "")
+        rp_list = _numbers("--rp", args.rp or "")
+        t_list = _numbers("--t", args.t or "")
         if not (r_list and rp_list and t_list):
             raise FieldFormatError("kernel needs --in POINTS or all of --r, --rp, --t")
         points = np.array([(r, rp, t) for r in r_list for rp in rp_list for t in t_list])
@@ -246,7 +227,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     if args.closed_form and len(points):
         values = _closed_form_table(args.dim, ct, points, tol)
     else:  # the series route; an empty table raises nothing on either route
-        values = np.array([_kernel_value(args.dim, ct, r, rp, t, tol) for r, rp, t in points.tolist()],
+        values = np.array([full_kernel_series(args.dim, r, rp, t, ct, tol) for r, rp, t in points.tolist()],
                           dtype=complex)
     if args.fmt == "json":
         payload = {
@@ -272,11 +253,11 @@ def cmd_apply(args: argparse.Namespace) -> int:
     if (args.exponent is None) == (args.t is None):
         raise FieldFormatError("apply needs exactly one of --exponent or --t")
     if args.exponent is not None:
-        v = _parse_floats(args.exponent, 6, "--exponent")
+        v = _numbers("--exponent", args.exponent, 6)
         exponent = G0Exponent(complex(v[0], v[1]), complex(v[2], v[3]), complex(v[4], v[5]))
         action = {"exponent": v}
     else:
-        (t,) = _parse_floats(args.t, 1, "--t")
+        (t,) = _numbers("--t", args.t, 1)
         action = {"t": t}
     if args.in_path is None:
         raise FieldFormatError("apply needs --in FIELD_FILE")

@@ -18,12 +18,14 @@ to theta-function closed forms.  Every kernel function takes plain
 arguments and z as a number or a ComplexTime:
 
     full_kernel_series(dim, r, r', t, z, tol)    one point, t = <w, w'>
-    closed_form_1d(x, x', z)                     N = 1, signed points
+    closed_form_1d(r, r', t, z)                  N = 1, arrays broadcast
     closed_form_2d(r, r', t, z, tol)             N = 2, arrays broadcast
     closed_form_4d(r, r', t, z, tol)             N = 4, arrays broadcast
 
-Each checks its own arguments and raises DomainError or
-InvalidRegimeError for the first bad one.
+A point is (r w, r' w') with radii r, r' > 0 and t = <w, w'>; for N = 1
+the sphere is {+1, -1}, so t is +1 (same sign) or -1 (opposite signs)
+and nothing else.  Each function checks its own arguments and raises
+DomainError or InvalidRegimeError for the first bad one.
 
 All square roots of z take the principal branch (Re sqrt >= 0, positive
 on the positive reals), tracked explicitly by ComplexTime.  On the line
@@ -97,6 +99,19 @@ def _require_positive_radii(r: float, r_prime: float) -> None:
         raise DomainError("radii must be positive")
 
 
+def _admissible_t(dim: int, t):
+    """Whether t = <w, w'> occurs on S^{N-1}, for a float or elementwise:
+    t = +-1 exactly for N = 1, else |t| <= 1 up to rounding slack; never NaN."""
+    return abs(t) == 1.0 if dim == 1 else abs(t) <= 1.0 + _T_SLACK
+
+
+def _refuse_t(dim: int, t: float) -> None:
+    """Raise the error for a t that _admissible_t refuses."""
+    if dim == 1:
+        raise DomainError("N = 1 admits only t = +1 or t = -1")
+    check_t(t)
+
+
 def _gauss_factor(ct: ComplexTime, r, rp, dim: int):
     # (4 pi z)^{-1/2} exp(-(log r - log r')^2 / (4 z)) (r r')^{-(N-2)/2}, over arrays.
     # The power stays an array `**`: on arrays it rounds unlike math.pow, so
@@ -144,7 +159,7 @@ def _certified_cut(dim: int, x: float, tol: float) -> int:
     one key per point and computes it once.
     """
     if dim == 1:
-        return 1  # C~_m^{-1/2}(+-1) vanishes for m >= 2
+        return 1  # C~_m^{-1/2}(t) vanishes for m >= 2 at t = +-1, the only N = 1 angles
     nu = 0.5 * (dim - 2)
     # Accumulate certified term bounds until the leftover tail is provably
     # geometric with ratio <= 1/2, then pick the first admissible M.
@@ -189,12 +204,12 @@ def full_kernel_series(dim: int, r: float, r_prime: float, t: float, z, tol: flo
     """Full kernel K(r w, r' w'; z) with t = <w, w'>, by the truncated Gegenbauer series.
 
     z is a number or a ComplexTime.  The arguments are checked in the
-    order dim, radii, t, tol, then the regime Re z > 0.  The absolute
-    truncation error is at most tol times the Gaussian
-    prefactor (the zonal prefactor Gamma(N/2)/(2 pi^{N/2}) < 1 shrinks it
-    further).  One call costs O(cut): the weights and the zonal prefactor
-    come from caches and the C~_m from one recurrence pass, summed in
-    increasing m.
+    order dim, radii, t (+-1 alone for N = 1), tol, then the regime
+    Re z > 0.  The absolute truncation error is at most tol times the
+    Gaussian prefactor (the zonal prefactor Gamma(N/2)/(2 pi^{N/2}) < 1
+    shrinks it further).  One call costs O(cut): the weights and the
+    zonal prefactor come from caches and the C~_m from one recurrence
+    pass, summed in increasing m.
 
     The bytes are those of the numpy formula in _gauss_factor, so two of
     its factors stay numpy at this one point: np.log (math.log differs in
@@ -206,8 +221,8 @@ def full_kernel_series(dim: int, r: float, r_prime: float, t: float, z, tol: flo
     if dim < 1:
         raise DomainError("dim must be >= 1")
     _require_positive_radii(r, r_prime)
-    if not abs(t) <= 1.0 + _T_SLACK:  # checked only: the recurrence clamps t itself
-        check_t(t)
+    if not _admissible_t(dim, t):  # checked only: the recurrence clamps t itself
+        _refuse_t(dim, t)
     check_tol(tol)
     ct = _require_kernel_regime(as_time(z))
     nu = 0.5 * (dim - 2)
@@ -244,44 +259,42 @@ def _as_result(values, shape: tuple):
     return complex(out) if out.ndim == 0 else out
 
 
-def closed_form_1d(x, x_prime, z):
-    """N = 1 kernel on R \\ {0}; vanishes for opposite signs.
-
-    x and x_prime are numbers or arrays that broadcast together; the
-    result is a complex, or a complex array of the broadcast shape.  A
-    zero point in any row raises, as a loop over the rows would.
-    """
-    ct = as_time(z)
-    x, x_prime = _columns(x, x_prime)
-
-    def check_row(i):
-        if x.flat[i] == 0 or x_prime.flat[i] == 0:
-            raise DomainError("the kernel lives on R \\ {0}")
-        _require_kernel_regime(ct)
-
-    _check_rows((x != 0) & (x_prime != 0), check_row)
-    r, rp = np.abs(x), np.abs(x_prime)
-    dlog = _libm(math.log, r) - _libm(math.log, rp)
-    pref = cmath.exp(-ct.z / 4.0) / (2.0 * math.sqrt(math.pi) * ct.sqrt_z)
-    quarter = 4.0 * ct.z
-    values = [
-        0.0 + 0.0j if opposite else pref * cmath.exp(g / quarter) * root
-        for opposite, g, root in zip((x * x_prime < 0).ravel().tolist(), (-dlog * dlog).ravel().tolist(),
-                                     np.sqrt(r * rp).ravel().tolist())
-    ]
-    return _as_result(values, x.shape)
-
-
-def _check_radii_and_angles(r, r_prime, t, ct: ComplexTime, tol: float) -> None:
-    """The row checks of the N = 2 and N = 4 closed forms: radii, regime, t, tol."""
+def _check_radii_and_angles(dim: int, r, r_prime, t, ct: ComplexTime, tol: float | None = None) -> None:
+    """The row checks of the closed forms: radii, regime, t, then tol if given."""
+    ok_t = _admissible_t(dim, t)
 
     def check_row(i):
         _require_positive_radii(r.flat[i], r_prime.flat[i])
         _require_kernel_regime(ct)
-        check_t(t.flat[i])
-        check_tol(tol)
+        if not ok_t.flat[i]:
+            _refuse_t(dim, t.flat[i])
+        if tol is not None:
+            check_tol(tol)
 
-    _check_rows((r > 0) & (r_prime > 0) & (np.abs(t) <= 1.0 + _T_SLACK), check_row)
+    _check_rows((r > 0) & (r_prime > 0) & ok_t, check_row)
+
+
+def closed_form_1d(r, r_prime, t, z):
+    """N = 1 kernel between the points r and t r' of R \\ {0}.
+
+    t = +1 puts the points on the same side of 0, t = -1 on opposite
+    sides, where the kernel vanishes.  r, r_prime and t are numbers or
+    arrays that broadcast together; the result is a complex, or a complex
+    array of the broadcast shape.  A bad row anywhere raises what a loop
+    over the rows would raise first.
+    """
+    ct = as_time(z)
+    r, r_prime, t = _columns(r, r_prime, t)
+    _check_radii_and_angles(1, r, r_prime, t, ct)
+    dlog = _libm(math.log, r) - _libm(math.log, r_prime)
+    pref = cmath.exp(-ct.z / 4.0) / (2.0 * math.sqrt(math.pi) * ct.sqrt_z)
+    quarter = 4.0 * ct.z
+    values = [
+        0.0 + 0.0j if opposite else pref * cmath.exp(g / quarter) * root
+        for opposite, g, root in zip((t < 0).ravel().tolist(), (-dlog * dlog).ravel().tolist(),
+                                     np.sqrt(r * r_prime).ravel().tolist())
+    ]
+    return _as_result(values, r.shape)
 
 
 def closed_form_2d(r, r_prime, t, z, tol: float = 1e-14):
@@ -298,7 +311,7 @@ def closed_form_2d(r, r_prime, t, z, tol: float = 1e-14):
     """
     ct = as_time(z)
     r, r_prime, t = _columns(r, r_prime, t)
-    _check_radii_and_angles(r, r_prime, t, ct, tol)
+    _check_radii_and_angles(2, r, r_prime, t, ct, tol)
     if not r.size:
         return np.empty(r.shape, dtype=complex)
     a = _libm(math.acos, np.clip(t, -1.0, 1.0))
@@ -328,7 +341,7 @@ def closed_form_4d(r, r_prime, t, z, tol: float = 1e-14):
     """
     ct = as_time(z)
     r, r_prime, t = _columns(r, r_prime, t)
-    _check_radii_and_angles(r, r_prime, t, ct, tol)
+    _check_radii_and_angles(4, r, r_prime, t, ct, tol)
     shape = r.shape
     r, r_prime, t = r.ravel(), r_prime.ravel(), np.clip(t, -1.0, 1.0).ravel()
     out = np.empty(t.shape, dtype=complex)

@@ -97,17 +97,6 @@ class RadialSamples:
         return RadialSamples(self.grid, self.values.copy())
 
 
-@dataclass
-class FrequencySamples:
-    """Samples g^(sigma_k) in the fftshift order of LogRadialGrid.sigma."""
-
-    grid: LogRadialGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = _rows(self.grid, self.values)
-
-
 def u_forward(f: RadialSamples) -> np.ndarray:
     """Push f through U: returns g(s_j) = e^{(N-2) s_j / 2} f(r_j)."""
     w = np.exp(0.5 * (f.grid.dim - 2) * f.grid.s)
@@ -120,22 +109,21 @@ def u_inverse(grid: LogRadialGrid, g: np.ndarray) -> RadialSamples:
     return RadialSamples(grid, w * np.asarray(g, dtype=complex))
 
 
-def fourier_forward(grid: LogRadialGrid, g: np.ndarray) -> FrequencySamples:
+def fourier_forward(grid: LogRadialGrid, g: np.ndarray) -> np.ndarray:
     """Discrete realization of g -> g^, exactly unitary for the norms below.
 
-    g^(sigma_k) = (ds / sqrt(2 pi)) e^{-i sigma_k s_min} FFT(g)_k, stored in
-    fftshift order to match grid.sigma.
+    g^(sigma_k) = (ds / sqrt(2 pi)) e^{-i sigma_k s_min} FFT(g)_k, returned
+    in fftshift order to match grid.sigma, row by row.
     """
     spec = np.fft.fft(_rows(grid, g))
     sigma_unshifted = 2.0 * math.pi * np.fft.fftfreq(grid.n, d=grid.ds)
     spec *= grid.ds / math.sqrt(2.0 * math.pi) * np.exp(-1j * sigma_unshifted * grid.s_min)
-    return FrequencySamples(grid, np.fft.fftshift(spec, axes=-1))
+    return np.fft.fftshift(spec, axes=-1)
 
 
-def fourier_inverse(gh: FrequencySamples) -> np.ndarray:
+def fourier_inverse(grid: LogRadialGrid, spec: np.ndarray) -> np.ndarray:
     """Inverse of fourier_forward; returns s-side samples g(s_j)."""
-    grid = gh.grid
-    spec = np.fft.ifftshift(gh.values, axes=-1)
+    spec = np.fft.ifftshift(_rows(grid, spec), axes=-1)
     sigma_unshifted = 2.0 * math.pi * np.fft.fftfreq(grid.n, d=grid.ds)
     spec = spec * np.exp(1j * sigma_unshifted * grid.s_min)
     return np.fft.ifft(spec) * (math.sqrt(2.0 * math.pi) / grid.ds)
@@ -147,7 +135,7 @@ def weighted_norm(f: RadialSamples) -> float:
     return math.sqrt(float(np.sum(np.abs(f.values) ** 2 * w) * f.grid.ds))
 
 
-def frequency_norm(gh: FrequencySamples) -> float:
-    """Discrete L2(d sigma) norm over all rows on the frequency side."""
-    dsigma = 2.0 * math.pi / (gh.grid.n * gh.grid.ds)
-    return math.sqrt(float(np.sum(np.abs(gh.values) ** 2) * dsigma))
+def frequency_norm(grid: LogRadialGrid, spec: np.ndarray) -> float:
+    """Discrete L2(d sigma) norm over all rows of fftshifted samples spec."""
+    dsigma = 2.0 * math.pi / (grid.n * grid.ds)
+    return math.sqrt(float(np.sum(np.abs(_rows(grid, spec)) ** 2) * dsigma))

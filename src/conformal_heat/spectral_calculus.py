@@ -103,9 +103,9 @@ def apply_exp_g0(exponent: G0Exponent, field: FactoredField) -> FactoredField:
     if exponent.is_zero():
         return FactoredField(field.m.copy(), field.radial.copy())
     grid = field.grid
-    gh = fourier_forward(grid, u_forward(field.radial))
-    gh.values *= multiplier(exponent, field.degrees[:, None], grid.sigma, grid.dim)
-    return FactoredField(field.m.copy(), u_inverse(grid, fourier_inverse(gh)))
+    spec = fourier_forward(grid, u_forward(field.radial))
+    spec *= multiplier(exponent, field.degrees[:, None], grid.sigma, grid.dim)
+    return FactoredField(field.m.copy(), u_inverse(grid, fourier_inverse(grid, spec)))
 
 
 def apply_exp_g0_grid(exponent: G0Exponent, field: GridField2D) -> GridField2D:

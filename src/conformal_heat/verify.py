@@ -21,7 +21,7 @@ from .ladder import (
     rescaled_pair,
     standard_basis,
 )
-from .log_radial import LogRadialGrid, RadialSamples, u_inverse, weighted_norm
+from .log_radial import LogRadialGrid, RadialSamples, fourier_inverse, u_inverse, weighted_norm
 from .spectral_calculus import G0Exponent, apply_exp_g0, apply_scaling_direct
 from .spherical import FactoredField, projection_kernel
 from .special_functions import theta, theta_dv
@@ -204,7 +204,7 @@ def _rel(a: complex, b: complex) -> float:
 # tol); the lambdas look the closed forms up by name when called, so a
 # wrapper put on this module's names sees every call
 _FORM_CASES = (
-    (1, (-1.0, 1.0), lambda r, rp, t, z: closed_form_1d(r, t * rp, z), 1e-14),
+    (1, (-1.0, 1.0), lambda r, rp, t, z: closed_form_1d(r, rp, t, z), 1e-14),
     (2, (-0.7, 0.2, 0.85), lambda r, rp, t, z: closed_form_2d(r, rp, t, z), 1e-9),
     (4, (-0.7, 0.2, 0.85), lambda r, rp, t, z: closed_form_4d(r, rp, t, z), 1e-8),
 )
@@ -230,15 +230,13 @@ def suite_theta_forms() -> list[CheckResult]:
 
 def _random_band_limited(grid: LogRadialGrid, rng: np.random.Generator, rows: int) -> RadialSamples:
     """rows random profiles with spectra in the central quarter band, drawn one after another."""
-    from .log_radial import FrequencySamples, fourier_inverse
-
     n = grid.n
     spec = np.zeros((rows, n), dtype=complex)
     band = slice(n // 2 - n // 8, n // 2 + n // 8)
     width = band.stop - band.start
     for row in spec:
         row[band] = rng.standard_normal(width) + 1j * rng.standard_normal(width)
-    g = fourier_inverse(FrequencySamples(grid, spec))
+    g = fourier_inverse(grid, spec)
     return u_inverse(grid, g)
 
 
@@ -381,6 +379,12 @@ _GRID_AWARE = {"spectral", "unitarity", "scaling", "semigroup"}
 
 
 def run_suites(names=None, shape: GridShape = _DEFAULT_SHAPE) -> list[CheckResult]:
+    """Run the named suites (default: all) in order, on grids of the given shape.
+
+    The shape is checked once, before any suite runs, whether or not the
+    chosen suites build a grid.
+    """
+    LogRadialGrid(1, *shape)
     if names is None:
         names = list(SUITES)
     results: list[CheckResult] = []

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,8 +15,9 @@ import pytest
 
 import conformal_heat
 from conformal_heat.cli import main
+from conformal_heat.errors import ConformalHeatError
 from conformal_heat.fields_io import read_field_file
-from conformal_heat.kernels import closed_form_2d, full_kernel_series
+from conformal_heat.kernels import closed_form_1d, closed_form_2d, full_kernel_series
 from conformal_heat.spectral_calculus import apply_scaling_direct
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -126,12 +128,18 @@ def test_kernel_matches_golden_bytes(tmp_path, name, fmt):
     assert out.read_bytes() == (FIXTURES / f"{name}.{fmt}").read_bytes()
 
 
-# The kernel_n2_product*.csv / .json fixtures were written by the CLI
-# before the kernel verb read its options straight from argparse: the
-# product of the --r, --rp and --t lists, default tolerance, both routes.
+# The kernel_*_product*.csv / .json fixtures hold the product of the --r,
+# --rp and --t lists at the default tolerance, on both routes.  The N = 2
+# files were written by the CLI before the kernel verb read its options
+# straight from argparse, the N = 1 files before N = 1 points took
+# (r, r', t) in the library.
+_N2_LISTS = ["--dim", "2", "--z", "0.5,0", "--r", "0.8,1.0", "--rp", "1.1,1.3", "--t", "-0.5,0.2"]
+_N1_LISTS = ["--dim", "1", "--z", "0.5,0.2", "--r", "0.8,1.0", "--rp", "1.1,1.3", "--t", "-1,1"]
 PRODUCT_GOLDEN = {
-    "kernel_n2_product": [],
-    "kernel_n2_product_closed": ["--closed-form"],
+    "kernel_n2_product": _N2_LISTS,
+    "kernel_n2_product_closed": [*_N2_LISTS, "--closed-form"],
+    "kernel_n1_product": _N1_LISTS,
+    "kernel_n1_product_closed": [*_N1_LISTS, "--closed-form"],
 }
 
 
@@ -140,8 +148,7 @@ PRODUCT_GOLDEN = {
 def test_kernel_product_lists_match_golden_bytes(tmp_path, monkeypatch, name, fmt):
     monkeypatch.delenv("CONFORMAL_HEAT_TOL", raising=False)
     out = tmp_path / f"k.{fmt}"
-    argv = ["kernel", "--dim", "2", "--z", "0.5,0", "--r", "0.8,1.0", "--rp", "1.1,1.3", "--t", "-0.5,0.2",
-            *PRODUCT_GOLDEN[name], "--format", fmt, "--out", str(out)]
+    argv = ["kernel", *PRODUCT_GOLDEN[name], "--format", fmt, "--out", str(out)]
     assert main(argv) == 0
     assert out.read_bytes() == (FIXTURES / f"{name}.{fmt}").read_bytes()
 
@@ -333,7 +340,7 @@ _GOOD_ROWS = ["1.0,1.2,1", "0.7,1.1,-1", "1.3,0.9,1", "2.0,0.6,-1"]
     ("4", "1.1,-0.3,0.5", "radii must be positive"),
     ("4", "0,1.2,1", "radii must be positive"),  # a near-pole row
     ("1", "1.1,0.9,0.5", "N = 1 admits only t = +1 or t = -1"),
-    ("1", "0,0.9,1", "the kernel lives on R"),
+    ("1", "0,0.9,1", "radii must be positive"),
 ])
 def test_closed_form_table_bad_row_anywhere_exits_2(tmp_path, capsys, dim, bad, message, where):
     rows = _GOOD_ROWS[:where] + [bad] + _GOOD_ROWS[where:]
@@ -345,7 +352,7 @@ def test_closed_form_table_bad_row_anywhere_exits_2(tmp_path, capsys, dim, bad, 
 
 
 @pytest.mark.parametrize("first, message", [
-    ("0,0.9,1", "the kernel lives on R"), ("1.1,0.9,0.5", "N = 1 admits only")])
+    ("0,0.9,1", "radii must be positive"), ("1.1,0.9,0.5", "N = 1 admits only")])
 def test_closed_form_table_reports_the_first_bad_row(tmp_path, capsys, first, message):
     # two bad rows of different kinds: the earlier one decides the message
     later = "1.1,0.9,0.5" if first.startswith("0") else "0,0.9,1"
@@ -353,6 +360,44 @@ def test_closed_form_table_reports_the_first_bad_row(tmp_path, capsys, first, me
     pts.write_text("\n".join(["r,rp,t", _GOOD_ROWS[0], first, _GOOD_ROWS[1], later]) + "\n")
     assert main(["kernel", "--dim", "1", "--z", "0.5,0", "--closed-form", "--in", str(pts)]) == 2
     assert message in capsys.readouterr().err
+
+
+# (r, r', t, z) rows with one fault each, which N = 1 refuses on both routes
+_N1_BAD_ROWS = {
+    "zero-r": (0.0, 1.2, 1.0, 0.5),
+    "zero-rp": (0.8, 0.0, -1.0, 0.5),
+    "negative-r": (-0.8, 1.2, 1.0, 0.5),
+    "negative-rp": (0.8, -1.2, -1.0, 0.5 + 0.2j),
+    "nan-r": (math.nan, 1.2, 1.0, 0.5),
+    "nan-rp": (0.8, math.nan, -1.0, 0.5),
+    "t-inside": (0.8, 1.2, 0.3, 0.5),
+    "t-past-slack": (0.8, 1.2, 1.0 + 1e-13, 0.5),
+    "re-z-zero": (0.8, 1.2, 1.0, 1j),
+    "re-z-negative": (0.8, 1.2, -1.0, -0.5 + 0.1j),
+}
+
+
+@pytest.mark.parametrize("row", list(_N1_BAD_ROWS.values()), ids=list(_N1_BAD_ROWS))
+def test_both_n1_routes_refuse_the_same_rows(capsys, row):
+    r, rp, t, z = row
+    raised = []
+    for route in (lambda: full_kernel_series(1, r, rp, t, z), lambda: closed_form_1d(r, rp, t, z)):
+        with pytest.raises(ConformalHeatError) as info:
+            route()
+        raised.append((type(info.value), str(info.value)))
+    assert raised[0] == raised[1]
+    argv = ["kernel", "--dim", "1", "--z", f"{z.real!r},{z.imag!r}",
+            "--r", repr(r), "--rp", repr(rp), "--t", repr(t)]
+    outcomes = []
+    for route in ([], ["--closed-form"]):
+        outcomes.append((main(argv + route), capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    code, (out, err) = outcomes[0]
+    assert out == ""
+    if math.isnan(r) or math.isnan(rp):  # the option parser refuses NaN first
+        assert code == 3 and "values must be finite" in err
+    else:
+        assert (code, err) == (2, f"error: {raised[0][1]}\n")
 
 
 def test_closed_form_empty_table_exits_0(tmp_path):
@@ -494,6 +539,14 @@ def test_verify_grid_sets_the_grid(tmp_path):
     assert main(["verify", "--suite", "semigroup", "--grid=-12,12,255"]) == 2  # n must be a power of two
 
 
+@pytest.mark.parametrize("suite, grid", [("special", "-1,1,255"), ("projection", "5,1,256"), ("sl2", "-16,16,4")])
+def test_verify_grid_is_checked_whichever_suite_runs(capsys, suite, grid):
+    # these suites build no log-radial grid of their own
+    assert main(["verify", "--suite", suite, f"--grid={grid}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
 def test_exit_code_2_unbounded_exponent(capsys):
     assert main(["apply", "--exponent", "1,0,0,0,0,0", "--in", IN_FIELD]) == 2
     assert "error:" in capsys.readouterr().err
@@ -613,6 +666,22 @@ def test_negative_comma_lists_are_values(tmp_path, capsys):
 def test_exit_code_3_non_finite_argument(capsys, argv):
     assert main(argv) == 3
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, env, line", [
+    (["kernel", "--dim", "2", "--z", "0.5,0", "--r", "1,nan", "--rp", "1", "--t", "0"], None,
+     "error: --r: values must be finite, got [1.0, nan]"),
+    (["apply", "--t", "nan", "--in", IN_FIELD], None, "error: --t: values must be finite, got [nan]"),
+    (["kernel", "--dim", "2", "--z", "0.5,0", "--r", "1", "--rp", "1", "--t", "0"], "inf",
+     "error: CONFORMAL_HEAT_TOL: values must be finite, got [inf]"),
+], ids=["kernel-r", "apply-t", "env-tol"])
+def test_a_non_finite_value_names_its_option_once(monkeypatch, capsys, argv, env, line):
+    if env is None:
+        monkeypatch.delenv("CONFORMAL_HEAT_TOL", raising=False)
+    else:
+        monkeypatch.setenv("CONFORMAL_HEAT_TOL", env)
+    assert main(argv) == 3
+    assert capsys.readouterr().err == line + "\n"
 
 
 def test_exit_code_3_bad_env_tolerance(monkeypatch, capsys):

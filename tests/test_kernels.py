@@ -151,6 +151,8 @@ def test_series_has_the_bits_of_the_numpy_formula(dim, z):
     near_pole = 1.0 - 1e-6 * rng.random(8)
     ts = np.concatenate([[1.0, -1.0, 0.0, 1.0 + 1e-13, -1.0 - 1e-13], rng.uniform(-1.0, 1.0, 20),
                          near_pole, -near_pole])
+    if dim == 1:  # the sphere S^0 has t = +-1 alone
+        ts = np.where(ts < 0, -1.0, 1.0)
     r, rp = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), (2, ts.size)))
     ct = as_time(z)
     points = list(zip(r.tolist(), rp.tolist(), ts.tolist()))
@@ -187,19 +189,19 @@ def test_kernel_regime_guards():
 
 def test_closed_1d_values_and_signs():
     z = 0.6
-    x, xp = 1.3, 0.8
-    dlog = math.log(x) - math.log(xp)
+    r, rp = 1.3, 0.8
+    dlog = math.log(r) - math.log(rp)
     want = (
         cmath.exp(-z / 4)
         / cmath.sqrt(4 * math.pi * z)
         * cmath.exp(-dlog**2 / (4 * z))
-        * math.sqrt(x * xp)
+        * math.sqrt(r * rp)
     )
-    assert closed_form_1d(x, xp, z) == pytest.approx(want, rel=1e-14)
-    assert closed_form_1d(x, -xp, z) == 0.0
-    assert closed_form_1d(-x, -xp, z) == pytest.approx(want, rel=1e-14)
-    with pytest.raises(DomainError):
-        closed_form_1d(0.0, 1.0, z)
+    assert closed_form_1d(r, rp, 1.0, z) == pytest.approx(want, rel=1e-14)
+    assert closed_form_1d(r, rp, -1.0, z) == 0.0  # opposite signs
+    for bad in ((0.0, 1.0, 1.0), (-1.3, 0.8, 1.0), (1.3, math.nan, -1.0)):
+        with pytest.raises(DomainError, match="radii must be positive"):
+            closed_form_1d(*bad, z)
 
 
 def test_closed_2d_against_partial_sum():
@@ -268,17 +270,24 @@ def test_query_validation():
 
 
 # Two faults per call; the first in the order the checks run (dim, radii,
-# t, tol, then the regime; Im tau, then tol) decides the error.
+# t, tol, then the regime for the series; radii, regime, t for the closed
+# forms; Im tau, then tol) decides the error.
 @pytest.mark.parametrize("call, error, message", [
     (lambda: full_kernel_series(0, -1.0, 1.0, 0.5, 0.5), DomainError, "dim must be"),
     (lambda: full_kernel_series(2, math.nan, 1.0, 1.5, 0.5), DomainError, "radii must be positive"),
     (lambda: full_kernel_series(2, 1.0, 1.0, 1.5, 0.5, 0.0), DomainError, "outside"),
     (lambda: full_kernel_series(2, 1.0, 1.0, 0.5, 1j, math.nan), DomainError, "tol must be finite"),
     (lambda: full_kernel_series(2, 0.0, 1.0, 0.5, -0.5), DomainError, "radii must be positive"),
+    (lambda: full_kernel_series(1, 0.0, 1.0, 0.3, 0.5), DomainError, "radii must be positive"),
+    (lambda: full_kernel_series(1, 1.0, 1.0, 0.3, 0.5, 0.0), DomainError, "N = 1 admits only"),
+    (lambda: full_kernel_series(1, 1.0, 1.0, 1.0 + 1e-13, -0.5), DomainError, "N = 1 admits only"),
+    (lambda: closed_form_1d(-1.0, 1.0, 0.3, 0.5), DomainError, "radii must be positive"),
+    (lambda: closed_form_1d(1.0, 1.0, 0.3, -0.5), InvalidRegimeError, "Re z > 0"),
     (lambda: theta(0.1, 1.0 + 0.0j, 0.0), SeriesDivergenceError, "Im tau"),
     (lambda: theta(np.zeros(3), -0.5j, math.nan), SeriesDivergenceError, "Im tau"),
     (lambda: theta_dv(0.1, 0.5 - 0.1j, -1e-14), SeriesDivergenceError, "Im tau"),
 ], ids=["series-dim-radii", "series-radii-t", "series-t-tol", "series-tol-regime", "series-radii-regime",
+        "series-n1-radii-t", "series-n1-t-tol", "series-n1-t-regime", "closed-n1-radii-t", "closed-n1-regime-t",
         "theta-tau-tol", "theta-array-tau-tol", "theta_dv-tau-tol"])
 def test_two_faults_raise_the_first_in_check_order(call, error, message):
     with pytest.raises(error, match=message):
@@ -481,14 +490,15 @@ def _bits(values) -> np.ndarray:
 
 def test_closed_form_1d_table_equals_per_point_reference():
     r, rp, _, rng = _table(21)
-    x = r * rng.choice([-1.0, 1.0], r.size)
-    xp = rp * rng.choice([-1.0, 1.0], r.size)  # t = +-1: x' = t r'
+    t = rng.choice([-1.0, 1.0], r.size)
     z = 0.3 + 0.1j
-    got = closed_form_1d(x, xp, z)
+    got = closed_form_1d(r, rp, t, z)
     assert got.shape == (2000,)
-    assert np.array_equal(_bits(got), _bits([_reference_1d(a, b, z) for a, b in zip(x.tolist(), xp.tolist())]))
+    # the reference takes the signed points r and t r'
+    want = [_reference_1d(a, c * b, z) for a, b, c in zip(r.tolist(), rp.tolist(), t.tolist())]
+    assert np.array_equal(_bits(got), _bits(want))
     assert np.sum(got == 0) > 500  # opposite signs vanish
-    assert closed_form_1d(float(x[0]), float(xp[0]), z) == got[0]
+    assert closed_form_1d(float(r[0]), float(rp[0]), float(t[0]), z) == got[0]
 
 
 @pytest.mark.parametrize("z", [0.5 + 0.2j, 0.5])
@@ -517,19 +527,20 @@ def test_closed_form_4d_table_with_pole_rows_equals_per_point_reference(z):
 
 def test_closed_form_tables_raise_what_a_row_loop_raises_first():
     r = np.array([1.0, 1.2, 0.0, 0.9])
-    t = np.array([0.1, 1.5, 0.2, 0.3])
-    for call in (lambda r, t, z: closed_form_2d(r, np.ones_like(r), t, z),
-                 lambda r, t, z: closed_form_4d(r, np.ones_like(r), t, z)):
-        with pytest.raises(DomainError, match="outside"):  # row 1 comes before row 2
+    # (closed form, angles with a bad t at row 1, a good t for row 1, the t message)
+    cases = (
+        (lambda r, t, z: closed_form_1d(r, np.ones_like(r), t, z), [1.0, 0.5, -1.0, 1.0], -1.0, "N = 1"),
+        (lambda r, t, z: closed_form_2d(r, np.ones_like(r), t, z), [0.1, 1.5, 0.2, 0.3], 0.4, "outside"),
+        (lambda r, t, z: closed_form_4d(r, np.ones_like(r), t, z), [0.1, 1.5, 0.2, 0.3], 0.4, "outside"),
+    )
+    for call, t, good, message in cases:
+        t = np.array(t)
+        with pytest.raises(DomainError, match=message):  # row 1 comes before row 2
             call(r, t, 0.5)
         with pytest.raises(DomainError, match="radii"):
-            call(r, np.where(t > 1, 0.4, t), 0.5)
+            call(r, np.where(np.arange(4) == 1, good, t), 0.5)
         with pytest.raises(InvalidRegimeError):  # the regime fails at row 0
             call(r, t, 1j)
         with pytest.raises(DomainError, match="radii"):  # after row 0's radii
             call(np.concatenate([[-1.0], r[1:]]), t, 1j)
         assert call(np.ones(0), np.ones(0), 1j).shape == (0,)  # no rows, nothing to refuse
-    with pytest.raises(DomainError, match="R"):
-        closed_form_1d([1.0, 0.0, 2.0], [1.0, 1.0, -1.0], 0.5)
-    with pytest.raises(InvalidRegimeError):
-        closed_form_1d([1.0, 0.0], [1.0, 1.0], -0.5)
