@@ -21,6 +21,7 @@ from .kernels import (
     apply_full_kernel_2d,
     apply_radial_kernel,
     as_time,
+    closed_form,
     closed_form_1d,
     closed_form_2d,
     closed_form_4d,

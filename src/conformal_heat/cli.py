@@ -44,7 +44,7 @@ from .errors import (
     InvalidRegimeError,
 )
 from .fields_io import format_float, read_field_file, read_points, write_factored, write_float_rows, write_grid2d
-from .kernels import ComplexTime, as_time, closed_form_1d, closed_form_2d, closed_form_4d, full_kernel_series
+from .kernels import as_time, closed_form, full_kernel_series
 from .spectral_calculus import G0Exponent, apply_exp_g0, apply_exp_g0_grid, apply_scaling_direct
 from .spherical import GridField2D
 from .verify import SUITES, run_suites
@@ -192,22 +192,6 @@ def _emit(out_path: str | None, text: str) -> None:
         fp.write(text)
 
 
-def _closed_form_table(dim: int, ct: ComplexTime, points: np.ndarray, tol: float) -> np.ndarray:
-    """One closed-form call over the whole (nonempty) table.
-
-    A bad row raises what the first bad row of a loop over the table
-    would raise.
-    """
-    r, rp, t = points.T
-    if dim == 1:
-        return closed_form_1d(r, rp, t, ct)
-    if dim == 2:
-        return closed_form_2d(r, rp, t, ct, tol)
-    if dim == 4:
-        return closed_form_4d(r, rp, t, ct, tol)
-    raise DomainError(f"closed forms exist for N in {{1, 2, 4}}, not N = {dim}")
-
-
 def cmd_kernel(args: argparse.Namespace) -> int:
     _check_dim(args.dim)
     tol = _tolerance(args)
@@ -225,7 +209,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
         points = np.array([(r, rp, t) for r in r_list for rp in rp_list for t in t_list])
     ct = as_time(z)
     if args.closed_form and len(points):
-        values = _closed_form_table(args.dim, ct, points, tol)
+        values = closed_form(args.dim, *points.T, ct, tol)
     else:  # the series route; an empty table raises nothing on either route
         values = np.array([full_kernel_series(args.dim, r, rp, t, ct, tol) for r, rp, t in points.tolist()],
                           dtype=complex)

@@ -18,14 +18,17 @@ to theta-function closed forms.  Every kernel function takes plain
 arguments and z as a number or a ComplexTime:
 
     full_kernel_series(dim, r, r', t, z, tol)    one point, t = <w, w'>
-    closed_form_1d(r, r', t, z)                  N = 1, arrays broadcast
-    closed_form_2d(r, r', t, z, tol)             N = 2, arrays broadcast
-    closed_form_4d(r, r', t, z, tol)             N = 4, arrays broadcast
+    closed_form(dim, r, r', t, z, tol)           N in {1, 2, 4}, arrays broadcast
+    closed_form_1d(r, r', t, z)                  N = 1
+    closed_form_2d(r, r', t, z, tol)             N = 2
+    closed_form_4d(r, r', t, z, tol)             N = 4
 
 A point is (r w, r' w') with radii r, r' > 0 and t = <w, w'>; for N = 1
 the sphere is {+1, -1}, so t is +1 (same sign) or -1 (opposite signs)
-and nothing else.  Each function checks its own arguments and raises
-DomainError or InvalidRegimeError for the first bad one.
+and nothing else.  Both routes check a point in one order (_check_point):
+dim, radii, t, tol where the route takes one, then the regime Re z > 0,
+and raise DomainError or InvalidRegimeError for the first bad one.  A
+closed-form table raises what a loop over its rows would raise first.
 
 All square roots of z take the principal branch (Re sqrt >= 0, positive
 on the positive reals), tracked explicitly by ComplexTime.  On the line
@@ -54,6 +57,7 @@ from .special_functions import (
     theta,
     theta_dv,
 )
+from .spherical import GridField2D, _zonal_prefactor
 
 # beyond this cos-angle the N = 4 closed form loses too much to cancellation
 _NEAR_DIAGONAL = 1.0 - 1e-6
@@ -94,22 +98,38 @@ def _require_kernel_regime(ct: ComplexTime) -> ComplexTime:
     return ct
 
 
-def _require_positive_radii(r: float, r_prime: float) -> None:
-    if not (r > 0 and r_prime > 0):
-        raise DomainError("radii must be positive")
-
-
 def _admissible_t(dim: int, t):
     """Whether t = <w, w'> occurs on S^{N-1}, for a float or elementwise:
     t = +-1 exactly for N = 1, else |t| <= 1 up to rounding slack; never NaN."""
     return abs(t) == 1.0 if dim == 1 else abs(t) <= 1.0 + _T_SLACK
 
 
-def _refuse_t(dim: int, t: float) -> None:
-    """Raise the error for a t that _admissible_t refuses."""
-    if dim == 1:
-        raise DomainError("N = 1 admits only t = +1 or t = -1")
-    check_t(t)
+def _check_point(dim: int, r: float, r_prime: float, t: float, ct: ComplexTime, tol: float | None) -> None:
+    """Refuse a bad kernel point, checking dim, radii, t, tol (unless None), then Re z > 0."""
+    if dim < 1:
+        raise DomainError("dim must be >= 1")
+    if not (r > 0 and r_prime > 0):  # NaN fails too
+        raise DomainError("radii must be positive")
+    if not _admissible_t(dim, t):  # checked only: the recurrence and the closed forms clamp t
+        if dim == 1:
+            raise DomainError("N = 1 admits only t = +1 or t = -1")
+        check_t(t)
+    if tol is not None:
+        check_tol(tol)
+    _require_kernel_regime(ct)
+
+
+def _check_table(dim: int, r, r_prime, t, ct: ComplexTime, tol: float | None) -> None:
+    """Raise what a loop of _check_point over the rows of a table would raise first.
+
+    The checks every row shares (dim, tol, the regime) fail such a loop at
+    row 0, so row 0 is checked, then the first row whose own radii or t
+    fail.  An empty table raises nothing.
+    """
+    ok = ((r > 0) & (r_prime > 0) & _admissible_t(dim, t)).ravel()
+    if ok.size:
+        for i in (0, int(np.argmin(ok))):  # argmin is 0 when every row passes
+            _check_point(dim, r.flat[i], r_prime.flat[i], t.flat[i], ct, tol)
 
 
 def _gauss_factor(ct: ComplexTime, r, rp, dim: int):
@@ -194,12 +214,6 @@ def _series_weights(z: complex, nu: float, cut: int) -> tuple[complex, ...]:
     return tuple(cmath.exp(-z * (m + nu) ** 2) for m in range(cut + 1))
 
 
-@lru_cache(maxsize=64)
-def _zonal_prefactor(dim: int) -> float:
-    """Gamma(N/2) / (2 pi^{N/2}); dim keys the cache completely."""
-    return math.gamma(0.5 * dim) / (2.0 * math.pi ** (0.5 * dim))
-
-
 def full_kernel_series(dim: int, r: float, r_prime: float, t: float, z, tol: float = 1e-12) -> complex:
     """Full kernel K(r w, r' w'; z) with t = <w, w'>, by the truncated Gegenbauer series.
 
@@ -218,13 +232,8 @@ def full_kernel_series(dim: int, r: float, r_prime: float, t: float, z, tol: flo
     complex z).  The power and the exponential go through math.pow and
     cmath.exp, which round as numpy's scalar operations do.
     """
-    if dim < 1:
-        raise DomainError("dim must be >= 1")
-    _require_positive_radii(r, r_prime)
-    if not _admissible_t(dim, t):  # checked only: the recurrence clamps t itself
-        _refuse_t(dim, t)
-    check_tol(tol)
-    ct = _require_kernel_regime(as_time(z))
+    ct = as_time(z)
+    _check_point(dim, r, r_prime, t, ct, tol)
     nu = 0.5 * (dim - 2)
     cut = truncation_degree(dim, ct, tol)
     weights = _series_weights(ct.z, nu, cut)
@@ -240,38 +249,20 @@ def _columns(*values):
     return np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in values))
 
 
-def _check_rows(ok: np.ndarray, check_row) -> None:
-    """Raise the error a loop over the rows of a table would raise first.
-
-    ok marks the rows that pass their own checks; check_row(i) runs row
-    i's checks in the scalar order.  Checks every row shares (the regime,
-    the tolerance) fail a loop at row 0, so row 0 is checked first.  An
-    empty table raises nothing.
-    """
-    if ok.size:
-        check_row(0)
-        if not ok.all():
-            check_row(int(np.argmin(ok.ravel())))
-
-
 def _as_result(values, shape: tuple):
     out = np.asarray(values, dtype=complex).reshape(shape)
     return complex(out) if out.ndim == 0 else out
 
 
-def _check_radii_and_angles(dim: int, r, r_prime, t, ct: ComplexTime, tol: float | None = None) -> None:
-    """The row checks of the closed forms: radii, regime, t, then tol if given."""
-    ok_t = _admissible_t(dim, t)
+def _gauss_rows(ct: ComplexTime, r, r_prime) -> list[complex]:
+    """exp(-(log r - log r')^2 / (4 z)) at each row, as a flat list.
 
-    def check_row(i):
-        _require_positive_radii(r.flat[i], r_prime.flat[i])
-        _require_kernel_regime(ct)
-        if not ok_t.flat[i]:
-            _refuse_t(dim, t.flat[i])
-        if tol is not None:
-            check_tol(tol)
-
-    _check_rows((r > 0) & (r_prime > 0) & ok_t, check_row)
+    libm's log and Python's complex arithmetic per row, so entry i has
+    the bits of the one-point call.
+    """
+    dlog = _libm(math.log, r) - _libm(math.log, r_prime)
+    quarter = 4.0 * ct.z
+    return [cmath.exp(g / quarter) for g in (-dlog * dlog).ravel().tolist()]
 
 
 def closed_form_1d(r, r_prime, t, z):
@@ -285,14 +276,12 @@ def closed_form_1d(r, r_prime, t, z):
     """
     ct = as_time(z)
     r, r_prime, t = _columns(r, r_prime, t)
-    _check_radii_and_angles(1, r, r_prime, t, ct)
-    dlog = _libm(math.log, r) - _libm(math.log, r_prime)
+    _check_table(1, r, r_prime, t, ct, None)
     pref = cmath.exp(-ct.z / 4.0) / (2.0 * math.sqrt(math.pi) * ct.sqrt_z)
-    quarter = 4.0 * ct.z
     values = [
-        0.0 + 0.0j if opposite else pref * cmath.exp(g / quarter) * root
-        for opposite, g, root in zip((t < 0).ravel().tolist(), (-dlog * dlog).ravel().tolist(),
-                                     np.sqrt(r * r_prime).ravel().tolist())
+        0.0 + 0.0j if opposite else pref * gauss * root
+        for opposite, gauss, root in zip((t < 0).ravel().tolist(), _gauss_rows(ct, r, r_prime),
+                                         np.sqrt(r * r_prime).ravel().tolist())
     ]
     return _as_result(values, r.shape)
 
@@ -311,16 +300,13 @@ def closed_form_2d(r, r_prime, t, z, tol: float = 1e-14):
     """
     ct = as_time(z)
     r, r_prime, t = _columns(r, r_prime, t)
-    _check_radii_and_angles(2, r, r_prime, t, ct, tol)
-    if not r.size:
+    _check_table(2, r, r_prime, t, ct, tol)
+    if not r.size:  # theta would refuse the tau of a Re z <= 0 table with no rows
         return np.empty(r.shape, dtype=complex)
     a = _libm(math.acos, np.clip(t, -1.0, 1.0))
-    dlog = _libm(math.log, r) - _libm(math.log, r_prime)
     pref = 1.0 / (2.0 * math.pi) / (2.0 * math.sqrt(math.pi) * ct.sqrt_z)
     th = theta(a / (2.0 * math.pi), 1j * ct.z / math.pi, tol)
-    quarter = 4.0 * ct.z
-    values = [pref * cmath.exp(g / quarter) * h
-              for g, h in zip((-dlog * dlog).ravel().tolist(), np.ravel(th).tolist())]
+    values = [pref * gauss * h for gauss, h in zip(_gauss_rows(ct, r, r_prime), np.ravel(th).tolist())]
     return _as_result(values, r.shape)
 
 
@@ -341,7 +327,7 @@ def closed_form_4d(r, r_prime, t, z, tol: float = 1e-14):
     """
     ct = as_time(z)
     r, r_prime, t = _columns(r, r_prime, t)
-    _check_radii_and_angles(4, r, r_prime, t, ct, tol)
+    _check_table(4, r, r_prime, t, ct, tol)
     shape = r.shape
     r, r_prime, t = r.ravel(), r_prime.ravel(), np.clip(t, -1.0, 1.0).ravel()
     out = np.empty(t.shape, dtype=complex)
@@ -351,13 +337,26 @@ def closed_form_4d(r, r_prime, t, z, tol: float = 1e-14):
     far = ~near
     if far.any():
         r, r_prime, t = r[far], r_prime[far], t[far]
-        dlog = _libm(math.log, r) - _libm(math.log, r_prime)
         dv = theta_dv(_libm(math.acos, t) / (2.0 * math.pi), 1j * ct.z / math.pi, tol)
         pref = -1.0 / (8.0 * math.pi**3) / (2.0 * math.sqrt(math.pi) * ct.sqrt_z)
-        quarter = 4.0 * ct.z
-        out[far] = [pref * cmath.exp(g / quarter) / rr / s * d for g, rr, s, d in zip(
-            (-dlog * dlog).tolist(), (r * r_prime).tolist(), np.sqrt(1.0 - t * t).tolist(), dv.tolist())]
+        out[far] = [pref * gauss / rr / s * d for gauss, rr, s, d in zip(
+            _gauss_rows(ct, r, r_prime), (r * r_prime).tolist(), np.sqrt(1.0 - t * t).tolist(), dv.tolist())]
     return _as_result(out, shape)
+
+
+def closed_form(dim: int, r, r_prime, t, z, tol: float = 1e-14):
+    """The closed form of the kernel for N in {1, 2, 4}; N = 1 takes no tol.
+
+    closed_form_1d, _2d and _4d are looked up by name when called, so a
+    wrapper put on this module's names sees every call.
+    """
+    if dim == 1:
+        return closed_form_1d(r, r_prime, t, z)
+    if dim == 2:
+        return closed_form_2d(r, r_prime, t, z, tol)
+    if dim == 4:
+        return closed_form_4d(r, r_prime, t, z, tol)
+    raise DomainError(f"closed forms exist for N in {{1, 2, 4}}, not N = {dim}")
 
 
 _BUILD_ROWS = 64  # rows per block of the quadrature matrix build
@@ -421,8 +420,6 @@ def apply_full_kernel_2d(field, z, tol: float = 1e-13):
     The kernel factors as an s-Toeplitz Gaussian times the angular theta
     factor, so the double integral is two one-dimensional quadratures.
     """
-    from .spherical import GridField2D  # local import to avoid a cycle
-
     ct = _require_kernel_regime(as_time(z))
     if field.grid.dim != 2:
         raise DomainError("expected an N = 2 grid field")
@@ -438,8 +435,6 @@ def apply_full_kernel_2d(field, z, tol: float = 1e-13):
 
 def apply_full_kernel_1d(field, z):
     """Apply the N = 1 semigroup on the two-sign grid; signs do not mix."""
-    from .spherical import GridField2D
-
     ct = _require_kernel_regime(as_time(z))
     if field.grid.dim != 1:
         raise DomainError("expected an N = 1 grid field")

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -123,6 +124,12 @@ class GridField2D:
         return math.sqrt(float(np.sum(np.abs(self.values) ** 2 * w) * self.grid.ds * dmu))
 
 
+@lru_cache(maxsize=64)
+def _zonal_prefactor(dim: int) -> float:
+    """Gamma(N/2) / (2 pi^{N/2}), the zonal kernel's constant; dim keys the cache completely."""
+    return math.gamma(0.5 * dim) / (2.0 * math.pi ** (0.5 * dim))
+
+
 def projection_kernel(m: int, dim: int, t):
     """Zonal kernel of the projection onto H^m at cos angle t.
 
@@ -131,9 +138,7 @@ def projection_kernel(m: int, dim: int, t):
     """
     if dim < 1:
         raise DomainError("dim must be >= 1")
-    nu = 0.5 * (dim - 2)
-    pref = math.gamma(0.5 * dim) / (2.0 * math.pi ** (0.5 * dim))
-    return pref * gegenbauer_tilde(m, nu, t)
+    return _zonal_prefactor(dim) * gegenbauer_tilde(m, 0.5 * (dim - 2), t)
 
 
 def project_pm(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

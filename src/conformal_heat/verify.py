@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import radial_kernel, closed_form_1d, closed_form_2d, closed_form_4d, full_kernel_series, apply_radial_kernel
+from .kernels import radial_kernel, closed_form, full_kernel_series, apply_radial_kernel
 from .ladder import (
     LadderOperatorSpec,
     commutator_defect,
@@ -42,10 +42,6 @@ class CheckResult:
 GridShape = tuple[float, float, int]
 _DEFAULT_SHAPE: GridShape = (-16.0, 16.0, 2048)
 
-_SL2_A = (0.5, 1.0, 2.0, 3.0)
-_SL2_DIMS = (1, 2, 3, 4)
-_SL2_DEGREES = (0, 1, 2, 3)
-
 
 def _degrees(dim: int, higher: tuple[int, ...]) -> tuple[int, ...]:
     """The degrees a sweep visits in dimension dim, given its set for N >= 2.
@@ -53,6 +49,18 @@ def _degrees(dim: int, higher: tuple[int, ...]) -> tuple[int, ...]:
     The two-point sphere of N = 1 carries only the parities 0 and 1.
     """
     return (0, 1) if dim == 1 else higher
+
+
+_SL2_A = (0.5, 1.0, 2.0, 3.0)
+# the (dim, m) sectors of the bracket suites, dims outer
+_SL2_SECTORS = tuple((dim, m) for dim in (1, 2, 3, 4) for m in _degrees(dim, (0, 1, 2, 3)))
+_SL2_PAIRS = (("H", "E+"), ("H", "E-"), ("E+", "E-"))
+
+
+def _limit_defect(k1: str, k2: str, basis) -> float:
+    """Worst defect of [k1, k2] = 0 in the commuting limit family, over the sectors."""
+    return max(commutator_defect(LadderOperatorSpec(k1, None, m, dim), LadderOperatorSpec(k2, None, m, dim),
+                                 None, basis) for dim, m in _SL2_SECTORS)
 
 
 def _stacked(degrees, profile: RadialSamples) -> FactoredField:
@@ -86,12 +94,7 @@ def suite_sl2() -> list[CheckResult]:
     out: list[CheckResult] = []
 
     def sweep(make_defect) -> float:
-        worst = 0.0
-        for a in _SL2_A:
-            for dim in _SL2_DIMS:
-                for m in _degrees(dim, _SL2_DEGREES):
-                    worst = max(worst, make_defect(a, m, dim))
-        return worst
+        return max(make_defect(a, m, dim) for a in _SL2_A for dim, m in _SL2_SECTORS)
 
     def spec(kind, a, m, dim):
         return LadderOperatorSpec(kind, a, m, dim)
@@ -121,17 +124,8 @@ def suite_sl2() -> list[CheckResult]:
     out.append(CheckResult("sl2", "[aE+, aE-] = a aH", sweep(
         lambda a, m, n: resc_defect("E+", "E-", (1.0, "H"), a, m, n)), 1e-12))
 
-    def limit_defect(k1, k2, m, n):
-        x = LadderOperatorSpec(k1, None, m, n)
-        y = LadderOperatorSpec(k2, None, m, n)
-        return commutator_defect(x, y, None, basis)
-
-    for k1, k2 in (("H", "E+"), ("H", "E-"), ("E+", "E-")):
-        worst = 0.0
-        for dim in _SL2_DIMS:
-            for m in _degrees(dim, _SL2_DEGREES):
-                worst = max(worst, limit_defect(k1, k2, m, dim))
-        out.append(CheckResult("sl2", f"limit [{k1}, {k2}] = 0", worst, 1e-12))
+    for k1, k2 in _SL2_PAIRS:
+        out.append(CheckResult("sl2", f"limit [{k1}, {k2}] = 0", _limit_defect(k1, k2, basis), 1e-12))
     return out
 
 
@@ -140,31 +134,18 @@ def suite_degeneration() -> list[CheckResult]:
     basis = standard_basis()
     a_seq = (1e-1, 1e-2, 1e-3)
     out: list[CheckResult] = []
-    for pair in (("H", "E+"), ("H", "E-"), ("E+", "E-")):
+    for pair in _SL2_PAIRS:
         worst_ratio_err = 0.0
-        for dim in _SL2_DIMS:
-            for m in _degrees(dim, _SL2_DEGREES):
-                defects = degeneration_trace(a_seq, pair, basis, m, dim)
-                for d0, d1 in zip(defects, defects[1:]):
-                    ratio = d0 / d1 if d1 > 0 else math.inf
-                    worst_ratio_err = max(worst_ratio_err, abs(ratio - 10.0))
+        for dim, m in _SL2_SECTORS:
+            defects = degeneration_trace(a_seq, pair, basis, m, dim)
+            for d0, d1 in zip(defects, defects[1:]):
+                ratio = d0 / d1 if d1 > 0 else math.inf
+                worst_ratio_err = max(worst_ratio_err, abs(ratio - 10.0))
         out.append(
             CheckResult("degeneration", f"[a{pair[0]}, a{pair[1]}] defect ratio ~ 10",
                         worst_ratio_err, 0.5)
         )
-    worst = 0.0
-    for k1, k2 in (("H", "E+"), ("H", "E-"), ("E+", "E-")):
-        for dim in _SL2_DIMS:
-            for m in _degrees(dim, _SL2_DEGREES):
-                worst = max(
-                    worst,
-                    commutator_defect(
-                        LadderOperatorSpec(k1, None, m, dim),
-                        LadderOperatorSpec(k2, None, m, dim),
-                        None,
-                        basis,
-                    ),
-                )
+    worst = max(_limit_defect(k1, k2, basis) for k1, k2 in _SL2_PAIRS)
     out.append(CheckResult("degeneration", "limit family commutes", worst, 1e-12))
     return out
 
@@ -200,13 +181,11 @@ def _rel(a: complex, b: complex) -> float:
     return abs(a - b) / scale if scale > 0 else 0.0
 
 
-# (dim, cos angles t, closed form as a function of arrays (r, r', t) and z,
-# tol); the lambdas look the closed forms up by name when called, so a
-# wrapper put on this module's names sees every call
+# (dim, cos angles t, tol of the check)
 _FORM_CASES = (
-    (1, (-1.0, 1.0), lambda r, rp, t, z: closed_form_1d(r, rp, t, z), 1e-14),
-    (2, (-0.7, 0.2, 0.85), lambda r, rp, t, z: closed_form_2d(r, rp, t, z), 1e-9),
-    (4, (-0.7, 0.2, 0.85), lambda r, rp, t, z: closed_form_4d(r, rp, t, z), 1e-8),
+    (1, (-1.0, 1.0), 1e-14),
+    (2, (-0.7, 0.2, 0.85), 1e-9),
+    (4, (-0.7, 0.2, 0.85), 1e-8),
 )
 
 
@@ -216,12 +195,12 @@ def suite_theta_forms() -> list[CheckResult]:
     Each closed form is one array call per (N, z) over every (r, r', t).
     """
     out: list[CheckResult] = []
-    for dim, cos_angles, closed_form, tol in _FORM_CASES:
+    for dim, cos_angles, tol in _FORM_CASES:
         points = [(r, rp, t) for r in _FORM_RADII for rp in _FORM_RADII_P for t in cos_angles]
         r, rp, t = np.array(points).T
         worst = 0.0
         for z in _FORM_TIMES:
-            for (a, b, c), closed in zip(points, closed_form(r, rp, t, z).tolist()):
+            for (a, b, c), closed in zip(points, closed_form(dim, r, rp, t, z).tolist()):
                 series = full_kernel_series(dim, a, b, c, z, 1e-15)
                 worst = max(worst, _rel(series, closed))
         out.append(CheckResult("theta", f"N={dim} closed form vs series", worst, tol))

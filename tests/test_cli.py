@@ -15,9 +15,9 @@ import pytest
 
 import conformal_heat
 from conformal_heat.cli import main
-from conformal_heat.errors import ConformalHeatError
+from conformal_heat.errors import ConformalHeatError, DomainError
 from conformal_heat.fields_io import read_field_file
-from conformal_heat.kernels import closed_form_1d, closed_form_2d, full_kernel_series
+from conformal_heat.kernels import closed_form, closed_form_1d, closed_form_2d, full_kernel_series
 from conformal_heat.spectral_calculus import apply_scaling_direct
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -183,6 +183,16 @@ def test_verify_matches_golden_bytes(tmp_path, suite):
     out = tmp_path / "v.json"
     assert main(["verify", "--suite", suite, "--format", "json", "--out", str(out)]) == 0
     assert out.read_bytes() == (FIXTURES / f"verify_{suite}.json").read_bytes()
+
+
+# verify_theta.json: `verify --suite theta --format json` as the CLI wrote
+# it before the closed forms were reached through kernels.closed_form.  Its
+# defects come from the same closed-form and series arithmetic as the
+# kernel_*_closed fixtures.  Never regenerate it to absorb a change.
+def test_verify_theta_matches_golden_bytes(tmp_path):
+    out = tmp_path / "v.json"
+    assert main(["verify", "--suite", "theta", "--format", "json", "--out", str(out)]) == 0
+    assert out.read_bytes() == (FIXTURES / "verify_theta.json").read_bytes()
 
 
 def test_apply_echoes_the_dimension_of_the_field(tmp_path):
@@ -398,6 +408,47 @@ def test_both_n1_routes_refuse_the_same_rows(capsys, row):
         assert code == 3 and "values must be finite" in err
     else:
         assert (code, err) == (2, f"error: {raised[0][1]}\n")
+
+
+# (dim, r, r', t, z, tol or None for the default) points with two faults
+# each.  Both routes check a point in one order (dim, radii, t, tol, then
+# the regime), so the first fault in that order decides the error on both.
+# n1-t-regime is `kernel --dim 1 --z 0,1 --r 1 --rp 1 --t 0.5`.
+_TWO_FAULT_POINTS = {
+    f"n{dim}-{name}": (dim, *point)
+    for dim, bad_t in ((1, 0.5), (2, 1.5), (4, -1.5))
+    for name, point in (
+        ("t-regime", (1.0, 1.0, bad_t, 1j, None)),
+        ("radius-t", (0.0, 1.2, bad_t, 0.5, None)),
+        ("t-tol", (0.8, 1.0, bad_t, 0.5, 0.0)),
+    )
+}
+
+
+@pytest.mark.parametrize("point", list(_TWO_FAULT_POINTS.values()), ids=list(_TWO_FAULT_POINTS))
+def test_both_routes_refuse_a_two_fault_point_alike(capsys, point):
+    dim, r, rp, t, z, tol = point
+    tols = () if tol is None else (tol,)
+    raised = []
+    for route in (lambda: full_kernel_series(dim, r, rp, t, z, *tols), lambda: closed_form(dim, r, rp, t, z, *tols)):
+        with pytest.raises(DomainError) as info:
+            route()
+        raised.append((type(info.value), str(info.value)))
+    assert raised[0] == raised[1]
+    message = raised[0][1]
+    if r <= 0:
+        assert message == "radii must be positive"
+    else:
+        assert message == ("N = 1 admits only t = +1 or t = -1" if dim == 1 else f"t={t} outside [-1, 1]")
+    argv = ["kernel", "--dim", str(dim), "--z", f"{z.real:g},{z.imag:g}", "--r", f"{r:g}", "--rp", f"{rp:g}",
+            "--t", f"{t:g}", *(["--tol", f"{tol:g}"] if tols else [])]
+    outcomes = []
+    for route in ([], ["--closed-form"]):
+        outcomes.append((main(argv + route), capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    code, (out, err) = outcomes[0]
+    # the CLI reads --tol before any point
+    assert (code, out, err) == (2, "", "error: tolerance must be positive\n" if tols else f"error: {message}\n")
 
 
 def test_closed_form_empty_table_exits_0(tmp_path):

@@ -17,6 +17,7 @@ from conformal_heat.kernels import (
     apply_full_kernel_2d,
     apply_radial_kernel,
     as_time,
+    closed_form,
     closed_form_1d,
     closed_form_2d,
     closed_form_4d,
@@ -138,10 +139,6 @@ def _numpy_series(dim: int, r: float, rp: float, t: float, ct: ComplexTime, tol:
     gauss = (inv_sqrt * np.exp(-dlog * dlog / (4.0 * ct.z))
              * (np.asarray(r) * np.asarray(rp)) ** (-0.5 * (dim - 2)))
     return complex(pref * gauss * acc)
-
-
-def _bits(values) -> np.ndarray:
-    return np.array(values, dtype=complex).view(np.uint64)
 
 
 @pytest.mark.parametrize("z", [0.5, complex(0.5, -0.0), 0.05 + 0.1j, 0.4 + 0.2j, 0.01])
@@ -270,8 +267,8 @@ def test_query_validation():
 
 
 # Two faults per call; the first in the order the checks run (dim, radii,
-# t, tol, then the regime for the series; radii, regime, t for the closed
-# forms; Im tau, then tol) decides the error.
+# t, tol, then the regime, for the series and the closed forms alike; Im
+# tau, then tol, for theta) decides the error.
 @pytest.mark.parametrize("call, error, message", [
     (lambda: full_kernel_series(0, -1.0, 1.0, 0.5, 0.5), DomainError, "dim must be"),
     (lambda: full_kernel_series(2, math.nan, 1.0, 1.5, 0.5), DomainError, "radii must be positive"),
@@ -282,7 +279,7 @@ def test_query_validation():
     (lambda: full_kernel_series(1, 1.0, 1.0, 0.3, 0.5, 0.0), DomainError, "N = 1 admits only"),
     (lambda: full_kernel_series(1, 1.0, 1.0, 1.0 + 1e-13, -0.5), DomainError, "N = 1 admits only"),
     (lambda: closed_form_1d(-1.0, 1.0, 0.3, 0.5), DomainError, "radii must be positive"),
-    (lambda: closed_form_1d(1.0, 1.0, 0.3, -0.5), InvalidRegimeError, "Re z > 0"),
+    (lambda: closed_form_1d(1.0, 1.0, 0.3, -0.5), DomainError, "N = 1 admits only"),
     (lambda: theta(0.1, 1.0 + 0.0j, 0.0), SeriesDivergenceError, "Im tau"),
     (lambda: theta(np.zeros(3), -0.5j, math.nan), SeriesDivergenceError, "Im tau"),
     (lambda: theta_dv(0.1, 0.5 - 0.1j, -1e-14), SeriesDivergenceError, "Im tau"),
@@ -544,3 +541,24 @@ def test_closed_form_tables_raise_what_a_row_loop_raises_first():
         with pytest.raises(DomainError, match="radii"):  # after row 0's radii
             call(np.concatenate([[-1.0], r[1:]]), t, 1j)
         assert call(np.ones(0), np.ones(0), 1j).shape == (0,)  # no rows, nothing to refuse
+
+
+@pytest.mark.parametrize("dim, form", [(1, closed_form_1d), (2, closed_form_2d), (4, closed_form_4d)])
+@pytest.mark.parametrize("z", [0.5, 0.4 + 0.2j])
+def test_closed_form_is_the_form_of_its_dim_bit_for_bit(dim, form, z):
+    r, rp, t, rng = _table(26, 300)
+    if dim == 1:
+        t = rng.choice([-1.0, 1.0], r.size)
+    args = (1e-10,) if dim > 1 else ()
+    assert np.array_equal(_bits(closed_form(dim, r, rp, t, z, 1e-10)), _bits(form(r, rp, t, z, *args)))
+    assert np.array_equal(_bits(closed_form(dim, r, rp, t, z)), _bits(form(r, rp, t, z)))  # tol 1e-14
+    one = closed_form(dim, float(r[3]), float(rp[3]), float(t[3]), z)
+    assert type(one) is complex and one == form(float(r[3]), float(rp[3]), float(t[3]), z)
+
+
+@pytest.mark.parametrize("dim", [0, 3, 5])
+def test_closed_form_refuses_a_dim_without_one(dim):
+    with pytest.raises(DomainError, match=f"not N = {dim}$"):
+        closed_form(dim, 1.0, 1.0, 0.5, 0.5)
+    with pytest.raises(DomainError, match=f"not N = {dim}$"):  # before any row check
+        closed_form(dim, np.array([-1.0]), np.ones(1), np.array([2.0]), -0.5)
