@@ -208,9 +208,9 @@ def cmd_kernel(args: argparse.Namespace) -> int:
             raise FieldFormatError("kernel needs --in POINTS or all of --r, --rp, --t")
         points = np.array([(r, rp, t) for r in r_list for rp in rp_list for t in t_list])
     ct = as_time(z)
-    if args.closed_form and len(points):
+    if args.closed_form:  # refuses an N without a closed form, rows or none
         values = closed_form(args.dim, *points.T, ct, tol)
-    else:  # the series route; an empty table raises nothing on either route
+    else:
         values = np.array([full_kernel_series(args.dim, r, rp, t, ct, tol) for r, rp, t in points.tolist()],
                           dtype=complex)
     if args.fmt == "json":

@@ -23,11 +23,22 @@ The reader is strict: indices must be integers in range, every
 pair of a grid field must appear exactly once, and every value must be
 finite.  Anything else raises FieldFormatError.
 
-Tables are parsed by one np.loadtxt pass streaming from the file.  They
-are written a chunk of lines per write, each chunk's floats turned into
-exactly the "%.17g" text by one array formatter (write_float_rows writes
-kernel tables the same way), so neither side holds the whole text in
-memory.  format_float is the scalar definition of that text.
+The reader scans the lines ahead of the data itself, then hands
+np.loadtxt the path of the file with those lines to skip, so numpy reads
+the data rows in C chunks.  Where loadtxt refuses that read (it rejects
+whitespace-only lines and indented comments) or cannot make it (a pipe,
+a name that loadtxt would decompress), it is handed the remaining lines
+of the open file one at a time, and its errors there are the ones
+reported.
+
+Tables are written a chunk of _CHUNK_FLOATS floats of whole lines per
+write, each chunk's floats turned into exactly the "%.17g" text by one
+array formatter (write_float_rows writes kernel tables the same way), so
+neither side holds the whole text in memory.  An output of at least
+_HELPER_FLOATS floats has every second chunk formatted by a helper
+thread while the caller formats the one before; the caller writes both,
+in order, so the bytes do not change.  format_float is the scalar
+definition of that text.
 """
 
 from __future__ import annotations
@@ -35,6 +46,8 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import os
+import stat
 from typing import TextIO
 
 import numpy as np
@@ -59,16 +72,17 @@ def _is_column_names(line: str) -> bool:
     return False
 
 
-def _scan_head(fp: TextIO) -> tuple[str | None, str | None]:
+def _scan_head(fp: TextIO) -> tuple[str | None, str | None, int]:
     """Consume the lines ahead of the data.
 
-    Returns the text after the first "# geometry:" comment (or None) and
-    the first data line (or None when the table has no data rows).  The
-    column-name row is only recognised as the first non-comment line.
+    Returns the text after the first "# geometry:" comment (or None), the
+    first data line (or None when the table has no data rows) and the
+    number of lines ahead of it.  The column-name row is only recognised
+    as the first non-comment line.
     """
     geometry = None
     names_allowed = True
-    for line in fp:
+    for count, line in enumerate(fp):
         body = line.strip()
         if not body:
             continue
@@ -80,21 +94,36 @@ def _scan_head(fp: TextIO) -> tuple[str | None, str | None]:
         if names_allowed and _is_column_names(body):
             names_allowed = False
             continue
-        return geometry, line
-    return geometry, None
+        return geometry, line, count
+    return geometry, None, 0
+
+
+# np.loadtxt opens a path with one of these suffixes through its decompressor
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def _load_rows(path: str, fp: TextIO, first: str, skip: int) -> np.ndarray:
+    """The data rows from `first`, line skip + 1 of the file, on; fp stands just past it."""
+    # a pipe cannot be opened a second time from its start
+    if stat.S_ISREG(os.fstat(fp.fileno()).st_mode) and not os.fspath(path).endswith(_COMPRESSED_SUFFIXES):
+        try:
+            return np.loadtxt(path, delimiter=",", comments="#", ndmin=2, skiprows=skip)
+        except ValueError:
+            pass  # read the lines below, which also gives the errors their row numbers
+    # lstrip turns whitespace-only lines and indented comments into the
+    # empty and '#' lines that np.loadtxt skips itself
+    lines = itertools.chain([first], map(str.lstrip, fp))
+    return np.loadtxt(lines, delimiter=",", comments="#", ndmin=2)
 
 
 def _read_table(path: str, n_cols: int) -> tuple[str | None, np.ndarray]:
     """Geometry header text (or None) and the finite (rows, n_cols) data."""
     try:
         with open(path) as fp:
-            geometry, first = _scan_head(fp)
+            geometry, first, skip = _scan_head(fp)
             if first is None:
                 return geometry, np.empty((0, n_cols))
-            # lstrip turns whitespace-only lines and indented comments into
-            # the empty and '#' lines that np.loadtxt skips itself
-            lines = itertools.chain([first], map(str.lstrip, fp))
-            data = np.loadtxt(lines, delimiter=",", comments="#", ndmin=2)
+            data = _load_rows(path, fp, first, skip)
     except OSError as exc:
         raise FieldFormatError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
@@ -209,7 +238,9 @@ def _write_header(fp: TextIO, geometry: dict, config: dict | None) -> None:
 # of significant digits.  Texts are NUL-padded to a fixed width, and the
 # NULs are deleted from each chunk.
 
-_CHUNK_LINES = 2048
+_CHUNK_FLOATS = 8192         # per chunk: 4096 field lines, 1638 kernel-table lines
+_GATHER = 1024               # values per block of the layout gather
+_HELPER_FLOATS = 2**17       # the least output that a helper thread formats a share of
 _WIDTH = 25                  # the longest "%.17g" text, 24 bytes, and a separator
 _K_MIN, _K_MAX = -293, 341   # 10^(16-e) for every double, e off by at most one
 _TIE_BAND = 2.0**-40
@@ -294,10 +325,12 @@ def _scaled(v: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return whole.astype(np.int64) + carry.astype(np.int64), rest - carry
 
 
-def _g17_text(values: np.ndarray) -> np.ndarray:
-    """(L, c) floats -> (L, c*_WIDTH) bytes: each "%.17g" text and ',' or '\n' after it, NUL-padded."""
-    lines, cols = values.shape
-    x = values.ravel()
+def _digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 17 digits D and the exponent e of each |x|, and which x go to format_float.
+
+    D and e are right where x is finite, nonzero and not flagged; elsewhere
+    they are placeholders in range.
+    """
     a = np.abs(x)
     regular = np.isfinite(a) & (a > 0)
     v = np.where(regular, a, 1.0)
@@ -314,7 +347,14 @@ def _g17_text(values: np.ndarray) -> np.ndarray:
     carry = digits == 10**17
     digits[carry] = 10**16
     e += carry
+    return digits, e, by_python
 
+
+def _g17_text(values: np.ndarray) -> np.ndarray:
+    """(L, c) floats -> (L, c*_WIDTH) bytes: each "%.17g" text and ',' or '\n' after it, NUL-padded."""
+    lines, cols = values.shape
+    x = values.ravel()
+    digits, e, by_python = _digits(x)
     words, layout = _text_tables()
     top, low = np.divmod(digits, 10**8)
     lead, high = np.divmod(top.astype(np.uint32), 10**8)
@@ -330,10 +370,14 @@ def _g17_text(values: np.ndarray) -> np.ndarray:
     constants[:, -1, _SEP - _DOT] = ord("\n")
     nz = _EXP - np.argmax(src[:, _EXP - 1::-1] != ord("0"), axis=1)
     cls = np.where((e >= -4) & (e <= 16), e + 4, _SCI + (e < 0) + 2 * (ae >= 100))
-    cls[a == 0] = _ZERO_CLASS
-    index = layout[(cls * 2 + np.signbit(x)) * 18 + nz]
-    index += np.arange(0, src.size, _SRC)[:, None]
-    text = src.ravel().take(index)
+    cls[x == 0] = _ZERO_CLASS
+    key = (cls * 2 + np.signbit(x)) * 18 + nz
+    flat = src.ravel()
+    text = np.empty((x.size, _WIDTH), dtype=np.uint8)
+    for start in range(0, x.size, _GATHER):  # an index of _GATHER x _WIDTH intp at a time
+        index = layout[key[start:start + _GATHER]]
+        index += np.arange(start * _SRC, (start + len(index)) * _SRC, _SRC)[:, None]
+        np.take(flat, index, out=text[start:start + len(index)], mode="clip")  # in range: no check
     if by_python.any():
         rows = np.flatnonzero(by_python)
         seps = np.where(rows % cols == cols - 1, "\n", ",").tolist()
@@ -356,11 +400,37 @@ def _ascii(items) -> np.ndarray:
     return text.view(np.uint8).reshape(len(text), -1)
 
 
+def _write_chunks(fp: TextIO, values: np.ndarray, chunk_text) -> None:
+    """Write chunk_text(start, stop) for the chunks of the rows of values, in order.
+
+    A chunk is _CHUNK_FLOATS floats of whole rows.  From _HELPER_FLOATS
+    floats on, a helper thread formats chunk k + 1 while this thread
+    formats chunk k; this thread then writes both.  numpy's loops release
+    the GIL, so on two CPUs the two run side by side, and on one they take
+    turns at about the serial speed.  The thread adds a fixed 2-5 MB to
+    peak memory; kernel tables (up to about 10^5 floats, a 40 MB process)
+    stay below the threshold, where it would save a few ms at most.
+    """
+    step = _CHUNK_FLOATS // values.shape[1]
+    starts = range(0, len(values), step)
+    if values.size < _HELPER_FLOATS:
+        for start in starts:
+            fp.write(chunk_text(start, start + step))
+        return
+    from concurrent.futures import ThreadPoolExecutor  # here: a module-level import slows start-up
+
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        for mine, theirs in itertools.zip_longest(starts[::2], starts[1::2]):
+            later = None if theirs is None else helper.submit(chunk_text, theirs, theirs + step)
+            fp.write(chunk_text(mine, mine + step))
+            if later is not None:
+                fp.write(later.result())
+
+
 def write_float_rows(fp: TextIO, table: np.ndarray) -> None:
     """Write each row of a float table as one CSV line of "%.17g" values."""
     table = np.ascontiguousarray(table, dtype=float)
-    for start in range(0, len(table), _CHUNK_LINES):
-        fp.write(_csv_lines(table[start:start + _CHUNK_LINES]))
+    _write_chunks(fp, table, lambda start, stop: _csv_lines(table[start:stop]))
 
 
 def _write_rows(fp: TextIO, keys, rows: np.ndarray) -> None:
@@ -368,9 +438,12 @@ def _write_rows(fp: TextIO, keys, rows: np.ndarray) -> None:
     n = rows.shape[1]
     key_text, index_text = _ascii(keys), _ascii(range(n))
     re_im = np.ascontiguousarray(rows, dtype=complex).view(float).reshape(-1, 2)
-    for start in range(0, len(re_im), _CHUNK_LINES):
-        line = np.arange(start, min(start + _CHUNK_LINES, len(re_im)))
-        fp.write(_csv_lines(re_im[start:start + len(line)], key_text[line // n], index_text[line % n]))
+
+    def chunk_text(start: int, stop: int) -> str:
+        line = np.arange(start, min(stop, len(re_im)))
+        return _csv_lines(re_im[start:stop], key_text[line // n], index_text[line % n])
+
+    _write_chunks(fp, re_im, chunk_text)
 
 
 def write_factored(fp: TextIO, field: FactoredField, config: dict | None = None) -> None:

@@ -345,12 +345,15 @@ def closed_form_4d(r, r_prime, t, z, tol: float = 1e-14):
 
 
 def closed_form(dim: int, r, r_prime, t, z, tol: float = 1e-14):
-    """The closed form of the kernel for N in {1, 2, 4}; N = 1 takes no tol.
+    """The closed form of the kernel for N in {1, 2, 4}.
 
+    The N = 1 form needs no tol, but the tol given is checked all the
+    same, in the series' order, so both routes refuse the same calls.
     closed_form_1d, _2d and _4d are looked up by name when called, so a
     wrapper put on this module's names sees every call.
     """
     if dim == 1:
+        _check_table(1, *_columns(r, r_prime, t), as_time(z), tol)
         return closed_form_1d(r, r_prime, t, z)
     if dim == 2:
         return closed_form_2d(r, r_prime, t, z, tol)

@@ -238,21 +238,19 @@ def test_verify_does_not_read_the_tolerance_variable(monkeypatch, tmp_path):
 
 
 def test_closed_stdout_pipe_exits_141_quietly(tmp_path):
-    # more output than a pipe buffers
-    argv = [sys.executable, "-m", "conformal_heat.cli", *_large_output_argv(tmp_path, "kernel")]
-    env = dict(os.environ, PYTHONPATH=str(Path(conformal_heat.__file__).parents[1]))
-    # buffered stdout; test_unbuffered_stdout_* cover PYTHONUNBUFFERED=1
-    env.pop("PYTHONUNBUFFERED", None)
-    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    try:
-        assert proc.stdout.readline() == b"r,r_prime,t,re_k,im_k\n"
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert proc.wait(timeout=60) == 141
-    finally:
-        proc.kill()
-        proc.stderr.close()
-    assert err == b""
+    # more output than a pipe buffers, on buffered stdout (test_unbuffered_stdout_*
+    # cover PYTHONUNBUFFERED=1), with the writer's helper thread and without
+    for helper in (False, True):
+        proc = _cli_process(_large_output_argv(tmp_path, "kernel"), unbuffered=False, helper=helper)
+        try:
+            assert proc.stdout.readline() == b"r,r_prime,t,re_k,im_k\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 141
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert err == b""
 
 
 _PIPE_R = ",".join(str(0.5 + 0.05 * k) for k in range(20))
@@ -274,27 +272,37 @@ def _large_output_argv(tmp_path: Path, verb: str) -> list[str]:
     return ["apply", "--t", "0", "--in", str(src)]
 
 
-def _unbuffered_cli(argv: list[str]) -> subprocess.Popen:
+# the command line with the writer's helper thread engaged for any output size
+_HELPER_CLI = ("import sys; from conformal_heat import cli, fields_io; "
+               "fields_io._HELPER_FLOATS = 0; sys.exit(cli.main())")
+
+
+def _cli_process(argv: list[str], unbuffered: bool = True, helper: bool = False) -> subprocess.Popen:
     env = dict(os.environ, PYTHONPATH=str(Path(conformal_heat.__file__).parents[1]),
                PYTHONUNBUFFERED="1")
-    return subprocess.Popen([sys.executable, "-m", "conformal_heat.cli", *argv],
+    if not unbuffered:
+        env.pop("PYTHONUNBUFFERED")
+    launch = ["-c", _HELPER_CLI] if helper else ["-m", "conformal_heat.cli"]
+    return subprocess.Popen([sys.executable, *launch, *argv],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
 
 
 @pytest.mark.parametrize("verb", ["kernel", "apply"])
 def test_unbuffered_stdout_closed_pipe_exits_141(tmp_path, verb):
     # The raw stdout of an unbuffered run takes part of a large write when
-    # the reader goes away; the rest must not vanish with exit status 0.
-    proc = _unbuffered_cli(_large_output_argv(tmp_path, verb))
-    try:
-        proc.stdout.read(1000)  # past the header lines, into the large write
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert proc.wait(timeout=60) == 141
-    finally:
-        proc.kill()
-        proc.stderr.close()
-    assert err == b""
+    # the reader goes away; the rest must not vanish with exit status 0,
+    # nor wait on a chunk that the writer's helper thread holds.
+    for helper in (False, True):
+        proc = _cli_process(_large_output_argv(tmp_path, verb), helper=helper)
+        try:
+            proc.stdout.read(1000)  # past the header lines, into the large write
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 141
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert err == b""
 
 
 @pytest.mark.parametrize("verb", ["kernel", "apply"])
@@ -302,10 +310,11 @@ def test_unbuffered_stdout_delivers_every_byte(tmp_path, verb):
     argv = _large_output_argv(tmp_path, verb)
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 0
-    proc = _unbuffered_cli(argv)
-    piped, err = proc.communicate(timeout=60)
-    assert proc.returncode == 0 and err == b""
-    assert piped == out.read_bytes()
+    for helper in (False, True):
+        proc = _cli_process(argv, helper=helper)
+        piped, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0 and err == b""
+        assert piped == out.read_bytes()
 
 
 def _grid_text(dim: int, n_phi: int, n: int) -> str:
@@ -451,13 +460,21 @@ def test_both_routes_refuse_a_two_fault_point_alike(capsys, point):
     assert (code, out, err) == (2, "", "error: tolerance must be positive\n" if tols else f"error: {message}\n")
 
 
-def test_closed_form_empty_table_exits_0(tmp_path):
+def test_closed_form_empty_table_exits_0(tmp_path, capsys):
     pts = tmp_path / "empty.csv"
     pts.write_text("r,r_prime,t\n")
     out = tmp_path / "k.csv"
-    for dim in ("1", "2", "3", "4"):
+    for dim in ("1", "2", "4"):
         assert main(["kernel", "--dim", dim, "--z", "0.5,0", "--closed-form", "--in", str(pts), "--out", str(out)]) == 0
         assert out.read_text() == "r,r_prime,t,re_k,im_k\n"
+    # N = 3 has no closed form, with rows or without
+    out.unlink()
+    one_row = tmp_path / "one.csv"
+    one_row.write_text("r,r_prime,t\n1.0,1.2,0.3\n")
+    for path in (pts, one_row):
+        assert main(["kernel", "--dim", "3", "--z", "0.5,0", "--closed-form", "--in", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: closed forms exist for N in {1, 2, 4}, not N = 3\n"
+    assert not out.exists()
 
 
 def test_series_empty_table_writes_the_header_only(tmp_path, capsys):

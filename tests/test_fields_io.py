@@ -4,17 +4,23 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conformal_heat import fields_io
 from conformal_heat.cli import main
 from conformal_heat.errors import FieldFormatError
-from conformal_heat.fields_io import _CHUNK_LINES, read_field_file, read_points, write_factored, write_grid2d
+from conformal_heat.fields_io import _CHUNK_FLOATS, read_field_file, read_points, write_factored, write_grid2d
 from conformal_heat.log_radial import LogRadialGrid, RadialSamples
 from conformal_heat.spherical import FactoredField, GridField2D
 
+_FIELD_CHUNK = _CHUNK_FLOATS // 2  # field lines per chunk
 IN_FIELD = str(Path(__file__).parent / "fixtures" / "gauss_n3_m1_in.csv")
 
 EDGE_VALUES = [
@@ -59,35 +65,54 @@ def test_write_grid2d_bytes_match_reference():
     assert lines[1] == _reference_rows(range(8), values)
 
 
-@pytest.mark.parametrize("dim, n_phi, n", [(1, 2, _CHUNK_LINES // 4), (1, 2, _CHUNK_LINES // 2),
-                                         (2, 8, _CHUNK_LINES // 8), (2, 16, _CHUNK_LINES // 8)])
-def test_write_grid2d_bytes_around_a_chunk(dim, n_phi, n):
-    # grid line counts are powers of two: half a chunk, one chunk or two
+def _rows_both_ways(monkeypatch, write, field, names: str) -> str:
+    """The data rows that write(fp, field) gives, the same with the helper thread and without."""
+    texts = []
+    for helper in (False, True):
+        monkeypatch.setattr(fields_io, "_HELPER_FLOATS", 0 if helper else 2**62)
+        fp = io.StringIO()
+        write(fp, field)
+        texts.append(fp.getvalue().split(names, 1)[1])
+    assert texts[0] == texts[1]
+    return texts[0]
+
+
+@pytest.mark.parametrize("dim, n_phi, n", [(1, 2, _FIELD_CHUNK // 8), (1, 2, _FIELD_CHUNK // 4),
+                                         (2, 8, _FIELD_CHUNK // 16), (2, 16, _FIELD_CHUNK // 16),
+                                         (1, 2, _FIELD_CHUNK // 2), (1, 2, _FIELD_CHUNK),
+                                         (2, 8, _FIELD_CHUNK // 8), (2, 16, _FIELD_CHUNK // 4),
+                                         (1, 2, 2 * _FIELD_CHUNK)])
+def test_write_grid2d_bytes_around_a_chunk(monkeypatch, dim, n_phi, n):
+    # grid line counts are powers of two, from a quarter chunk to four chunks;
+    # the last case has two angles of two chunks each, so every second
+    # chunk starts inside an angle
     grid = LogRadialGrid(dim=dim, s_min=-2.0, s_max=2.0, n=n)
     values = _edge_samples(n_phi, grid.n)
-    fp = io.StringIO()
-    write_grid2d(fp, GridField2D(grid, values))
-    assert fp.getvalue().split("angle_index,s_index,re,im\n", 1)[1] == _reference_rows(range(n_phi), values)
+    rows = _rows_both_ways(monkeypatch, write_grid2d, GridField2D(grid, values), "angle_index,s_index,re,im\n")
+    assert rows == _reference_rows(range(n_phi), values)
 
 
-@pytest.mark.parametrize("lines", [8, _CHUNK_LINES - 8, _CHUNK_LINES, _CHUNK_LINES + 8])
-def test_write_factored_bytes_with_signed_keys_around_a_chunk(lines):
-    # N = 2 keys are signed angular modes; one 8-sample key is the smallest field
+@pytest.mark.parametrize("lines", [8, _FIELD_CHUNK // 2 - 8, _FIELD_CHUNK // 2, _FIELD_CHUNK // 2 + 8,
+                                   _FIELD_CHUNK - 8, _FIELD_CHUNK, _FIELD_CHUNK + 8, 2 * _FIELD_CHUNK + 8])
+def test_write_factored_bytes_with_signed_keys_around_a_chunk(monkeypatch, lines):
+    # N = 2 keys are signed angular modes; one 8-sample key is the smallest
+    # field; the last case makes three chunks, the third without a partner
     grid = LogRadialGrid(dim=2, s_min=-2.0, s_max=2.0, n=8)
     count = lines // grid.n
     keys = np.arange(count) * 7 - 3 * count
     samples = _edge_samples(count, grid.n)
-    fp = io.StringIO()
-    write_factored(fp, FactoredField(keys, RadialSamples(grid, samples)))
-    assert fp.getvalue().split("m,s_index,re,im\n", 1)[1] == _reference_rows(keys.tolist(), samples)
+    field = FactoredField(keys, RadialSamples(grid, samples))
+    rows = _rows_both_ways(monkeypatch, write_factored, field, "m,s_index,re,im\n")
+    assert rows == _reference_rows(keys.tolist(), samples)
 
 
-def test_write_factored_bytes_with_chunks_inside_a_key():
-    grid = LogRadialGrid(dim=2, s_min=-2.0, s_max=2.0, n=2 * _CHUNK_LINES)
+def test_write_factored_bytes_with_chunks_inside_a_key(monkeypatch):
+    # each key is two chunks of lines, so every second chunk starts inside one
+    grid = LogRadialGrid(dim=2, s_min=-2.0, s_max=2.0, n=2 * _FIELD_CHUNK)
     samples = _edge_samples(3, grid.n)
-    fp = io.StringIO()
-    write_factored(fp, FactoredField([-12, 0, 345], RadialSamples(grid, samples)))
-    assert fp.getvalue().split("m,s_index,re,im\n", 1)[1] == _reference_rows((-12, 0, 345), samples)
+    field = FactoredField([-12, 0, 345], RadialSamples(grid, samples))
+    rows = _rows_both_ways(monkeypatch, write_factored, field, "m,s_index,re,im\n")
+    assert rows == _reference_rows((-12, 0, 345), samples)
 
 
 def test_apply_stdout_matches_out_file(tmp_path, capsys):
@@ -106,34 +131,103 @@ def _grid_text(lines_between: list[str], newline: str = "\n") -> str:
     return newline.join(["# geometry: " + json.dumps(geo), "angle_index,s_index,re,im"] + body) + newline
 
 
-@pytest.mark.parametrize("text", [
-    _grid_text([], newline="\r\n"),
-    _grid_text(["# a comment between rows"]),
-    _grid_text(["   # an indented comment"]),
-    _grid_text(["", "   ", "\t"]),
-], ids=["crlf", "comment", "indented-comment", "blank-lines"])
-def test_reader_accepts(tmp_path, text):
+_ACCEPTED = {
+    "crlf": _grid_text([], newline="\r\n"),
+    "comment": _grid_text(["# a comment between rows"]),
+    "indented-comment": _grid_text(["   # an indented comment"]),
+    "blank-lines": _grid_text(["", "   ", "\t"]),
+    "whitespace-line-in-data": _grid_text([" \t "]),
+    "whitespace-line-in-data-crlf": _grid_text(["  "], newline="\r\n"),
+    "whitespace-last-line": _grid_text([]) + "   \n",
+}
+
+
+def _lines_only(monkeypatch) -> None:
+    """Make np.loadtxt refuse a path, so that the reader hands it the lines of the open file."""
+    loadtxt = np.loadtxt
+
+    def no_paths(source, *args, **kwargs):
+        if isinstance(source, str):
+            raise ValueError("no path reads here")
+        return loadtxt(source, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", no_paths)
+
+
+@pytest.mark.parametrize("text", list(_ACCEPTED.values()), ids=list(_ACCEPTED))
+def test_reader_accepts(tmp_path, monkeypatch, text):
+    # read from the path and read line by line, the values are those of the clean file
     clean = tmp_path / "clean.csv"
     clean.write_text(_grid_text([]))
     path = tmp_path / "f.csv"
     path.write_bytes(text.encode())
-    assert np.array_equal(read_field_file(str(path)).values, read_field_file(str(clean)).values)
+    expected = read_field_file(str(clean)).values
+    assert np.array_equal(read_field_file(str(path)).values, expected)
+    _lines_only(monkeypatch)
+    assert np.array_equal(read_field_file(str(path)).values, expected)
 
 
-@pytest.mark.parametrize("text", [
-    _grid_text(["1,5,0.0"]),
-    _grid_text(["1,5,0.0,0.0,0.0"]),
-    _grid_text(["not,a,number,row"]),
-    _grid_text(["angle_index,s_index,re,im"]),
-    _grid_text(["1.5,5,0,0"]),
-    _grid_text(["1,8,0,0"]),
-], ids=["too-few-columns", "too-many-columns", "text-row", "second-names-row",
-        "fractional-index", "index-out-of-range"])
-def test_reader_rejects(tmp_path, text):
+_REJECTED = {
+    "too-few-columns": ["1,5,0.0"],
+    "too-many-columns": ["1,5,0.0,0.0,0.0"],
+    "text-row": ["not,a,number,row"],
+    "second-names-row": ["angle_index,s_index,re,im"],
+    "fractional-index": ["1.5,5,0,0"],
+    "index-out-of-range": ["1,8,0,0"],
+    "space-in-a-value": ["1,2,3,4 5"],
+    # a whitespace-only line ahead of the bad row makes the path read fail first
+    "too-few-columns-after-a-whitespace-line": ["   ", "1,5,0.0"],
+    "text-row-after-a-whitespace-line": ["   ", "not,a,number,row"],
+    "space-in-a-value-after-a-whitespace-line": ["   ", "1,2,3,4 5"],
+}
+
+
+@pytest.mark.parametrize("between", list(_REJECTED.values()), ids=list(_REJECTED))
+def test_reader_rejects(tmp_path, monkeypatch, between):
+    # the message of a failed path read is that of the line-by-line read
     path = tmp_path / "f.csv"
-    path.write_text(text)
-    with pytest.raises(FieldFormatError):
+    path.write_text(_grid_text(between))
+    with pytest.raises(FieldFormatError) as by_path:
         read_field_file(str(path))
+    _lines_only(monkeypatch)
+    with pytest.raises(FieldFormatError) as by_lines:
+        read_field_file(str(path))
+    assert str(by_path.value) == str(by_lines.value)
+    assert str(by_path.value).startswith(f"{path}: ")
+
+
+def test_reader_reads_a_pipe(tmp_path):
+    # a pipe cannot be opened a second time from its start; a reader that
+    # tries waits for a second writer, so the read runs in a child with a timeout
+    fifo = tmp_path / "fifo"
+    try:
+        os.mkfifo(fifo)
+    except (AttributeError, OSError):
+        pytest.skip("no named pipes here")
+    clean = tmp_path / "clean.csv"
+    clean.write_text(_grid_text([]))
+    env = dict(os.environ, PYTHONPATH=str(Path(fields_io.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "conformal_heat.cli", "apply", "--t", "0", "--in", str(fifo)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    writer = threading.Thread(target=fifo.write_text, args=(_grid_text(["# a comment between rows"]),), daemon=True)
+    writer.start()
+    try:
+        piped, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 0 and err == b""
+    out = tmp_path / "out.csv"
+    assert main(["apply", "--t", "0", "--in", str(clean), "--out", str(out)]) == 0
+    assert piped == out.read_bytes()
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_plain_text_with_a_compression_suffix_is_read_as_text(tmp_path, suffix):
+    path = tmp_path / ("f.csv" + suffix)
+    path.write_text(_grid_text([]))
+    clean = tmp_path / "clean.csv"
+    clean.write_text(_grid_text([]))
+    assert np.array_equal(read_field_file(str(path)).values, read_field_file(str(clean)).values)
 
 
 def test_read_points_skips_names_comments_and_blank_lines(tmp_path):

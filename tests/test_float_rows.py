@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import io
+import threading
 
 import numpy as np
 import pytest
 
 from conformal_heat import fields_io
-from conformal_heat.fields_io import _CHUNK_LINES, _powers_of_ten, write_float_rows
+from conformal_heat.fields_io import _CHUNK_FLOATS, _powers_of_ten, format_float, write_float_rows
+
+_TABLE_CHUNK = _CHUNK_FLOATS // 5  # lines of a five-column kernel table per chunk
 
 TINY, HUGE = 5e-324, 1.7976931348623157e308
 MIN_NORMAL = 2.2250738585072014e-308
@@ -122,8 +125,37 @@ def test_power_table_is_exact():
         assert lo[i] == float(scaled - Fraction(hi[i]))
 
 
-@pytest.mark.parametrize("rows", [0, 1, _CHUNK_LINES - 1, _CHUNK_LINES, _CHUNK_LINES + 1, 3 * _CHUNK_LINES + 5])
+@pytest.mark.parametrize("rows", [0, 1, 2047, 2048, 2049, 6149, _TABLE_CHUNK - 1, _TABLE_CHUNK, _TABLE_CHUNK + 1,
+                                  2 * _TABLE_CHUNK + 3])
 def test_row_counts_around_a_chunk(rows):
+    # counts inside a chunk, on either side of a chunk's end, and past two
     rng = np.random.default_rng(rows)
     table = rng.standard_normal((rows, 5)) * 10.0 ** rng.integers(-20, 20, (rows, 5))
     assert _written(table) == _reference(table)
+
+
+def _on_the_helper_thread(monkeypatch, table: np.ndarray) -> tuple[str, set]:
+    """The writer's text with the helper thread engaged, and the threads that formatted chunks."""
+    threads = set()
+    lines = fields_io._csv_lines
+
+    def recorded(*args):
+        threads.add(threading.get_ident())
+        return lines(*args)
+
+    monkeypatch.setattr(fields_io, "_HELPER_FLOATS", 0)
+    monkeypatch.setattr(fields_io, "_csv_lines", recorded)
+    return _written(table), threads
+
+
+@pytest.mark.parametrize("rows", [0, 1, _TABLE_CHUNK, _TABLE_CHUNK + 1, 2 * _TABLE_CHUNK, 3 * _TABLE_CHUNK + 5])
+def test_helper_thread_writes_the_serial_bytes(monkeypatch, rows):
+    rng = np.random.default_rng(rows)
+    table = rng.standard_normal((rows, 5)) * 10.0 ** rng.integers(-20, 20, (rows, 5))
+    table[:1, :3] = [np.nan, -0.0, 12345678901 + 1 / 128]  # format_float's cases, on the caller's thread
+    serial = _written(table)
+    helped, threads = _on_the_helper_thread(monkeypatch, table)
+    assert helped == serial
+    assert helped == "".join(",".join(map(format_float, row)) + "\n" for row in table.tolist())
+    assert len(threads) == (2 if rows > _TABLE_CHUNK else min(rows, 1))
+    assert threading.get_ident() in threads or not rows

@@ -556,6 +556,31 @@ def test_closed_form_is_the_form_of_its_dim_bit_for_bit(dim, form, z):
     assert type(one) is complex and one == form(float(r[3]), float(rp[3]), float(t[3]), z)
 
 
+# N = 1 points (r, r', t, z) and the error a bad tol meets there: a good
+# point, then one fault each that the series checks before tol (radii, t)
+# or after it (the regime)
+_TOL = "tol must be finite and positive"
+_N1_TOL_POINTS = {
+    "good": ((1.0, 1.0, 1.0, 0.5), _TOL),
+    "radius": ((0.0, 1.0, 1.0, 0.5), "radii must be positive"),
+    "t": ((1.0, 1.0, 0.5, 0.5), "N = 1 admits only t = +1 or t = -1"),
+    "regime": ((1.0, 1.0, -1.0, 1j), _TOL),
+}
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-10, math.inf])
+@pytest.mark.parametrize("name", list(_N1_TOL_POINTS))
+def test_n1_closed_form_checks_tol_in_the_series_order(name, tol):
+    (r, rp, t, z), message = _N1_TOL_POINTS[name]
+    raised = []
+    for route in (lambda: full_kernel_series(1, r, rp, t, z, tol), lambda: closed_form(1, r, rp, t, z, tol),
+                  lambda: closed_form(1, np.array([r]), np.array([rp]), np.array([t]), z, tol)):
+        with pytest.raises(DomainError) as info:
+            route()
+        raised.append(str(info.value))
+    assert raised == [message] * 3
+
+
 @pytest.mark.parametrize("dim", [0, 3, 5])
 def test_closed_form_refuses_a_dim_without_one(dim):
     with pytest.raises(DomainError, match=f"not N = {dim}$"):
