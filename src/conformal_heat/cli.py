@@ -11,13 +11,26 @@ cmd_* function reads its own argparse namespace and hands plain values
 to the library, checking --dim, then --tol, then the verb's own values,
 then the input file; the first bad one decides the message and exit code.
 
-Exit codes: 0 success, 1 failed verification, 2 invalid mathematical
-regime, 3 unreadable or malformed input (usage errors and non-finite
-numbers included), 141 (128 + SIGPIPE), with no message, when the reader
-of stdout closes it early, as `| head` does; that holds with an unbuffered
-stdout (PYTHONUNBUFFERED=1) as well.  Numeric output is
-deterministic: identical configuration and input produce identical bytes,
-floats carry 17 significant digits.  For the verbs that take --tol, the
+Exit codes:
+
+    0    success
+    1    failed verification (verify only)
+    2    invalid mathematical regime or domain, values out of the float
+         range included: a kernel point whose (r r')^{-(N-2)/2} is 0 or
+         not finite, an apply result with a non-finite sample
+    3    unreadable or malformed input (usage errors and non-finite
+         numbers included)
+    141  (128 + SIGPIPE), with no message: the reader of stdout closed it
+         early, as `| head` does, also under python -u
+
+Exits 2 and 3 print one "error: ..." line on stderr (after the usage, for
+a usage error), and a refused run writes no output: --out is opened only
+once the result is computed.
+
+--out and stdout receive the same bytes: ASCII with LF line ends on
+every platform.  Numeric output is deterministic: identical
+configuration and input produce identical bytes, floats carry 17
+significant digits.  For the verbs that take --tol, the
 CONFORMAL_HEAT_TOL environment variable overrides the default series
 tolerance of 1e-10; a tolerance must be finite and positive.
 """
@@ -152,44 +165,33 @@ def _tolerance(args: argparse.Namespace) -> float:
     return tol
 
 
-class _StdoutBytes:
-    """Text sink that hands every byte to the binary layer of sys.stdout.
-
-    Under PYTHONUNBUFFERED=1 or `python -u` that layer is the raw file,
-    whose write can take only part of the bytes (when the reader of a pipe
-    closes it mid-write), and the text layer drops the rest without an
-    error.  Writing until every byte is taken either delivers the output
-    whole or ends in BrokenPipeError, which main turns into exit 141.
-    """
-
-    def __init__(self, stream):
-        self._binary = stream.buffer
-        self._encoding = stream.encoding
-
-    def write(self, text: str) -> None:
-        data = memoryview(text.encode(self._encoding))
-        while data:
-            data = data[self._binary.write(data):]
-
-    def tell(self) -> int:
-        return self._binary.tell()
-
-
 @contextmanager
 def _output(out_path: str | None):
+    """The binary file that a verb writes its bytes to: --out, else stdout.
+
+    Stdout is written through a buffered writer on its descriptor, whose
+    writes finish the partial writes of a pipe (also under python -u) or
+    end in BrokenPipeError, which main turns into exit 141.  A stand-in
+    for stdout without a descriptor, such as pytest's capture, gets the
+    bytes through its binary buffer.
+    """
     if out_path:
-        with open(out_path, "w") as fp:
+        with open(out_path, "wb") as fp:
             yield fp
-    elif hasattr(sys.stdout, "buffer"):
-        sys.stdout.flush()
-        yield _StdoutBytes(sys.stdout)
-    else:  # a text-only stand-in, such as io.StringIO
-        yield sys.stdout
+        return
+    sys.stdout.flush()
+    try:
+        fd = sys.stdout.fileno()
+    except OSError:  # io.UnsupportedOperation: no descriptor
+        yield sys.stdout.buffer
+        return
+    with open(fd, "wb", closefd=False) as fp:
+        yield fp
 
 
 def _emit(out_path: str | None, text: str) -> None:
     with _output(out_path) as fp:
-        fp.write(text)
+        fp.write(text.encode())
 
 
 def cmd_kernel(args: argparse.Namespace) -> int:
@@ -226,7 +228,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
         _emit(args.out_path, json.dumps(payload, indent=2) + "\n")
     else:
         with _output(args.out_path) as fp:
-            fp.write("r,r_prime,t,re_k,im_k\n")
+            fp.write(b"r,r_prime,t,re_k,im_k\n")
             write_float_rows(fp, np.column_stack([points, values.real, values.imag]))
     return 0
 
@@ -248,13 +250,17 @@ def cmd_apply(args: argparse.Namespace) -> int:
     data = read_field_file(args.in_path)
     if args.dim is not None and args.dim != data.grid.dim:
         raise FieldFormatError(f"--dim {args.dim} does not match dim {data.grid.dim} of {args.in_path}")
-    if args.t is not None:
-        result = apply_scaling_direct(t, data)
-    elif isinstance(data, GridField2D):
-        result = apply_exp_g0_grid(exponent, data)
-    else:
-        result = apply_exp_g0(exponent, data)
-    write = write_grid2d if isinstance(data, GridField2D) else write_factored
+    with np.errstate(all="ignore"):  # a result out of the float range is refused below
+        if args.t is not None:
+            result = apply_scaling_direct(t, data)
+        elif isinstance(data, GridField2D):
+            result = apply_exp_g0_grid(exponent, data)
+        else:
+            result = apply_exp_g0(exponent, data)
+    grid_field = isinstance(data, GridField2D)
+    if not np.isfinite(result.values if grid_field else result.radial.values).all():
+        raise DomainError("the result has non-finite samples: it leaves the float range")
+    write = write_grid2d if grid_field else write_factored
     with _output(args.out_path) as fp:
         write(fp, result, {"dim": data.grid.dim, "tol": tol, **action})
     return 0

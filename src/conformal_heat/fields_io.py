@@ -31,6 +31,8 @@ a name that loadtxt would decompress), it is handed the remaining lines
 of the open file one at a time, and its errors there are the ones
 reported.
 
+The writers take a binary file, such as open(path, "wb"), and write to
+it ASCII bytes with "\n" line ends, the formatter's own bytes.
 Tables are written a chunk of _CHUNK_FLOATS floats of whole lines per
 write, each chunk's floats turned into exactly the "%.17g" text by one
 array formatter (write_float_rows writes kernel tables the same way), so
@@ -48,7 +50,7 @@ import itertools
 import json
 import os
 import stat
-from typing import TextIO
+from typing import BinaryIO, TextIO
 
 import numpy as np
 
@@ -218,12 +220,6 @@ def read_field_file(path: str):
     raise FieldFormatError(f"{path}: unknown field kind {kind!r}")
 
 
-def _write_header(fp: TextIO, geometry: dict, config: dict | None) -> None:
-    fp.write("# geometry: " + json.dumps(geometry, sort_keys=True) + "\n")
-    if config:
-        fp.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
-
-
 # "%.17g" text of float arrays, a chunk of CSV lines at a time.
 #
 # A finite nonzero |x| prints the 17 digits D = round(|x|*10^(16-e)), with
@@ -386,12 +382,12 @@ def _g17_text(values: np.ndarray) -> np.ndarray:
     return text.reshape(lines, cols * _WIDTH)
 
 
-def _csv_lines(values: np.ndarray, *lead: np.ndarray) -> str:
+def _csv_lines(values: np.ndarray, *lead: np.ndarray) -> bytes:
     """One line per row: the lead byte columns, then the "%.17g" values joined by ','."""
     text = _g17_text(values)
     if lead:
         text = np.concatenate([*lead, text], axis=1)
-    return text.tobytes().translate(None, b"\0").decode("ascii")
+    return text.tobytes().translate(None, b"\0")
 
 
 def _ascii(items) -> np.ndarray:
@@ -400,7 +396,7 @@ def _ascii(items) -> np.ndarray:
     return text.view(np.uint8).reshape(len(text), -1)
 
 
-def _write_chunks(fp: TextIO, values: np.ndarray, chunk_text) -> None:
+def _write_chunks(fp: BinaryIO, values: np.ndarray, chunk_text) -> None:
     """Write chunk_text(start, stop) for the chunks of the rows of values, in order.
 
     A chunk is _CHUNK_FLOATS floats of whole rows.  From _HELPER_FLOATS
@@ -427,52 +423,38 @@ def _write_chunks(fp: TextIO, values: np.ndarray, chunk_text) -> None:
                 fp.write(later.result())
 
 
-def write_float_rows(fp: TextIO, table: np.ndarray) -> None:
+def write_float_rows(fp: BinaryIO, table: np.ndarray) -> None:
     """Write each row of a float table as one CSV line of "%.17g" values."""
     table = np.ascontiguousarray(table, dtype=float)
     _write_chunks(fp, table, lambda start, stop: _csv_lines(table[start:stop]))
 
 
-def _write_rows(fp: TextIO, keys, rows: np.ndarray) -> None:
-    """Write "key,s_index,re,im" lines, one fp.write per chunk of lines."""
+def _write_field(fp: BinaryIO, grid: LogRadialGrid, config: dict | None, key_name: str, keys,
+                 rows: np.ndarray, **geometry) -> None:
+    """Write the header lines, then one "key,s_index,re,im" line per sample, key by key."""
+    geometry.update(dim=grid.dim, s_min=grid.s_min, s_max=grid.s_max, n=grid.n)
+    head = "# geometry: " + json.dumps(geometry, sort_keys=True) + "\n"
+    if config:
+        head += "# config: " + json.dumps(config, sort_keys=True) + "\n"
+    fp.write(f"{head}{key_name},s_index,re,im\n".encode("ascii"))
     n = rows.shape[1]
     key_text, index_text = _ascii(keys), _ascii(range(n))
     re_im = np.ascontiguousarray(rows, dtype=complex).view(float).reshape(-1, 2)
 
-    def chunk_text(start: int, stop: int) -> str:
+    def chunk_text(start: int, stop: int) -> bytes:
         line = np.arange(start, min(stop, len(re_im)))
         return _csv_lines(re_im[start:stop], key_text[line // n], index_text[line % n])
 
     _write_chunks(fp, re_im, chunk_text)
 
 
-def write_factored(fp: TextIO, field: FactoredField, config: dict | None = None) -> None:
-    grid = field.grid
-    geometry = {
-        "kind": "factored",
-        "dim": grid.dim,
-        "s_min": grid.s_min,
-        "s_max": grid.s_max,
-        "n": grid.n,
-    }
-    _write_header(fp, geometry, config)
-    fp.write("m,s_index,re,im\n")
-    _write_rows(fp, field.m.tolist(), field.radial.values)
+def write_factored(fp: BinaryIO, field: FactoredField, config: dict | None = None) -> None:
+    _write_field(fp, field.grid, config, "m", field.m.tolist(), field.radial.values, kind="factored")
 
 
-def write_grid2d(fp: TextIO, field: GridField2D, config: dict | None = None) -> None:
-    grid = field.grid
-    geometry = {
-        "kind": "grid2d",
-        "dim": grid.dim,
-        "s_min": grid.s_min,
-        "s_max": grid.s_max,
-        "n": grid.n,
-        "n_phi": field.n_phi,
-    }
-    _write_header(fp, geometry, config)
-    fp.write("angle_index,s_index,re,im\n")
-    _write_rows(fp, list(range(field.n_phi)), field.values)
+def write_grid2d(fp: BinaryIO, field: GridField2D, config: dict | None = None) -> None:
+    _write_field(fp, field.grid, config, "angle_index", range(field.n_phi), field.values,
+                 kind="grid2d", n_phi=field.n_phi)
 
 
 def read_points(path: str) -> np.ndarray:

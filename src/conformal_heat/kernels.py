@@ -26,7 +26,9 @@ arguments and z as a number or a ComplexTime:
 A point is (r w, r' w') with radii r, r' > 0 and t = <w, w'>; for N = 1
 the sphere is {+1, -1}, so t is +1 (same sign) or -1 (opposite signs)
 and nothing else.  Both routes check a point in one order (_check_point):
-dim, radii, t, tol where the route takes one, then the regime Re z > 0,
+dim, radii, t, tol where the route takes one, the regime Re z > 0, then
+that (r r')^{-(N-2)/2} is a finite nonzero float (so radii whose
+product or power leaves the float range are refused, never at N = 2),
 and raise DomainError or InvalidRegimeError for the first bad one.  A
 closed-form table raises what a loop over its rows would raise first.
 
@@ -104,8 +106,12 @@ def _admissible_t(dim: int, t):
     return abs(t) == 1.0 if dim == 1 else abs(t) <= 1.0 + _T_SLACK
 
 
-def _check_point(dim: int, r: float, r_prime: float, t: float, ct: ComplexTime, tol: float | None) -> None:
-    """Refuse a bad kernel point, checking dim, radii, t, tol (unless None), then Re z > 0."""
+def _check_point(dim: int, r: float, r_prime: float, t: float, ct: ComplexTime, tol: float | None) -> float:
+    """Refuse a bad kernel point, checking dim, radii, t, tol (unless None), Re z > 0, then
+    that the point's (r r')^{-(N-2)/2} is a finite nonzero float (always so for N = 2).
+
+    Returns that power, the series' radial factor, as math.pow gives it.
+    """
     if dim < 1:
         raise DomainError("dim must be >= 1")
     if not (r > 0 and r_prime > 0):  # NaN fails too
@@ -117,19 +123,32 @@ def _check_point(dim: int, r: float, r_prime: float, t: float, ct: ComplexTime, 
     if tol is not None:
         check_tol(tol)
     _require_kernel_regime(ct)
+    try:
+        power = math.pow(r * r_prime, -0.5 * (dim - 2))
+    except (ValueError, OverflowError):  # 0 to a negative power; past the largest float
+        power = 0.0
+    if not 0.0 < power < math.inf:
+        raise DomainError(f"radii out of the float range for N = {dim}: (r r')^(-(N-2)/2) is 0 or not finite "
+                          f"at r = {float(r)!r}, r' = {float(r_prime)!r}")
+    return power
 
 
 def _check_table(dim: int, r, r_prime, t, ct: ComplexTime, tol: float | None) -> None:
     """Raise what a loop of _check_point over the rows of a table would raise first.
 
     The checks every row shares (dim, tol, the regime) fail such a loop at
-    row 0, so row 0 is checked, then the first row whose own radii or t
-    fail.  An empty table raises nothing.
+    row 0, so row 0 is checked, then each row whose own radii, t or
+    (r r')^{-(N-2)/2} may fail, in order, until one does.  numpy's power
+    may round unlike math.pow, so a row whose power here lies within a
+    factor 2^24 of either end of the float range is only a suspect, which
+    _check_point decides.  An empty table raises nothing.
     """
-    ok = ((r > 0) & (r_prime > 0) & _admissible_t(dim, t)).ravel()
+    with np.errstate(all="ignore"):
+        power = (r * r_prime) ** (-0.5 * (dim - 2))
+    ok = (r > 0) & (r_prime > 0) & _admissible_t(dim, t) & (power > 2.0**-1050) & (power < 2.0**1000)
     if ok.size:
-        for i in (0, int(np.argmin(ok))):  # argmin is 0 when every row passes
-            _check_point(dim, r.flat[i], r_prime.flat[i], t.flat[i], ct, tol)
+        for i in [0, *np.flatnonzero(~ok).tolist()]:
+            _check_point(dim, float(r.flat[i]), float(r_prime.flat[i]), float(t.flat[i]), ct, tol)
 
 
 def _gauss_factor(ct: ComplexTime, r, rp, dim: int):
@@ -140,15 +159,15 @@ def _gauss_factor(ct: ComplexTime, r, rp, dim: int):
     return ct.inv_sqrt_4pi_z * np.exp(-dlog * dlog / (4.0 * ct.z)) * (np.asarray(r) * np.asarray(rp)) ** (-0.5 * (dim - 2))
 
 
-def _gauss_point(ct: ComplexTime, r: float, rp: float, dim: int) -> complex:
-    """_gauss_factor at one point (r, r'), with the same bits.
+def _gauss_point(ct: ComplexTime, r: float, rp: float, power: float) -> complex:
+    """_gauss_factor at one point (r, r'), with the same bits, given its power from _check_point.
 
     math.pow and cmath.exp round as numpy's float64 scalar power and
     complex exp do.  np.log and numpy's complex quotient stay: math.log
     and Python's complex division round differently on part of the points.
     """
     dlog = np.log(r) - np.log(rp)
-    return ct.inv_sqrt_4pi_z * cmath.exp(-dlog * dlog / ct.four_z) * math.pow(r * rp, -0.5 * (dim - 2))
+    return ct.inv_sqrt_4pi_z * cmath.exp(-dlog * dlog / ct.four_z) * power
 
 
 def radial_kernel(m: int, dim: int, r, r_prime, z) -> complex:
@@ -233,7 +252,7 @@ def full_kernel_series(dim: int, r: float, r_prime: float, t: float, z, tol: flo
     cmath.exp, which round as numpy's scalar operations do.
     """
     ct = as_time(z)
-    _check_point(dim, r, r_prime, t, ct, tol)
+    power = _check_point(dim, r, r_prime, t, ct, tol)
     nu = 0.5 * (dim - 2)
     cut = truncation_degree(dim, ct, tol)
     weights = _series_weights(ct.z, nu, cut)
@@ -242,7 +261,7 @@ def full_kernel_series(dim: int, r: float, r_prime: float, t: float, z, tol: flo
     acc = 0j
     for w, c in zip(weights, gegenbauer_tilde(range(cut + 1), nu, t)):
         acc += w * c
-    return _zonal_prefactor(dim) * _gauss_point(ct, r, r_prime, dim) * acc
+    return _zonal_prefactor(dim) * _gauss_point(ct, r, r_prime, power) * acc
 
 
 def _columns(*values):

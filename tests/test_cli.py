@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from conformal_heat.errors import ConformalHeatError, DomainError
 from conformal_heat.fields_io import read_field_file
 from conformal_heat.kernels import closed_form, closed_form_1d, closed_form_2d, full_kernel_series
 from conformal_heat.spectral_calculus import apply_scaling_direct
+from same_bytes import assert_same_bytes
 
 FIXTURES = Path(__file__).parent / "fixtures"
 IN_FIELD = str(FIXTURES / "gauss_n3_m1_in.csv")
@@ -125,7 +127,7 @@ def test_kernel_matches_golden_bytes(tmp_path, name, fmt):
     argv = ["kernel", *KERNEL_GOLDEN[name], "--tol", "1e-10", "--format", fmt,
             "--in", str(FIXTURES / "kernel_points.csv"), "--out", str(out)]
     assert main(argv) == 0
-    assert out.read_bytes() == (FIXTURES / f"{name}.{fmt}").read_bytes()
+    assert_same_bytes(out.read_bytes(), (FIXTURES / f"{name}.{fmt}").read_bytes())
 
 
 # The kernel_*_product*.csv / .json fixtures hold the product of the --r,
@@ -150,7 +152,7 @@ def test_kernel_product_lists_match_golden_bytes(tmp_path, monkeypatch, name, fm
     out = tmp_path / f"k.{fmt}"
     argv = ["kernel", *PRODUCT_GOLDEN[name], "--format", fmt, "--out", str(out)]
     assert main(argv) == 0
-    assert out.read_bytes() == (FIXTURES / f"{name}.{fmt}").read_bytes()
+    assert_same_bytes(out.read_bytes(), (FIXTURES / f"{name}.{fmt}").read_bytes())
 
 
 # The apply_*.csv fixtures: four seeded inputs on n = 128 samples over
@@ -171,7 +173,7 @@ def test_apply_matches_golden_bytes(tmp_path, name, leg):
     out = tmp_path / "out.csv"
     argv = ["apply", *APPLY_GOLDEN[leg], "--in", str(FIXTURES / f"{name}.csv"), "--out", str(out)]
     assert main(argv) == 0
-    assert out.read_bytes() == (FIXTURES / f"{name}_{leg}.csv").read_bytes()
+    assert_same_bytes(out.read_bytes(), (FIXTURES / f"{name}_{leg}.csv").read_bytes())
 
 
 # verify_sl2.json and verify_degeneration.json: `verify --suite <s> --format
@@ -182,7 +184,7 @@ def test_apply_matches_golden_bytes(tmp_path, name, leg):
 def test_verify_matches_golden_bytes(tmp_path, suite):
     out = tmp_path / "v.json"
     assert main(["verify", "--suite", suite, "--format", "json", "--out", str(out)]) == 0
-    assert out.read_bytes() == (FIXTURES / f"verify_{suite}.json").read_bytes()
+    assert_same_bytes(out.read_bytes(), (FIXTURES / f"verify_{suite}.json").read_bytes())
 
 
 # verify_theta.json: `verify --suite theta --format json` as the CLI wrote
@@ -192,7 +194,7 @@ def test_verify_matches_golden_bytes(tmp_path, suite):
 def test_verify_theta_matches_golden_bytes(tmp_path):
     out = tmp_path / "v.json"
     assert main(["verify", "--suite", "theta", "--format", "json", "--out", str(out)]) == 0
-    assert out.read_bytes() == (FIXTURES / "verify_theta.json").read_bytes()
+    assert_same_bytes(out.read_bytes(), (FIXTURES / "verify_theta.json").read_bytes())
 
 
 def test_apply_echoes_the_dimension_of_the_field(tmp_path):
@@ -257,10 +259,14 @@ _PIPE_R = ",".join(str(0.5 + 0.05 * k) for k in range(20))
 
 
 def _large_output_argv(tmp_path: Path, verb: str) -> list[str]:
-    """A command that writes about 0.4 MB (kernel) or 0.7 MB (apply) to stdout."""
-    if verb == "kernel":
+    """A command that writes about 0.3 MB (kernel), 0.5 MB (kernel-json) or 0.7 MB (apply)
+    to stdout, or a short report (verify-csv)."""
+    if verb.startswith("kernel"):
         return ["kernel", "--dim", "2", "--closed-form", "--z", "0.5,0", "--r", _PIPE_R,
-                "--rp", _PIPE_R, "--t", "-0.5,0,0.5,0.1,0.2,0.3,0.4,0.6,0.7,0.8"]
+                "--rp", _PIPE_R, "--t", "-0.5,0,0.5,0.1,0.2,0.3,0.4,0.6,0.7,0.8",
+                *(["--format", "json"] if verb == "kernel-json" else [])]
+    if verb == "verify-csv":
+        return ["verify", "--suite", "theta", "--format", "csv"]
     # one sector, so its samples leave in a single write
     src = tmp_path / "big.csv"
     if not src.exists():
@@ -305,7 +311,7 @@ def test_unbuffered_stdout_closed_pipe_exits_141(tmp_path, verb):
         assert err == b""
 
 
-@pytest.mark.parametrize("verb", ["kernel", "apply"])
+@pytest.mark.parametrize("verb", ["kernel", "apply", "kernel-json", "verify-csv"])
 def test_unbuffered_stdout_delivers_every_byte(tmp_path, verb):
     argv = _large_output_argv(tmp_path, verb)
     out = tmp_path / "out.csv"
@@ -314,7 +320,7 @@ def test_unbuffered_stdout_delivers_every_byte(tmp_path, verb):
         proc = _cli_process(argv, helper=helper)
         piped, err = proc.communicate(timeout=60)
         assert proc.returncode == 0 and err == b""
-        assert piped == out.read_bytes()
+        assert_same_bytes(piped, out.read_bytes())
 
 
 def _grid_text(dim: int, n_phi: int, n: int) -> str:
@@ -551,7 +557,7 @@ def test_cli_output_is_deterministic(tmp_path):
     argv = ["kernel", "--dim", "2", "--z", "0.7,0.1", "--r", "0.5,1.5", "--rp", "1.0", "--t", "0.4"]
     assert main(argv + ["--out", str(a)]) == 0
     assert main(argv + ["--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    assert_same_bytes(a.read_bytes(), b.read_bytes())
 
 
 def test_verify_suite_json(tmp_path):
@@ -631,6 +637,38 @@ def test_exit_code_2_closed_form_bad_dim(capsys):
         "--r", "1", "--rp", "1", "--t", "0",
     ]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("dim, r", [("1", "1e-200"), ("3", "1e-200"), ("4", "1e-200"), ("10", "1e-100")])
+def test_exit_code_2_kernel_point_out_of_the_float_range(capsys, dim, r):
+    argv = ["kernel", "--dim", dim, "--z", "0.5,0", "--r", r, "--rp", r, "--t", "1" if dim == "1" else "0.5"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: radii out of the float range for N = {dim}: (r r')^(-(N-2)/2) is 0 or not finite "
+                   f"at r = {r}, r' = {r}\n")
+    if dim in ("1", "4"):  # the closed-form route gives the same refusal
+        assert main(argv + ["--closed-form"]) == 2
+        assert capsys.readouterr() == (out, err)
+
+
+def _overflowing_field(tmp_path: Path) -> Path:
+    """A factored N = 3 field on -4,4,8 with one sample 1e308."""
+    path = tmp_path / "huge.csv"
+    rows = [f"0,{j},{1e308 if j == 3 else 1.0},0" for j in range(8)]
+    geo = {"kind": "factored", "dim": 3, "s_min": -4, "s_max": 4, "n": 8}
+    path.write_text("\n".join(["# geometry: " + json.dumps(geo), "m,s_index,re,im"] + rows) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("action", [["--exponent", "0,0,1,0,0,0"], ["--t", "1"]], ids=["exponent", "t"])
+def test_exit_code_2_apply_result_out_of_the_float_range(tmp_path, capsys, action):
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warnings on the way
+        assert main(["apply", *action, "--in", str(_overflowing_field(tmp_path)), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: the result has non-finite samples: it leaves the float range\n")
+    assert not out.exists()
 
 
 def test_exit_code_2_misaligned_dilation(capsys):

@@ -19,6 +19,7 @@ from conformal_heat.errors import FieldFormatError
 from conformal_heat.fields_io import _CHUNK_FLOATS, read_field_file, read_points, write_factored, write_grid2d
 from conformal_heat.log_radial import LogRadialGrid, RadialSamples
 from conformal_heat.spherical import FactoredField, GridField2D
+from same_bytes import assert_same_bytes
 
 _FIELD_CHUNK = _CHUNK_FLOATS // 2  # field lines per chunk
 IN_FIELD = str(Path(__file__).parent / "fixtures" / "gauss_n3_m1_in.csv")
@@ -30,11 +31,11 @@ EDGE_VALUES = [
 ]
 
 
-def _reference_rows(keys, rows) -> str:
+def _reference_rows(keys, rows) -> bytes:
     """Reference rows: "{:.17g}" per float, one line per sample."""
     fmt = "{:.17g}".format
     return "".join(f"{k},{j},{fmt(float(v.real))},{fmt(float(v.imag))}\n"
-                   for k, row in zip(keys, rows) for j, v in enumerate(row))
+                   for k, row in zip(keys, rows) for j, v in enumerate(row)).encode()
 
 
 def _edge_samples(count: int, n: int) -> np.ndarray:
@@ -49,31 +50,31 @@ def test_write_factored_bytes_match_reference():
     grid = LogRadialGrid(dim=3, s_min=-2.0, s_max=2.0, n=16)
     samples = _edge_samples(3, grid.n)
     field = FactoredField([0, 2, 7], RadialSamples(grid, samples))
-    fp = io.StringIO()
+    fp = io.BytesIO()
     write_factored(fp, field)
-    rows = fp.getvalue().split("m,s_index,re,im\n", 1)[1]
-    assert rows == _reference_rows((0, 2, 7), samples)
+    rows = fp.getvalue().split(b"m,s_index,re,im\n", 1)[1]
+    assert_same_bytes(rows, _reference_rows((0, 2, 7), samples))
 
 
 def test_write_grid2d_bytes_match_reference():
     grid = LogRadialGrid(dim=2, s_min=-2.0, s_max=2.0, n=32)
     values = _edge_samples(8, grid.n)
-    fp = io.StringIO()
+    fp = io.BytesIO()
     write_grid2d(fp, GridField2D(grid, values), {"dim": 2})
-    lines = fp.getvalue().split("angle_index,s_index,re,im\n", 1)
-    assert lines[0].endswith('# config: {"dim": 2}\n')
-    assert lines[1] == _reference_rows(range(8), values)
+    lines = fp.getvalue().split(b"angle_index,s_index,re,im\n", 1)
+    assert lines[0].endswith(b'# config: {"dim": 2}\n')
+    assert_same_bytes(lines[1], _reference_rows(range(8), values))
 
 
-def _rows_both_ways(monkeypatch, write, field, names: str) -> str:
+def _rows_both_ways(monkeypatch, write, field, names: bytes) -> bytes:
     """The data rows that write(fp, field) gives, the same with the helper thread and without."""
     texts = []
     for helper in (False, True):
         monkeypatch.setattr(fields_io, "_HELPER_FLOATS", 0 if helper else 2**62)
-        fp = io.StringIO()
+        fp = io.BytesIO()
         write(fp, field)
         texts.append(fp.getvalue().split(names, 1)[1])
-    assert texts[0] == texts[1]
+    assert_same_bytes(texts[1], texts[0])
     return texts[0]
 
 
@@ -88,8 +89,8 @@ def test_write_grid2d_bytes_around_a_chunk(monkeypatch, dim, n_phi, n):
     # chunk starts inside an angle
     grid = LogRadialGrid(dim=dim, s_min=-2.0, s_max=2.0, n=n)
     values = _edge_samples(n_phi, grid.n)
-    rows = _rows_both_ways(monkeypatch, write_grid2d, GridField2D(grid, values), "angle_index,s_index,re,im\n")
-    assert rows == _reference_rows(range(n_phi), values)
+    rows = _rows_both_ways(monkeypatch, write_grid2d, GridField2D(grid, values), b"angle_index,s_index,re,im\n")
+    assert_same_bytes(rows, _reference_rows(range(n_phi), values))
 
 
 @pytest.mark.parametrize("lines", [8, _FIELD_CHUNK // 2 - 8, _FIELD_CHUNK // 2, _FIELD_CHUNK // 2 + 8,
@@ -102,8 +103,8 @@ def test_write_factored_bytes_with_signed_keys_around_a_chunk(monkeypatch, lines
     keys = np.arange(count) * 7 - 3 * count
     samples = _edge_samples(count, grid.n)
     field = FactoredField(keys, RadialSamples(grid, samples))
-    rows = _rows_both_ways(monkeypatch, write_factored, field, "m,s_index,re,im\n")
-    assert rows == _reference_rows(keys.tolist(), samples)
+    rows = _rows_both_ways(monkeypatch, write_factored, field, b"m,s_index,re,im\n")
+    assert_same_bytes(rows, _reference_rows(keys.tolist(), samples))
 
 
 def test_write_factored_bytes_with_chunks_inside_a_key(monkeypatch):
@@ -111,17 +112,17 @@ def test_write_factored_bytes_with_chunks_inside_a_key(monkeypatch):
     grid = LogRadialGrid(dim=2, s_min=-2.0, s_max=2.0, n=2 * _FIELD_CHUNK)
     samples = _edge_samples(3, grid.n)
     field = FactoredField([-12, 0, 345], RadialSamples(grid, samples))
-    rows = _rows_both_ways(monkeypatch, write_factored, field, "m,s_index,re,im\n")
-    assert rows == _reference_rows((-12, 0, 345), samples)
+    rows = _rows_both_ways(monkeypatch, write_factored, field, b"m,s_index,re,im\n")
+    assert_same_bytes(rows, _reference_rows((-12, 0, 345), samples))
 
 
-def test_apply_stdout_matches_out_file(tmp_path, capsys):
+def test_apply_stdout_matches_out_file(tmp_path, capsysbinary):
     out = tmp_path / "out.csv"
     argv = ["apply", "--exponent", "0,0.3,0,0,0.5,0.2", "--in", IN_FIELD]
     assert main(argv + ["--out", str(out)]) == 0
-    capsys.readouterr()
+    capsysbinary.readouterr()
     assert main(argv) == 0
-    assert capsys.readouterr().out == out.read_text()
+    assert_same_bytes(capsysbinary.readouterr().out, out.read_bytes())
 
 
 def _grid_text(lines_between: list[str], newline: str = "\n") -> str:
@@ -218,7 +219,7 @@ def test_reader_reads_a_pipe(tmp_path):
     assert proc.returncode == 0 and err == b""
     out = tmp_path / "out.csv"
     assert main(["apply", "--t", "0", "--in", str(clean), "--out", str(out)]) == 0
-    assert piped == out.read_bytes()
+    assert_same_bytes(piped, out.read_bytes())
 
 
 @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])

@@ -10,6 +10,7 @@ import pytest
 
 from conformal_heat import fields_io
 from conformal_heat.fields_io import _CHUNK_FLOATS, _powers_of_ten, format_float, write_float_rows
+from same_bytes import assert_same_bytes
 
 _TABLE_CHUNK = _CHUNK_FLOATS // 5  # lines of a five-column kernel table per chunk
 
@@ -17,18 +18,18 @@ TINY, HUGE = 5e-324, 1.7976931348623157e308
 MIN_NORMAL = 2.2250738585072014e-308
 
 
-def _reference(table: np.ndarray) -> str:
+def _reference(table: np.ndarray) -> bytes:
     """The per-row template the writer replaced."""
-    return "".join(",".join(["%.17g"] * len(row)) % tuple(row) + "\n" for row in table.tolist())
+    return "".join(",".join(["%.17g"] * len(row)) % tuple(row) + "\n" for row in table.tolist()).encode()
 
 
-def _written(table: np.ndarray) -> str:
-    fp = io.StringIO()
+def _written(table: np.ndarray) -> bytes:
+    fp = io.BytesIO()
     write_float_rows(fp, table)
     return fp.getvalue()
 
 
-def _by_python(monkeypatch, table: np.ndarray) -> tuple[str, int]:
+def _by_python(monkeypatch, table: np.ndarray) -> tuple[bytes, int]:
     """The writer's text and the number of values it left to format_float."""
     calls = []
     scalar = fields_io.format_float
@@ -55,7 +56,7 @@ def _check(monkeypatch, values: np.ndarray, cols: int = 4) -> int:
     values = np.asarray(values, dtype=float)
     table = np.resize(values, (-(-values.size // cols), cols))
     text, fallbacks = _by_python(monkeypatch, table)
-    assert text == _reference(table)
+    assert_same_bytes(text, _reference(table))
     return fallbacks
 
 
@@ -79,7 +80,7 @@ def test_special_values(monkeypatch):
     subnormals = np.random.default_rng(3).integers(1, 2**52, 50_000, dtype=np.uint64).view(float)
     values = _signed(np.concatenate([_neighbours(special[3:]), special[:3], subnormals]))
     _check(monkeypatch, values, cols=5)
-    assert _written(np.array([[0.0, -0.0, np.nan, -np.inf]])) == "0,-0,nan,-inf\n"
+    assert _written(np.array([[0.0, -0.0, np.nan, -np.inf]])) == b"0,-0,nan,-inf\n"
 
 
 def test_powers_of_ten_and_neighbours(monkeypatch):
@@ -92,7 +93,7 @@ def test_g_switch_points(monkeypatch):
     # %g turns from fixed to scientific below 1e-4 and at 1e17
     switch = np.array([1e-5, 1e-4, 1e16, 1e17, 99999999999999999.0, 9.99999999999999e-5])
     _check(monkeypatch, _signed(_neighbours(switch, steps=50)), cols=1)
-    assert _written(np.array([[1e-4, 1e-5, 1e16, 1e17]])) == "0.0001,1.0000000000000001e-05,10000000000000000,1e+17\n"
+    assert _written(np.array([[1e-4, 1e-5, 1e16, 1e17]])) == b"0.0001,1.0000000000000001e-05,10000000000000000,1e+17\n"
 
 
 def test_exact_ties_round_half_even(monkeypatch):
@@ -104,7 +105,7 @@ def test_exact_ties_round_half_even(monkeypatch):
     values = _signed(np.concatenate([ties, quarters, ties - 1 / 128]))
     assert _check(monkeypatch, values) == 2 * (ties.size + quarters.size)
     assert _written(np.array([[12345678901 + 1 / 128, 12345678901 + 3 / 128]])) == \
-        "12345678901.007812,12345678901.023438\n"
+        b"12345678901.007812,12345678901.023438\n"
 
 
 def test_smooth_field_values_need_no_fallback(monkeypatch):
@@ -131,10 +132,10 @@ def test_row_counts_around_a_chunk(rows):
     # counts inside a chunk, on either side of a chunk's end, and past two
     rng = np.random.default_rng(rows)
     table = rng.standard_normal((rows, 5)) * 10.0 ** rng.integers(-20, 20, (rows, 5))
-    assert _written(table) == _reference(table)
+    assert_same_bytes(_written(table), _reference(table))
 
 
-def _on_the_helper_thread(monkeypatch, table: np.ndarray) -> tuple[str, set]:
+def _on_the_helper_thread(monkeypatch, table: np.ndarray) -> tuple[bytes, set]:
     """The writer's text with the helper thread engaged, and the threads that formatted chunks."""
     threads = set()
     lines = fields_io._csv_lines
@@ -155,7 +156,7 @@ def test_helper_thread_writes_the_serial_bytes(monkeypatch, rows):
     table[:1, :3] = [np.nan, -0.0, 12345678901 + 1 / 128]  # format_float's cases, on the caller's thread
     serial = _written(table)
     helped, threads = _on_the_helper_thread(monkeypatch, table)
-    assert helped == serial
-    assert helped == "".join(",".join(map(format_float, row)) + "\n" for row in table.tolist())
+    assert_same_bytes(helped, serial)
+    assert_same_bytes(helped, "".join(",".join(map(format_float, row)) + "\n" for row in table.tolist()).encode())
     assert len(threads) == (2 if rows > _TABLE_CHUNK else min(rows, 1))
     assert threading.get_ident() in threads or not rows

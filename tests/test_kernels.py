@@ -587,3 +587,59 @@ def test_closed_form_refuses_a_dim_without_one(dim):
         closed_form(dim, 1.0, 1.0, 0.5, 0.5)
     with pytest.raises(DomainError, match=f"not N = {dim}$"):  # before any row check
         closed_form(dim, np.array([-1.0]), np.ones(1), np.array([2.0]), -0.5)
+
+
+# (dim, r, r') points whose (r r')^{-(N-2)/2} is 0 or not finite in floating point
+_OUT_OF_RANGE = {
+    "n1-product-underflows": (1, 1e-200, 1e-200),  # sqrt(0) = 0
+    "n1-product-overflows": (1, 1e200, 1e200),
+    "n3-product-underflows": (3, 1e-200, 1e-200),  # 0 to the power -1/2
+    "n3-product-overflows": (3, 1e200, 1e200),
+    "n4-product-underflows": (4, 1e-200, 1e-200),
+    "n4-power-overflows": (4, 1e-160, 1e-150),  # 1/1e-310
+    "n10-power-overflows": (10, 1e-100, 1e-100),  # (1e-200)^-4
+    "n10-power-underflows": (10, 1e100, 1e100),
+}
+
+
+@pytest.mark.parametrize("dim, r, rp", list(_OUT_OF_RANGE.values()), ids=list(_OUT_OF_RANGE))
+def test_points_out_of_the_float_range_are_refused_on_both_routes(dim, r, rp):
+    t = 1.0 if dim == 1 else 0.5
+    with pytest.raises(DomainError, match=r"^radii out of the float range") as series:
+        full_kernel_series(dim, r, rp, t, 0.5)
+    assert str(series.value).endswith(f"at r = {r!r}, r' = {rp!r}")
+    # the row check of the closed forms, which serves any N, at the middle row of three
+    rows = np.array([1.0, r, 1.2]), np.array([1.1, rp, 0.9]), np.full(3, t)
+    with pytest.raises(DomainError) as table:
+        kernels._check_table(dim, *rows, as_time(0.5), 1e-12)
+    assert str(table.value) == str(series.value)
+    if dim in (1, 4):
+        with pytest.raises(DomainError) as closed:
+            closed_form(dim, *rows, 0.5)
+        assert str(closed.value) == str(series.value)
+
+
+def test_range_check_comes_after_the_regime():
+    with pytest.raises(InvalidRegimeError):
+        full_kernel_series(3, 1e-200, 1e-200, 0.5, 1j)
+    with pytest.raises(InvalidRegimeError):
+        closed_form(4, np.array([1e-200]), np.array([1e-200]), np.array([0.5]), -0.5)
+
+
+@pytest.mark.parametrize("r", [1e-200, 1e200])
+def test_n2_points_are_never_out_of_the_float_range(r):
+    values = [full_kernel_series(2, r, r, 0.5, 0.5), closed_form(2, r, r, 0.5, 0.5)]
+    assert all(map(cmath.isfinite, values))
+
+
+def test_table_rows_near_the_ends_of_the_float_range_are_decided_per_point():
+    # N = 4 at r = r' = 2^-505: 1/(r r') = 2^1010 is finite, though past the
+    # margin of the table's numpy mask; a bad row after it is still reported
+    r = np.array([1.0, 2.0**-505, 1.2])
+    t = np.array([0.3, 0.5, 0.7])
+    table = closed_form(4, r, r, t, 0.5)
+    assert np.isfinite(table).all()
+    assert table[1] == closed_form(4, float(r[1]), float(r[1]), 0.5, 0.5)
+    r[2] = 1e-200
+    with pytest.raises(DomainError, match="at r = 1e-200, r' = 1e-200$"):
+        closed_form(4, r, r, t, 0.5)
