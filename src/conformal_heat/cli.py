@@ -44,6 +44,7 @@ import json
 import math
 import os
 import re
+import stat
 import sys
 from contextlib import contextmanager
 
@@ -169,6 +170,12 @@ def _tolerance(args: argparse.Namespace) -> float:
 def _output(out_path: str | None):
     """The binary file that a verb writes its bytes to: --out, else stdout.
 
+    --out is opened without O_TRUNC and, when it is a regular file, cut
+    to the bytes written once they are written, also when writing fails
+    midway: on ext4, truncating a file whose pages are still dirty waits
+    for their writeback, seconds for a large output rewritten at once.
+    Devices such as /dev/null and FIFOs are not truncated.
+
     Stdout is written through a buffered writer on its descriptor, whose
     writes finish the partial writes of a pipe (also under python -u) or
     end in BrokenPipeError, which main turns into exit 141.  A stand-in
@@ -176,8 +183,14 @@ def _output(out_path: str | None):
     bytes through its binary buffer.
     """
     if out_path:
-        with open(out_path, "wb") as fp:
-            yield fp
+        fd = os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            with open(fd, "wb", closefd=False) as fp:
+                yield fp
+        finally:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+            os.close(fd)
         return
     sys.stdout.flush()
     try:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import conformal_heat
+from conformal_heat import cli
 from conformal_heat.cli import main
 from conformal_heat.errors import ConformalHeatError, DomainError
 from conformal_heat.fields_io import read_field_file
@@ -601,6 +602,12 @@ def test_verify_csv_rows_parse_into_five_fields(tmp_path):
     assert out_csv.read_bytes().count(b"\r") == 0
 
 
+@pytest.mark.parametrize("grid", ["-8,8,256", "-8,8,1024", "-9,8,256"])
+def test_verify_passes_on_narrow_grids(grid, capsys):
+    assert main(["verify", f"--grid={grid}", "--format", "csv"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("grid", ["-16,16,512.5", "-16,16,512,8", "-16,16", "-16,16,", "-16,16,5e2", "-16,nan,512"])
 def test_verify_grid_takes_exactly_three_values_with_an_integer_n(grid, capsys):
     assert main(["verify", "--suite", "special", f"--grid={grid}"]) == 3
@@ -669,6 +676,34 @@ def test_exit_code_2_apply_result_out_of_the_float_range(tmp_path, capsys, actio
         assert main(["apply", *action, "--in", str(_overflowing_field(tmp_path)), "--out", str(out)]) == 2
     assert capsys.readouterr() == ("", "error: the result has non-finite samples: it leaves the float range\n")
     assert not out.exists()
+
+
+def test_out_replaces_a_longer_file_exactly(tmp_path):
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"an older and longer output\n" * 10_000)
+    assert main(["apply", "--t", "0", "--in", IN_FIELD, "--out", str(out)]) == 0
+    assert main(["apply", "--t", "0", "--in", IN_FIELD, "--out", str(tmp_path / "fresh.csv")]) == 0
+    assert_same_bytes(out.read_bytes(), (tmp_path / "fresh.csv").read_bytes())
+
+
+def test_out_keeps_only_what_was_written_when_writing_fails(tmp_path, monkeypatch, capsys):
+    def fail_midway(fp, table):
+        fp.write(b"1,2,3,4,5\n")
+        raise OSError("the disk is full")
+
+    monkeypatch.setattr(cli, "write_float_rows", fail_midway)
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"an older and longer output\n" * 100)
+    assert main(["kernel", "--dim", "3", "--z", "0.5,0", "--r", "1", "--rp", "1", "--t", "0.5",
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "error: the disk is full\n"
+    assert out.read_bytes() == b"r,r_prime,t,re_k,im_k\n1,2,3,4,5\n"
+
+
+@pytest.mark.skipif(not os.path.exists(os.devnull) or os.devnull != "/dev/null", reason="no /dev/null here")
+def test_out_to_dev_null(capsys):
+    assert main(["apply", "--t", "0", "--in", IN_FIELD, "--out", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
 
 
 def test_exit_code_2_misaligned_dilation(capsys):

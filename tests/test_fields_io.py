@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -256,3 +257,248 @@ def test_geometry_comes_from_the_header_only(tmp_path, capsys):
         read_field_file(str(path))
     assert main(["apply", "--t", "0", "--in", str(path)]) == 3
     assert "no geometry header" in capsys.readouterr().err
+
+
+# The two-process read of large files: the same bits and the same errors as the serial read.
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
+FIXTURES = Path(__file__).parent / "fixtures"
+SERIAL = 2**62  # a gate no file reaches
+
+
+def _bits(field) -> bytes:
+    if isinstance(field, GridField2D):
+        return field.values.tobytes()
+    return field.m.tobytes() + field.radial.values.tobytes()
+
+
+@pytest.fixture
+def split_reads(monkeypatch):
+    """Outcomes of the two-process reads: True where they gave the rows, False where the read fell back.
+
+    The split is forced for every size and CPU count; the tests set the size gate.
+    """
+    outcomes = []
+    split = fields_io._split_rows
+
+    def spy(*args):
+        rows = split(*args)
+        outcomes.append(rows is not None)
+        return rows
+
+    monkeypatch.setattr(fields_io, "_split_rows", spy)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return outcomes
+
+
+def _both_ways(monkeypatch, read, path):
+    """read(path) with the two-process read, then serially."""
+    results = []
+    for gate in (0, SERIAL):
+        monkeypatch.setattr(fields_io, "_SPLIT_BYTES", gate)
+        results.append(read(str(path)))
+    return results
+
+
+def _errors_both_ways(monkeypatch, path) -> list[str]:
+    texts = []
+    for gate in (0, SERIAL):
+        monkeypatch.setattr(fields_io, "_SPLIT_BYTES", gate)
+        with pytest.raises(FieldFormatError) as caught:
+            read_field_file(str(path))
+        texts.append(str(caught.value))
+    return texts
+
+
+def _field_rows(n_phi: int, n: int, seed: int = 19) -> list[str]:
+    """The data rows of an N = 2 grid field, values of every size and sign."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((n_phi * n, 2)) * 10.0 ** rng.integers(-30, 30, (n_phi * n, 2))
+    values[::7] = 0.0
+    return [f"{k // n},{k % n},{re!r},{im!r}" for k, (re, im) in enumerate(values.tolist())]
+
+
+def _field_file(path: Path, n_phi: int, n: int, inserts: dict | None = None, newline: str = "\n") -> Path:
+    """An N = 2 grid field file, with the lines of inserts[i] put ahead of data row i."""
+    geo = {"kind": "grid2d", "dim": 2, "s_min": -4.0, "s_max": 4.0, "n": n, "n_phi": n_phi}
+    lines = ["# geometry: " + json.dumps(geo), "angle_index,s_index,re,im"]
+    for i, row in enumerate(_field_rows(n_phi, n)):
+        lines += (inserts or {}).get(i, []) + [row]
+    path.write_bytes(newline.join(lines + [""]).encode())
+    return path
+
+
+@needs_fork
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.csv")
+                                        if p.name.startswith(("apply_", "gauss_"))))
+def test_split_read_of_a_fixture_has_the_serial_bits(monkeypatch, split_reads, name):
+    split, serial = _both_ways(monkeypatch, read_field_file, FIXTURES / name)
+    assert split_reads == [True]
+    assert _bits(split) == _bits(serial)
+
+
+@needs_fork
+def test_split_read_of_points_has_the_serial_bits(monkeypatch, split_reads):
+    split, serial = _both_ways(monkeypatch, read_points, FIXTURES / "kernel_points.csv")
+    assert split_reads == [True]
+    assert split.tobytes() == serial.tobytes()
+
+
+@pytest.fixture(scope="module")
+def big_field(tmp_path_factory) -> Path:
+    """A field file of 2^16 rows, past the size gate of the two-process read."""
+    path = _field_file(tmp_path_factory.mktemp("big") / "big.csv", 16, 4096)
+    assert path.stat().st_size >= fields_io._SPLIT_BYTES
+    return path
+
+
+@needs_fork
+def test_split_read_past_the_gate_has_the_serial_bits(monkeypatch, split_reads, big_field):
+    split = read_field_file(str(big_field))
+    monkeypatch.setattr(fields_io, "_SPLIT_BYTES", SERIAL)
+    assert split_reads == [True]
+    assert _bits(split) == _bits(read_field_file(str(big_field)))
+
+
+# lines put next to the split point; whether the two-process read keeps them
+# (loadtxt refuses whitespace-only lines and indented comments, and the serial read takes those)
+_AT_THE_SPLIT = {
+    "comment": (["# a comment at the split"], True),
+    "comments-and-blank-lines": (["", "# one", "", "# two", ""], True),
+    "whitespace-only-line": ([" \t "], False),
+    "indented-comment": (["   # indented"], False),
+}
+
+
+@needs_fork
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("case", list(_AT_THE_SPLIT), ids=list(_AT_THE_SPLIT))
+def test_split_read_with_lines_at_the_split_point(tmp_path, monkeypatch, split_reads, case, newline):
+    # the split point falls within a line of row 256 of 512; the lines go
+    # ahead of each row from 254 to 258, so both halves get them in turn
+    between, kept = _AT_THE_SPLIT[case]
+    for row in range(254, 259):
+        path = _field_file(tmp_path / f"at{row}.csv", 8, 64, {row: between}, newline)
+        split, serial = _both_ways(monkeypatch, read_field_file, path)
+        assert _bits(split) == _bits(serial)
+    assert split_reads == [kept] * 5
+
+
+@needs_fork
+@pytest.mark.parametrize("where", [3, 255, 257, 500], ids=["first-half", "before-the-split", "after-the-split",
+                                                          "second-half"])
+@pytest.mark.parametrize("between", list(_REJECTED.values()), ids=list(_REJECTED))
+def test_split_read_refuses_as_the_serial_read(tmp_path, monkeypatch, split_reads, between, where):
+    # the split falls ahead of row 256 of 512
+    path = _field_file(tmp_path / "bad.csv", 8, 64, {where: between})
+    split, serial = _errors_both_ways(monkeypatch, path)
+    assert split == serial
+    assert split.startswith(f"{path}: ")
+    assert len(split_reads) == 1
+
+
+@needs_fork
+def test_a_half_of_comments_only_warns_nothing(tmp_path, monkeypatch, split_reads):
+    # loadtxt warns "input contained no data" on the second half; with
+    # warnings as errors the read still falls back and gives the serial bits
+    path = _field_file(tmp_path / "tail.csv", 8, 8)
+    with path.open("a") as fp:
+        fp.write("# a trailing comment\n" * 200)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        split, serial = _both_ways(monkeypatch, read_field_file, path)
+    assert seen == []
+    assert split_reads == [False]
+    assert _bits(split) == _bits(serial)
+
+
+@needs_fork
+def test_halves_of_different_widths_refuse_as_the_serial_read(tmp_path, monkeypatch, split_reads):
+    # 64 rows of one length: the split falls after row 32, and the rows
+    # after it carry a fifth column in the same number of bytes
+    head = '# geometry: {"kind": "grid2d", "dim": 1, "s_min": -1, "s_max": 1, "n": 32}\n'
+    rows = [f"{k // 32},{k % 32:02d},{k:+.3e},{-k:+.3e}" if k <= 32 else f"{k // 32},{k % 32:02d},{k:+.3e},{-k:+.1e},0"
+            for k in range(64)]
+    assert len(set(map(len, rows))) == 1
+    path = tmp_path / "widths.csv"
+    path.write_text(head + "\n".join(rows) + "\n")
+    split, serial = _errors_both_ways(monkeypatch, path)
+    assert split == serial
+    assert split_reads == [False]
+
+
+def _no_fork():
+    raise AssertionError("os.fork was called")
+
+
+@needs_fork
+@pytest.mark.parametrize("threads, cpus", [(2, {0, 1}), (1, {0})], ids=["another-thread", "one-cpu"])
+def test_no_fork_beside_another_thread_or_on_one_cpu(monkeypatch, big_field, threads, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    monkeypatch.setattr(os, "fork", _no_fork)
+    release = threading.Event()
+    others = [threading.Thread(target=release.wait) for _ in range(threads - 1)]
+    for other in others:
+        other.start()
+    try:
+        field = read_field_file(str(big_field))
+    finally:
+        release.set()
+        for other in others:
+            other.join(timeout=10)
+    assert not any(other.is_alive() for other in others)
+    monkeypatch.setattr(fields_io, "_SPLIT_BYTES", SERIAL)
+    assert _bits(field) == _bits(read_field_file(str(big_field)))
+
+
+@needs_fork
+@pytest.mark.parametrize("where", [None, 3, 8300], ids=["rows", "child-fails", "caller-fails"])
+def test_no_child_outlives_a_read(tmp_path, monkeypatch, split_reads, where):
+    # 16384 rows split ahead of row 8263: a bad row just after the split
+    # fails this process's half while the child still parses its own
+    monkeypatch.setattr(fields_io, "_SPLIT_BYTES", 0)
+    path = _field_file(tmp_path / "f.csv", 16, 1024, {where: ["1,2,3"]})
+    if where is None:
+        read_field_file(str(path))
+    else:
+        with pytest.raises(FieldFormatError):
+            read_field_file(str(path))
+    assert split_reads == [where is None]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+_APPLY_WITH_A_MARKER = """
+import atexit, sys
+from conformal_heat import fields_io
+from conformal_heat.cli import main
+
+print("before the read")  # still buffered at the fork: a child that flushed it would print it twice
+atexit.register(print, "atexit marker")
+split = fields_io._split_rows
+
+def spy(*args):
+    rows = split(*args)
+    print("split" if rows is not None else "serial")
+    return rows
+
+fields_io._split_rows = spy
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@needs_fork
+def test_apply_in_a_process_forks_one_quiet_child(tmp_path, monkeypatch, big_field):
+    out = tmp_path / "split.csv"
+    env = dict(os.environ, PYTHONPATH=str(Path(fields_io.__file__).parents[1]))
+    # DeprecationWarnings shown, not raised: Python 3.12+ warns of a fork beside threads and drops the warning under -W error
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-W", "always::DeprecationWarning",
+                           "-c", _APPLY_WITH_A_MARKER, "apply", "--t", "0.375", "--in", str(big_field), "--out", str(out)],
+                          capture_output=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    two_cpus = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+    assert proc.stdout == f"before the read\n{'split' if two_cpus else 'serial'}\natexit marker\n".encode()
+    monkeypatch.setattr(fields_io, "_SPLIT_BYTES", SERIAL)
+    serial = tmp_path / "serial.csv"
+    assert main(["apply", "--t", "0.375", "--in", str(big_field), "--out", str(serial)]) == 0
+    assert_same_bytes(out.read_bytes(), serial.read_bytes())
