@@ -31,37 +31,33 @@ a name that loadtxt would decompress), it is handed the remaining lines
 of the open file one at a time, and its errors there are the ones
 reported.
 
-A regular, uncompressed file of at least _SPLIT_BYTES is read in two
-processes when this process runs no other thread and may use two CPUs:
-a forked child parses the data rows up to the first newline past the
-middle, from its own file description, and sends them back through a
-pipe while this process parses the rest.  Where either half fails (a
-malformed row, a line that loadtxt refuses, a half of comments only,
-column counts that differ) or the child does, the file is read as above,
-so the arrays have the same bits, and the errors the same text and row
-numbers, either way.  Smaller files, kernel point files of about 1 MB
-among them, stay serial: a split saves a few ms there.  On one CPU the two
-halves take turns, and the split is slower than the serial read.
-
 The writers take a binary file, such as open(path, "wb"), and write to
-it ASCII bytes with "\n" line ends, the formatter's own bytes.
-Tables are written a chunk of _CHUNK_FLOATS floats of whole lines per
-write, each chunk's floats turned into exactly the "%.17g" text by one
-array formatter (write_float_rows writes kernel tables the same way), so
-neither side holds the whole text in memory.  An output of at least
-_HELPER_FLOATS floats has every second chunk formatted by a helper
-thread while the caller formats the one before; the caller writes both,
-in order, so the bytes do not change.  format_float is the scalar
-definition of that text.
+it ASCII bytes with "\n" line ends, a chunk of _CHUNK_FLOATS floats of
+whole lines per write, each chunk turned into exactly the "%.17g" text
+by one array formatter (format_float is its scalar definition), so
+neither side holds the whole text in memory.  Kernel tables
+(write_float_rows) are written the same way.
+
+Large tables are split between two processes (_can_split): a forked
+child parses the first half of a file, or formats the second half of an
+output, and sends it through a pipe.  Where the child's half fails or
+does not arrive whole, this process reads the file serially or formats
+those chunks itself, so the arrays, the errors and the bytes are the same
+either way.  Without os.fork or os.sched_getaffinity (Windows, macOS)
+both directions run serially.
 """
 
 from __future__ import annotations
 
 import functools
+import io
 import itertools
 import json
 import os
 import stat
+import sys
+import threading
+import warnings
 from typing import BinaryIO, TextIO
 
 import numpy as np
@@ -114,33 +110,59 @@ def _scan_head(fp: TextIO) -> tuple[str | None, str | None, int]:
 
 # np.loadtxt opens a path with one of these suffixes through its decompressor
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
-_SPLIT_BYTES = 2 * 2**20  # the least file that two processes read
+_SPLIT_BYTES = 2 * 2**20  # the least file or output that two processes share
 _HEAD_BYTES = 2**16       # the lines ahead of the data that a split read looks for
 
 
-def _loadtxt_strict(source, encoding: str) -> np.ndarray:
-    """np.loadtxt of one half, with any warning raised: "input contained no data" is a UserWarning."""
-    import warnings
-
+def _loadtxt(source, strict: bool = False, **options) -> np.ndarray:
+    """The CSV rows of source; strict raises any warning ("input contained no data" is a UserWarning)."""
     with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        return np.loadtxt(source, delimiter=",", comments="#", ndmin=2, encoding=encoding)
+        if strict:
+            warnings.simplefilter("error")
+        return np.loadtxt(source, delimiter=",", comments="#", ndmin=2, **options)
+
+
+def _in_two_processes(child, parent):
+    """parent(pipe) here while child(pipe) runs in a forked process; parent's result.
+
+    A child that fails, or a fork that fails, leaves parent a pipe that ends
+    short or is empty, which parent must tell from a whole one.  The child
+    leaves by os._exit, and is killed and reaped once parent is done with
+    the pipe: by then it has sent all it will, or parent has failed.
+    """
+    import signal  # here, not at the top: start-up does not pay for it
+
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: parent finds the pipe empty
+        pid = None
+    if pid == 0:
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                child(pipe)
+        finally:  # on every exception too: never return into the caller's stack
+            os._exit(0)
+    os.close(write_end)
+    try:
+        with open(read_end, "rb") as pipe:
+            return parent(pipe)
+    finally:
+        if pid:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _split_rows(path: str, skip: int, size: int, encoding: str) -> np.ndarray | None:
     """The data rows of a regular file, read in two processes; None where that read fails.
 
-    A forked child parses the data up to the first newline past the
-    middle from its own file description (a forked one would share its
-    offset with this process) and sends the float64 array through a pipe,
-    while this process parses the rest.  A malformed row or a warning in either
-    half, a half without rows, a failed child or columns that differ all
-    give None: the serial read then reports the errors and row numbers.
-    The child always leaves by os._exit and is always reaped here.
+    The child parses the rows up to the first newline past the middle from
+    its own file description (a forked one would share its offset).  A
+    malformed row or a warning in either half, a half without rows, an
+    array that does not arrive whole or columns that differ give None: the
+    serial read then reports the errors and row numbers.
     """
-    import io
-    import signal
-
     with open(path, "rb") as fp:
         # bytes.splitlines breaks lines where text mode does: at "\n", "\r" and "\r\n"
         head = fp.read(_HEAD_BYTES).splitlines(keepends=True)
@@ -152,54 +174,28 @@ def _split_rows(path: str, skip: int, size: int, encoding: str) -> np.ndarray | 
         middle = fp.tell()
         if middle >= size:
             return None
-        read_end, write_end = os.pipe()
+
+        def child(pipe):
+            with open(path, "rb") as own:
+                own.seek(start)
+                rows = _loadtxt(io.BytesIO(own.read(middle - start)), strict=True, encoding=encoding)
+            pipe.writelines([np.array(rows.shape, dtype=np.int64).tobytes(), rows.data])
+
         try:
-            pid = os.fork()
-        except OSError:  # no process to spare: read serially
-            os.close(read_end)
-            os.close(write_end)
-            return None
-        if pid == 0:
-            code = 1
-            try:
-                os.close(read_end)
-                with open(path, "rb") as own:
-                    own.seek(start)
-                    rows = _loadtxt_strict(io.BytesIO(own.read(middle - start)), encoding)
-                with open(write_end, "wb") as pipe:
-                    pipe.write(np.array(rows.shape, dtype=np.int64).tobytes())
-                    pipe.write(rows.data)
-                code = 0
-            finally:  # on every exception too: never return into the caller's stack
-                os._exit(code)
-        os.close(write_end)
-        parsed = False
-        try:
-            with open(read_end, "rb") as pipe:
-                mine = _loadtxt_strict(fp, encoding)
-                theirs = pipe.read()
-            parsed = True
+            mine, theirs = _in_two_processes(
+                child, lambda pipe: (_loadtxt(fp, strict=True, encoding=encoding), pipe.read()))
         except (ValueError, Warning):
             return None
-        finally:
-            if not parsed:
-                os.kill(pid, signal.SIGKILL)
-            status = os.waitpid(pid, 0)[1]
-    if os.waitstatus_to_exitcode(status) != 0 or len(theirs) < 16:
-        return None
-    rows, cols = np.frombuffer(theirs, dtype=np.int64, count=2).tolist()
+    rows, cols = np.frombuffer(theirs[:16].ljust(16, b"\0"), dtype=np.int64).tolist()
     if cols != mine.shape[1] or len(theirs) != 16 + 8 * rows * cols:
         return None
     return np.concatenate([np.frombuffer(theirs, offset=16).reshape(rows, cols), mine])
 
 
 def _can_split(size: int) -> bool:
-    """Whether a regular file of `size` bytes is read in two processes: on two CPUs, with no other thread."""
-    import threading
-
-    return (size >= _SPLIT_BYTES and threading.active_count() == 1
-            and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2)
+    """Whether a table of `size` bytes is split between two processes: on two CPUs, with no other thread."""
+    return (size >= _SPLIT_BYTES and threading.active_count() == 1 and hasattr(os, "fork")
+            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2)
 
 
 def _load_rows(path: str, fp: TextIO, first: str, skip: int) -> np.ndarray:
@@ -207,18 +203,15 @@ def _load_rows(path: str, fp: TextIO, first: str, skip: int) -> np.ndarray:
     info = os.fstat(fp.fileno())
     # a pipe cannot be opened a second time from its start
     if stat.S_ISREG(info.st_mode) and not os.fspath(path).endswith(_COMPRESSED_SUFFIXES):
-        if _can_split(info.st_size):
-            rows = _split_rows(path, skip, info.st_size, fp.encoding)
-            if rows is not None:
-                return rows
+        if _can_split(info.st_size) and (rows := _split_rows(path, skip, info.st_size, fp.encoding)) is not None:
+            return rows
         try:
-            return np.loadtxt(path, delimiter=",", comments="#", ndmin=2, skiprows=skip)
+            return _loadtxt(path, skiprows=skip)
         except ValueError:
             pass  # read the lines below, which also gives the errors their row numbers
     # lstrip turns whitespace-only lines and indented comments into the
     # empty and '#' lines that np.loadtxt skips itself
-    lines = itertools.chain([first], map(str.lstrip, fp))
-    return np.loadtxt(lines, delimiter=",", comments="#", ndmin=2)
+    return _loadtxt(itertools.chain([first], map(str.lstrip, fp)))
 
 
 def _read_table(path: str, n_cols: int) -> tuple[str | None, np.ndarray]:
@@ -254,17 +247,23 @@ def _load_geometry(path: str, header: str | None) -> dict:
     return geo
 
 
+def _geometry_value(geo: dict, key: str, integer: bool, default=None) -> int | float:
+    """geo[key], or default where the key is absent: a JSON integer, or unless integer a finite JSON number."""
+    if key not in geo and default is None:
+        raise FieldFormatError(f"geometry missing key {key!r}")
+    value = geo.get(key, default)
+    if (isinstance(value, bool) or not isinstance(value, int if integer else (int, float))
+            or not (integer or abs(value) <= sys.float_info.max)):
+        raise FieldFormatError(f"bad geometry value: {key} must be {'an integer' if integer else 'a finite number'}, "
+                               f"not {json.dumps(value)}")
+    return value
+
+
 def _grid_from_geometry(geo: dict) -> LogRadialGrid:
+    dim, s_min, s_max, n = (_geometry_value(geo, key, key in ("dim", "n")) for key in ("dim", "s_min", "s_max", "n"))
     try:
-        return LogRadialGrid(
-            dim=int(geo["dim"]),
-            s_min=float(geo["s_min"]),
-            s_max=float(geo["s_max"]),
-            n=int(geo["n"]),
-        )
-    except KeyError as exc:
-        raise FieldFormatError(f"geometry missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+        return LogRadialGrid(dim=dim, s_min=float(s_min), s_max=float(s_max), n=n)
+    except ValueError as exc:
         raise FieldFormatError(f"bad geometry value: {exc}") from exc
 
 
@@ -312,7 +311,7 @@ def read_field_file(path: str):
             raise FieldFormatError(f"{path}: m values must fit a machine integer")
         return FactoredField(keys.astype(np.int64), RadialSamples(grid, values))
     if kind == "grid2d":
-        n_phi = int(geo.get("n_phi", 2 if grid.dim == 1 else 0))
+        n_phi = _geometry_value(geo, "n_phi", True, 2 if grid.dim == 1 else 0)
         if n_phi <= 0:
             raise FieldFormatError(f"{path}: geometry missing n_phi")
         _check_indices(path, "angle_index", data[:, 0], n_phi)
@@ -339,7 +338,6 @@ def read_field_file(path: str):
 
 _CHUNK_FLOATS = 8192         # per chunk: 4096 field lines, 1638 kernel-table lines
 _GATHER = 1024               # values per block of the layout gather
-_HELPER_FLOATS = 2**17       # the least output that a helper thread formats a share of
 _WIDTH = 25                  # the longest "%.17g" text, 24 bytes, and a separator
 _K_MIN, _K_MAX = -293, 341   # 10^(16-e) for every double, e off by at most one
 _TIE_BAND = 2.0**-40
@@ -500,30 +498,32 @@ def _ascii(items) -> np.ndarray:
 
 
 def _write_chunks(fp: BinaryIO, values: np.ndarray, chunk_text) -> None:
-    """Write chunk_text(start, stop) for the chunks of the rows of values, in order.
+    """Write chunk_text(start, stop) for the chunks of _CHUNK_FLOATS floats of whole rows, in order.
 
-    A chunk is _CHUNK_FLOATS floats of whole rows.  From _HELPER_FLOATS
-    floats on, a helper thread formats chunk k + 1 while this thread
-    formats chunk k; this thread then writes both.  numpy's loops release
-    the GIL, so on two CPUs the two run side by side, and on one they take
-    turns at about the serial speed.  The thread adds a fixed 2-5 MB to
-    peak memory; kernel tables (up to about 10^5 floats, a 40 MB process)
-    stay below the threshold, where it would save a few ms at most.
+    Split, a forked child formats the second half of the chunks while this
+    process writes the first, and only then sends their lengths and text: a
+    pipe holds 64 KB.  This process writes each of those chunks that arrives
+    whole and formats the others, as it formats every chunk serially.
     """
     step = _CHUNK_FLOATS // values.shape[1]
     starts = range(0, len(values), step)
-    if values.size < _HELPER_FLOATS:
-        for start in starts:
-            fp.write(chunk_text(start, start + step))
-        return
-    from concurrent.futures import ThreadPoolExecutor  # here: a module-level import slows start-up
+    mine, theirs = starts[:len(starts) // 2], starts[len(starts) // 2:]
 
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        for mine, theirs in itertools.zip_longest(starts[::2], starts[1::2]):
-            later = None if theirs is None else helper.submit(chunk_text, theirs, theirs + step)
-            fp.write(chunk_text(mine, mine + step))
-            if later is not None:
-                fp.write(later.result())
+    def child(pipe):
+        texts = [chunk_text(start, start + step) for start in theirs]
+        pipe.write(np.array([len(text) for text in texts], dtype=np.int64).tobytes())
+        pipe.writelines(texts)
+
+    def parent(pipe):
+        for start in mine:
+            fp.write(chunk_text(start, start + step))
+        head = pipe.read(8 * len(theirs))
+        sizes = np.frombuffer(head, dtype=np.int64).tolist() if len(head) == 8 * len(theirs) else [0] * len(theirs)
+        for start, size in zip(theirs, sizes):
+            text = pipe.read(size)
+            fp.write(text if size and len(text) == size else chunk_text(start, start + step))
+
+    _in_two_processes(child, parent) if _can_split(values.size * _WIDTH) else parent(io.BytesIO())
 
 
 def write_float_rows(fp: BinaryIO, table: np.ndarray) -> None:

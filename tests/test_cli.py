@@ -242,9 +242,9 @@ def test_verify_does_not_read_the_tolerance_variable(monkeypatch, tmp_path):
 
 def test_closed_stdout_pipe_exits_141_quietly(tmp_path):
     # more output than a pipe buffers, on buffered stdout (test_unbuffered_stdout_*
-    # cover PYTHONUNBUFFERED=1), with the writer's helper thread and without
-    for helper in (False, True):
-        proc = _cli_process(_large_output_argv(tmp_path, "kernel"), unbuffered=False, helper=helper)
+    # cover PYTHONUNBUFFERED=1), written in two processes and serially
+    for split in (False, True):
+        proc = _cli_process(_large_output_argv(tmp_path, "kernel"), unbuffered=False, split=split)
         try:
             assert proc.stdout.readline() == b"r,r_prime,t,re_k,im_k\n"
             proc.stdout.close()
@@ -279,17 +279,17 @@ def _large_output_argv(tmp_path: Path, verb: str) -> list[str]:
     return ["apply", "--t", "0", "--in", str(src)]
 
 
-# the command line with the writer's helper thread engaged for any output size
-_HELPER_CLI = ("import sys; from conformal_heat import cli, fields_io; "
-               "fields_io._HELPER_FLOATS = 0; sys.exit(cli.main())")
+# the command line with field I/O split between two processes for any size and CPU count
+_SPLIT_CLI = ("import os, sys; from conformal_heat import cli, fields_io; "
+              "fields_io._SPLIT_BYTES = 0; os.sched_getaffinity = lambda pid: {0, 1}; sys.exit(cli.main())")
 
 
-def _cli_process(argv: list[str], unbuffered: bool = True, helper: bool = False) -> subprocess.Popen:
+def _cli_process(argv: list[str], unbuffered: bool = True, split: bool = False) -> subprocess.Popen:
     env = dict(os.environ, PYTHONPATH=str(Path(conformal_heat.__file__).parents[1]),
                PYTHONUNBUFFERED="1")
     if not unbuffered:
         env.pop("PYTHONUNBUFFERED")
-    launch = ["-c", _HELPER_CLI] if helper else ["-m", "conformal_heat.cli"]
+    launch = ["-c", _SPLIT_CLI] if split else ["-m", "conformal_heat.cli"]
     return subprocess.Popen([sys.executable, *launch, *argv],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
 
@@ -298,9 +298,9 @@ def _cli_process(argv: list[str], unbuffered: bool = True, helper: bool = False)
 def test_unbuffered_stdout_closed_pipe_exits_141(tmp_path, verb):
     # The raw stdout of an unbuffered run takes part of a large write when
     # the reader goes away; the rest must not vanish with exit status 0,
-    # nor wait on a chunk that the writer's helper thread holds.
-    for helper in (False, True):
-        proc = _cli_process(_large_output_argv(tmp_path, verb), helper=helper)
+    # nor wait on a child that formats the second half of the output.
+    for split in (False, True):
+        proc = _cli_process(_large_output_argv(tmp_path, verb), split=split)
         try:
             proc.stdout.read(1000)  # past the header lines, into the large write
             proc.stdout.close()
@@ -317,8 +317,8 @@ def test_unbuffered_stdout_delivers_every_byte(tmp_path, verb):
     argv = _large_output_argv(tmp_path, verb)
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 0
-    for helper in (False, True):
-        proc = _cli_process(argv, helper=helper)
+    for split in (False, True):
+        proc = _cli_process(argv, split=split)
         piped, err = proc.communicate(timeout=60)
         assert proc.returncode == 0 and err == b""
         assert_same_bytes(piped, out.read_bytes())
@@ -733,6 +733,25 @@ def test_exit_code_3_non_finite_geometry(tmp_path, capsys, key, value):
                              + [f"0,{j},1,0" for j in range(8)]) + "\n")
     assert main(["apply", "--exponent", "0,0,0,0,0.5,0", "--in", str(bad), "--out", str(tmp_path / "o.csv")]) == 3
     assert "bad geometry value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, kind", [
+    ("dim", 3.9, "an integer"), ("dim", 2.0, "an integer"), ("dim", True, "an integer"), ("dim", "2", "an integer"),
+    ("n", 8.7, "an integer"), ("n", 8.0, "an integer"), ("n", None, "an integer"),
+    ("n_phi", 8.9, "an integer"), ("n_phi", False, "an integer"), ("n_phi", [8], "an integer"),
+    ("s_min", "-1", "a finite number"), ("s_max", True, "a finite number"), ("s_max", None, "a finite number"),
+    ("s_min", -10**400, "a finite number"),
+], ids=["dim-fraction", "dim-float", "dim-bool", "dim-string", "n-fraction", "n-float", "n-null", "n_phi-fraction",
+        "n_phi-bool", "n_phi-list", "s_min-string", "s_max-bool", "s_max-null", "s_min-past-the-float-range"])
+def test_exit_code_3_geometry_value_of_the_wrong_type(tmp_path, capsys, key, value, kind):
+    # JSON integers for dim, n and n_phi, and numbers for s_min and s_max;
+    # nothing is rounded or converted into one
+    geo = {"kind": "grid2d", "dim": 2, "s_min": -1, "s_max": 1, "n": 8, "n_phi": 8, key: value}
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(["# geometry: " + json.dumps(geo), "angle_index,s_index,re,im"]
+                             + [f"{a},{j},1,0" for a in range(8) for j in range(8)]) + "\n")
+    assert main(["apply", "--t", "0", "--in", str(bad), "--out", str(tmp_path / "o.csv")]) == 3
+    assert capsys.readouterr().err == f"error: bad geometry value: {key} must be {kind}, not {json.dumps(value)}\n"
 
 
 def _field_text(kind: str, drop: int | None = None, repeat: int | None = None,

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -17,7 +18,8 @@ import pytest
 from conformal_heat import fields_io
 from conformal_heat.cli import main
 from conformal_heat.errors import FieldFormatError
-from conformal_heat.fields_io import _CHUNK_FLOATS, read_field_file, read_points, write_factored, write_grid2d
+from conformal_heat.fields_io import (_CHUNK_FLOATS, format_float, read_field_file, read_points, write_factored,
+                                     write_float_rows, write_grid2d)
 from conformal_heat.log_radial import LogRadialGrid, RadialSamples
 from conformal_heat.spherical import FactoredField, GridField2D
 from same_bytes import assert_same_bytes
@@ -68,10 +70,11 @@ def test_write_grid2d_bytes_match_reference():
 
 
 def _rows_both_ways(monkeypatch, write, field, names: bytes) -> bytes:
-    """The data rows that write(fp, field) gives, the same with the helper thread and without."""
+    """The data rows that write(fp, field) gives, the same split between two processes and serially."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     texts = []
-    for helper in (False, True):
-        monkeypatch.setattr(fields_io, "_HELPER_FLOATS", 0 if helper else 2**62)
+    for split in (False, True):
+        monkeypatch.setattr(fields_io, "_SPLIT_BYTES", 0 if split else 2**62)
         fp = io.BytesIO()
         write(fp, field)
         texts.append(fp.getvalue().split(names, 1)[1])
@@ -98,7 +101,7 @@ def test_write_grid2d_bytes_around_a_chunk(monkeypatch, dim, n_phi, n):
                                    _FIELD_CHUNK - 8, _FIELD_CHUNK, _FIELD_CHUNK + 8, 2 * _FIELD_CHUNK + 8])
 def test_write_factored_bytes_with_signed_keys_around_a_chunk(monkeypatch, lines):
     # N = 2 keys are signed angular modes; one 8-sample key is the smallest
-    # field; the last case makes three chunks, the third without a partner
+    # field; the last case makes three chunks, the caller's one and the child's two
     grid = LogRadialGrid(dim=2, s_min=-2.0, s_max=2.0, n=8)
     count = lines // grid.n
     keys = np.arange(count) * 7 - 3 * count
@@ -109,7 +112,8 @@ def test_write_factored_bytes_with_signed_keys_around_a_chunk(monkeypatch, lines
 
 
 def test_write_factored_bytes_with_chunks_inside_a_key(monkeypatch):
-    # each key is two chunks of lines, so every second chunk starts inside one
+    # each key is two chunks of lines, so every second chunk, the child's first
+    # among them, starts inside one
     grid = LogRadialGrid(dim=2, s_min=-2.0, s_max=2.0, n=2 * _FIELD_CHUNK)
     samples = _edge_samples(3, grid.n)
     field = FactoredField([-12, 0, 345], RadialSamples(grid, samples))
@@ -434,6 +438,7 @@ def _no_fork():
 @needs_fork
 @pytest.mark.parametrize("threads, cpus", [(2, {0, 1}), (1, {0})], ids=["another-thread", "one-cpu"])
 def test_no_fork_beside_another_thread_or_on_one_cpu(monkeypatch, big_field, threads, cpus):
+    # neither the read of a file nor the write of an output past the size gate
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
     monkeypatch.setattr(os, "fork", _no_fork)
     release = threading.Event()
@@ -442,13 +447,19 @@ def test_no_fork_beside_another_thread_or_on_one_cpu(monkeypatch, big_field, thr
         other.start()
     try:
         field = read_field_file(str(big_field))
+        written = io.BytesIO()
+        write_grid2d(written, field)
     finally:
         release.set()
         for other in others:
             other.join(timeout=10)
     assert not any(other.is_alive() for other in others)
+    assert field.values.size * 2 * fields_io._WIDTH >= fields_io._SPLIT_BYTES
     monkeypatch.setattr(fields_io, "_SPLIT_BYTES", SERIAL)
     assert _bits(field) == _bits(read_field_file(str(big_field)))
+    serial = io.BytesIO()
+    write_grid2d(serial, field)
+    assert_same_bytes(written.getvalue(), serial.getvalue())
 
 
 @needs_fork
@@ -468,27 +479,158 @@ def test_no_child_outlives_a_read(tmp_path, monkeypatch, split_reads, where):
         os.waitpid(-1, os.WNOHANG)
 
 
+# The two-process write of large outputs: the same bytes as the serial write, and no child left behind.
+
+def _table(chunks: int = 4) -> np.ndarray:
+    """A four-column table of `chunks` chunks of rows, values of every size and sign."""
+    rng = np.random.default_rng(chunks)
+    shape = (chunks * _CHUNK_FLOATS // 4, 4)
+    return rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, shape)
+
+
+def _serial_text(table: np.ndarray) -> bytes:
+    return "".join(",".join(map(format_float, row)) + "\n" for row in table.tolist()).encode()
+
+
+@pytest.fixture
+def split_writes(monkeypatch):
+    """The pids of the children that writes fork; the split is forced for every size and CPU count."""
+    forks = []
+    fork = os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(fields_io, "_SPLIT_BYTES", 0)
+    return forks
+
+
+def _in_the_child(monkeypatch, action):
+    """Make a forked child run action() where it would format a chunk."""
+    caller, lines = os.getpid(), fields_io._csv_lines
+    monkeypatch.setattr(fields_io, "_csv_lines", lambda *args: lines(*args) if os.getpid() == caller else action())
+
+
+@needs_fork
+def test_no_child_outlives_a_write(split_writes):
+    table = _table()
+    fp = io.BytesIO()
+    write_float_rows(fp, table)
+    assert len(split_writes) == 1
+    assert_same_bytes(fp.getvalue(), _serial_text(table))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class _FullDisk(io.BytesIO):
+    """A sink whose second write fails."""
+
+    def write(self, data):
+        if self.tell():
+            raise OSError("the disk is full")
+        return super().write(data)
+
+
+@needs_fork
+def test_no_child_outlives_a_write_that_fails(monkeypatch, split_writes):
+    # the child would take a minute over its first chunk: it is killed,
+    # not waited for, when the caller's own second write fails
+    _in_the_child(monkeypatch, lambda: time.sleep(60))
+    began = time.monotonic()
+    with pytest.raises(OSError, match="the disk is full"):
+        write_float_rows(_FullDisk(), _table())
+    assert time.monotonic() - began < 30
+    assert len(split_writes) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _child_fails():
+    raise MemoryError("no room in the child")
+
+
+@needs_fork
+def test_a_failing_child_leaves_its_half_to_the_caller(monkeypatch, split_writes):
+    _in_the_child(monkeypatch, _child_fails)
+    table = _table()
+    fp = io.BytesIO()
+    write_float_rows(fp, table)
+    assert len(split_writes) == 1
+    assert_same_bytes(fp.getvalue(), _serial_text(table))
+
+
+@pytest.mark.parametrize("part, offset", [("lengths", 0), ("lengths", 8), ("lengths", 15), ("text", 0), ("text", 1),
+                                          ("second", -1), ("second", 0), ("second", 1), ("end", -1), ("end", 0)])
+def test_a_child_cut_short_anywhere_leaves_the_serial_bytes(monkeypatch, part, offset):
+    # of four chunks the child sends the last two: their two lengths, then
+    # their text; the caller gets that stream cut at `offset` from `part`
+    table = _table()
+    serial = _serial_text(table)
+    lines = serial.splitlines(keepends=True)
+    third, fourth = (len(b"".join(lines[k * _CHUNK_FLOATS // 4:(k + 1) * _CHUNK_FLOATS // 4])) for k in (2, 3))
+    cut = {"lengths": 0, "text": 16, "second": 16 + third, "end": 16 + third + fourth}[part] + offset
+    sent = []
+
+    def cut_short(child, parent):
+        pipe = io.BytesIO()
+        child(pipe)
+        sent.append(pipe.getvalue())
+        return parent(io.BytesIO(pipe.getvalue()[:cut]))
+
+    monkeypatch.setattr(fields_io, "_can_split", lambda size: True)
+    monkeypatch.setattr(fields_io, "_in_two_processes", cut_short)
+    fp = io.BytesIO()
+    write_float_rows(fp, table)
+    assert [len(stream) for stream in sent] == [16 + third + fourth]
+    assert_same_bytes(fp.getvalue(), serial)
+
+
+@pytest.mark.parametrize("cut", [0, 8, 15, 16, 17, -1, None], ids=["empty", "in-the-rows", "in-the-columns",
+                                                                 "no-values", "in-the-values", "one-byte-short", "whole"])
+def test_a_child_array_cut_short_anywhere_gives_the_serial_read(monkeypatch, split_reads, big_field, cut):
+    # the child's stream is its array's row and column counts, then its values
+    def cut_short(child, parent):
+        pipe = io.BytesIO()
+        child(pipe)
+        return parent(io.BytesIO(pipe.getvalue()[:cut]))
+
+    monkeypatch.setattr(fields_io, "_in_two_processes", cut_short)
+    split, serial = _both_ways(monkeypatch, read_field_file, big_field)
+    assert split_reads == [cut is None]
+    assert _bits(split) == _bits(serial)
+
+
 _APPLY_WITH_A_MARKER = """
 import atexit, sys
 from conformal_heat import fields_io
 from conformal_heat.cli import main
 
-print("before the read")  # still buffered at the fork: a child that flushed it would print it twice
+print("before the read")  # still buffered at each fork: a child that flushed it would print it twice
 atexit.register(print, "atexit marker")
-split = fields_io._split_rows
+split, two_processes = fields_io._split_rows, fields_io._in_two_processes
 
-def spy(*args):
+def split_spy(*args):
     rows = split(*args)
-    print("split" if rows is not None else "serial")
+    print("split read" if rows is not None else "serial read")
     return rows
 
-fields_io._split_rows = spy
+def fork_spy(child, parent):
+    print("fork")
+    return two_processes(child, parent)
+
+fields_io._split_rows, fields_io._in_two_processes = split_spy, fork_spy
 sys.exit(main(sys.argv[1:]))
 """
 
 
 @needs_fork
 def test_apply_in_a_process_forks_one_quiet_child(tmp_path, monkeypatch, big_field):
+    # one child to read the field and one to write the result, past both gates
     out = tmp_path / "split.csv"
     env = dict(os.environ, PYTHONPATH=str(Path(fields_io.__file__).parents[1]))
     # DeprecationWarnings shown, not raised: Python 3.12+ warns of a fork beside threads and drops the warning under -W error
@@ -497,7 +639,8 @@ def test_apply_in_a_process_forks_one_quiet_child(tmp_path, monkeypatch, big_fie
                           capture_output=True, env=env, timeout=120)
     assert (proc.returncode, proc.stderr) == (0, b"")
     two_cpus = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
-    assert proc.stdout == f"before the read\n{'split' if two_cpus else 'serial'}\natexit marker\n".encode()
+    forks = "fork\nsplit read\nfork\n" if two_cpus else ""
+    assert proc.stdout == f"before the read\n{forks}atexit marker\n".encode()
     monkeypatch.setattr(fields_io, "_SPLIT_BYTES", SERIAL)
     serial = tmp_path / "serial.csv"
     assert main(["apply", "--t", "0.375", "--in", str(big_field), "--out", str(serial)]) == 0

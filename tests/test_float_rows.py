@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import io
-import threading
+import os
 
 import numpy as np
 import pytest
@@ -135,28 +135,37 @@ def test_row_counts_around_a_chunk(rows):
     assert_same_bytes(_written(table), _reference(table))
 
 
-def _on_the_helper_thread(monkeypatch, table: np.ndarray) -> tuple[bytes, set]:
-    """The writer's text with the helper thread engaged, and the threads that formatted chunks."""
-    threads = set()
+def _split_between_processes(monkeypatch, tmp_path, table: np.ndarray) -> tuple[bytes, list[int]]:
+    """The writer's text split between two processes for any size, and the pid that formatted each chunk."""
+    log = tmp_path / "chunks.log"
     lines = fields_io._csv_lines
+    first_rows = {table[start].tobytes(): k for k, start in enumerate(range(0, len(table), _TABLE_CHUNK))}
 
-    def recorded(*args):
-        threads.add(threading.get_ident())
-        return lines(*args)
+    def recorded(values):
+        with open(log, "a") as fp:  # appends from either process: one short write each
+            fp.write(f"{first_rows[values[0].tobytes()]} {os.getpid()}\n")
+        return lines(values)
 
-    monkeypatch.setattr(fields_io, "_HELPER_FLOATS", 0)
+    monkeypatch.setattr(fields_io, "_SPLIT_BYTES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(fields_io, "_csv_lines", recorded)
-    return _written(table), threads
+    text = _written(table)
+    chunks = dict(map(int, line.split()) for line in log.read_text().splitlines()) if log.exists() else {}
+    return text, [chunks[k] for k in sorted(chunks)]
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
 @pytest.mark.parametrize("rows", [0, 1, _TABLE_CHUNK, _TABLE_CHUNK + 1, 2 * _TABLE_CHUNK, 3 * _TABLE_CHUNK + 5])
-def test_helper_thread_writes_the_serial_bytes(monkeypatch, rows):
+def test_helper_thread_writes_the_serial_bytes(monkeypatch, tmp_path, rows):
+    # the caller formats the first half of the chunks and a forked child the second
     rng = np.random.default_rng(rows)
     table = rng.standard_normal((rows, 5)) * 10.0 ** rng.integers(-20, 20, (rows, 5))
-    table[:1, :3] = [np.nan, -0.0, 12345678901 + 1 / 128]  # format_float's cases, on the caller's thread
+    table[:1, :3] = [np.nan, -0.0, 12345678901 + 1 / 128]  # format_float's cases, in the first chunk
     serial = _written(table)
-    helped, threads = _on_the_helper_thread(monkeypatch, table)
-    assert_same_bytes(helped, serial)
-    assert_same_bytes(helped, "".join(",".join(map(format_float, row)) + "\n" for row in table.tolist()).encode())
-    assert len(threads) == (2 if rows > _TABLE_CHUNK else min(rows, 1))
-    assert threading.get_ident() in threads or not rows
+    split, pids = _split_between_processes(monkeypatch, tmp_path, table)
+    assert_same_bytes(split, serial)
+    assert_same_bytes(split, "".join(",".join(map(format_float, row)) + "\n" for row in table.tolist()).encode())
+    chunks = -(-rows // _TABLE_CHUNK)
+    assert pids[:chunks // 2] == [os.getpid()] * (chunks // 2)
+    assert len(pids) == chunks and len(set(pids[chunks // 2:])) == min(chunks, 1)
+    assert os.getpid() not in pids[chunks // 2:]
