@@ -33,6 +33,10 @@ configuration and input produce identical bytes, floats carry 17
 significant digits.  For the verbs that take --tol, the
 CONFORMAL_HEAT_TOL environment variable overrides the default series
 tolerance of 1e-10; a tolerance must be finite and positive.
+
+On two CPUs, a kernel table of 4096 points or more is evaluated in two
+processes, with the values, the first refused point and the exit code of
+the serial loop; so are large field files read and large outputs written.
 """
 
 from __future__ import annotations
@@ -57,7 +61,15 @@ from .errors import (
     GridAlignmentError,
     InvalidRegimeError,
 )
-from .fields_io import format_float, read_field_file, read_points, write_factored, write_float_rows, write_grid2d
+from .fields_io import (
+    evaluate_rows,
+    format_float,
+    read_field_file,
+    read_points,
+    write_factored,
+    write_float_rows,
+    write_grid2d,
+)
 from .kernels import as_time, closed_form, full_kernel_series
 from .spectral_calculus import G0Exponent, apply_exp_g0, apply_exp_g0_grid, apply_scaling_direct
 from .spherical import GridField2D
@@ -223,11 +235,14 @@ def cmd_kernel(args: argparse.Namespace) -> int:
             raise FieldFormatError("kernel needs --in POINTS or all of --r, --rp, --t")
         points = np.array([(r, rp, t) for r in r_list for rp in rp_list for t in t_list])
     ct = as_time(z)
-    if args.closed_form:  # refuses an N without a closed form, rows or none
-        values = closed_form(args.dim, *points.T, ct, tol)
-    else:
-        values = np.array([full_kernel_series(args.dim, r, rp, t, ct, tol) for r, rp, t in points.tolist()],
-                          dtype=complex)
+
+    def evaluate(start: int, stop: int) -> np.ndarray:
+        rows = points[start:stop]
+        if args.closed_form:  # refuses an N without a closed form, rows or none
+            return closed_form(args.dim, *rows.T, ct, tol)
+        return np.array([full_kernel_series(args.dim, r, rp, t, ct, tol) for r, rp, t in rows.tolist()], dtype=complex)
+
+    values = evaluate_rows(evaluate, len(points))
     if args.fmt == "json":
         payload = {
             "dim": args.dim,

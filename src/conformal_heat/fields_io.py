@@ -38,13 +38,14 @@ by one array formatter (format_float is its scalar definition), so
 neither side holds the whole text in memory.  Kernel tables
 (write_float_rows) are written the same way.
 
-Large tables are split between two processes (_can_split): a forked
-child parses the first half of a file, or formats the second half of an
-output, and sends it through a pipe.  Where the child's half fails or
-does not arrive whole, this process reads the file serially or formats
-those chunks itself, so the arrays, the errors and the bytes are the same
-either way.  Without os.fork or os.sched_getaffinity (Windows, macOS)
-both directions run serially.
+Large tables are split between two processes (_can_fork): a forked
+child parses the first half of a file, evaluates the second half of a
+kernel table's rows (evaluate_rows, for the CLI), or formats the second
+half of an output, and sends it through a pipe.  Where the child's half
+fails or does not arrive whole, this process reads the file serially,
+evaluates those rows or formats those chunks itself, so the arrays, the
+errors and the bytes are the same either way.  Without os.fork or
+os.sched_getaffinity (Windows, macOS) all three run serially.
 """
 
 from __future__ import annotations
@@ -112,6 +113,7 @@ def _scan_head(fp: TextIO) -> tuple[str | None, str | None, int]:
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 _SPLIT_BYTES = 2 * 2**20  # the least file or output that two processes share
 _HEAD_BYTES = 2**16       # the lines ahead of the data that a split read looks for
+_SPLIT_POINTS = 4096      # the least kernel table that two processes evaluate: the closed forms' break-even
 
 
 def _loadtxt(source, strict: bool = False, **options) -> np.ndarray:
@@ -192,10 +194,36 @@ def _split_rows(path: str, skip: int, size: int, encoding: str) -> np.ndarray | 
     return np.concatenate([np.frombuffer(theirs, offset=16).reshape(rows, cols), mine])
 
 
-def _can_split(size: int) -> bool:
-    """Whether a table of `size` bytes is split between two processes: on two CPUs, with no other thread."""
-    return (size >= _SPLIT_BYTES and threading.active_count() == 1 and hasattr(os, "fork")
+def _can_fork() -> bool:
+    """Whether a job may be split with a forked child: on two CPUs, with no other thread."""
+    return (threading.active_count() == 1 and hasattr(os, "fork")
             and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2)
+
+
+def _can_split(size: int) -> bool:
+    """Whether a table of `size` bytes is split between two processes."""
+    return size >= _SPLIT_BYTES and _can_fork()
+
+
+def evaluate_rows(evaluate, count: int) -> np.ndarray:
+    """evaluate(0, count), one complex value per row of a table of `count` rows.
+
+    evaluate(start, stop) returns the complex128 values of rows start to
+    stop - 1, or raises for the first bad row among them.  From
+    _SPLIT_POINTS rows up (_can_fork), a forked child evaluates the second
+    half and sends its bytes while this process evaluates the first: an
+    error there is the table's first, and is raised.  Where the child's
+    bytes do not arrive whole (a bad row in its half, a child that dies, a
+    fork that fails), this process evaluates that half as well, so the
+    values and the first error are those of evaluate(0, count).
+    """
+    if count < _SPLIT_POINTS or not _can_fork():
+        return evaluate(0, count)
+    middle = count // 2
+    mine, theirs = _in_two_processes(lambda pipe: pipe.write(evaluate(middle, count).data),
+                                     lambda pipe: (evaluate(0, middle), pipe.read()))
+    whole = len(theirs) == 16 * (count - middle)
+    return np.concatenate([mine, np.frombuffer(theirs, dtype=complex) if whole else evaluate(middle, count)])
 
 
 def _load_rows(path: str, fp: TextIO, first: str, skip: int) -> np.ndarray:
@@ -277,20 +305,42 @@ def _check_indices(path: str, name: str, column: np.ndarray, bound: int | None =
         raise FieldFormatError(f"{path}: data row {row + 1}: {name} {column[row]:g} is not an integer{limit}")
 
 
-def _scatter(path: str, names: tuple[str, str], keys: np.ndarray, flat: np.ndarray,
-             data: np.ndarray, n: int) -> np.ndarray:
-    """Place row i's value at flat[i] of a (len(keys), n) array; each slot exactly once."""
-    counts = np.bincount(flat, minlength=len(keys) * n)
+def _scatter(path: str, names: tuple[str, str], keys, rank: np.ndarray, data: np.ndarray, n: int) -> np.ndarray:
+    """Place each row's value at [rank, s_index] of a (k, n) array; each slot exactly once.
+
+    keys holds the k key values by rank, or is k itself where the key is
+    the rank (angle_index).  Where the k*n slots outnumber the rows, some
+    are missing, and the first duplicate or missing slot is found among the
+    distinct rows: an n or n_phi far past the data sizes no array.
+    """
+    k = keys if isinstance(keys, int) else len(keys)
+
+    def refuse(what: str, count: int, slot: int):
+        key, j = divmod(slot, n)
+        raise FieldFormatError(f"{path}: {count} {what} rows, first at "
+                               f"{names[0]}={key if isinstance(keys, int) else keys[key]:g}, {names[1]}={j}")
+
+    if k * n > len(data):
+        pairs, counts = np.unique(np.column_stack([rank, data[:, 1]]), axis=0, return_counts=True)
+        twice = counts > 1
+        if twice.any():
+            key, j = pairs[np.argmax(twice)].tolist()
+            refuse("duplicate", int(twice.sum()), int(key) * n + int(j))
+        # the first slot without a row: the first distinct row out of place, or the one after the last
+        at = np.arange(len(pairs))
+        stride = min(n, len(data) + 1)  # divides each of these positions as n does
+        out = (pairs[:, 0] != at // stride) | (pairs[:, 1] != at % stride)
+        refuse("missing", k * n - len(pairs), int(np.argmax(out)) if out.any() else len(pairs))
+    flat = rank.astype(np.intp, copy=False) * n + data[:, 1].astype(np.intp)
+    counts = np.bincount(flat, minlength=k * n)
     for wrong, what in ((counts > 1, "duplicate"), (counts == 0, "missing")):
         if wrong.any():
-            k, j = divmod(int(np.argmax(wrong)), n)
-            raise FieldFormatError(f"{path}: {int(wrong.sum())} {what} rows, first at "
-                                   f"{names[0]}={keys[k]:g}, {names[1]}={j}")
-    values = np.empty(len(keys) * n, dtype=complex)
+            refuse(what, int(wrong.sum()), int(np.argmax(wrong)))
+    values = np.empty(k * n, dtype=complex)
     # The two columns viewed as complex, so signed zeros survive: re + 1j*im
     # would turn a -0.0 real part into +0.0.
     values[flat] = np.ascontiguousarray(data[:, 2:4]).view(complex)[:, 0]
-    return values.reshape(len(keys), n)
+    return values.reshape(k, n)
 
 
 def read_field_file(path: str):
@@ -305,8 +355,7 @@ def read_field_file(path: str):
         _check_indices(path, "m", data[:, 0])
         _check_indices(path, "s_index", data[:, 1], grid.n)
         keys, key_rank = np.unique(data[:, 0], return_inverse=True)
-        flat = key_rank * grid.n + data[:, 1].astype(np.intp)
-        values = _scatter(path, ("m", "s_index"), keys, flat, data, grid.n)
+        values = _scatter(path, ("m", "s_index"), keys, key_rank, data, grid.n)
         if not (np.abs(keys) < 2.0**63).all():
             raise FieldFormatError(f"{path}: m values must fit a machine integer")
         return FactoredField(keys.astype(np.int64), RadialSamples(grid, values))
@@ -316,8 +365,7 @@ def read_field_file(path: str):
             raise FieldFormatError(f"{path}: geometry missing n_phi")
         _check_indices(path, "angle_index", data[:, 0], n_phi)
         _check_indices(path, "s_index", data[:, 1], grid.n)
-        flat = data[:, 0].astype(np.intp) * grid.n + data[:, 1].astype(np.intp)
-        values = _scatter(path, ("angle_index", "s_index"), np.arange(n_phi), flat, data, grid.n)
+        values = _scatter(path, ("angle_index", "s_index"), n_phi, data[:, 0], data, grid.n)
         return GridField2D(grid, values)
     raise FieldFormatError(f"{path}: unknown field kind {kind!r}")
 

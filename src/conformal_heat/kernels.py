@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -55,6 +56,7 @@ from .special_functions import (
     check_t,
     check_tol,
     gegenbauer_tilde,
+    gegenbauer_tilde_log_sup,
     gegenbauer_tilde_sup,
     theta,
     theta_dv,
@@ -83,7 +85,9 @@ class ComplexTime:
     def __post_init__(self):
         sqrt_z = cmath.sqrt(self.z)
         object.__setattr__(self, "sqrt_z", sqrt_z)
-        object.__setattr__(self, "inv_sqrt_4pi_z", 1.0 / (2.0 * math.sqrt(math.pi) * sqrt_z))
+        # z = +-0 has no kernel, and every route refuses it (Re z > 0) before reading this
+        inv = 1.0 / (2.0 * math.sqrt(math.pi) * sqrt_z) if sqrt_z else complex(math.nan, math.nan)
+        object.__setattr__(self, "inv_sqrt_4pi_z", inv)
         object.__setattr__(self, "four_z", np.complex128(4.0 * self.z))
 
 
@@ -189,6 +193,22 @@ def truncation_degree(dim: int, z, tol: float) -> int:
     return _certified_cut(dim, ct.z.real, tol)
 
 
+def _term_bound(m: int, nu: float, x: float) -> float:
+    """sup|C~_m| exp(-x (m + nu)^2): the product of the two where both are normal floats, else
+    the exp of its log, log sup|C~_m| - x (m + nu)^2 (0 or inf past the float range)."""
+    gauss = math.exp(-x * (m + nu) ** 2)
+    try:
+        term = gegenbauer_tilde_sup(m, nu) * gauss
+    except OverflowError:  # the sup alone is past the float range
+        term = math.inf
+    if gauss >= sys.float_info.min and term < math.inf:
+        return term
+    try:
+        return math.exp(gegenbauer_tilde_log_sup(m, nu) - x * (m + nu) ** 2)
+    except OverflowError:
+        return math.inf
+
+
 @lru_cache(maxsize=256)
 def _certified_cut(dim: int, x: float, tol: float) -> int:
     """truncation_degree for validated arguments, with x = Re z > 0.
@@ -201,15 +221,21 @@ def _certified_cut(dim: int, x: float, tol: float) -> int:
         return 1  # C~_m^{-1/2}(t) vanishes for m >= 2 at t = +-1, the only N = 1 angles
     nu = 0.5 * (dim - 2)
     # Accumulate certified term bounds until the leftover tail is provably
-    # geometric with ratio <= 1/2, then pick the first admissible M.
+    # geometric with ratio <= 1/2, then pick the first admissible M.  Where
+    # the previous bound underflowed to 0, the ratio and the last bound are
+    # compared in logs.
     terms: list[float] = []
     m = 0
     while True:
-        t_m = gegenbauer_tilde_sup(m, nu) * math.exp(-x * (m + nu) ** 2)
-        terms.append(t_m)
-        if m >= 1 and terms[-2] > 0:
-            ratio = terms[-1] / terms[-2]
-            if ratio <= 0.5 and terms[-1] <= 0.25 * tol:
+        terms.append(_term_bound(m, nu, x))
+        if m >= 1:
+            if terms[-2] > 0:
+                stop = terms[-1] / terms[-2] <= 0.5 and terms[-1] <= 0.25 * tol
+            else:
+                log_sup = gegenbauer_tilde_log_sup(m, nu)
+                log_ratio = log_sup - gegenbauer_tilde_log_sup(m - 1, nu) - x * (2.0 * (m + nu) - 1.0)
+                stop = log_ratio <= -math.log(2.0) and log_sup - x * (m + nu) ** 2 <= math.log(tol) - math.log(4.0)
+            if stop:
                 break
         m += 1
         if m > 200_000:
@@ -296,6 +322,8 @@ def closed_form_1d(r, r_prime, t, z):
     ct = as_time(z)
     r, r_prime, t = _columns(r, r_prime, t)
     _check_table(1, r, r_prime, t, ct, None)
+    if not r.size:  # the prefactor has no value at z = 0, which a table with rows refuses
+        return np.empty(r.shape, dtype=complex)
     pref = cmath.exp(-ct.z / 4.0) / (2.0 * math.sqrt(math.pi) * ct.sqrt_z)
     values = [
         0.0 + 0.0j if opposite else pref * gauss * root

@@ -149,8 +149,19 @@ def gegenbauer_tilde_sup(m: int, nu: float) -> float:
         return 1.0 if m <= 1 else 0.0
     if nu < 0:
         raise DomainError(f"no sup bound available for nu={nu}")
-    logc = math.lgamma(m + 2.0 * nu) - math.lgamma(m + 1.0) - math.lgamma(2.0 * nu)
-    return (m + nu) / nu * math.exp(logc)
+    return (m + nu) / nu * math.exp(_log_c_at_one(m, nu))
+
+
+def _log_c_at_one(m: int, nu: float) -> float:
+    """log C_m^nu(1) = log(Gamma(m + 2 nu) / (m! Gamma(2 nu))) for nu > 0."""
+    return math.lgamma(m + 2.0 * nu) - math.lgamma(m + 1.0) - math.lgamma(2.0 * nu)
+
+
+def gegenbauer_tilde_log_sup(m: int, nu: float) -> float:
+    """log gegenbauer_tilde_sup(m, nu) for nu >= 0, finite also where the sup is past the float range."""
+    if nu == 0.0:
+        return 0.0 if m == 0 else math.log(2.0)
+    return math.log((m + nu) / nu) + _log_c_at_one(m, nu)
 
 
 @lru_cache(maxsize=1024)

@@ -6,8 +6,11 @@ import csv
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -15,7 +18,7 @@ import numpy as np
 import pytest
 
 import conformal_heat
-from conformal_heat import cli
+from conformal_heat import cli, fields_io
 from conformal_heat.cli import main
 from conformal_heat.errors import ConformalHeatError, DomainError
 from conformal_heat.fields_io import read_field_file
@@ -638,6 +641,37 @@ def test_exit_code_2_kernel_regime(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("z", ["0,0", "0,-0", "-0,0"])
+@pytest.mark.parametrize("dim, route", [("1", ["--closed-form"]), ("2", []), ("2", ["--closed-form"]), ("3", [])])
+def test_exit_code_2_zero_time(capsys, z, dim, route):
+    # z = 0 has no square root to divide by; it is refused as Re z = 0, not by a ZeroDivisionError
+    t = "1" if dim == "1" else "0.5"
+    assert main(["kernel", "--dim", dim, "--z", z, "--r", "1", "--rp", "1", "--t", t, *route]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: integral kernels need Re z > 0, got z = ") and err.count("\n") == 1
+
+
+def test_zero_time_on_a_table_without_rows_exits_0(tmp_path, capsys):
+    pts = tmp_path / "empty.csv"
+    pts.write_text("r,r_prime,t\n")
+    for dim, route in (("1", ["--closed-form"]), ("2", ["--closed-form"]), ("4", ["--closed-form"]), ("3", [])):
+        assert main(["kernel", "--dim", dim, "--z", "0,0", "--in", str(pts), *route]) == 0
+        assert capsys.readouterr() == ("r,r_prime,t,re_k,im_k\n", "")
+
+
+def test_a_large_re_z_past_the_float_range_is_answered(capsys):
+    # every term bound underflows from m = 0 on: cut 0 is certified, and the kernel underflows to 0
+    assert main(["kernel", "--dim", "5", "--z", "335,0", "--r", "1", "--rp", "1", "--t", "0.5"]) == 0
+    assert capsys.readouterr() == ("r,r_prime,t,re_k,im_k\n1,1,0.5,0,0\n", "")
+
+
+def test_a_sup_bound_past_the_float_range_is_refused_without_a_traceback(capsys):
+    assert main(["kernel", "--dim", "1000", "--z", "1e-320,1e300", "--r", "1", "--rp", "0.999999999999",
+                 "--t", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: no certified truncation for Re z = 1e-320, tol = 1e-10\n")
+
+
 def test_exit_code_2_closed_form_bad_dim(capsys):
     assert main([
         "kernel", "--dim", "3", "--z", "0.5,0", "--closed-form",
@@ -752,6 +786,33 @@ def test_exit_code_3_geometry_value_of_the_wrong_type(tmp_path, capsys, key, val
                              + [f"{a},{j},1,0" for a in range(8) for j in range(8)]) + "\n")
     assert main(["apply", "--t", "0", "--in", str(bad), "--out", str(tmp_path / "o.csv")]) == 3
     assert capsys.readouterr().err == f"error: bad geometry value: {key} must be {kind}, not {json.dumps(value)}\n"
+
+
+_FAR = 2**70  # a power of two, as the grid asks of n
+
+
+@pytest.mark.parametrize("kind, key, value, repeat, message", [
+    ("grid2d", "n", 16, False, "64 missing rows, first at angle_index=0, s_index=8"),
+    ("grid2d", "n_phi", 16, False, "64 missing rows, first at angle_index=8, s_index=0"),
+    ("factored", "n", 16, False, "64 missing rows, first at m=0, s_index=8"),
+    ("grid2d", "n_phi", 16, True, "1 duplicate rows, first at angle_index=3, s_index=5"),
+    ("grid2d", "n", _FAR, False, f"{8 * _FAR - 64} missing rows, first at angle_index=0, s_index=8"),
+    ("grid2d", "n_phi", _FAR, False, f"{8 * _FAR - 64} missing rows, first at angle_index=8, s_index=0"),
+    ("factored", "n", _FAR, False, f"{8 * _FAR - 64} missing rows, first at m=0, s_index=8"),
+    ("factored", "n", _FAR, True, "1 duplicate rows, first at m=3, s_index=5"),
+], ids=["grid-n", "grid-n_phi", "factored-n", "grid-n_phi-and-a-duplicate", "grid-n-2^70", "grid-n_phi-2^70",
+        "factored-n-2^70", "factored-n-2^70-and-a-duplicate"])
+def test_exit_code_3_geometry_past_the_rows(tmp_path, capsys, kind, key, value, repeat, message):
+    # 8 keys of 8 samples each under a geometry that asks for more; a
+    # duplicate row is reported ahead of the missing ones, as for a small n
+    geo = {"kind": kind, "dim": 2, "s_min": -1, "s_max": 1, "n": 8, **({"n_phi": 8} if kind == "grid2d" else {})}
+    geo[key] = value
+    names = "angle_index,s_index,re,im" if kind == "grid2d" else "m,s_index,re,im"
+    rows = [f"{a},{j},1,0" for a in range(8) for j in range(8)] + (["3,5,2,0"] if repeat else [])
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(["# geometry: " + json.dumps(geo), names] + rows) + "\n")
+    assert main(["apply", "--t", "0", "--in", str(bad), "--out", str(tmp_path / "o.csv")]) == 3
+    assert capsys.readouterr() == ("", f"error: {bad}: {message}\n")
 
 
 def _field_text(kind: str, drop: int | None = None, repeat: int | None = None,
@@ -880,3 +941,183 @@ def test_apply_requires_exactly_one_action(capsys):
     assert main(["apply", "--in", IN_FIELD]) == 3
     assert main(["apply", "--exponent", "0,0,0,0,0,0", "--t", "0.1", "--in", IN_FIELD]) == 3
     capsys.readouterr()
+
+
+# Kernel tables evaluated in two processes: the same bytes and the same first error as the serial loop.
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
+SERIAL = 2**62  # a gate no table reaches
+_ROWS = 48      # the caller evaluates rows 0-23, the child rows 24-47
+
+
+@pytest.fixture
+def split_kernels(monkeypatch):
+    """The pids of the children that kernel tables fork; the split is forced for every size and CPU count."""
+    forks = []
+    fork = os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(fields_io, "_SPLIT_POINTS", 0)
+    return forks
+
+
+def _points_file(tmp_path: Path, dim: int, bad: dict | None = None) -> Path:
+    """_ROWS kernel points for dim, with the rows of bad put in place; N = 4 has near-pole rows."""
+    rng = np.random.default_rng(dim)
+    r, rp = np.exp(rng.uniform(-1.5, 1.5, (2, _ROWS)))
+    t = rng.uniform(-1.0, 1.0, _ROWS)
+    if dim == 1:
+        t = np.where(t < 0, -1.0, 1.0)
+    if dim == 4:  # the closed form takes these rows through the series
+        t[::5] = np.where(t[::5] < 0, -1.0, 1.0) * (1.0 - 1e-8)
+    rows = ["%.17g,%.17g,%.17g" % row for row in zip(r.tolist(), rp.tolist(), t.tolist())]
+    for i, row in (bad or {}).items():
+        rows[i] = row
+    path = tmp_path / f"points{dim}.csv"
+    path.write_text("\n".join(["r,r_prime,t", *rows]) + "\n")
+    return path
+
+
+def _both_ways(monkeypatch, argv: list[str], capsys) -> list[tuple]:
+    """(exit code, stdout, stderr) of argv with the table split, then serially."""
+    results = []
+    for gate in (0, SERIAL):
+        monkeypatch.setattr(fields_io, "_SPLIT_POINTS", gate)
+        results.append((main(argv), *capsys.readouterr()))
+    return results
+
+
+_ROUTES = [*((dim, []) for dim in range(1, 7)), *((dim, ["--closed-form"]) for dim in (1, 2, 4))]
+
+
+@needs_fork
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("dim, route", _ROUTES, ids=[f"n{d}{'-closed' if r else ''}" for d, r in _ROUTES])
+def test_split_kernel_table_has_the_serial_bytes(tmp_path, monkeypatch, capsys, split_kernels, dim, route, fmt):
+    argv = ["kernel", "--dim", str(dim), "--z", "0.4,0.2", "--in", str(_points_file(tmp_path, dim)),
+            "--format", fmt, *route]
+    split, serial = _both_ways(monkeypatch, argv, capsys)
+    assert len(split_kernels) == 1
+    assert split[0] == serial[0] == 0 and split[2] == serial[2] == ""
+    assert_same_bytes(split[1].encode(), serial[1].encode())
+
+
+@needs_fork
+@pytest.mark.parametrize("route", [[], ["--closed-form"]], ids=["series", "closed-form"])
+def test_the_caller_evaluates_its_half_alone(tmp_path, monkeypatch, capsys, split_kernels, route):
+    # the child's values are taken, not evaluated a second time here
+    caller, rows = os.getpid(), []
+    name = "closed_form" if route else "full_kernel_series"
+    evaluate = getattr(cli, name)
+
+    def spy(dim, r, *args):
+        if os.getpid() == caller:
+            rows.append(np.size(r))
+        return evaluate(dim, r, *args)
+
+    monkeypatch.setattr(cli, name, spy)
+    argv = ["kernel", "--dim", "2", "--z", "0.5,0", "--in", str(_points_file(tmp_path, 2)), *route]
+    assert main(argv) == 0
+    assert sum(rows) == _ROWS // 2 and len(split_kernels) == 1
+    capsys.readouterr()
+
+
+_BAD_ROWS = {
+    "both-halves": {10: "0,1,0.5", 40: "1,1,1.5"},
+    "child-half": {40: "1,1,1.5"},
+    "two-in-the-child-half": {30: "1,-1,0.5", 40: "1,1,1.5"},
+    "last-row": {47: "1,1,nan"},
+}
+
+
+@needs_fork
+@pytest.mark.parametrize("route", [[], ["--closed-form"]], ids=["series", "closed-form"])
+@pytest.mark.parametrize("bad", list(_BAD_ROWS.values()), ids=list(_BAD_ROWS))
+def test_split_kernel_table_refuses_as_the_serial_loop(tmp_path, monkeypatch, capsys, split_kernels, route, bad):
+    out = tmp_path / "k.csv"
+    argv = ["kernel", "--dim", "2", "--z", "0.5,0", "--in", str(_points_file(tmp_path, 2, bad)), "--out", str(out),
+            *route]
+    split, serial = _both_ways(monkeypatch, argv, capsys)
+    assert split == serial
+    assert split[0] in (2, 3) and split[2].startswith("error: ") and split[2].count("\n") == 1
+    assert not out.exists()
+    # a non-finite value is refused as the file is read, before any fork
+    assert len(split_kernels) == (0 if "nan" in bad.get(47, "") else 1)
+
+
+@needs_fork
+@pytest.mark.parametrize("route", [[], ["--closed-form"]], ids=["series", "closed-form"])
+def test_a_child_that_dies_leaves_its_half_to_the_caller(tmp_path, monkeypatch, capsys, split_kernels, route):
+    caller = os.getpid()
+    name = "closed_form" if route else "full_kernel_series"
+    evaluate = getattr(cli, name)
+
+    def dies_in_the_child(*args):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return evaluate(*args)
+
+    monkeypatch.setattr(cli, name, dies_in_the_child)
+    argv = ["kernel", "--dim", "2", "--z", "0.5,0", "--in", str(_points_file(tmp_path, 2)), *route]
+    split, serial = _both_ways(monkeypatch, argv, capsys)
+    assert len(split_kernels) == 1
+    assert split == serial and split[0] == 0
+
+
+@needs_fork
+@pytest.mark.parametrize("bad", [None, {3: "1,1,1.5"}], ids=["rows", "caller-fails"])
+def test_no_child_outlives_a_kernel_table(tmp_path, monkeypatch, capsys, split_kernels, bad):
+    # the child would take a minute over its half: it is killed, not waited
+    # for, when the caller's half fails
+    caller, evaluate = os.getpid(), cli.full_kernel_series
+
+    def slow_in_the_child(*args):
+        if os.getpid() != caller and bad:
+            time.sleep(60)
+        return evaluate(*args)
+
+    monkeypatch.setattr(cli, "full_kernel_series", slow_in_the_child)
+    began = time.monotonic()
+    argv = ["kernel", "--dim", "2", "--z", "0.5,0", "--in", str(_points_file(tmp_path, 2, bad))]
+    assert main(argv) == (2 if bad else 0)
+    capsys.readouterr()
+    assert time.monotonic() - began < 30
+    assert len(split_kernels) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _no_fork():
+    raise AssertionError("os.fork was called")
+
+
+@needs_fork
+@pytest.mark.parametrize("threads, cpus, gate", [(2, {0, 1}, 0), (1, {0}, 0), (1, {0, 1}, _ROWS + 1)],
+                         ids=["another-thread", "one-cpu", "below-the-threshold"])
+def test_no_kernel_fork_beside_another_thread_on_one_cpu_or_below_the_threshold(tmp_path, monkeypatch, capsys,
+                                                                                threads, cpus, gate):
+    argv = ["kernel", "--dim", "3", "--z", "0.5,0", "--in", str(_points_file(tmp_path, 3))]
+    assert main(argv) == 0
+    serial = capsys.readouterr()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    monkeypatch.setattr(os, "fork", _no_fork)
+    monkeypatch.setattr(fields_io, "_SPLIT_POINTS", gate)
+    release = threading.Event()
+    others = [threading.Thread(target=release.wait) for _ in range(threads - 1)]
+    for other in others:
+        other.start()
+    try:
+        assert main(argv) == 0
+    finally:
+        release.set()
+        for other in others:
+            other.join(timeout=10)
+    assert not any(other.is_alive() for other in others)
+    assert capsys.readouterr() == serial

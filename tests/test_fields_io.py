@@ -605,6 +605,33 @@ def test_a_child_array_cut_short_anywhere_gives_the_serial_read(monkeypatch, spl
     assert _bits(split) == _bits(serial)
 
 
+@pytest.mark.parametrize("cut", [0, 1, 15, 16, 17, -16, -1, None], ids=["empty", "in-the-first", "one-short-of-one",
+                                                                    "one", "past-one", "one-short-of-all",
+                                                                    "one-byte-short", "whole"])
+def test_rows_evaluated_with_a_child_cut_short_anywhere_have_the_serial_values(monkeypatch, cut):
+    # the child sends the complex128 bytes of rows 4-8 of 9; the caller
+    # evaluates them itself unless all 80 arrive
+    values = (np.arange(9.0) - 4.0) * (1.5 - 2.0**-30j) / 3.0
+    values[2] = complex(-0.0, 0.0)
+    calls = []
+
+    def evaluate(start, stop):
+        calls.append((start, stop))
+        return values[start:stop].copy()
+
+    def cut_short(child, parent):
+        pipe = io.BytesIO()
+        child(pipe)
+        return parent(io.BytesIO(pipe.getvalue()[:cut]))
+
+    monkeypatch.setattr(fields_io, "_can_fork", lambda: True)
+    monkeypatch.setattr(fields_io, "_SPLIT_POINTS", 0)
+    monkeypatch.setattr(fields_io, "_in_two_processes", cut_short)
+    got = fields_io.evaluate_rows(evaluate, len(values))
+    assert got.dtype == complex and got.tobytes() == values.tobytes()
+    assert calls == [(4, 9), (0, 4)] + ([] if cut is None else [(4, 9)])
+
+
 _APPLY_WITH_A_MARKER = """
 import atexit, sys
 from conformal_heat import fields_io

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import cmath
+import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,10 +36,13 @@ from conformal_heat.special_functions import (
     _chebyshev_run,
     check_t,
     gegenbauer_tilde,
+    gegenbauer_tilde_log_sup,
     gegenbauer_tilde_sup,
     theta,
     theta_dv,
 )
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def test_complex_time_principal_branch():
@@ -90,6 +96,78 @@ def test_truncation_validates_before_its_cache():
         truncation_degree(3, -0.45, 1e-11)
     with pytest.raises(InvalidRegimeError):
         truncation_degree(3, 0.45j, 1e-11)
+
+
+def _log_tail(dim: int, x: float, cut: int) -> float:
+    """sum_{m > cut} sup|C~_m| exp(-x (m + nu)^2) over 2000 terms, each from its log."""
+    nu = 0.5 * (dim - 2)
+    return math.fsum(math.exp(gegenbauer_tilde_log_sup(m, nu) - x * (m + nu) ** 2) for m in range(cut + 1, cut + 2001))
+
+
+def test_truncation_cuts_match_the_frozen_table():
+    # truncation_degree(N, Re z, tol) as the code gave it before any term
+    # bound was compared in logs, null where it refused: there every term
+    # bound from m = 0 on underflowed to 0.  Every cut it gave stays, and
+    # each refusal is now a cut whose tail is below tol.
+    table = json.loads((FIXTURES / "truncation_cuts.json").read_text())
+    assert len(table["cuts"]) * len(table["re_z"]) * len(table["tol"]) == 900
+    refused = 0
+    for dim, rows in table["cuts"].items():
+        for x, cuts in zip(table["re_z"], rows):
+            for tol, frozen in zip(table["tol"], cuts):
+                cut = truncation_degree(int(dim), x, tol)
+                if frozen is None:
+                    refused += 1
+                    assert _log_tail(int(dim), x, cut) < tol
+                else:
+                    assert cut == frozen, (dim, x, tol)
+    assert refused == 117
+
+
+@pytest.mark.parametrize("dim, x", [(5, 335.0), (6, 200.0), (4, 800.0), (3, 3000.0), (12, 1e308)])
+def test_an_underflowed_first_bound_certifies_cut_zero(dim, x):
+    # e^{-Re z nu^2} underflows at m = 0 already; it was "no certified truncation"
+    assert truncation_degree(dim, x, 1e-10) == 0
+    assert full_kernel_series(dim, 1.0, 1.0, 0.5, x, 1e-10) == 0.0
+
+
+def test_a_sup_bound_past_the_float_range_is_compared_in_logs():
+    # at N = 1000 the sup bound passes the float range from m = 308 on (an
+    # OverflowError before); the terms peak near e^1291 at Re z = 1e-4
+    cut = truncation_degree(1000, 1e-4, 1e-10)
+    assert gegenbauer_tilde_log_sup(cut, 499.0) > math.log(sys.float_info.max)
+    assert _log_tail(1000, 1e-4, cut) < 1e-10
+    with pytest.raises(InvalidRegimeError, match="no certified truncation for Re z = 1e-320"):
+        truncation_degree(1000, 1e-320 + 1e300j, 1e-10)
+
+
+@pytest.mark.parametrize("dim, x, tol", [(40, 8.5e-4, 1e-267), (54, 0.13, 1e-297), (18, 1.25e-3, 1e-292),
+                                         (30, 1e-3, 1e-280)])
+def test_an_underflowed_gaussian_factor_is_not_taken_as_zero(dim, x, tol):
+    # where e^{-x (m + nu)^2} underflows, sup|C~_m| may still be huge: the
+    # product taken as 0 certified cuts 917, 49, 764 and 849, whose tails
+    # are above tol
+    assert _log_tail(dim, x, truncation_degree(dim, x, tol)) < tol
+
+
+def test_log_sup_is_the_log_of_the_sup():
+    for nu in (0.0, 0.5, 1.0, 4.5):
+        for m in (0, 1, 2, 7, 40):
+            assert gegenbauer_tilde_log_sup(m, nu) == pytest.approx(math.log(gegenbauer_tilde_sup(m, nu)), rel=1e-13,
+                                                                    abs=1e-13)
+
+
+def test_zero_time_is_refused_as_its_regime():
+    # z = +-0 has no square root to divide by: refused as Re z = 0, not by a ZeroDivisionError
+    for z in (0j, complex(0.0, -0.0), complex(-0.0, 0.0)):
+        ct = as_time(z)
+        with pytest.raises(InvalidRegimeError, match="need Re z > 0"):
+            full_kernel_series(3, 1.0, 1.0, 0.5, ct)
+        with pytest.raises(InvalidRegimeError, match="need Re z > 0"):
+            closed_form(1, 1.0, 1.0, 1.0, ct)
+        with pytest.raises(InvalidRegimeError, match="need Re z > 0"):
+            radial_kernel(0, 3, 1.0, 1.0, z)
+        assert closed_form_1d(np.empty(0), np.empty(0), np.empty(0), z).shape == (0,)
 
 
 @pytest.mark.parametrize("dim, z, t", [
