@@ -43,8 +43,8 @@ child parses the first half of a file, evaluates the second half of a
 kernel table's rows (evaluate_rows, for the CLI), or formats the second
 half of an output, and sends it through a pipe.  Where the child's half
 fails or does not arrive whole, this process reads the file serially,
-evaluates those rows or formats those chunks itself, so the arrays, the
-errors and the bytes are the same either way.  Without os.fork or
+evaluates the whole table or formats those chunks itself, so the arrays,
+the errors and the bytes are the same either way.  Without os.fork or
 os.sched_getaffinity (Windows, macOS) all three run serially.
 """
 
@@ -209,21 +209,27 @@ def evaluate_rows(evaluate, count: int) -> np.ndarray:
     """evaluate(0, count), one complex value per row of a table of `count` rows.
 
     evaluate(start, stop) returns the complex128 values of rows start to
-    stop - 1, or raises for the first bad row among them.  From
+    stop - 1, each row's value the same in any slice, or raises.  From
     _SPLIT_POINTS rows up (_can_fork), a forked child evaluates the second
-    half and sends its bytes while this process evaluates the first: an
-    error there is the table's first, and is raised.  Where the child's
-    bytes do not arrive whole (a bad row in its half, a child that dies, a
-    fork that fails), this process evaluates that half as well, so the
-    values and the first error are those of evaluate(0, count).
+    half and sends its bytes while this process evaluates the first.
+    Where either half fails (a bad row, a refusal of the whole table, a
+    child that dies, a fork that fails), this process evaluates the whole
+    table, so the error is that of evaluate(0, count): what a route
+    refuses first can depend on the rows beside it (closed_form checks
+    every row before its theta cutoff, which refuses any table at small
+    Re z).
     """
     if count < _SPLIT_POINTS or not _can_fork():
         return evaluate(0, count)
     middle = count // 2
-    mine, theirs = _in_two_processes(lambda pipe: pipe.write(evaluate(middle, count).data),
-                                     lambda pipe: (evaluate(0, middle), pipe.read()))
-    whole = len(theirs) == 16 * (count - middle)
-    return np.concatenate([mine, np.frombuffer(theirs, dtype=complex) if whole else evaluate(middle, count)])
+    try:
+        mine, theirs = _in_two_processes(lambda pipe: pipe.write(evaluate(middle, count).data),
+                                         lambda pipe: (evaluate(0, middle), pipe.read()))
+    except Exception:  # the child is reaped by now; the serial call raises the table's own error
+        return evaluate(0, count)
+    if len(theirs) != 16 * (count - middle):
+        return evaluate(0, count)
+    return np.concatenate([mine, np.frombuffer(theirs, dtype=complex)])
 
 
 def _load_rows(path: str, fp: TextIO, first: str, skip: int) -> np.ndarray:
@@ -305,20 +311,19 @@ def _check_indices(path: str, name: str, column: np.ndarray, bound: int | None =
         raise FieldFormatError(f"{path}: data row {row + 1}: {name} {column[row]:g} is not an integer{limit}")
 
 
-def _scatter(path: str, names: tuple[str, str], keys, rank: np.ndarray, data: np.ndarray, n: int) -> np.ndarray:
+def _scatter(path: str, names: tuple[str, str], keys, k: int, rank: np.ndarray, data: np.ndarray,
+             n: int) -> np.ndarray:
     """Place each row's value at [rank, s_index] of a (k, n) array; each slot exactly once.
 
-    keys holds the k key values by rank, or is k itself where the key is
-    the rank (angle_index).  Where the k*n slots outnumber the rows, some
-    are missing, and the first duplicate or missing slot is found among the
-    distinct rows: an n or n_phi far past the data sizes no array.
+    keys[i] is the key value of rank i: the distinct m, or range(n_phi)
+    where the key is the rank (angle_index).  Where the k*n slots outnumber
+    the rows, some are missing, and the first duplicate or missing slot is
+    found among the distinct rows: an n or n_phi far past the data sizes no
+    array.
     """
-    k = keys if isinstance(keys, int) else len(keys)
-
     def refuse(what: str, count: int, slot: int):
         key, j = divmod(slot, n)
-        raise FieldFormatError(f"{path}: {count} {what} rows, first at "
-                               f"{names[0]}={key if isinstance(keys, int) else keys[key]:g}, {names[1]}={j}")
+        raise FieldFormatError(f"{path}: {count} {what} rows, first at {names[0]}={keys[key]:g}, {names[1]}={j}")
 
     if k * n > len(data):
         pairs, counts = np.unique(np.column_stack([rank, data[:, 1]]), axis=0, return_counts=True)
@@ -355,7 +360,7 @@ def read_field_file(path: str):
         _check_indices(path, "m", data[:, 0])
         _check_indices(path, "s_index", data[:, 1], grid.n)
         keys, key_rank = np.unique(data[:, 0], return_inverse=True)
-        values = _scatter(path, ("m", "s_index"), keys, key_rank, data, grid.n)
+        values = _scatter(path, ("m", "s_index"), keys, len(keys), key_rank, data, grid.n)
         if not (np.abs(keys) < 2.0**63).all():
             raise FieldFormatError(f"{path}: m values must fit a machine integer")
         return FactoredField(keys.astype(np.int64), RadialSamples(grid, values))
@@ -365,7 +370,7 @@ def read_field_file(path: str):
             raise FieldFormatError(f"{path}: geometry missing n_phi")
         _check_indices(path, "angle_index", data[:, 0], n_phi)
         _check_indices(path, "s_index", data[:, 1], grid.n)
-        values = _scatter(path, ("angle_index", "s_index"), n_phi, data[:, 0], data, grid.n)
+        values = _scatter(path, ("angle_index", "s_index"), range(n_phi), n_phi, data[:, 0], data, grid.n)
         return GridField2D(grid, values)
     raise FieldFormatError(f"{path}: unknown field kind {kind!r}")
 

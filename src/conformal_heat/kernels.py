@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -57,7 +56,6 @@ from .special_functions import (
     check_tol,
     gegenbauer_tilde,
     gegenbauer_tilde_log_sup,
-    gegenbauer_tilde_sup,
     theta,
     theta_dv,
 )
@@ -193,22 +191,6 @@ def truncation_degree(dim: int, z, tol: float) -> int:
     return _certified_cut(dim, ct.z.real, tol)
 
 
-def _term_bound(m: int, nu: float, x: float) -> float:
-    """sup|C~_m| exp(-x (m + nu)^2): the product of the two where both are normal floats, else
-    the exp of its log, log sup|C~_m| - x (m + nu)^2 (0 or inf past the float range)."""
-    gauss = math.exp(-x * (m + nu) ** 2)
-    try:
-        term = gegenbauer_tilde_sup(m, nu) * gauss
-    except OverflowError:  # the sup alone is past the float range
-        term = math.inf
-    if gauss >= sys.float_info.min and term < math.inf:
-        return term
-    try:
-        return math.exp(gegenbauer_tilde_log_sup(m, nu) - x * (m + nu) ** 2)
-    except OverflowError:
-        return math.inf
-
-
 @lru_cache(maxsize=256)
 def _certified_cut(dim: int, x: float, tol: float) -> int:
     """truncation_degree for validated arguments, with x = Re z > 0.
@@ -221,25 +203,20 @@ def _certified_cut(dim: int, x: float, tol: float) -> int:
         return 1  # C~_m^{-1/2}(t) vanishes for m >= 2 at t = +-1, the only N = 1 angles
     nu = 0.5 * (dim - 2)
     # Accumulate certified term bounds until the leftover tail is provably
-    # geometric with ratio <= 1/2, then pick the first admissible M.  Where
-    # the previous bound underflowed to 0, the ratio and the last bound are
-    # compared in logs.
-    terms: list[float] = []
-    m = 0
-    while True:
-        terms.append(_term_bound(m, nu, x))
-        if m >= 1:
-            if terms[-2] > 0:
-                stop = terms[-1] / terms[-2] <= 0.5 and terms[-1] <= 0.25 * tol
-            else:
-                log_sup = gegenbauer_tilde_log_sup(m, nu)
-                log_ratio = log_sup - gegenbauer_tilde_log_sup(m - 1, nu) - x * (2.0 * (m + nu) - 1.0)
-                stop = log_ratio <= -math.log(2.0) and log_sup - x * (m + nu) ** 2 <= math.log(tol) - math.log(4.0)
-            if stop:
-                break
-        m += 1
-        if m > 200_000:
-            raise InvalidRegimeError(f"no certified truncation for Re z = {x}, tol = {tol}")
+    # geometric with ratio <= 1/2, then pick the first admissible M.  The
+    # bounds sup|C~_m| exp(-x (m + nu)^2) are compared as their logs, which
+    # stay finite where the bounds underflow to 0 or pass the float range.
+    log_sups = [gegenbauer_tilde_log_sup(0, nu)]
+    log_half, log_quarter_tol = -math.log(2.0), math.log(tol) - math.log(4.0)
+    for m in range(1, 200_001):
+        log_sups.append(gegenbauer_tilde_log_sup(m, nu))
+        log_ratio = log_sups[m] - log_sups[m - 1] - x * (2.0 * (m + nu) - 1.0)
+        if log_ratio <= log_half and log_sups[m] - x * (m + nu) ** 2 <= log_quarter_tol:
+            break
+    else:
+        raise InvalidRegimeError(f"no certified truncation for Re z = {x}, tol = {tol}")
+    with np.errstate(over="ignore", under="ignore"):
+        terms = np.exp(np.array(log_sups) - x * (np.arange(len(log_sups)) + nu) ** 2).tolist()
     # terms[-1] bounds the tail beyond the last computed index (ratio <= 1/2)
     cut = len(terms) - 1
     tail = terms[-1]

@@ -1052,6 +1052,28 @@ def test_split_kernel_table_refuses_as_the_serial_loop(tmp_path, monkeypatch, ca
     assert len(split_kernels) == (0 if "nan" in bad.get(47, "") else 1)
 
 
+_TABLE_WIDE = {  # at Re z = 1e-12 the theta cutoff and the series truncation refuse any rows they get
+    "n2-bad-t-in-the-child-half": (2, {41: "1,1,1.5"}, "error: t=1.5 outside [-1, 1]"),
+    "n4-bad-t-in-the-child-half": (4, {41: "1,1,1.5"}, "error: t=1.5 outside [-1, 1]"),
+    "n4-near-pole-rows-in-the-child-half": (4, {i: "1,1,0.5" for i in range(0, _ROWS // 2, 5)},
+                                            "error: no certified truncation for Re z = 1e-12"),
+}
+
+
+@needs_fork
+@pytest.mark.parametrize("dim, bad, first", list(_TABLE_WIDE.values()), ids=list(_TABLE_WIDE))
+def test_a_refusal_of_the_callers_half_is_not_the_tables_first(tmp_path, monkeypatch, capsys, split_kernels,
+                                                               dim, bad, first):
+    # the caller's half alone is refused by theta, for all its rows are good;
+    # the whole table is refused first by a row, or by the near-pole series
+    argv = ["kernel", "--dim", str(dim), "--z", "1e-12,0", "--in", str(_points_file(tmp_path, dim, bad)),
+            "--closed-form"]
+    split, serial = _both_ways(monkeypatch, argv, capsys)
+    assert split == serial
+    assert split[0] == 2 and split[2].startswith(first) and split[2].count("\n") == 1
+    assert len(split_kernels) == 1
+
+
 @needs_fork
 @pytest.mark.parametrize("route", [[], ["--closed-form"]], ids=["series", "closed-form"])
 def test_a_child_that_dies_leaves_its_half_to_the_caller(tmp_path, monkeypatch, capsys, split_kernels, route):

@@ -17,7 +17,7 @@ import pytest
 
 from conformal_heat import fields_io
 from conformal_heat.cli import main
-from conformal_heat.errors import FieldFormatError
+from conformal_heat.errors import DomainError, FieldFormatError
 from conformal_heat.fields_io import (_CHUNK_FLOATS, format_float, read_field_file, read_points, write_factored,
                                      write_float_rows, write_grid2d)
 from conformal_heat.log_radial import LogRadialGrid, RadialSamples
@@ -610,7 +610,7 @@ def test_a_child_array_cut_short_anywhere_gives_the_serial_read(monkeypatch, spl
                                                                     "one-byte-short", "whole"])
 def test_rows_evaluated_with_a_child_cut_short_anywhere_have_the_serial_values(monkeypatch, cut):
     # the child sends the complex128 bytes of rows 4-8 of 9; the caller
-    # evaluates them itself unless all 80 arrive
+    # evaluates the whole table itself unless all 80 arrive
     values = (np.arange(9.0) - 4.0) * (1.5 - 2.0**-30j) / 3.0
     values[2] = complex(-0.0, 0.0)
     calls = []
@@ -629,7 +629,31 @@ def test_rows_evaluated_with_a_child_cut_short_anywhere_have_the_serial_values(m
     monkeypatch.setattr(fields_io, "_in_two_processes", cut_short)
     got = fields_io.evaluate_rows(evaluate, len(values))
     assert got.dtype == complex and got.tobytes() == values.tobytes()
-    assert calls == [(4, 9), (0, 4)] + ([] if cut is None else [(4, 9)])
+    assert calls == [(4, 9), (0, 4)] + ([] if cut is None else [(0, 9)])
+
+
+def test_a_refused_caller_half_gives_the_whole_tables_error(monkeypatch):
+    # what a route refuses first can depend on the other rows, so the
+    # caller's own error is not raised: the whole table's is
+    calls = []
+
+    def evaluate(start, stop):
+        calls.append((start, stop))
+        if start == 0:
+            raise DomainError(f"refused rows {start}-{stop - 1}")
+        return np.zeros(stop - start, dtype=complex)
+
+    def in_one_process(child, parent):
+        pipe = io.BytesIO()
+        child(pipe)
+        return parent(io.BytesIO(pipe.getvalue()))
+
+    monkeypatch.setattr(fields_io, "_can_fork", lambda: True)
+    monkeypatch.setattr(fields_io, "_SPLIT_POINTS", 0)
+    monkeypatch.setattr(fields_io, "_in_two_processes", in_one_process)
+    with pytest.raises(DomainError, match="^refused rows 0-8$"):
+        fields_io.evaluate_rows(evaluate, 9)
+    assert calls == [(4, 9), (0, 4), (0, 9)]
 
 
 _APPLY_WITH_A_MARKER = """
