@@ -24,12 +24,12 @@ pair of a grid field must appear exactly once, and every value must be
 finite.  Anything else raises FieldFormatError.
 
 The reader scans the lines ahead of the data itself, then hands
-np.loadtxt the path of the file with those lines to skip, so numpy reads
-the data rows in C chunks.  Where loadtxt refuses that read (it rejects
-whitespace-only lines and indented comments) or cannot make it (a pipe,
-a name that loadtxt would decompress), it is handed the remaining lines
-of the open file one at a time, and its errors there are the ones
-reported.
+np.loadtxt a second handle of the file (not its path, which loadtxt would
+decompress by its suffix) and those lines to skip, so numpy parses the
+data rows in C.  Where loadtxt refuses that read (it rejects
+whitespace-only lines and indented comments) or cannot make it (a pipe),
+it is handed the remaining lines of the open file one at a time, and its
+errors there are the ones reported.
 
 The writers take a binary file, such as open(path, "wb"), and write to
 it ASCII bytes with "\n" line ends, a chunk of _CHUNK_FLOATS floats of
@@ -39,12 +39,13 @@ neither side holds the whole text in memory.  Kernel tables
 (write_float_rows) are written the same way.
 
 Large tables are split between two processes (_can_fork): a forked
-child parses the first half of a file, evaluates the second half of a
-kernel table's rows (evaluate_rows, for the CLI), or formats the second
-half of an output, and sends it through a pipe.  Where the child's half
-fails or does not arrive whole, this process reads the file serially,
-evaluates the whole table or formats those chunks itself, so the arrays,
-the errors and the bytes are the same either way.  Without os.fork or
+child parses the first half of a file, skipping its head as above,
+evaluates the second half of a kernel table's rows (evaluate_rows, for
+the CLI), or formats the second half of an output, and sends it through
+a pipe.  Where the child's half fails or does not arrive whole, this
+process reads the file serially, evaluates the whole table or formats
+those chunks itself, so the arrays, the errors and the bytes are the
+same either way.  Without os.fork or
 os.sched_getaffinity (Windows, macOS) all three run serially.
 """
 
@@ -63,7 +64,7 @@ from typing import BinaryIO, TextIO
 
 import numpy as np
 
-from .errors import FieldFormatError
+from .errors import DomainError, FieldFormatError
 from .log_radial import LogRadialGrid, RadialSamples
 from .spherical import FactoredField, GridField2D
 
@@ -109,10 +110,7 @@ def _scan_head(fp: TextIO) -> tuple[str | None, str | None, int]:
     return geometry, None, 0
 
 
-# np.loadtxt opens a path with one of these suffixes through its decompressor
-_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 _SPLIT_BYTES = 2 * 2**20  # the least file or output that two processes share
-_HEAD_BYTES = 2**16       # the lines ahead of the data that a split read looks for
 _SPLIT_POINTS = 4096      # the least kernel table that two processes evaluate: the closed forms' break-even
 
 
@@ -159,19 +157,15 @@ def _in_two_processes(child, parent):
 def _split_rows(path: str, skip: int, size: int, encoding: str) -> np.ndarray | None:
     """The data rows of a regular file, read in two processes; None where that read fails.
 
-    The child parses the rows up to the first newline past the middle from
-    its own file description (a forked one would share its offset).  A
-    malformed row or a warning in either half, a half without rows, an
-    array that does not arrive whole or columns that differ give None: the
-    serial read then reports the errors and row numbers.
+    The child parses the file up to the first newline past the middle, its
+    head skipped as the serial read skips it, from its own file description
+    (a forked one would share its offset).  A malformed row or a warning in
+    either half, a half without rows, an array that does not arrive whole
+    or columns that differ give None: the serial read then reports the
+    errors and row numbers.
     """
     with open(path, "rb") as fp:
-        # bytes.splitlines breaks lines where text mode does: at "\n", "\r" and "\r\n"
-        head = fp.read(_HEAD_BYTES).splitlines(keepends=True)
-        if len(head) <= skip:
-            return None
-        start = sum(map(len, head[:skip]))
-        fp.seek(start + (size - start) // 2)
+        fp.seek(size // 2)
         fp.readline()
         middle = fp.tell()
         if middle >= size:
@@ -179,8 +173,9 @@ def _split_rows(path: str, skip: int, size: int, encoding: str) -> np.ndarray | 
 
         def child(pipe):
             with open(path, "rb") as own:
-                own.seek(start)
-                rows = _loadtxt(io.BytesIO(own.read(middle - start)), strict=True, encoding=encoding)
+                # text mode breaks lines where the head scan does: at "\n", "\r" and "\r\n"
+                text = io.TextIOWrapper(io.BytesIO(own.read(middle)), encoding)
+                rows = _loadtxt(text, strict=True, skiprows=skip)
             pipe.writelines([np.array(rows.shape, dtype=np.int64).tobytes(), rows.data])
 
         try:
@@ -235,12 +230,12 @@ def evaluate_rows(evaluate, count: int) -> np.ndarray:
 def _load_rows(path: str, fp: TextIO, first: str, skip: int) -> np.ndarray:
     """The data rows from `first`, line skip + 1 of the file, on; fp stands just past it."""
     info = os.fstat(fp.fileno())
-    # a pipe cannot be opened a second time from its start
-    if stat.S_ISREG(info.st_mode) and not os.fspath(path).endswith(_COMPRESSED_SUFFIXES):
+    if stat.S_ISREG(info.st_mode):  # a pipe cannot be opened a second time from its start
         if _can_split(info.st_size) and (rows := _split_rows(path, skip, info.st_size, fp.encoding)) is not None:
             return rows
         try:
-            return _loadtxt(path, skiprows=skip)
+            with open(path, encoding=fp.encoding) as again:
+                return _loadtxt(again, skiprows=skip)
         except ValueError:
             pass  # read the lines below, which also gives the errors their row numbers
     # lstrip turns whitespace-only lines and indented comments into the
@@ -363,7 +358,10 @@ def read_field_file(path: str):
         values = _scatter(path, ("m", "s_index"), keys, len(keys), key_rank, data, grid.n)
         if not (np.abs(keys) < 2.0**63).all():
             raise FieldFormatError(f"{path}: m values must fit a machine integer")
-        return FactoredField(keys.astype(np.int64), RadialSamples(grid, values))
+        try:
+            return FactoredField(keys.astype(np.int64), RadialSamples(grid, values))
+        except DomainError as exc:  # a key that the dimension has no sector for
+            raise FieldFormatError(f"{path}: {exc}") from exc
     if kind == "grid2d":
         n_phi = _geometry_value(geo, "n_phi", True, 2 if grid.dim == 1 else 0)
         if n_phi <= 0:
@@ -371,7 +369,10 @@ def read_field_file(path: str):
         _check_indices(path, "angle_index", data[:, 0], n_phi)
         _check_indices(path, "s_index", data[:, 1], grid.n)
         values = _scatter(path, ("angle_index", "s_index"), range(n_phi), n_phi, data[:, 0], data, grid.n)
-        return GridField2D(grid, values)
+        try:
+            return GridField2D(grid, values)
+        except DomainError as exc:  # a dim or n_phi that no grid field has
+            raise FieldFormatError(f"bad geometry value: {exc}") from exc
     raise FieldFormatError(f"{path}: unknown field kind {kind!r}")
 
 

@@ -206,15 +206,22 @@ def _certified_cut(dim: int, x: float, tol: float) -> int:
     # geometric with ratio <= 1/2, then pick the first admissible M.  The
     # bounds sup|C~_m| exp(-x (m + nu)^2) are compared as their logs, which
     # stay finite where the bounds underflow to 0 or pass the float range.
-    log_sups = [gegenbauer_tilde_log_sup(0, nu)]
     log_half, log_quarter_tol = -math.log(2.0), math.log(tol) - math.log(4.0)
-    for m in range(1, 200_001):
-        log_sups.append(gegenbauer_tilde_log_sup(m, nu))
-        log_ratio = log_sups[m] - log_sups[m - 1] - x * (2.0 * (m + nu) - 1.0)
-        if log_ratio <= log_half and log_sups[m] - x * (m + nu) ** 2 <= log_quarter_tol:
-            break
-    else:
+
+    def stops(m: int, log_sup: float, log_sup_before: float) -> bool:
+        log_ratio = log_sup - log_sup_before - x * (2.0 * (m + nu) - 1.0)
+        return log_ratio <= log_half and log_sup - x * (m + nu) ** 2 <= log_quarter_tol
+
+    # Once the ratio test holds it holds for every larger m, and then so
+    # does the bound test: a walk that stops by the last m passes both there.
+    last = 200_000
+    if not stops(last, gegenbauer_tilde_log_sup(last, nu), gegenbauer_tilde_log_sup(last - 1, nu)):
         raise InvalidRegimeError(f"no certified truncation for Re z = {x}, tol = {tol}")
+    log_sups = [gegenbauer_tilde_log_sup(0, nu)]
+    for m in range(1, last + 1):
+        log_sups.append(gegenbauer_tilde_log_sup(m, nu))
+        if stops(m, log_sups[m], log_sups[m - 1]):
+            break
     with np.errstate(over="ignore", under="ignore"):
         terms = np.exp(np.array(log_sups) - x * (np.arange(len(log_sups)) + nu) ** 2).tolist()
     # terms[-1] bounds the tail beyond the last computed index (ratio <= 1/2)

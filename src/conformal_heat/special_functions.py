@@ -164,35 +164,25 @@ def gegenbauer_tilde_log_sup(m: int, nu: float) -> float:
     return math.log((m + nu) / nu) + _log_c_at_one(m, nu)
 
 
-@lru_cache(maxsize=1024)
 def _theta_cutoff(im_tau: float, im_v: float, tol: float) -> int:
     """First M >= 4 whose single-term bound drops below tol/4.
 
     The bound exp(-pi Im tau M^2 + 2 pi M |Im v|) (1 + 2 pi M) is shared
-    with theta_dv through the 1 + 2 pi M factor.  It reads nothing but
-    (Im tau, |Im v|, tol), so those three values key the cache completely;
-    a kernel table calls it with one key per (z, tol).
+    with theta_dv through the 1 + 2 pi M factor.  Its log is concave in M,
+    so where it is at least log(tol/4) at M = 4 and at M = 10^6 it is so
+    between, and the refusal needs no walk (both ends are taken in logs,
+    which do not overflow).
     """
-    m = 4
-    while True:
-        bound = math.exp(-math.pi * im_tau * m * m + 2.0 * math.pi * m * im_v) * (1.0 + 2.0 * math.pi * m)
-        if bound < tol / 4.0:
-            return m
-        m += 1
-        if m > 1_000_000:
-            raise SeriesDivergenceError(
-                f"theta truncation did not certify by M={m}; Im tau = {im_tau} too small for tol = {tol}"
-            )
-
-
-@lru_cache(maxsize=256)
-def _theta_terms(tau: complex, cut: int) -> tuple[complex, ...]:
-    """exp(i pi tau m^2) for m = 1 .. cut.
-
-    The terms depend on tau and the cutoff alone, so (tau, cut) keys the
-    cache completely; theta and theta_dv at one tau share an entry.
-    """
-    return tuple(cmath.exp(1j * math.pi * tau * m * m) for m in range(1, cut + 1))
+    log_quarter_tol = math.log(tol) - math.log(4.0)
+    if any(-math.pi * im_tau * m * m + 2.0 * math.pi * m * im_v + math.log1p(2.0 * math.pi * m) < log_quarter_tol
+           for m in (4, 10**6)):
+        for m in range(4, 10**6 + 1):
+            bound = math.exp(-math.pi * im_tau * m * m + 2.0 * math.pi * m * im_v) * (1.0 + 2.0 * math.pi * m)
+            if bound < tol / 4.0:
+                return m
+    raise SeriesDivergenceError(
+        f"theta truncation did not certify by M={10**6 + 1}; Im tau = {im_tau} too small for tol = {tol}"
+    )
 
 
 def _libm(fn, x: np.ndarray) -> np.ndarray:
@@ -226,7 +216,8 @@ def _theta_sum(v, tau, tol: float, start: float, weight, trig):
     cut = cuts[which]
     complex_v = np.flatnonzero(y != 0.0)
     re, im = np.full(x.shape, start), np.zeros(x.shape)
-    for m, e in enumerate(_theta_terms(tau, int(cuts.max(initial=0))), 1):
+    for m in range(1, int(cuts.max(initial=0)) + 1):
+        e = cmath.exp(1j * math.pi * tau * m * m)
         f = 2.0 * math.pi * m
         px, hy = f * x, -(f * y)  # 2 pi m v, and the real part of i (2 pi m v)
         ch, sh = np.ones(x.shape), hy.copy()  # cosh and sinh where hy = +-0

@@ -815,6 +815,31 @@ def test_exit_code_3_geometry_past_the_rows(tmp_path, capsys, kind, key, value, 
     assert capsys.readouterr() == ("", f"error: {bad}: {message}\n")
 
 
+def _rows_text(geo: dict, keys) -> str:
+    """A field file of one row per (key, s_index) pair under the geometry geo."""
+    names = "angle_index,s_index,re,im" if geo["kind"] == "grid2d" else "m,s_index,re,im"
+    rows = [f"{k},{j},1,0" for k in keys for j in range(geo["n"])]
+    return "\n".join(["# geometry: " + json.dumps(geo), names] + rows) + "\n"
+
+
+_GRID = {"kind": "grid2d", "s_min": -1, "s_max": 1, "n": 8}
+
+
+@pytest.mark.parametrize("geo, keys, message", [
+    ({**_GRID, "dim": 2, "n_phi": 9}, range(9), "bad geometry value: n_phi=9 must be a power of two >= 8"),
+    ({**_GRID, "dim": 1, "n_phi": 4}, range(4), "bad geometry value: N=1 fields carry exactly the two sign points"),
+    ({**_GRID, "dim": 3, "n_phi": 8}, range(8), "bad geometry value: grid fields exist for N in {1, 2} only"),
+    ({"kind": "factored", "dim": 1, "s_min": -1, "s_max": 1, "n": 8}, (0, 2),
+     "{path}: N=1 components carry the parity key 0 or 1"),
+], ids=["n_phi-9", "n1-n_phi-4", "grid-dim-3", "n1-key-2"])
+def test_exit_code_3_field_that_no_field_type_holds(tmp_path, capsys, geo, keys, message):
+    # every row is there, but the geometry or a key is one that the field type refuses
+    bad = tmp_path / "bad.csv"
+    bad.write_text(_rows_text(geo, keys))
+    assert main(["apply", "--t", "0", "--in", str(bad), "--out", str(tmp_path / "o.csv")]) == 3
+    assert capsys.readouterr() == ("", "error: " + message.replace("{path}", str(bad)) + "\n")
+
+
 def _field_text(kind: str, drop: int | None = None, repeat: int | None = None,
                 value: str = "1") -> str:
     """A complete N = 1 field on 8 samples (two keys), optionally damaged."""

@@ -149,15 +149,15 @@ _ACCEPTED = {
 
 
 def _lines_only(monkeypatch) -> None:
-    """Make np.loadtxt refuse a path, so that the reader hands it the lines of the open file."""
+    """Make np.loadtxt refuse a path or a file, so that the reader hands it the lines of the open file."""
     loadtxt = np.loadtxt
 
-    def no_paths(source, *args, **kwargs):
-        if isinstance(source, str):
-            raise ValueError("no path reads here")
+    def no_files(source, *args, **kwargs):
+        if isinstance(source, (str, io.IOBase)):
+            raise ValueError("no file reads here")
         return loadtxt(source, *args, **kwargs)
 
-    monkeypatch.setattr(np, "loadtxt", no_paths)
+    monkeypatch.setattr(np, "loadtxt", no_files)
 
 
 @pytest.mark.parametrize("text", list(_ACCEPTED.values()), ids=list(_ACCEPTED))
@@ -362,6 +362,34 @@ def test_split_read_past_the_gate_has_the_serial_bits(monkeypatch, split_reads, 
     monkeypatch.setattr(fields_io, "_SPLIT_BYTES", SERIAL)
     assert split_reads == [True]
     assert _bits(split) == _bits(read_field_file(str(big_field)))
+
+
+@needs_fork
+def test_split_read_past_a_long_head_has_the_serial_bits(tmp_path, monkeypatch, split_reads):
+    # about 70 KB of comment lines ahead of the data: the child skips them
+    # itself, however long they are
+    head = [f"# comment line {k} of a long head, ahead of the data rows" for k in range(1250)]
+    path = _field_file(tmp_path / "long_head.csv", 8, 512, {0: head})
+    assert len("\n".join(head)) > 70_000
+    split, serial = _both_ways(monkeypatch, read_field_file, path)
+    assert split_reads == [True]
+    assert _bits(split) == _bits(serial)
+
+
+# a comment line that ends in a lone "\r", and a line that is a lone "\r"
+_LONE_CR = ["# the line ends in a lone CR\r# a comment after it", "\r# a comment after a CR-only line"]
+
+
+@needs_fork
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_split_read_past_lone_cr_lines_in_the_head_has_the_serial_bits(tmp_path, monkeypatch, split_reads, newline):
+    # the head scan and both reads break lines at a lone "\r" alike, so
+    # none skips a data row or a comment line too few
+    path = _field_file(tmp_path / "lone_cr.csv", 8, 64, {0: _LONE_CR}, newline)
+    clean = _field_file(tmp_path / "clean.csv", 8, 64, newline=newline)
+    split, serial = _both_ways(monkeypatch, read_field_file, path)
+    assert split_reads == [True]
+    assert _bits(split) == _bits(serial) == _bits(read_field_file(str(clean)))
 
 
 # lines put next to the split point; whether the two-process read keeps them

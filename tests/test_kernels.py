@@ -141,6 +141,23 @@ def test_a_sup_bound_past_the_float_range_is_compared_in_logs():
         truncation_degree(1000, 1e-320 + 1e300j, 1e-10)
 
 
+@pytest.mark.parametrize("dim, x, tol", [(1000, 1e-320, 1e-10), (60, 1e-6, 1e-300), (3, 1e-9, 1e-12)])
+def test_a_refused_truncation_is_decided_before_the_walk(monkeypatch, dim, x, tol):
+    # the walk would form 200,000 term bounds before refusing; the two stop
+    # tests at its last degree decide the refusal from two of them
+    calls = []
+
+    def counted(m, nu):
+        calls.append(m)
+        return gegenbauer_tilde_log_sup(m, nu)
+
+    monkeypatch.setattr(kernels, "gegenbauer_tilde_log_sup", counted)
+    with pytest.raises(InvalidRegimeError) as refused:
+        truncation_degree(dim, x, tol)
+    assert str(refused.value) == f"no certified truncation for Re z = {x}, tol = {tol}"
+    assert len(calls) <= 4
+
+
 @pytest.mark.parametrize("dim, x, tol", [(40, 8.5e-4, 1e-267), (54, 0.13, 1e-297), (18, 1.25e-3, 1e-292),
                                          (30, 1e-3, 1e-280)])
 def test_an_underflowed_gaussian_factor_is_not_taken_as_zero(dim, x, tol):

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import cmath
 import math
+import types
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conformal_heat import special_functions
 from conformal_heat.errors import DomainError, SeriesDivergenceError
 from conformal_heat.special_functions import (
     check_t,
@@ -297,6 +299,31 @@ def test_theta_divergence_guard():
             f(0.0, 1.0 + 0.0j)
         with pytest.raises(SeriesDivergenceError):
             f(0.0, 0.5 - 0.1j)
+
+
+@pytest.mark.parametrize("v, tau, tol", [(0.0, 1e-12j, 1e-10), (0.3 + 0.01j, 0.2 + 1e-11j, 1e-300),
+                                         (0.1 + 2j, 5e-14j, 1e-20)])
+def test_a_refused_theta_cutoff_is_decided_before_the_walk(monkeypatch, v, tau, tol):
+    # the log of the term bound is concave in M: at least tol/4 at M = 4 and
+    # at M = 1,000,000, it is so between, and the walk of a million bounds
+    # (which overflows first at the last two taus) is not made
+    calls = []
+
+    def counted(name):
+        def bound(*args):
+            calls.append(name)
+            return getattr(math, name)(*args)
+        return bound
+
+    spy = types.SimpleNamespace(**{name: getattr(math, name) for name in dir(math) if not name.startswith("_")})
+    spy.exp, spy.log1p = counted("exp"), counted("log1p")
+    monkeypatch.setattr(special_functions, "math", spy)
+    for f in (theta, theta_dv):
+        with pytest.raises(SeriesDivergenceError) as refused:
+            f(v, tau, tol)
+        assert str(refused.value) == (f"theta truncation did not certify by M=1000001; Im tau = {tau.imag} "
+                                      f"too small for tol = {tol}")
+    assert len(calls) <= 8
 
 
 @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-14])
