@@ -34,9 +34,12 @@ significant digits.  For the verbs that take --tol, the
 CONFORMAL_HEAT_TOL environment variable overrides the default series
 tolerance of 1e-10; a tolerance must be finite and positive.
 
-On two CPUs, a kernel table of 4096 points or more is evaluated in two
-processes, with the values, the first refused point and the exit code of
-the serial loop; so are large field files read and large outputs written.
+On two CPUs, a kernel table of 4096 points or more (a points file of
+about 240 KB) is split once, before it is read: a forked child parses,
+evaluates and formats the first half of the points while this process
+does the second, with the bytes, the first refused point and the exit
+code of the serial table; large field files are read and large outputs
+written in two processes too.
 """
 
 from __future__ import annotations
@@ -62,8 +65,10 @@ from .errors import (
     InvalidRegimeError,
 )
 from .fields_io import (
-    evaluate_rows,
+    float_row_lines,
     format_float,
+    halves_in_two,
+    point_halves,
     read_field_file,
     read_points,
     write_factored,
@@ -219,6 +224,20 @@ def _emit(out_path: str | None, text: str) -> None:
         fp.write(text.encode())
 
 
+_KERNEL_COLUMNS = b"r,r_prime,t,re_k,im_k\n"
+
+
+def _emit_kernel_json(args: argparse.Namespace, z: complex, rows: np.ndarray) -> None:
+    payload = {
+        "dim": args.dim,
+        "z": [z.real, z.imag],
+        "closed_form": args.closed_form,
+        "rows": [{"r": r, "r_prime": rp, "t": t, "re_k": re_k, "im_k": im_k}
+                 for r, rp, t, re_k, im_k in rows.tolist()],
+    }
+    _emit(args.out_path, json.dumps(payload, indent=2) + "\n")
+
+
 def cmd_kernel(args: argparse.Namespace) -> int:
     _check_dim(args.dim)
     tol = _tolerance(args)
@@ -226,38 +245,48 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     if args.in_path is not None:
         if (args.r, args.rp, args.t) != (None, None, None):
             raise FieldFormatError("kernel takes its points from --in or from --r, --rp, --t, not both")
-        points = read_points(args.in_path)
+        source = args.in_path
     else:
         r_list = _numbers("--r", args.r or "")
         rp_list = _numbers("--rp", args.rp or "")
         t_list = _numbers("--t", args.t or "")
         if not (r_list and rp_list and t_list):
             raise FieldFormatError("kernel needs --in POINTS or all of --r, --rp, --t")
-        points = np.array([(r, rp, t) for r in r_list for rp in rp_list for t in t_list])
+        source = np.stack(np.meshgrid(r_list, rp_list, t_list, indexing="ij"), axis=-1).reshape(-1, 3)
     ct = as_time(z)
+    csv_out = args.fmt == "csv"
 
-    def evaluate(start: int, stop: int) -> np.ndarray:
-        rows = points[start:stop]
+    def table(points: np.ndarray) -> np.ndarray:
+        """The (r, r', t, re k, im k) rows of the points, on the route's own call."""
         if args.closed_form:  # refuses an N without a closed form, rows or none
-            return closed_form(args.dim, *rows.T, ct, tol)
-        return np.array([full_kernel_series(args.dim, r, rp, t, ct, tol) for r, rp, t in rows.tolist()], dtype=complex)
+            values = closed_form(args.dim, *points.T, ct, tol)
+        else:
+            values = np.array([full_kernel_series(args.dim, r, rp, t, ct, tol) for r, rp, t in points.tolist()],
+                              dtype=complex)
+        return np.column_stack([points, values.real, values.imag])
 
-    values = evaluate_rows(evaluate, len(points))
-    if args.fmt == "json":
-        payload = {
-            "dim": args.dim,
-            "z": [z.real, z.imag],
-            "closed_form": args.closed_form,
-            "rows": [
-                {"r": r, "r_prime": rp, "t": t, "re_k": k.real, "im_k": k.imag}
-                for (r, rp, t), k in zip(points.tolist(), values.tolist())
-            ],
-        }
-        _emit(args.out_path, json.dumps(payload, indent=2) + "\n")
-    else:
-        with _output(args.out_path) as fp:
-            fp.write(b"r,r_prime,t,re_k,im_k\n")
-            write_float_rows(fp, np.column_stack([points, values.real, values.imag]))
+    def blocks(half) -> list[bytes]:
+        rows = table(half())
+        return float_row_lines(rows) if csv_out else [rows.tobytes()]
+
+    def write(theirs, mine: list[bytes]) -> None:
+        if csv_out:
+            with _output(args.out_path) as fp:
+                fp.write(_KERNEL_COLUMNS)
+                fp.writelines(theirs)
+                fp.writelines(mine)
+        else:
+            _emit_kernel_json(args, z, np.frombuffer(b"".join([*theirs, *mine])).reshape(-1, 5))
+
+    halves = point_halves(source)
+    if halves is None or not halves_in_two(lambda: blocks(halves[0]), lambda: blocks(halves[1]), write):
+        rows = table(read_points(source) if isinstance(source, str) else source)
+        if csv_out:
+            with _output(args.out_path) as fp:
+                fp.write(_KERNEL_COLUMNS)
+                write_float_rows(fp, rows)
+        else:
+            _emit_kernel_json(args, z, rows)
     return 0
 
 

@@ -38,15 +38,18 @@ by one array formatter (format_float is its scalar definition), so
 neither side holds the whole text in memory.  Kernel tables
 (write_float_rows) are written the same way.
 
-Large tables are split between two processes (_can_fork): a forked
-child parses the first half of a file, skipping its head as above,
-evaluates the second half of a kernel table's rows (evaluate_rows, for
-the CLI), or formats the second half of an output, and sends it through
-a pipe.  Where the child's half fails or does not arrive whole, this
-process reads the file serially, evaluates the whole table or formats
-those chunks itself, so the arrays, the errors and the bytes are the
-same either way.  Without os.fork or
-os.sched_getaffinity (Windows, macOS) all three run serially.
+Large jobs are split between two processes (_can_fork).  A forked
+child parses the first half of a large field file, skipping its head as
+above, or formats the second half of a large output, and sends it
+through a pipe; where the child's half fails or does not arrive whole,
+this process reads the file serially or formats those chunks itself.  A
+large kernel table is split once, before it is read (point_halves,
+halves_in_two, for the CLI): a forked child parses, evaluates and
+formats the first half of the points while this process does the same
+for the second, and where either half fails the CLI makes the whole
+table serially.  So the arrays, the errors and the bytes are the same
+either way.  Without os.fork or os.sched_getaffinity (Windows, macOS)
+every job runs serially.
 """
 
 from __future__ import annotations
@@ -110,8 +113,9 @@ def _scan_head(fp: TextIO) -> tuple[str | None, str | None, int]:
     return geometry, None, 0
 
 
-_SPLIT_BYTES = 2 * 2**20  # the least file or output that two processes share
-_SPLIT_POINTS = 4096      # the least kernel table that two processes evaluate: the closed forms' break-even
+_SPLIT_BYTES = 2 * 2**20  # the least field file or output that two processes share
+_SPLIT_TABLE = 4096       # the least kernel table, in points, that two processes share: the closed forms' break-even
+_POINT_BYTES = 60         # about the bytes of one points-file row at 17 digits, to count a file's points by its size
 
 
 def _loadtxt(source, strict: bool = False, **options) -> np.ndarray:
@@ -154,33 +158,55 @@ def _in_two_processes(child, parent):
             os.waitpid(pid, 0)
 
 
+def _middle(fp: BinaryIO, size: int) -> int:
+    """The offset just past the first newline past the middle of a binary file of `size` bytes."""
+    fp.seek(size // 2)
+    fp.readline()
+    return fp.tell()
+
+
+def _first_half(path: str, middle: int, encoding: str, skip: int | None = None) -> np.ndarray:
+    """The rows of bytes 0..middle of a file, its skip lines ahead of the data skipped (counted here where None).
+
+    The half is read from its own file description (a forked one would
+    share its offset) and decoded with universal newlines, so its lines
+    break where the head scan breaks them: at "\n", "\r" and "\r\n".
+    Refused rows, a warning and a half without rows raise.
+    """
+    with open(path, "rb") as own:
+        head = own.read(middle)
+    if skip is None:
+        skip = _scan_head(io.TextIOWrapper(io.BytesIO(head), encoding))[2]
+    return _loadtxt(io.TextIOWrapper(io.BytesIO(head), encoding), strict=True, skiprows=skip)
+
+
+def _second_half(fp: BinaryIO, middle: int, encoding: str) -> np.ndarray:
+    """The rows of a binary file from offset middle on; refused rows, a warning and a half without rows raise."""
+    fp.seek(middle)
+    return _loadtxt(fp, strict=True, encoding=encoding)
+
+
 def _split_rows(path: str, skip: int, size: int, encoding: str) -> np.ndarray | None:
     """The data rows of a regular file, read in two processes; None where that read fails.
 
-    The child parses the file up to the first newline past the middle, its
-    head skipped as the serial read skips it, from its own file description
-    (a forked one would share its offset).  A malformed row or a warning in
-    either half, a half without rows, an array that does not arrive whole
-    or columns that differ give None: the serial read then reports the
-    errors and row numbers.
+    The child parses the file up to the first newline past the middle,
+    its head skipped as the serial read skips it.  A malformed row or a
+    warning in either half, a half without rows, an array that does not
+    arrive whole or columns that differ give None: the serial read then
+    reports the errors and row numbers.
     """
     with open(path, "rb") as fp:
-        fp.seek(size // 2)
-        fp.readline()
-        middle = fp.tell()
+        middle = _middle(fp, size)
         if middle >= size:
             return None
 
         def child(pipe):
-            with open(path, "rb") as own:
-                # text mode breaks lines where the head scan does: at "\n", "\r" and "\r\n"
-                text = io.TextIOWrapper(io.BytesIO(own.read(middle)), encoding)
-                rows = _loadtxt(text, strict=True, skiprows=skip)
+            rows = _first_half(path, middle, encoding, skip)
             pipe.writelines([np.array(rows.shape, dtype=np.int64).tobytes(), rows.data])
 
         try:
             mine, theirs = _in_two_processes(
-                child, lambda pipe: (_loadtxt(fp, strict=True, encoding=encoding), pipe.read()))
+                child, lambda pipe: (_second_half(fp, middle, encoding), pipe.read()))
         except (ValueError, Warning):
             return None
     rows, cols = np.frombuffer(theirs[:16].ljust(16, b"\0"), dtype=np.int64).tolist()
@@ -196,35 +222,98 @@ def _can_fork() -> bool:
 
 
 def _can_split(size: int) -> bool:
-    """Whether a table of `size` bytes is split between two processes."""
+    """Whether a field file or output of `size` bytes is split between two processes."""
     return size >= _SPLIT_BYTES and _can_fork()
 
 
-def evaluate_rows(evaluate, count: int) -> np.ndarray:
-    """evaluate(0, count), one complex value per row of a table of `count` rows.
+def _points(rows: np.ndarray) -> np.ndarray:
+    """rows where they are three finite columns, else ValueError: the serial read words the fault."""
+    if rows.shape[1] != 3 or not np.isfinite(rows).all():
+        raise ValueError("not three finite columns")
+    return rows
 
-    evaluate(start, stop) returns the complex128 values of rows start to
-    stop - 1, each row's value the same in any slice, or raises.  From
-    _SPLIT_POINTS rows up (_can_fork), a forked child evaluates the second
-    half and sends its bytes while this process evaluates the first.
-    Where either half fails (a bad row, a refusal of the whole table, a
-    child that dies, a fork that fails), this process evaluates the whole
-    table, so the error is that of evaluate(0, count): what a route
-    refuses first can depend on the rows beside it (closed_form checks
-    every row before its theta cutoff, which refuses any table at small
-    Re z).
+
+def point_halves(source):
+    """Readers of the two halves of a kernel table's points; None where the table is not split.
+
+    source is the (rows, 3) array of points or the path of a points file.
+    A table of _SPLIT_TABLE points or more is split where _can_fork()
+    holds; a regular file counts one point per _POINT_BYTES bytes, as
+    its size is all that is known of it before it is read.  A file is
+    split at the first newline past its middle, and each reader parses
+    its own half, the first one skipping the lines ahead of the data as
+    read_points does.  A half that np.loadtxt refuses or warns about,
+    without rows, not three columns wide or with a non-finite value
+    raises, so that read_points reports the file's errors.
     """
-    if count < _SPLIT_POINTS or not _can_fork():
-        return evaluate(0, count)
-    middle = count // 2
+    if isinstance(source, np.ndarray):
+        if len(source) < _SPLIT_TABLE or not _can_fork():
+            return None
+        middle = len(source) // 2
+        return lambda: source[:middle], lambda: source[middle:]
     try:
-        mine, theirs = _in_two_processes(lambda pipe: pipe.write(evaluate(middle, count).data),
-                                         lambda pipe: (evaluate(0, middle), pipe.read()))
-    except Exception:  # the child is reaped by now; the serial call raises the table's own error
-        return evaluate(0, count)
-    if len(theirs) != 16 * (count - middle):
-        return evaluate(0, count)
-    return np.concatenate([mine, np.frombuffer(theirs, dtype=complex)])
+        info = os.stat(source)
+        if not stat.S_ISREG(info.st_mode) or info.st_size // _POINT_BYTES < _SPLIT_TABLE or not _can_fork():
+            return None
+        with open(source) as fp:  # the text encoding of read_points
+            middle, encoding = _middle(fp.buffer, info.st_size), fp.encoding
+    except OSError:  # read_points words it
+        return None
+    if middle >= info.st_size:
+        return None
+
+    def second() -> np.ndarray:
+        with open(source, "rb") as fp:
+            return _points(_second_half(fp, middle, encoding))
+
+    return lambda: _points(_first_half(source, middle, encoding)), second
+
+
+def halves_in_two(first, second, write) -> bool:
+    """write(theirs, mine) with the byte blocks of a table's two halves, made in two processes; whether it ran.
+
+    first() and second() return the list of byte blocks of the first and
+    the second half, or raise.  A forked child makes first()'s while this
+    process makes second()'s.  The child sends the length of its blocks
+    once they are all made, then the blocks; write gets an iterator over
+    them as they come through the pipe, and this process's list, so
+    neither process holds more than its own half.  Where this process's
+    half raises, or the length does not come whole (the child's half
+    raised, the child died or the fork failed), write is not called and
+    False is returned: the caller then makes the whole table serially,
+    with that table's first error, for what a route refuses first can
+    depend on the rows beside it.  A stream that ends short after the
+    length has lost bytes, not rows: the rest is made here by first().
+    """
+    def child(pipe):
+        blocks = first()
+        pipe.write(sum(map(len, blocks)).to_bytes(8, "little"))
+        pipe.writelines(blocks)
+
+    def parent(pipe):
+        try:
+            mine = second()
+        except Exception:  # the serial table raises its own error
+            return False
+        head = pipe.read(8)
+        if len(head) != 8:
+            return False
+        write(_arriving(pipe, int.from_bytes(head, "little"), first), mine)
+        return True
+
+    return _in_two_processes(child, parent)
+
+
+def _arriving(pipe: BinaryIO, size: int, first):
+    """The child's `size` bytes from pipe, a block at a time; where the pipe ends short, the rest from first()."""
+    sent = 0
+    while sent < size:
+        block = pipe.read(min(size - sent, _CHUNK_FLOATS * _WIDTH))
+        if not block:
+            yield b"".join(first())[sent:]
+            return
+        sent += len(block)
+        yield block
 
 
 def _load_rows(path: str, fp: TextIO, first: str, skip: int) -> np.ndarray:
@@ -584,6 +673,13 @@ def write_float_rows(fp: BinaryIO, table: np.ndarray) -> None:
     """Write each row of a float table as one CSV line of "%.17g" values."""
     table = np.ascontiguousarray(table, dtype=float)
     _write_chunks(fp, table, lambda start, stop: _csv_lines(table[start:stop]))
+
+
+def float_row_lines(table: np.ndarray) -> list[bytes]:
+    """The bytes that write_float_rows writes, in the same chunks, formatted in this process."""
+    table = np.ascontiguousarray(table, dtype=float)
+    step = _CHUNK_FLOATS // table.shape[1]
+    return [_csv_lines(table[start:start + step]) for start in range(0, len(table), step)]
 
 
 def _write_field(fp: BinaryIO, grid: LogRadialGrid, config: dict | None, key_name: str, keys,

@@ -171,13 +171,22 @@ def _theta_cutoff(im_tau: float, im_v: float, tol: float) -> int:
     with theta_dv through the 1 + 2 pi M factor.  Its log is concave in M,
     so where it is at least log(tol/4) at M = 4 and at M = 10^6 it is so
     between, and the refusal needs no walk (both ends are taken in logs,
-    which do not overflow).
+    which do not overflow).  A walk whose exponential passes the float
+    range on the way is refused too: the terms, and cosh(2 pi M Im v) in
+    the sum, would overflow before the cutoff.
     """
     log_quarter_tol = math.log(tol) - math.log(4.0)
     if any(-math.pi * im_tau * m * m + 2.0 * math.pi * m * im_v + math.log1p(2.0 * math.pi * m) < log_quarter_tol
            for m in (4, 10**6)):
         for m in range(4, 10**6 + 1):
-            bound = math.exp(-math.pi * im_tau * m * m + 2.0 * math.pi * m * im_v) * (1.0 + 2.0 * math.pi * m)
+            log_term = -math.pi * im_tau * m * m + 2.0 * math.pi * m * im_v
+            try:
+                bound = math.exp(log_term) * (1.0 + 2.0 * math.pi * m)
+            except OverflowError:
+                raise SeriesDivergenceError(
+                    f"theta terms pass the float range at M={m} (log of the bound {log_term:.6g}); "
+                    f"Im tau = {im_tau} too small for |Im v| = {im_v}"
+                ) from None
             if bound < tol / 4.0:
                 return m
     raise SeriesDivergenceError(

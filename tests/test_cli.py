@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -282,9 +283,10 @@ def _large_output_argv(tmp_path: Path, verb: str) -> list[str]:
     return ["apply", "--t", "0", "--in", str(src)]
 
 
-# the command line with field I/O split between two processes for any size and CPU count
+# the command line with field I/O and kernel tables split between two processes for any size and CPU count
 _SPLIT_CLI = ("import os, sys; from conformal_heat import cli, fields_io; "
-              "fields_io._SPLIT_BYTES = 0; os.sched_getaffinity = lambda pid: {0, 1}; sys.exit(cli.main())")
+              "fields_io._SPLIT_BYTES = fields_io._SPLIT_TABLE = 0; os.sched_getaffinity = lambda pid: {0, 1}; "
+              "sys.exit(cli.main())")
 
 
 def _cli_process(argv: list[str], unbuffered: bool = True, split: bool = False) -> subprocess.Popen:
@@ -968,11 +970,11 @@ def test_apply_requires_exactly_one_action(capsys):
     capsys.readouterr()
 
 
-# Kernel tables evaluated in two processes: the same bytes and the same first error as the serial loop.
+# Kernel tables split between two processes: the same bytes and the same first error as the serial table.
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
 SERIAL = 2**62  # a gate no table reaches
-_ROWS = 48      # the caller evaluates rows 0-23, the child rows 24-47
+_ROWS = 48      # the child takes rows 0-23 or 0-24 (up to the first newline past the middle), the caller the rest
 
 
 @pytest.fixture
@@ -989,7 +991,7 @@ def split_kernels(monkeypatch):
 
     monkeypatch.setattr(os, "fork", spy)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(fields_io, "_SPLIT_POINTS", 0)
+    monkeypatch.setattr(fields_io, "_SPLIT_TABLE", 0)
     return forks
 
 
@@ -1014,7 +1016,7 @@ def _both_ways(monkeypatch, argv: list[str], capsys) -> list[tuple]:
     """(exit code, stdout, stderr) of argv with the table split, then serially."""
     results = []
     for gate in (0, SERIAL):
-        monkeypatch.setattr(fields_io, "_SPLIT_POINTS", gate)
+        monkeypatch.setattr(fields_io, "_SPLIT_TABLE", gate)
         results.append((main(argv), *capsys.readouterr()))
     return results
 
@@ -1037,28 +1039,36 @@ def test_split_kernel_table_has_the_serial_bytes(tmp_path, monkeypatch, capsys, 
 @needs_fork
 @pytest.mark.parametrize("route", [[], ["--closed-form"]], ids=["series", "closed-form"])
 def test_the_caller_evaluates_its_half_alone(tmp_path, monkeypatch, capsys, split_kernels, route):
-    # the child's values are taken, not evaluated a second time here
+    # the caller evaluates exactly the rows past the first newline past the
+    # middle of the file; the child's rows are taken, not evaluated here
     caller, rows = os.getpid(), []
     name = "closed_form" if route else "full_kernel_series"
     evaluate = getattr(cli, name)
 
     def spy(dim, r, *args):
         if os.getpid() == caller:
-            rows.append(np.size(r))
+            rows.extend(np.atleast_1d(r).tolist())
         return evaluate(dim, r, *args)
 
     monkeypatch.setattr(cli, name, spy)
-    argv = ["kernel", "--dim", "2", "--z", "0.5,0", "--in", str(_points_file(tmp_path, 2)), *route]
+    path = _points_file(tmp_path, 2)
+    argv = ["kernel", "--dim", "2", "--z", "0.5,0", "--in", str(path), *route]
     assert main(argv) == 0
-    assert sum(rows) == _ROWS // 2 and len(split_kernels) == 1
+    text = path.read_bytes()
+    middle = text.index(b"\n", len(text) // 2) + 1
+    theirs, mine = (np.loadtxt(io.BytesIO(half), delimiter=",", skiprows=skip, ndmin=2)[:, 0].tolist()
+                    for half, skip in ((text[:middle], 1), (text[middle:], 0)))
+    assert rows == mine and not set(rows) & set(theirs)
+    assert len(theirs) + len(mine) == _ROWS and len(split_kernels) == 1
     capsys.readouterr()
 
 
 _BAD_ROWS = {
     "both-halves": {10: "0,1,0.5", 40: "1,1,1.5"},
-    "child-half": {40: "1,1,1.5"},
-    "two-in-the-child-half": {30: "1,-1,0.5", 40: "1,1,1.5"},
+    "child-half": {10: "1,1,1.5"},
+    "two-in-the-child-half": {6: "1,-1,0.5", 16: "1,1,1.5"},
     "last-row": {47: "1,1,nan"},
+    "infinite-radius": {40: "inf,1,0.5"},  # both N = 2 routes would print 0 for it
 }
 
 
@@ -1073,14 +1083,14 @@ def test_split_kernel_table_refuses_as_the_serial_loop(tmp_path, monkeypatch, ca
     assert split == serial
     assert split[0] in (2, 3) and split[2].startswith("error: ") and split[2].count("\n") == 1
     assert not out.exists()
-    # a non-finite value is refused as the file is read, before any fork
-    assert len(split_kernels) == (0 if "nan" in bad.get(47, "") else 1)
+    # the table is split before it is read, so a non-finite value is found after the fork too
+    assert len(split_kernels) == 1
 
 
 _TABLE_WIDE = {  # at Re z = 1e-12 the theta cutoff and the series truncation refuse any rows they get
-    "n2-bad-t-in-the-child-half": (2, {41: "1,1,1.5"}, "error: t=1.5 outside [-1, 1]"),
-    "n4-bad-t-in-the-child-half": (4, {41: "1,1,1.5"}, "error: t=1.5 outside [-1, 1]"),
-    "n4-near-pole-rows-in-the-child-half": (4, {i: "1,1,0.5" for i in range(0, _ROWS // 2, 5)},
+    "n2-bad-t-in-the-child-half": (2, {7: "1,1,1.5"}, "error: t=1.5 outside [-1, 1]"),
+    "n4-bad-t-in-the-child-half": (4, {7: "1,1,1.5"}, "error: t=1.5 outside [-1, 1]"),
+    "n4-near-pole-rows-in-the-child-half": (4, {i: "1,1,0.5" for i in range(_ROWS // 2 + 1, _ROWS, 5)},
                                             "error: no certified truncation for Re z = 1e-12"),
 }
 
@@ -1119,7 +1129,7 @@ def test_a_child_that_dies_leaves_its_half_to_the_caller(tmp_path, monkeypatch, 
 
 
 @needs_fork
-@pytest.mark.parametrize("bad", [None, {3: "1,1,1.5"}], ids=["rows", "caller-fails"])
+@pytest.mark.parametrize("bad", [None, {40: "1,1,1.5"}], ids=["rows", "caller-fails"])
 def test_no_child_outlives_a_kernel_table(tmp_path, monkeypatch, capsys, split_kernels, bad):
     # the child would take a minute over its half: it is killed, not waited
     # for, when the caller's half fails
@@ -1141,12 +1151,99 @@ def test_no_child_outlives_a_kernel_table(tmp_path, monkeypatch, capsys, split_k
         os.waitpid(-1, os.WNOHANG)
 
 
+@needs_fork
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("source", ["in", "lists"])
+def test_a_kernel_table_forks_once(tmp_path, monkeypatch, capsys, split_kernels, source, fmt):
+    # with the field I/O gates forced too, the table is split once, before
+    # it is read, and not again to read its points or to write its output
+    monkeypatch.setattr(fields_io, "_SPLIT_BYTES", 0)
+    points = (["--in", str(_points_file(tmp_path, 3))] if source == "in" else
+              ["--r", "0.5,1,2,3", "--rp", "0.7,1.5,2.5", "--t", "-0.5,0,0.5,0.9"])
+    argv = ["kernel", "--dim", "3", "--z", "0.5,0.1", *points, "--format", fmt]
+    assert main(argv) == 0
+    split = capsys.readouterr()
+    assert len(split_kernels) == 1
+    monkeypatch.setattr(fields_io, "_SPLIT_TABLE", SERIAL)
+    monkeypatch.setattr(fields_io, "_SPLIT_BYTES", SERIAL)
+    assert main(argv) == 0
+    assert capsys.readouterr() == split and len(split_kernels) == 1
+
+
+_COMMENTS = ["# a comment line of the points file", "", "#", "# another comment", ""]
+# (lines ahead of the data, lines put ahead of data row i, line end, a line end after the last row,
+#  whether the split keeps the file's halves), for a file of _ROWS rows split near row 24
+_LAYOUTS = {
+    "crlf": (["r,r_prime,t"], {}, "\r\n", True, True),
+    "comments-and-blank-lines-at-the-middle": (["r,r_prime,t"], {24: _COMMENTS * 8}, "\n", True, True),
+    "column-name-row": (["# points", "r,r_prime,t"], {}, "\n", True, True),
+    "no-column-name-row": ([], {}, "\n", True, True),
+    "column-name-row-at-the-middle": (["r,r_prime,t"], {24: ["r,r_prime,t"]}, "\n", True, False),
+    "no-trailing-newline": (["r,r_prime,t"], {}, "\n", False, True),
+    "whitespace-only-line-in-the-first-half": (["r,r_prime,t"], {5: ["  "]}, "\n", True, False),
+    "whitespace-only-line-in-the-second-half": (["r,r_prime,t"], {40: [" \t "]}, "\n", True, False),
+    "head-longer-than-half-the-file": ([*_COMMENTS * 60, "r,r_prime,t"], {}, "\n", True, False),
+}
+
+
+@needs_fork
+@pytest.mark.parametrize("case", list(_LAYOUTS), ids=list(_LAYOUTS))
+def test_a_points_file_split_by_bytes_has_the_serial_bytes_and_errors(tmp_path, monkeypatch, capsys, split_kernels,
+                                                                      case):
+    head, inserts, newline, last, kept = _LAYOUTS[case]
+    lines = list(head)
+    for i, row in enumerate(_points_file(tmp_path, 2).read_text().splitlines()[1:]):
+        lines += inserts.get(i, []) + [row]
+    path = tmp_path / "layout.csv"
+    path.write_bytes((newline.join(lines) + newline * last).encode())
+    if 24 in inserts and len(inserts[24]) > 1:  # the block of comments holds the middle of the file
+        text = path.read_bytes()
+        assert text.index(inserts[24][0].encode()) < len(text) // 2 < text.index(lines[-24].encode())
+    if case == "head-longer-than-half-the-file":
+        assert path.read_bytes().index(b"r,r_prime,t") > path.stat().st_size // 2
+    reads, read_points = [], cli.read_points
+    monkeypatch.setattr(cli, "read_points", lambda name: reads.append(name) or read_points(name))
+    argv = ["kernel", "--dim", "2", "--z", "0.5,0", "--in", str(path)]
+    split, serial = _both_ways(monkeypatch, argv, capsys)
+    assert split == serial
+    assert split[0] == (3 if "at-the-middle" in case and "name" in case else 0)
+    assert len(reads) == (1 if kept else 2)  # the serial run reads the file; a split that falls back reads it too
+    assert len(split_kernels) == 1
+
+
+_NO_FORK_CLI = """
+import os, sys
+from conformal_heat import cli, fields_io
+
+def no_fork():
+    raise AssertionError("os.fork was called")
+
+fields_io._SPLIT_TABLE = 0
+os.sched_getaffinity, os.fork = (lambda pid: {0, 1}), no_fork
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@needs_fork
+def test_points_from_a_pipe_stay_serial(tmp_path, capsys):
+    # /dev/stdin on a pipe cannot be read twice: the table is read and evaluated in one process
+    path = _points_file(tmp_path, 3)
+    argv = ["kernel", "--dim", "3", "--z", "0.5,0"]
+    assert main([*argv, "--in", str(path)]) == 0
+    serial = capsys.readouterr().out
+    env = dict(os.environ, PYTHONPATH=str(Path(conformal_heat.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _NO_FORK_CLI, *argv, "--in", "/dev/stdin"], input=path.read_bytes(),
+                          capture_output=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert_same_bytes(proc.stdout, serial.encode())
+
+
 def _no_fork():
     raise AssertionError("os.fork was called")
 
 
 @needs_fork
-@pytest.mark.parametrize("threads, cpus, gate", [(2, {0, 1}, 0), (1, {0}, 0), (1, {0, 1}, _ROWS + 1)],
+@pytest.mark.parametrize("threads, cpus, gate", [(2, {0, 1}, 0), (1, {0}, 0), (1, {0, 1}, 2 * _ROWS)],
                          ids=["another-thread", "one-cpu", "below-the-threshold"])
 def test_no_kernel_fork_beside_another_thread_on_one_cpu_or_below_the_threshold(tmp_path, monkeypatch, capsys,
                                                                                 threads, cpus, gate):
@@ -1155,7 +1252,7 @@ def test_no_kernel_fork_beside_another_thread_on_one_cpu_or_below_the_threshold(
     serial = capsys.readouterr()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
     monkeypatch.setattr(os, "fork", _no_fork)
-    monkeypatch.setattr(fields_io, "_SPLIT_POINTS", gate)
+    monkeypatch.setattr(fields_io, "_SPLIT_TABLE", gate)
     release = threading.Event()
     others = [threading.Thread(target=release.wait) for _ in range(threads - 1)]
     for other in others:

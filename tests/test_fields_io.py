@@ -633,55 +633,54 @@ def test_a_child_array_cut_short_anywhere_gives_the_serial_read(monkeypatch, spl
     assert _bits(split) == _bits(serial)
 
 
-@pytest.mark.parametrize("cut", [0, 1, 15, 16, 17, -16, -1, None], ids=["empty", "in-the-first", "one-short-of-one",
-                                                                    "one", "past-one", "one-short-of-all",
-                                                                    "one-byte-short", "whole"])
+_CUTS = {"empty": 0, "in-the-length": 1, "one-short-of-the-length": 7, "past-the-length": 8, "in-the-first-block": 9,
+         "one-byte-short": -1, "whole": None}
+
+
+@pytest.mark.parametrize("cut", list(_CUTS.values()), ids=list(_CUTS))
 def test_rows_evaluated_with_a_child_cut_short_anywhere_have_the_serial_values(monkeypatch, cut):
-    # the child sends the complex128 bytes of rows 4-8 of 9; the caller
-    # evaluates the whole table itself unless all 80 arrive
-    values = (np.arange(9.0) - 4.0) * (1.5 - 2.0**-30j) / 3.0
-    values[2] = complex(-0.0, 0.0)
+    # the child sends the length of its blocks once they are made, then the
+    # blocks; without the whole length the table is made serially (False),
+    # and past it the bytes that did not come are made here by first()
     calls = []
 
-    def evaluate(start, stop):
-        calls.append((start, stop))
-        return values[start:stop].copy()
+    def half(name, blocks):
+        def make():
+            calls.append(name)
+            return blocks
+        return make
 
     def cut_short(child, parent):
         pipe = io.BytesIO()
         child(pipe)
         return parent(io.BytesIO(pipe.getvalue()[:cut]))
 
-    monkeypatch.setattr(fields_io, "_can_fork", lambda: True)
-    monkeypatch.setattr(fields_io, "_SPLIT_POINTS", 0)
+    written = []
     monkeypatch.setattr(fields_io, "_in_two_processes", cut_short)
-    got = fields_io.evaluate_rows(evaluate, len(values))
-    assert got.dtype == complex and got.tobytes() == values.tobytes()
-    assert calls == [(4, 9), (0, 4)] + ([] if cut is None else [(0, 9)])
+    made = fields_io.halves_in_two(half("first", [b"1,2\n", b"-0,3e-300\n"]), half("second", [b"4,5\n"]),
+                                   lambda theirs, mine: written.append(b"".join([*theirs, *mine])))
+    made_here = cut is not None and (cut < 0 or cut >= 8)  # the length came whole, the blocks did not
+    assert made == (cut is None or made_here)
+    assert written == ([b"1,2\n-0,3e-300\n4,5\n"] if made else [])
+    assert calls == ["first", "second"] + ["first"] * made_here
 
 
 def test_a_refused_caller_half_gives_the_whole_tables_error(monkeypatch):
     # what a route refuses first can depend on the other rows, so the
-    # caller's own error is not raised: the whole table's is
-    calls = []
-
-    def evaluate(start, stop):
-        calls.append((start, stop))
-        if start == 0:
-            raise DomainError(f"refused rows {start}-{stop - 1}")
-        return np.zeros(stop - start, dtype=complex)
+    # caller's own error is not raised: nothing is written, and the caller
+    # makes the whole table serially, with its own first error
+    def second():
+        raise DomainError("refused rows of the second half")
 
     def in_one_process(child, parent):
         pipe = io.BytesIO()
         child(pipe)
         return parent(io.BytesIO(pipe.getvalue()))
 
-    monkeypatch.setattr(fields_io, "_can_fork", lambda: True)
-    monkeypatch.setattr(fields_io, "_SPLIT_POINTS", 0)
+    written = []
     monkeypatch.setattr(fields_io, "_in_two_processes", in_one_process)
-    with pytest.raises(DomainError, match="^refused rows 0-8$"):
-        fields_io.evaluate_rows(evaluate, 9)
-    assert calls == [(4, 9), (0, 4), (0, 9)]
+    assert not fields_io.halves_in_two(lambda: [b"1,2\n"], second, lambda *parts: written.append(parts))
+    assert written == []
 
 
 _APPLY_WITH_A_MARKER = """

@@ -326,6 +326,15 @@ def test_a_refused_theta_cutoff_is_decided_before_the_walk(monkeypatch, v, tau, 
     assert len(calls) <= 8
 
 
+@pytest.mark.parametrize("v, tau", [(0.1 + 0.1j, 1e-6j), (0.4 - 0.2j, 0.3 + 1e-5j)])
+def test_a_theta_walk_past_the_float_range_is_refused(v, tau):
+    # both ends of the walk pass the pre-check, but its bound leaves the
+    # float range between them, where the sum's cosh would overflow too
+    for f in (theta, theta_dv):
+        with pytest.raises(SeriesDivergenceError, match="^theta terms pass the float range at M="):
+            f(v, tau, 1e-10)
+
+
 @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-14])
 def test_theta_args_need_finite_positive_tol(tol):
     for f in (theta, theta_dv):
