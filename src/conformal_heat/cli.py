@@ -35,11 +35,11 @@ CONFORMAL_HEAT_TOL environment variable overrides the default series
 tolerance of 1e-10; a tolerance must be finite and positive.
 
 On two CPUs, a kernel table of 4096 points or more (a points file of
-about 240 KB) is split once, before it is read: a forked child parses,
-evaluates and formats the first half of the points while this process
-does the second, with the bytes, the first refused point and the exit
-code of the serial table; large field files are read and large outputs
-written in two processes too.
+4096 lines past its head) is split once, before it is read: a forked
+child parses, evaluates and formats the first half of the points while
+this process does the second, with the bytes, the first refused point
+and the exit code of the serial table; large field files are read and
+large outputs written in two processes too.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -224,7 +225,11 @@ def _emit(out_path: str | None, text: str) -> None:
         fp.write(text.encode())
 
 
-_KERNEL_COLUMNS = b"r,r_prime,t,re_k,im_k\n"
+def _emit_kernel_csv(out_path: str | None, write_rows) -> None:
+    """The column-name line of a kernel table, then write_rows(fp) for its rows."""
+    with _output(out_path) as fp:
+        fp.write(b"r,r_prime,t,re_k,im_k\n")
+        write_rows(fp)
 
 
 def _emit_kernel_json(args: argparse.Namespace, z: complex, rows: np.ndarray) -> None:
@@ -271,10 +276,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
 
     def write(theirs, mine: list[bytes]) -> None:
         if csv_out:
-            with _output(args.out_path) as fp:
-                fp.write(_KERNEL_COLUMNS)
-                fp.writelines(theirs)
-                fp.writelines(mine)
+            _emit_kernel_csv(args.out_path, lambda fp: fp.writelines(itertools.chain(theirs, mine)))
         else:
             _emit_kernel_json(args, z, np.frombuffer(b"".join([*theirs, *mine])).reshape(-1, 5))
 
@@ -282,9 +284,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     if halves is None or not halves_in_two(lambda: blocks(halves[0]), lambda: blocks(halves[1]), write):
         rows = table(read_points(source) if isinstance(source, str) else source)
         if csv_out:
-            with _output(args.out_path) as fp:
-                fp.write(_KERNEL_COLUMNS)
-                write_float_rows(fp, rows)
+            _emit_kernel_csv(args.out_path, lambda fp: write_float_rows(fp, rows))
         else:
             _emit_kernel_json(args, z, rows)
     return 0

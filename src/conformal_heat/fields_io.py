@@ -115,7 +115,6 @@ def _scan_head(fp: TextIO) -> tuple[str | None, str | None, int]:
 
 _SPLIT_BYTES = 2 * 2**20  # the least field file or output that two processes share
 _SPLIT_TABLE = 4096       # the least kernel table, in points, that two processes share: the closed forms' break-even
-_POINT_BYTES = 60         # about the bytes of one points-file row at 17 digits, to count a file's points by its size
 
 
 def _loadtxt(source, strict: bool = False, **options) -> np.ndarray:
@@ -233,18 +232,25 @@ def _points(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
+def _line_count(text: bytes) -> int:
+    """The number of lines of text, broken as universal newlines break them: at "\n", "\r" and "\r\n"."""
+    if b"\r" in text:
+        return len(text.splitlines())
+    return int(np.count_nonzero(np.frombuffer(text, np.uint8) == ord("\n"))) + (text[-1:] not in (b"\n", b""))
+
+
 def point_halves(source):
     """Readers of the two halves of a kernel table's points; None where the table is not split.
 
     source is the (rows, 3) array of points or the path of a points file.
     A table of _SPLIT_TABLE points or more is split where _can_fork()
-    holds; a regular file counts one point per _POINT_BYTES bytes, as
-    its size is all that is known of it before it is read.  A file is
-    split at the first newline past its middle, and each reader parses
-    its own half, the first one skipping the lines ahead of the data as
-    read_points does.  A half that np.loadtxt refuses or warns about,
-    without rows, not three columns wide or with a non-finite value
-    raises, so that read_points reports the file's errors.
+    holds; a regular file counts as points its lines past the lines ahead
+    of the data (with universal newlines, as read_points reads it).  A
+    file is split at the first newline past its middle, and each reader
+    parses its own half, the first one skipping the lines ahead of the
+    data as read_points does.  A half that np.loadtxt refuses or warns
+    about, without rows, not three columns wide or with a non-finite
+    value raises, so that read_points reports the file's errors.
     """
     if isinstance(source, np.ndarray):
         if len(source) < _SPLIT_TABLE or not _can_fork():
@@ -252,21 +258,21 @@ def point_halves(source):
         middle = len(source) // 2
         return lambda: source[:middle], lambda: source[middle:]
     try:
-        info = os.stat(source)
-        if not stat.S_ISREG(info.st_mode) or info.st_size // _POINT_BYTES < _SPLIT_TABLE or not _can_fork():
+        if not stat.S_ISREG(os.stat(source).st_mode) or not _can_fork():
             return None
         with open(source) as fp:  # the text encoding of read_points
-            middle, encoding = _middle(fp.buffer, info.st_size), fp.encoding
-    except OSError:  # read_points words it
+            encoding, text = fp.encoding, fp.buffer.read()
+        skip = _scan_head(io.TextIOWrapper(io.BytesIO(text), encoding))[2]
+    except (OSError, ValueError):  # read_points words it
         return None
-    if middle >= info.st_size:
+    if _line_count(text) - skip < _SPLIT_TABLE:
         return None
-
-    def second() -> np.ndarray:
-        with open(source, "rb") as fp:
-            return _points(_second_half(fp, middle, encoding))
-
-    return lambda: _points(_first_half(source, middle, encoding)), second
+    data = io.BytesIO(text)
+    middle = _middle(data, len(text))
+    if middle >= len(text):
+        return None
+    return (lambda: _points(_first_half(source, middle, encoding, skip)),
+            lambda: _points(_second_half(data, middle, encoding)))
 
 
 def halves_in_two(first, second, write) -> bool:
@@ -640,31 +646,36 @@ def _ascii(items) -> np.ndarray:
     return text.view(np.uint8).reshape(len(text), -1)
 
 
+def _chunks(values: np.ndarray) -> list[tuple[int, int]]:
+    """The (start, stop) rows of each chunk of _CHUNK_FLOATS floats of whole rows of values, in order."""
+    step = _CHUNK_FLOATS // values.shape[1]
+    return [(start, start + step) for start in range(0, len(values), step)]
+
+
 def _write_chunks(fp: BinaryIO, values: np.ndarray, chunk_text) -> None:
-    """Write chunk_text(start, stop) for the chunks of _CHUNK_FLOATS floats of whole rows, in order.
+    """Write chunk_text(start, stop) for each of the _chunks of values, in order.
 
     Split, a forked child formats the second half of the chunks while this
     process writes the first, and only then sends their lengths and text: a
     pipe holds 64 KB.  This process writes each of those chunks that arrives
     whole and formats the others, as it formats every chunk serially.
     """
-    step = _CHUNK_FLOATS // values.shape[1]
-    starts = range(0, len(values), step)
-    mine, theirs = starts[:len(starts) // 2], starts[len(starts) // 2:]
+    chunks = _chunks(values)
+    mine, theirs = chunks[:len(chunks) // 2], chunks[len(chunks) // 2:]
 
     def child(pipe):
-        texts = [chunk_text(start, start + step) for start in theirs]
+        texts = [chunk_text(*chunk) for chunk in theirs]
         pipe.write(np.array([len(text) for text in texts], dtype=np.int64).tobytes())
         pipe.writelines(texts)
 
     def parent(pipe):
-        for start in mine:
-            fp.write(chunk_text(start, start + step))
+        for chunk in mine:
+            fp.write(chunk_text(*chunk))
         head = pipe.read(8 * len(theirs))
         sizes = np.frombuffer(head, dtype=np.int64).tolist() if len(head) == 8 * len(theirs) else [0] * len(theirs)
-        for start, size in zip(theirs, sizes):
+        for chunk, size in zip(theirs, sizes):
             text = pipe.read(size)
-            fp.write(text if size and len(text) == size else chunk_text(start, start + step))
+            fp.write(text if size and len(text) == size else chunk_text(*chunk))
 
     _in_two_processes(child, parent) if _can_split(values.size * _WIDTH) else parent(io.BytesIO())
 
@@ -678,8 +689,7 @@ def write_float_rows(fp: BinaryIO, table: np.ndarray) -> None:
 def float_row_lines(table: np.ndarray) -> list[bytes]:
     """The bytes that write_float_rows writes, in the same chunks, formatted in this process."""
     table = np.ascontiguousarray(table, dtype=float)
-    step = _CHUNK_FLOATS // table.shape[1]
-    return [_csv_lines(table[start:start + step]) for start in range(0, len(table), step)]
+    return [_csv_lines(table[start:stop]) for start, stop in _chunks(table)]
 
 
 def _write_field(fp: BinaryIO, grid: LogRadialGrid, config: dict | None, key_name: str, keys,

@@ -1170,6 +1170,27 @@ def test_a_kernel_table_forks_once(tmp_path, monkeypatch, capsys, split_kernels,
     assert capsys.readouterr() == split and len(split_kernels) == 1
 
 
+@needs_fork
+@pytest.mark.parametrize("source", ["in", "lists", "short-rows"])
+def test_a_table_of_exactly_the_gate_is_split(tmp_path, monkeypatch, capsys, split_kernels, source):
+    # _ROWS points from a file (its column-name row not counted, whatever the
+    # length of its rows) or from lists split at a gate of _ROWS, not at _ROWS + 1
+    if source == "lists":
+        points = ["--r", "0.5,1,2,3", "--rp", "0.7,1.5,2.5", "--t", "-0.5,0,0.5,0.9"]
+    else:
+        path = _points_file(tmp_path, 3)
+        if source == "short-rows":
+            path.write_text("r,r_prime,t\n" + "".join(f"1.{i},2,0.5\n" for i in range(_ROWS)))
+        points = ["--in", str(path)]
+    argv = ["kernel", "--dim", "3", "--z", "0.5,0", *points]
+    results = []
+    for gate, forks in ((_ROWS, 1), (_ROWS + 1, 1)):
+        monkeypatch.setattr(fields_io, "_SPLIT_TABLE", gate)
+        results.append((main(argv), *capsys.readouterr()))
+        assert len(split_kernels) == forks
+    assert results[0] == results[1] and results[0][0] == 0
+
+
 _COMMENTS = ["# a comment line of the points file", "", "#", "# another comment", ""]
 # (lines ahead of the data, lines put ahead of data row i, line end, a line end after the last row,
 #  whether the split keeps the file's halves), for a file of _ROWS rows split near row 24
@@ -1243,7 +1264,7 @@ def _no_fork():
 
 
 @needs_fork
-@pytest.mark.parametrize("threads, cpus, gate", [(2, {0, 1}, 0), (1, {0}, 0), (1, {0, 1}, 2 * _ROWS)],
+@pytest.mark.parametrize("threads, cpus, gate", [(2, {0, 1}, 0), (1, {0}, 0), (1, {0, 1}, _ROWS + 1)],
                          ids=["another-thread", "one-cpu", "below-the-threshold"])
 def test_no_kernel_fork_beside_another_thread_on_one_cpu_or_below_the_threshold(tmp_path, monkeypatch, capsys,
                                                                                 threads, cpus, gate):
