@@ -39,7 +39,12 @@ On two CPUs, a kernel table of 4096 points or more (a points file of
 child parses, evaluates and formats the first half of the points while
 this process does the second, with the bytes, the first refused point
 and the exit code of the serial table; large field files are read and
-large outputs written in two processes too.
+large outputs written in two processes too.  A verify of every suite on
+a grid of n >= 2048 (the default grid included) is split once, after the
+grid is checked: a forked child runs the seven suites that multiply no
+matrices while this process runs spectral and projection, the only ones
+that call BLAS, and writes one report with the bytes, the first error
+and the exit code of the serial run.
 """
 
 from __future__ import annotations
@@ -72,14 +77,16 @@ from .fields_io import (
     point_halves,
     read_field_file,
     read_points,
+    verify_splits,
     write_factored,
     write_float_rows,
     write_grid2d,
 )
 from .kernels import as_time, closed_form, full_kernel_series
+from .log_radial import LogRadialGrid
 from .spectral_calculus import G0Exponent, apply_exp_g0, apply_exp_g0_grid, apply_scaling_direct
 from .spherical import GridField2D
-from .verify import SUITES, run_suites
+from .verify import _DEFAULT_SHAPE, SUITES, CheckResult, run_suites
 
 _DEFAULT_TOL = 1e-10
 
@@ -323,9 +330,44 @@ def cmd_apply(args: argparse.Namespace) -> int:
     return 0
 
 
+# the suites that multiply matrices (BLAS through @); a split verify runs them here, the others in its child
+_MATRIX_SUITES = ("spectral", "projection")
+
+
+def _verify_in_two(shape) -> list | None:
+    """Every suite's checks in suite order, the matrix suites run here and the rest in a forked child.
+
+    The child sends its checks as JSON, whose floats round-trip exactly
+    (NaN and inf too).  None where either half raised or the child's
+    checks did not arrive: the serial run then gives the first error.
+    """
+    def by_suite(names) -> dict:
+        return {name: run_suites([name], shape) for name in names}
+
+    def first() -> list[bytes]:
+        checks = by_suite(name for name in SUITES if name not in _MATRIX_SUITES)
+        return [json.dumps({name: [[c.suite, c.name, c.defect, c.tol] for c in rows]
+                            for name, rows in checks.items()}).encode()]
+
+    results: list = []
+
+    def write(theirs, mine: dict) -> None:
+        sent = {name: [CheckResult(*c) for c in rows] for name, rows in json.loads(b"".join(theirs)).items()}
+        checks = {**sent, **mine}
+        results.extend(c for name in SUITES for c in checks[name])
+
+    return results if halves_in_two(first, lambda: by_suite(_MATRIX_SUITES), write) else None
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
-    names = [args.suite] if args.suite else None
-    results = run_suites(names, _parse_grid(args.grid)) if args.grid else run_suites(names)
+    shape = _parse_grid(args.grid) if args.grid else _DEFAULT_SHAPE
+    results = None
+    if args.suite is None:
+        LogRadialGrid(1, *shape)  # a bad grid is refused before any fork
+        if verify_splits(shape[2]):
+            results = _verify_in_two(shape)
+    if results is None:
+        results = run_suites([args.suite] if args.suite else None, shape)
     all_passed = all(c.passed for c in results)
     if args.fmt == "csv":
         buf = io.StringIO()

@@ -47,8 +47,11 @@ large kernel table is split once, before it is read (point_halves,
 halves_in_two, for the CLI): a forked child parses, evaluates and
 formats the first half of the points while this process does the same
 for the second, and where either half fails the CLI makes the whole
-table serially.  So the arrays, the errors and the bytes are the same
-either way.  Without os.fork or os.sched_getaffinity (Windows, macOS)
+table serially.  A full verify on a grid of _SPLIT_GRID samples or
+more is split the same way (verify_splits, halves_in_two): a forked
+child runs the suites that multiply no matrices while the CLI runs the
+others.  So the arrays, the errors and the bytes are the same either
+way.  Without os.fork or os.sched_getaffinity (Windows, macOS)
 every job runs serially.
 """
 
@@ -115,6 +118,7 @@ def _scan_head(fp: TextIO) -> tuple[str | None, str | None, int]:
 
 _SPLIT_BYTES = 2 * 2**20  # the least field file or output that two processes share
 _SPLIT_TABLE = 4096       # the least kernel table, in points, that two processes share: the closed forms' break-even
+_SPLIT_GRID = 2048        # the least grid n of a full verify that two processes share: +5-9% at 1024, -15% at 2048
 
 
 def _loadtxt(source, strict: bool = False, **options) -> np.ndarray:
@@ -132,6 +136,13 @@ def _in_two_processes(child, parent):
     short or is empty, which parent must tell from a whole one.  The child
     leaves by os._exit, and is killed and reaped once parent is done with
     the pipe: by then it has sent all it will, or parent has failed.
+
+    The child makes no BLAS call (no matrix product through @): the
+    parent's BLAS threads and a second set of them in the child fight
+    over two CPUs.  A full verify whose child also ran the projection
+    suite took 106-116 ms against 89-90 ms serially on the default grid,
+    and 123-132 ms against 27-28 ms on -8,8,256 (OpenBLAS on its default
+    threads).
     """
     import signal  # here, not at the top: start-up does not pay for it
 
@@ -220,6 +231,11 @@ def _can_fork() -> bool:
             and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2)
 
 
+def verify_splits(n: int) -> bool:
+    """Whether a full verify on a grid of n samples is split between two processes."""
+    return n >= _SPLIT_GRID and _can_fork()
+
+
 def _can_split(size: int) -> bool:
     """Whether a field file or output of `size` bytes is split between two processes."""
     return size >= _SPLIT_BYTES and _can_fork()
@@ -276,20 +292,23 @@ def point_halves(source):
 
 
 def halves_in_two(first, second, write) -> bool:
-    """write(theirs, mine) with the byte blocks of a table's two halves, made in two processes; whether it ran.
+    """write(theirs, mine) with a job's two halves, made in two processes; whether it ran.
 
-    first() and second() return the list of byte blocks of the first and
-    the second half, or raise.  A forked child makes first()'s while this
-    process makes second()'s.  The child sends the length of its blocks
-    once they are all made, then the blocks; write gets an iterator over
-    them as they come through the pipe, and this process's list, so
-    neither process holds more than its own half.  Where this process's
-    half raises, or the length does not come whole (the child's half
-    raised, the child died or the fork failed), write is not called and
-    False is returned: the caller then makes the whole table serially,
-    with that table's first error, for what a route refuses first can
-    depend on the rows beside it.  A stream that ends short after the
-    length has lost bytes, not rows: the rest is made here by first().
+    first() returns the list of byte blocks of the first half, or raises;
+    second() returns the second half in the form write takes it (a
+    kernel table's byte blocks, a verify run's checks), or raises.  A
+    forked child makes first()'s while this process makes second()'s.
+    The child sends the length of its blocks once they are all made,
+    then the blocks; write gets an iterator over them as they come
+    through the pipe, and this process's half, so neither process holds
+    more than its own half.  Where this process's half raises, or the
+    length does not come whole (the child's half raised, the child died
+    or the fork failed), write is not called and False is returned: the
+    caller then does the whole job serially, with its first error, for
+    what a job refuses first can depend on the other half (a table's
+    rows beside it, the suites ahead of it).  A stream that ends short
+    after the length has lost bytes, not work: the rest is made here by
+    first().
     """
     def child(pipe):
         blocks = first()

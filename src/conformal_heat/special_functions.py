@@ -119,6 +119,7 @@ def gegenbauer_tilde(m, nu: float, t):
             raise DomainError(f"a degree range must be range(cut + 1) with cut >= 0, got {m!r}")
         return _tilde_run(len(m) - 1, nu, t)
     _check_index(nu, m)
+    m = int(m)  # an integral float such as 2.0 passes the check: the recurrence counts to int(m)
     t = np.asarray(t, dtype=float)
     if not np.all(np.abs(t) <= 1.0 + _T_SLACK):  # NaN fails this test too
         raise DomainError("Gegenbauer arguments must lie in [-1, 1]")

@@ -124,9 +124,18 @@ class GridField2D:
         return math.sqrt(float(np.sum(np.abs(self.values) ** 2 * w) * self.grid.ds * dmu))
 
 
+_MAX_DIM = 343  # the largest N whose Gamma(N/2) is a float: Gamma(171.5) = 9.5e307, Gamma(172) = 171! > 1.8e308
+
+
 @lru_cache(maxsize=64)
 def _zonal_prefactor(dim: int) -> float:
-    """Gamma(N/2) / (2 pi^{N/2}), the zonal kernel's constant; dim keys the cache completely."""
+    """Gamma(N/2) / (2 pi^{N/2}), the zonal kernel's constant; dim keys the cache completely.
+
+    An N past _MAX_DIM is refused (DomainError): its Gamma(N/2) is past
+    the float range.  A refusal is not cached, and a cached N pays nothing.
+    """
+    if dim > _MAX_DIM:
+        raise DomainError(f"N = {dim} is too large: Gamma(N/2) is past the float range for N > {_MAX_DIM}")
     return math.gamma(0.5 * dim) / (2.0 * math.pi ** (0.5 * dim))
 
 

@@ -367,16 +367,16 @@ _GRID_AWARE = {"spectral", "unitarity", "scaling", "semigroup"}
 def run_suites(names=None, shape: GridShape = _DEFAULT_SHAPE) -> list[CheckResult]:
     """Run the named suites (default: all) in order, on grids of the given shape.
 
-    The shape is checked once, before any suite runs, whether or not the
-    chosen suites build a grid.
+    The shape and every name are checked once, before any suite runs,
+    whether or not the chosen suites build a grid.
     """
     LogRadialGrid(1, *shape)
-    if names is None:
-        names = list(SUITES)
-    results: list[CheckResult] = []
+    names = list(SUITES) if names is None else list(names)
     for name in names:
         if name not in SUITES:
             raise KeyError(f"unknown suite {name!r}; choices: {sorted(SUITES)}")
+    results: list[CheckResult] = []
+    for name in names:
         fn = SUITES[name]
         results.extend(fn(shape) if name in _GRID_AWARE else fn())
     return results

@@ -19,12 +19,13 @@ import numpy as np
 import pytest
 
 import conformal_heat
-from conformal_heat import cli, fields_io
+from conformal_heat import cli, fields_io, verify
 from conformal_heat.cli import main
 from conformal_heat.errors import ConformalHeatError, DomainError
 from conformal_heat.fields_io import read_field_file
 from conformal_heat.kernels import closed_form, closed_form_1d, closed_form_2d, full_kernel_series
 from conformal_heat.spectral_calculus import apply_scaling_direct
+from conformal_heat.verify import CheckResult
 from same_bytes import assert_same_bytes
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -1286,3 +1287,205 @@ def test_no_kernel_fork_beside_another_thread_on_one_cpu_or_below_the_threshold(
             other.join(timeout=10)
     assert not any(other.is_alive() for other in others)
     assert capsys.readouterr() == serial
+
+
+# A full verify split between two processes: the child runs the suites that multiply no matrices.
+
+_SEVEN = ["sl2", "degeneration", "theta", "unitarity", "scaling", "semigroup", "special"]
+_SMALL_GRID = "--grid=-8,8,256"  # below the grid gate, which the tests that use it lower to 0
+
+
+@pytest.fixture
+def split_verify(monkeypatch):
+    """The pids of the children that verify runs fork; two CPUs and one thread, the grid gate as it is."""
+    forks = []
+    fork = os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return forks
+
+
+def _verify_both_ways(monkeypatch, argv: list[str], capsys, gate: int = fields_io._SPLIT_GRID) -> list[tuple]:
+    """(exit code, stdout, stderr) of argv split at the given grid gate, then serially."""
+    results = []
+    for grid_gate in (gate, SERIAL):
+        monkeypatch.setattr(fields_io, "_SPLIT_GRID", grid_gate)
+        results.append((main(argv), *capsys.readouterr()))
+    return results
+
+
+@needs_fork
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("grid", [[], ["--grid=-7,7,2048"]], ids=["default", "-7,7,2048"])
+def test_split_verify_has_the_serial_bytes(tmp_path, monkeypatch, capsys, split_verify, grid, fmt):
+    argv = ["verify", *grid, "--format", fmt]
+    out = tmp_path / f"v.{fmt}"
+    to_file = []
+    for gate in (fields_io._SPLIT_GRID, SERIAL):
+        monkeypatch.setattr(fields_io, "_SPLIT_GRID", gate)
+        to_file.append((main([*argv, "--out", str(out)]), *capsys.readouterr(), out.read_bytes()))
+    split, serial = _verify_both_ways(monkeypatch, argv, capsys)
+    assert len(split_verify) == 2
+    assert to_file[0] == to_file[1] and split == serial
+    assert_same_bytes(split[1].encode(), to_file[0][3])
+    assert split[0] == (1 if grid else 0) and split[2] == ""
+    if fmt == "csv":
+        failed = [row[0] for row in csv.reader(io.StringIO(split[1])) if row[4] == "0"]
+        # on -7,7,2048 checks fail on both sides: spectral runs in the caller, scaling in the child
+        assert failed == (["spectral"] * 3 + ["scaling"] * 2 if grid else [])
+
+
+def _refusing(name: str, how: str, caller: int):
+    """The suite name, made to raise or to kill its own process: in the child, the caller or both."""
+    suite = verify.SUITES[name]
+
+    def refusing(*args):
+        in_the_child = os.getpid() != caller
+        if how == "dies-in-the-child" and in_the_child:
+            os.kill(os.getpid(), signal.SIGKILL)
+        if how == "raises" or (how == "raises-in-the-child" and in_the_child):
+            raise DomainError(f"{name} refused")
+        return suite(*args)
+    return refusing
+
+
+_VERIFY_FAULTS = {  # suites made to fail; the serial run raises at the first one in suite order
+    "child-raises": {"theta": "raises"},
+    "caller-raises": {"projection": "raises"},
+    "both-raise-child-first": {"special": "raises", "projection": "raises"},
+    "both-raise-caller-first": {"spectral": "raises", "scaling": "raises"},
+    "only-the-child-raises": {"sl2": "raises-in-the-child"},
+    "the-child-dies": {"semigroup": "dies-in-the-child"},
+}
+
+
+@needs_fork
+@pytest.mark.parametrize("faults", list(_VERIFY_FAULTS.values()), ids=list(_VERIFY_FAULTS))
+def test_a_split_verify_that_fails_gives_the_serial_error(monkeypatch, capsys, split_verify, faults):
+    caller = os.getpid()
+    for name, how in faults.items():
+        monkeypatch.setitem(verify.SUITES, name, _refusing(name, how, caller))
+    split, serial = _verify_both_ways(monkeypatch, ["verify", _SMALL_GRID], capsys, gate=0)
+    assert split == serial and len(split_verify) == 1
+    raising = [name for name in verify.SUITES if faults.get(name) == "raises"]
+    if raising:
+        assert split == (2, "", f"error: {raising[0]} refused\n")
+    else:
+        assert split[0] == 0 and split[2] == ""
+
+
+_ODD_DEFECTS = [math.nan, math.inf, -math.inf, 5e-324, -0.0, 0, 1.7976931348623157e308, 0.1 + 0.2]
+
+
+@needs_fork
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_odd_defects_survive_the_childs_round_trip(monkeypatch, capsys, split_verify, fmt):
+    odd = [CheckResult("special", f"defect {d!r}", d, 1.0) for d in _ODD_DEFECTS]
+    monkeypatch.setitem(verify.SUITES, "special", lambda: odd)
+    split, serial = _verify_both_ways(monkeypatch, ["verify", _SMALL_GRID, "--format", fmt], capsys, gate=0)
+    assert split == serial and split[0] == 1 and len(split_verify) == 1
+    assert all(word in split[1] for word in (("NaN", "Infinity", "-Infinity") if fmt == "json" else ("nan", "inf")))
+
+
+@needs_fork
+def test_a_verify_forks_once(monkeypatch, capsys, split_verify):
+    # with every other gate forced too, a verify forks once, for its suites
+    monkeypatch.setattr(fields_io, "_SPLIT_BYTES", 0)
+    monkeypatch.setattr(fields_io, "_SPLIT_TABLE", 0)
+    assert main(["verify", "--format", "csv"]) == 0
+    assert len(split_verify) == 1
+    capsys.readouterr()
+
+
+@needs_fork
+def test_the_child_runs_only_the_suites_without_matrix_products(tmp_path, monkeypatch, capsys, split_verify):
+    log = tmp_path / "suites.log"
+
+    def logged(name, suite):
+        def run(*args):
+            with open(log, "a") as fp:  # one short append per call: the two processes' lines do not mix
+                fp.write(f"{os.getpid()} {name}\n")
+            return suite(*args)
+        return run
+
+    for name, suite in list(verify.SUITES.items()):
+        monkeypatch.setitem(verify.SUITES, name, logged(name, suite))
+    monkeypatch.setattr(fields_io, "_SPLIT_GRID", 0)
+    assert main(["verify", _SMALL_GRID]) == 0
+    capsys.readouterr()
+    ran: dict = {}
+    for line in log.read_text().splitlines():
+        pid, name = line.split()
+        ran.setdefault(int(pid), []).append(name)
+    assert ran == {os.getpid(): ["spectral", "projection"], split_verify[0]: _SEVEN}
+
+
+@needs_fork
+@pytest.mark.parametrize("fails", [False, True], ids=["checks", "caller-fails"])
+def test_no_child_outlives_a_verify(monkeypatch, capsys, split_verify, fails):
+    # the child would take a minute over its suites: it is killed, not waited
+    # for, when the caller's suites fail
+    caller, sl2 = os.getpid(), verify.SUITES["sl2"]
+
+    def slow_in_the_child():
+        if os.getpid() != caller and fails:
+            time.sleep(60)
+        return sl2()
+
+    monkeypatch.setitem(verify.SUITES, "sl2", slow_in_the_child)
+    if fails:
+        monkeypatch.setitem(verify.SUITES, "projection", _refusing("projection", "raises", caller))
+    monkeypatch.setattr(fields_io, "_SPLIT_GRID", 0)
+    began = time.monotonic()
+    assert main(["verify", _SMALL_GRID]) == (2 if fails else 0)
+    capsys.readouterr()
+    assert time.monotonic() - began < 30
+    assert len(split_verify) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+@pytest.mark.parametrize("argv, threads, cpus, code", [
+    (["--suite", "special"], 1, {0, 1}, 0),
+    (["--grid=-16,16,1024"], 1, {0, 1}, 0),
+    ([], 1, {0}, 0),
+    ([], 2, {0, 1}, 0),
+    (["--grid=-8,8,3000"], 1, {0, 1}, 2),
+    (["--grid=8,-8,4096"], 1, {0, 1}, 2),
+], ids=["one-suite", "below-the-grid-gate", "one-cpu", "another-thread", "n-not-a-power-of-two", "empty-grid"])
+def test_no_verify_fork_for_one_suite_a_small_or_bad_grid_one_cpu_or_another_thread(monkeypatch, capsys,
+                                                                                  argv, threads, cpus, code):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    monkeypatch.setattr(os, "fork", _no_fork)
+    release = threading.Event()
+    others = [threading.Thread(target=release.wait) for _ in range(threads - 1)]
+    for other in others:
+        other.start()
+    try:
+        assert main(["verify", *argv]) == code
+    finally:
+        release.set()
+        for other in others:
+            other.join(timeout=10)
+    assert not any(other.is_alive() for other in others)
+    assert capsys.readouterr().err.startswith("error: ") == (code == 2)
+
+
+@pytest.mark.parametrize("dim", ["344", "1000"])
+@pytest.mark.parametrize("z", ["0.5,0", "1e-4,0"])
+def test_an_n_whose_gamma_is_past_the_float_range_is_refused_without_a_traceback(capsys, dim, z):
+    # Gamma(N/2) overflowed into an OverflowError (exit 1) from N = 344 on; the series' cut is certified first
+    argv = ["kernel", "--dim", dim, "--z", z, "--r", "1", "--rp", "1", "--t", "0.5"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: N = {dim} is too large: Gamma(N/2) is past the float range "
+                                       "for N > 343\n")
+    assert main([*argv[:2], "343", *argv[3:]]) == 0
+    assert capsys.readouterr().err == ""

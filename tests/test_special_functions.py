@@ -233,6 +233,16 @@ def test_tilde_array_rejects_arguments_outside_the_interval(t):
         gegenbauer_tilde(2, 0.5, np.array(t))
 
 
+@pytest.mark.parametrize("nu", [-0.5, 0.0, 0.5, 1.5])
+def test_an_integral_float_degree_is_its_integer(nu):
+    # the index check admits 2.0, as gegenbauer_tilde_sup does; it was a TypeError in the recurrence
+    t = np.array([-1.0, -0.3, 0.3, 1.0])
+    assert _bits(gegenbauer_tilde(2.0, nu, 0.3)) == _bits(gegenbauer_tilde(2, nu, 0.3))
+    assert np.array_equal(_bits(gegenbauer_tilde(2.0, nu, t)), _bits(gegenbauer_tilde(2, nu, t)))
+    with pytest.raises(DomainError):
+        gegenbauer_tilde(2.5, nu, 0.3)
+
+
 def test_tilde_array_checks_the_index():
     with pytest.raises(DomainError):
         gegenbauer_tilde(-1, 0.5, np.zeros(3))

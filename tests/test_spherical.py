@@ -187,3 +187,11 @@ def test_recompose_2d_adds_aliased_modes():
     back = recompose_2d(FactoredField([-1, 7], RadialSamples(grid, rows)), n_phi=8)
     summed = recompose_2d(FactoredField([-1], RadialSamples(grid, 3.0 * rows[:1])), n_phi=8)
     assert_allclose(back.values, summed.values)
+
+
+def test_an_n_whose_gamma_is_past_the_float_range_is_refused():
+    # Gamma(N/2) is a float up to N = 343, Gamma(171.5) = 9.5e307, and past the float range from N = 344 on
+    assert math.isfinite(projection_kernel(0, 343, 0.5))
+    for dim in (344, 1000):
+        with pytest.raises(DomainError, match=rf"N = {dim} is too large: Gamma\(N/2\) is past the float range"):
+            projection_kernel(0, dim, 0.5)
