@@ -34,17 +34,17 @@ significant digits.  For the verbs that take --tol, the
 CONFORMAL_HEAT_TOL environment variable overrides the default series
 tolerance of 1e-10; a tolerance must be finite and positive.
 
-On two CPUs, a kernel table of 4096 points or more (a points file of
-4096 lines past its head) is split once, before it is read: a forked
-child parses, evaluates and formats the first half of the points while
-this process does the second, with the bytes, the first refused point
-and the exit code of the serial table; large field files are read and
-large outputs written in two processes too.  A verify of every suite on
-a grid of n >= 2048 (the default grid included) is split once, after the
-grid is checked: a forked child runs the seven suites that multiply no
-matrices while this process runs spectral and projection, the only ones
-that call BLAS, and writes one report with the bytes, the first error
-and the exit code of the serial run.
+On two CPUs, large jobs are split between two processes (two_processes):
+a forked child makes the first half of each while this process makes
+the second, with the bytes, the first error and the exit code of the
+serial run.  A kernel table of 4096 points or more (a points file of
+4096 lines past its head) is split once, before it is read: the child
+parses, evaluates and formats the first half of the points.  Large field
+files are read and large outputs written the same way.  A verify of every
+suite on a grid of n >= 2048 (the default grid included) is split once,
+after the grid is checked: the child runs the seven suites that multiply
+no matrices while this process runs spectral and projection, the only
+ones that call BLAS.
 """
 
 from __future__ import annotations
@@ -73,11 +73,9 @@ from .errors import (
 from .fields_io import (
     float_row_lines,
     format_float,
-    halves_in_two,
     point_halves,
     read_field_file,
     read_points,
-    verify_splits,
     write_factored,
     write_float_rows,
     write_grid2d,
@@ -86,6 +84,7 @@ from .kernels import as_time, closed_form, full_kernel_series
 from .log_radial import LogRadialGrid
 from .spectral_calculus import G0Exponent, apply_exp_g0, apply_exp_g0_grid, apply_scaling_direct
 from .spherical import GridField2D
+from .two_processes import halves_in_two, verify_splits
 from .verify import _DEFAULT_SHAPE, SUITES, CheckResult, run_suites
 
 _DEFAULT_TOL = 1e-10

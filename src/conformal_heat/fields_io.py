@@ -34,25 +34,17 @@ errors there are the ones reported.
 The writers take a binary file, such as open(path, "wb"), and write to
 it ASCII bytes with "\n" line ends, a chunk of _CHUNK_FLOATS floats of
 whole lines per write, each chunk turned into exactly the "%.17g" text
-by one array formatter (format_float is its scalar definition), so
-neither side holds the whole text in memory.  Kernel tables
+by one array formatter (format_float is its scalar definition), so no
+process holds more than its half of the text.  Kernel tables
 (write_float_rows) are written the same way.
 
-Large jobs are split between two processes (_can_fork).  A forked
-child parses the first half of a large field file, skipping its head as
-above, or formats the second half of a large output, and sends it
-through a pipe; where the child's half fails or does not arrive whole,
-this process reads the file serially or formats those chunks itself.  A
-large kernel table is split once, before it is read (point_halves,
-halves_in_two, for the CLI): a forked child parses, evaluates and
-formats the first half of the points while this process does the same
-for the second, and where either half fails the CLI makes the whole
-table serially.  A full verify on a grid of _SPLIT_GRID samples or
-more is split the same way (verify_splits, halves_in_two): a forked
-child runs the suites that multiply no matrices while the CLI runs the
-others.  So the arrays, the errors and the bytes are the same either
-way.  Without os.fork or os.sched_getaffinity (Windows, macOS)
-every job runs serially.
+Large field files and outputs are split between two processes
+(two_processes.halves_in_two): a forked child parses the first half of a
+field file, skipping its head as above, or formats the first half of an
+output's chunks, while this process does the second half.  Where either
+half fails, the file is read or the output formatted serially, so the
+arrays, the errors and the bytes are the same either way.  point_halves
+splits a kernel table's points the same way, for the CLI.
 """
 
 from __future__ import annotations
@@ -64,12 +56,12 @@ import json
 import os
 import stat
 import sys
-import threading
 import warnings
 from typing import BinaryIO, TextIO
 
 import numpy as np
 
+from . import two_processes
 from .errors import DomainError, FieldFormatError
 from .log_radial import LogRadialGrid, RadialSamples
 from .spherical import FactoredField, GridField2D
@@ -101,6 +93,8 @@ def _scan_head(fp: TextIO) -> tuple[str | None, str | None, int]:
     geometry = None
     names_allowed = True
     for count, line in enumerate(fp):
+        if not count:
+            line = line.removeprefix("\ufeff")  # a UTF-8 byte-order mark reads as nothing
         body = line.strip()
         if not body:
             continue
@@ -116,56 +110,12 @@ def _scan_head(fp: TextIO) -> tuple[str | None, str | None, int]:
     return geometry, None, 0
 
 
-_SPLIT_BYTES = 2 * 2**20  # the least field file or output that two processes share
-_SPLIT_TABLE = 4096       # the least kernel table, in points, that two processes share: the closed forms' break-even
-_SPLIT_GRID = 2048        # the least grid n of a full verify that two processes share: +5-9% at 1024, -15% at 2048
-
-
 def _loadtxt(source, strict: bool = False, **options) -> np.ndarray:
     """The CSV rows of source; strict raises any warning ("input contained no data" is a UserWarning)."""
     with warnings.catch_warnings():
         if strict:
             warnings.simplefilter("error")
         return np.loadtxt(source, delimiter=",", comments="#", ndmin=2, **options)
-
-
-def _in_two_processes(child, parent):
-    """parent(pipe) here while child(pipe) runs in a forked process; parent's result.
-
-    A child that fails, or a fork that fails, leaves parent a pipe that ends
-    short or is empty, which parent must tell from a whole one.  The child
-    leaves by os._exit, and is killed and reaped once parent is done with
-    the pipe: by then it has sent all it will, or parent has failed.
-
-    The child makes no BLAS call (no matrix product through @): the
-    parent's BLAS threads and a second set of them in the child fight
-    over two CPUs.  A full verify whose child also ran the projection
-    suite took 106-116 ms against 89-90 ms serially on the default grid,
-    and 123-132 ms against 27-28 ms on -8,8,256 (OpenBLAS on its default
-    threads).
-    """
-    import signal  # here, not at the top: start-up does not pay for it
-
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # no process to spare: parent finds the pipe empty
-        pid = None
-    if pid == 0:
-        try:
-            os.close(read_end)
-            with open(write_end, "wb") as pipe:
-                child(pipe)
-        finally:  # on every exception too: never return into the caller's stack
-            os._exit(0)
-    os.close(write_end)
-    try:
-        with open(read_end, "rb") as pipe:
-            return parent(pipe)
-    finally:
-        if pid:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
 
 
 def _middle(fp: BinaryIO, size: int) -> int:
@@ -175,18 +125,11 @@ def _middle(fp: BinaryIO, size: int) -> int:
     return fp.tell()
 
 
-def _first_half(path: str, middle: int, encoding: str, skip: int | None = None) -> np.ndarray:
-    """The rows of bytes 0..middle of a file, its skip lines ahead of the data skipped (counted here where None).
+def _first_half(head: bytes, encoding: str, skip: int) -> np.ndarray:
+    """The rows of a file's first bytes past its skip head lines; refused rows, a warning and no rows raise.
 
-    The half is read from its own file description (a forked one would
-    share its offset) and decoded with universal newlines, so its lines
-    break where the head scan breaks them: at "\n", "\r" and "\r\n".
-    Refused rows, a warning and a half without rows raise.
+    Universal newlines break the lines where the head scan does: at "\n", "\r" and "\r\n".
     """
-    with open(path, "rb") as own:
-        head = own.read(middle)
-    if skip is None:
-        skip = _scan_head(io.TextIOWrapper(io.BytesIO(head), encoding))[2]
     return _loadtxt(io.TextIOWrapper(io.BytesIO(head), encoding), strict=True, skiprows=skip)
 
 
@@ -200,45 +143,31 @@ def _split_rows(path: str, skip: int, size: int, encoding: str) -> np.ndarray | 
     """The data rows of a regular file, read in two processes; None where that read fails.
 
     The child parses the file up to the first newline past the middle,
-    its head skipped as the serial read skips it.  A malformed row or a
-    warning in either half, a half without rows, an array that does not
-    arrive whole or columns that differ give None: the serial read then
-    reports the errors and row numbers.
+    its head skipped as the serial read skips it, and sends the shape and
+    the bytes of its rows.  A malformed row or a warning in either half, a
+    half without rows or halves whose columns differ give None: the serial
+    read then reports the errors and row numbers.
     """
     with open(path, "rb") as fp:
         middle = _middle(fp, size)
         if middle >= size:
             return None
 
-        def child(pipe):
-            rows = _first_half(path, middle, encoding, skip)
-            pipe.writelines([np.array(rows.shape, dtype=np.int64).tobytes(), rows.data])
+        def first() -> list:
+            with open(path, "rb") as own:  # its own file description: a forked one would share fp's offset
+                rows = _first_half(own.read(middle), encoding, skip)
+            return [np.array(rows.shape, dtype=np.int64).tobytes(), rows.data.cast("B")]
 
-        try:
-            mine, theirs = _in_two_processes(
-                child, lambda pipe: (_second_half(fp, middle, encoding), pipe.read()))
-        except (ValueError, Warning):
-            return None
-    rows, cols = np.frombuffer(theirs[:16].ljust(16, b"\0"), dtype=np.int64).tolist()
-    if cols != mine.shape[1] or len(theirs) != 16 + 8 * rows * cols:
-        return None
-    return np.concatenate([np.frombuffer(theirs, offset=16).reshape(rows, cols), mine])
+        halves = []
 
+        def write(theirs, mine: np.ndarray) -> None:
+            sent = b"".join(theirs)
+            count, cols = np.frombuffer(sent[:16], dtype=np.int64).tolist()
+            if cols == mine.shape[1]:
+                halves.extend([np.frombuffer(sent, offset=16).reshape(count, cols), mine])
 
-def _can_fork() -> bool:
-    """Whether a job may be split with a forked child: on two CPUs, with no other thread."""
-    return (threading.active_count() == 1 and hasattr(os, "fork")
-            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2)
-
-
-def verify_splits(n: int) -> bool:
-    """Whether a full verify on a grid of n samples is split between two processes."""
-    return n >= _SPLIT_GRID and _can_fork()
-
-
-def _can_split(size: int) -> bool:
-    """Whether a field file or output of `size` bytes is split between two processes."""
-    return size >= _SPLIT_BYTES and _can_fork()
+        two_processes.halves_in_two(first, lambda: _second_half(fp, middle, encoding), write)
+    return np.concatenate(halves) if halves else None
 
 
 def _points(rows: np.ndarray) -> np.ndarray:
@@ -261,91 +190,42 @@ def point_halves(source):
     source is the (rows, 3) array of points or the path of a points file.
     A table of _SPLIT_TABLE points or more is split where _can_fork()
     holds; a regular file counts as points its lines past the lines ahead
-    of the data (with universal newlines, as read_points reads it).  A
-    file is split at the first newline past its middle, and each reader
-    parses its own half, the first one skipping the lines ahead of the
-    data as read_points does.  A half that np.loadtxt refuses or warns
-    about, without rows, not three columns wide or with a non-finite
-    value raises, so that read_points reports the file's errors.
+    of the data.  A file is read once and split at the first newline past
+    its middle, each reader parsing its half of those bytes.  A half that
+    np.loadtxt refuses or warns about, without rows, not three columns
+    wide or with a non-finite value raises: read_points words the fault.
     """
+    if not two_processes._can_fork():
+        return None
     if isinstance(source, np.ndarray):
-        if len(source) < _SPLIT_TABLE or not _can_fork():
+        if len(source) < two_processes._SPLIT_TABLE:
             return None
         middle = len(source) // 2
         return lambda: source[:middle], lambda: source[middle:]
     try:
-        if not stat.S_ISREG(os.stat(source).st_mode) or not _can_fork():
+        if not stat.S_ISREG(os.stat(source).st_mode):
             return None
         with open(source) as fp:  # the text encoding of read_points
             encoding, text = fp.encoding, fp.buffer.read()
         skip = _scan_head(io.TextIOWrapper(io.BytesIO(text), encoding))[2]
     except (OSError, ValueError):  # read_points words it
         return None
-    if _line_count(text) - skip < _SPLIT_TABLE:
+    if _line_count(text) - skip < two_processes._SPLIT_TABLE:
         return None
     data = io.BytesIO(text)
     middle = _middle(data, len(text))
     if middle >= len(text):
         return None
-    return (lambda: _points(_first_half(source, middle, encoding, skip)),
+    return (lambda: _points(_first_half(text[:middle], encoding, skip)),
             lambda: _points(_second_half(data, middle, encoding)))
-
-
-def halves_in_two(first, second, write) -> bool:
-    """write(theirs, mine) with a job's two halves, made in two processes; whether it ran.
-
-    first() returns the list of byte blocks of the first half, or raises;
-    second() returns the second half in the form write takes it (a
-    kernel table's byte blocks, a verify run's checks), or raises.  A
-    forked child makes first()'s while this process makes second()'s.
-    The child sends the length of its blocks once they are all made,
-    then the blocks; write gets an iterator over them as they come
-    through the pipe, and this process's half, so neither process holds
-    more than its own half.  Where this process's half raises, or the
-    length does not come whole (the child's half raised, the child died
-    or the fork failed), write is not called and False is returned: the
-    caller then does the whole job serially, with its first error, for
-    what a job refuses first can depend on the other half (a table's
-    rows beside it, the suites ahead of it).  A stream that ends short
-    after the length has lost bytes, not work: the rest is made here by
-    first().
-    """
-    def child(pipe):
-        blocks = first()
-        pipe.write(sum(map(len, blocks)).to_bytes(8, "little"))
-        pipe.writelines(blocks)
-
-    def parent(pipe):
-        try:
-            mine = second()
-        except Exception:  # the serial table raises its own error
-            return False
-        head = pipe.read(8)
-        if len(head) != 8:
-            return False
-        write(_arriving(pipe, int.from_bytes(head, "little"), first), mine)
-        return True
-
-    return _in_two_processes(child, parent)
-
-
-def _arriving(pipe: BinaryIO, size: int, first):
-    """The child's `size` bytes from pipe, a block at a time; where the pipe ends short, the rest from first()."""
-    sent = 0
-    while sent < size:
-        block = pipe.read(min(size - sent, _CHUNK_FLOATS * _WIDTH))
-        if not block:
-            yield b"".join(first())[sent:]
-            return
-        sent += len(block)
-        yield block
 
 
 def _load_rows(path: str, fp: TextIO, first: str, skip: int) -> np.ndarray:
     """The data rows from `first`, line skip + 1 of the file, on; fp stands just past it."""
     info = os.fstat(fp.fileno())
     if stat.S_ISREG(info.st_mode):  # a pipe cannot be opened a second time from its start
-        if _can_split(info.st_size) and (rows := _split_rows(path, skip, info.st_size, fp.encoding)) is not None:
+        split = two_processes._can_split(info.st_size)
+        if split and (rows := _split_rows(path, skip, info.st_size, fp.encoding)) is not None:
             return rows
         try:
             with open(path, encoding=fp.encoding) as again:
@@ -674,29 +554,22 @@ def _chunks(values: np.ndarray) -> list[tuple[int, int]]:
 def _write_chunks(fp: BinaryIO, values: np.ndarray, chunk_text) -> None:
     """Write chunk_text(start, stop) for each of the _chunks of values, in order.
 
-    Split, a forked child formats the second half of the chunks while this
-    process writes the first, and only then sends their lengths and text: a
-    pipe holds 64 KB.  This process writes each of those chunks that arrives
-    whole and formats the others, as it formats every chunk serially.
+    Split, a forked child formats the first half of the chunks while this
+    process formats the second; this process then writes the child's text
+    as it arrives, then its own.  Where the split does not run, this
+    process formats and writes every chunk.
     """
     chunks = _chunks(values)
-    mine, theirs = chunks[:len(chunks) // 2], chunks[len(chunks) // 2:]
+    theirs, mine = chunks[:len(chunks) // 2], chunks[len(chunks) // 2:]
 
-    def child(pipe):
-        texts = [chunk_text(*chunk) for chunk in theirs]
-        pipe.write(np.array([len(text) for text in texts], dtype=np.int64).tobytes())
-        pipe.writelines(texts)
+    def texts(part):
+        return lambda: [chunk_text(*chunk) for chunk in part]
 
-    def parent(pipe):
-        for chunk in mine:
+    if not (two_processes._can_split(values.size * _WIDTH)
+            and two_processes.halves_in_two(texts(theirs), texts(mine),
+                                            lambda *halves: fp.writelines(itertools.chain(*halves)))):
+        for chunk in chunks:
             fp.write(chunk_text(*chunk))
-        head = pipe.read(8 * len(theirs))
-        sizes = np.frombuffer(head, dtype=np.int64).tolist() if len(head) == 8 * len(theirs) else [0] * len(theirs)
-        for chunk, size in zip(theirs, sizes):
-            text = pipe.read(size)
-            fp.write(text if size and len(text) == size else chunk_text(*chunk))
-
-    _in_two_processes(child, parent) if _can_split(values.size * _WIDTH) else parent(io.BytesIO())
 
 
 def write_float_rows(fp: BinaryIO, table: np.ndarray) -> None:

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import conformal_heat
-from conformal_heat import cli, fields_io, verify
+from conformal_heat import cli, two_processes, verify
 from conformal_heat.cli import main
 from conformal_heat.errors import ConformalHeatError, DomainError
 from conformal_heat.fields_io import read_field_file
@@ -285,8 +285,8 @@ def _large_output_argv(tmp_path: Path, verb: str) -> list[str]:
 
 
 # the command line with field I/O and kernel tables split between two processes for any size and CPU count
-_SPLIT_CLI = ("import os, sys; from conformal_heat import cli, fields_io; "
-              "fields_io._SPLIT_BYTES = fields_io._SPLIT_TABLE = 0; os.sched_getaffinity = lambda pid: {0, 1}; "
+_SPLIT_CLI = ("import os, sys; from conformal_heat import cli, two_processes; "
+              "two_processes._SPLIT_BYTES = two_processes._SPLIT_TABLE = 0; os.sched_getaffinity = lambda pid: {0, 1}; "
               "sys.exit(cli.main())")
 
 
@@ -992,7 +992,7 @@ def split_kernels(monkeypatch):
 
     monkeypatch.setattr(os, "fork", spy)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(fields_io, "_SPLIT_TABLE", 0)
+    monkeypatch.setattr(two_processes, "_SPLIT_TABLE", 0)
     return forks
 
 
@@ -1017,7 +1017,7 @@ def _both_ways(monkeypatch, argv: list[str], capsys) -> list[tuple]:
     """(exit code, stdout, stderr) of argv with the table split, then serially."""
     results = []
     for gate in (0, SERIAL):
-        monkeypatch.setattr(fields_io, "_SPLIT_TABLE", gate)
+        monkeypatch.setattr(two_processes, "_SPLIT_TABLE", gate)
         results.append((main(argv), *capsys.readouterr()))
     return results
 
@@ -1158,15 +1158,15 @@ def test_no_child_outlives_a_kernel_table(tmp_path, monkeypatch, capsys, split_k
 def test_a_kernel_table_forks_once(tmp_path, monkeypatch, capsys, split_kernels, source, fmt):
     # with the field I/O gates forced too, the table is split once, before
     # it is read, and not again to read its points or to write its output
-    monkeypatch.setattr(fields_io, "_SPLIT_BYTES", 0)
+    monkeypatch.setattr(two_processes, "_SPLIT_BYTES", 0)
     points = (["--in", str(_points_file(tmp_path, 3))] if source == "in" else
               ["--r", "0.5,1,2,3", "--rp", "0.7,1.5,2.5", "--t", "-0.5,0,0.5,0.9"])
     argv = ["kernel", "--dim", "3", "--z", "0.5,0.1", *points, "--format", fmt]
     assert main(argv) == 0
     split = capsys.readouterr()
     assert len(split_kernels) == 1
-    monkeypatch.setattr(fields_io, "_SPLIT_TABLE", SERIAL)
-    monkeypatch.setattr(fields_io, "_SPLIT_BYTES", SERIAL)
+    monkeypatch.setattr(two_processes, "_SPLIT_TABLE", SERIAL)
+    monkeypatch.setattr(two_processes, "_SPLIT_BYTES", SERIAL)
     assert main(argv) == 0
     assert capsys.readouterr() == split and len(split_kernels) == 1
 
@@ -1186,7 +1186,7 @@ def test_a_table_of_exactly_the_gate_is_split(tmp_path, monkeypatch, capsys, spl
     argv = ["kernel", "--dim", "3", "--z", "0.5,0", *points]
     results = []
     for gate, forks in ((_ROWS, 1), (_ROWS + 1, 1)):
-        monkeypatch.setattr(fields_io, "_SPLIT_TABLE", gate)
+        monkeypatch.setattr(two_processes, "_SPLIT_TABLE", gate)
         results.append((main(argv), *capsys.readouterr()))
         assert len(split_kernels) == forks
     assert results[0] == results[1] and results[0][0] == 0
@@ -1235,12 +1235,12 @@ def test_a_points_file_split_by_bytes_has_the_serial_bytes_and_errors(tmp_path, 
 
 _NO_FORK_CLI = """
 import os, sys
-from conformal_heat import cli, fields_io
+from conformal_heat import cli, two_processes
 
 def no_fork():
     raise AssertionError("os.fork was called")
 
-fields_io._SPLIT_TABLE = 0
+two_processes._SPLIT_TABLE = 0
 os.sched_getaffinity, os.fork = (lambda pid: {0, 1}), no_fork
 sys.exit(cli.main(sys.argv[1:]))
 """
@@ -1274,7 +1274,7 @@ def test_no_kernel_fork_beside_another_thread_on_one_cpu_or_below_the_threshold(
     serial = capsys.readouterr()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
     monkeypatch.setattr(os, "fork", _no_fork)
-    monkeypatch.setattr(fields_io, "_SPLIT_TABLE", gate)
+    monkeypatch.setattr(two_processes, "_SPLIT_TABLE", gate)
     release = threading.Event()
     others = [threading.Thread(target=release.wait) for _ in range(threads - 1)]
     for other in others:
@@ -1312,11 +1312,11 @@ def split_verify(monkeypatch):
     return forks
 
 
-def _verify_both_ways(monkeypatch, argv: list[str], capsys, gate: int = fields_io._SPLIT_GRID) -> list[tuple]:
+def _verify_both_ways(monkeypatch, argv: list[str], capsys, gate: int = two_processes._SPLIT_GRID) -> list[tuple]:
     """(exit code, stdout, stderr) of argv split at the given grid gate, then serially."""
     results = []
     for grid_gate in (gate, SERIAL):
-        monkeypatch.setattr(fields_io, "_SPLIT_GRID", grid_gate)
+        monkeypatch.setattr(two_processes, "_SPLIT_GRID", grid_gate)
         results.append((main(argv), *capsys.readouterr()))
     return results
 
@@ -1328,8 +1328,8 @@ def test_split_verify_has_the_serial_bytes(tmp_path, monkeypatch, capsys, split_
     argv = ["verify", *grid, "--format", fmt]
     out = tmp_path / f"v.{fmt}"
     to_file = []
-    for gate in (fields_io._SPLIT_GRID, SERIAL):
-        monkeypatch.setattr(fields_io, "_SPLIT_GRID", gate)
+    for gate in (two_processes._SPLIT_GRID, SERIAL):
+        monkeypatch.setattr(two_processes, "_SPLIT_GRID", gate)
         to_file.append((main([*argv, "--out", str(out)]), *capsys.readouterr(), out.read_bytes()))
     split, serial = _verify_both_ways(monkeypatch, argv, capsys)
     assert len(split_verify) == 2
@@ -1397,8 +1397,8 @@ def test_odd_defects_survive_the_childs_round_trip(monkeypatch, capsys, split_ve
 @needs_fork
 def test_a_verify_forks_once(monkeypatch, capsys, split_verify):
     # with every other gate forced too, a verify forks once, for its suites
-    monkeypatch.setattr(fields_io, "_SPLIT_BYTES", 0)
-    monkeypatch.setattr(fields_io, "_SPLIT_TABLE", 0)
+    monkeypatch.setattr(two_processes, "_SPLIT_BYTES", 0)
+    monkeypatch.setattr(two_processes, "_SPLIT_TABLE", 0)
     assert main(["verify", "--format", "csv"]) == 0
     assert len(split_verify) == 1
     capsys.readouterr()
@@ -1417,7 +1417,7 @@ def test_the_child_runs_only_the_suites_without_matrix_products(tmp_path, monkey
 
     for name, suite in list(verify.SUITES.items()):
         monkeypatch.setitem(verify.SUITES, name, logged(name, suite))
-    monkeypatch.setattr(fields_io, "_SPLIT_GRID", 0)
+    monkeypatch.setattr(two_processes, "_SPLIT_GRID", 0)
     assert main(["verify", _SMALL_GRID]) == 0
     capsys.readouterr()
     ran: dict = {}
@@ -1442,7 +1442,7 @@ def test_no_child_outlives_a_verify(monkeypatch, capsys, split_verify, fails):
     monkeypatch.setitem(verify.SUITES, "sl2", slow_in_the_child)
     if fails:
         monkeypatch.setitem(verify.SUITES, "projection", _refusing("projection", "raises", caller))
-    monkeypatch.setattr(fields_io, "_SPLIT_GRID", 0)
+    monkeypatch.setattr(two_processes, "_SPLIT_GRID", 0)
     began = time.monotonic()
     assert main(["verify", _SMALL_GRID]) == (2 if fails else 0)
     capsys.readouterr()

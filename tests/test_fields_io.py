@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conformal_heat import fields_io
+from conformal_heat import fields_io, two_processes
 from conformal_heat.cli import main
 from conformal_heat.errors import DomainError, FieldFormatError
 from conformal_heat.fields_io import (_CHUNK_FLOATS, format_float, read_field_file, read_points, write_factored,
@@ -74,7 +74,7 @@ def _rows_both_ways(monkeypatch, write, field, names: bytes) -> bytes:
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     texts = []
     for split in (False, True):
-        monkeypatch.setattr(fields_io, "_SPLIT_BYTES", 0 if split else 2**62)
+        monkeypatch.setattr(two_processes, "_SPLIT_BYTES", 0 if split else 2**62)
         fp = io.BytesIO()
         write(fp, field)
         texts.append(fp.getvalue().split(names, 1)[1])
@@ -299,7 +299,7 @@ def _both_ways(monkeypatch, read, path):
     """read(path) with the two-process read, then serially."""
     results = []
     for gate in (0, SERIAL):
-        monkeypatch.setattr(fields_io, "_SPLIT_BYTES", gate)
+        monkeypatch.setattr(two_processes, "_SPLIT_BYTES", gate)
         results.append(read(str(path)))
     return results
 
@@ -307,7 +307,7 @@ def _both_ways(monkeypatch, read, path):
 def _errors_both_ways(monkeypatch, path) -> list[str]:
     texts = []
     for gate in (0, SERIAL):
-        monkeypatch.setattr(fields_io, "_SPLIT_BYTES", gate)
+        monkeypatch.setattr(two_processes, "_SPLIT_BYTES", gate)
         with pytest.raises(FieldFormatError) as caught:
             read_field_file(str(path))
         texts.append(str(caught.value))
@@ -352,14 +352,14 @@ def test_split_read_of_points_has_the_serial_bits(monkeypatch, split_reads):
 def big_field(tmp_path_factory) -> Path:
     """A field file of 2^16 rows, past the size gate of the two-process read."""
     path = _field_file(tmp_path_factory.mktemp("big") / "big.csv", 16, 4096)
-    assert path.stat().st_size >= fields_io._SPLIT_BYTES
+    assert path.stat().st_size >= two_processes._SPLIT_BYTES
     return path
 
 
 @needs_fork
 def test_split_read_past_the_gate_has_the_serial_bits(monkeypatch, split_reads, big_field):
     split = read_field_file(str(big_field))
-    monkeypatch.setattr(fields_io, "_SPLIT_BYTES", SERIAL)
+    monkeypatch.setattr(two_processes, "_SPLIT_BYTES", SERIAL)
     assert split_reads == [True]
     assert _bits(split) == _bits(read_field_file(str(big_field)))
 
@@ -446,14 +446,17 @@ def test_a_half_of_comments_only_warns_nothing(tmp_path, monkeypatch, split_read
 
 @needs_fork
 def test_halves_of_different_widths_refuse_as_the_serial_read(tmp_path, monkeypatch, split_reads):
-    # 64 rows of one length: the split falls after row 32, and the rows
-    # after it carry a fifth column in the same number of bytes
+    # 64 rows of one length: the split falls ahead of row 31 (from 0), and
+    # the rows from there on carry a fifth column in the same number of bytes,
+    # so each half is well formed on its own
     head = '# geometry: {"kind": "grid2d", "dim": 1, "s_min": -1, "s_max": 1, "n": 32}\n'
-    rows = [f"{k // 32},{k % 32:02d},{k:+.3e},{-k:+.3e}" if k <= 32 else f"{k // 32},{k % 32:02d},{k:+.3e},{-k:+.1e},0"
+    rows = [f"{k // 32},{k % 32:02d},{k:+.3e},{-k:+.3e}" if k < 31 else f"{k // 32},{k % 32:02d},{k:+.3e},{-k:+.1e},0"
             for k in range(64)]
     assert len(set(map(len, rows))) == 1
     path = tmp_path / "widths.csv"
     path.write_text(head + "\n".join(rows) + "\n")
+    text = path.read_bytes()
+    assert text.index(b"\n", len(text) // 2) + 1 == text.index(rows[31].encode())
     split, serial = _errors_both_ways(monkeypatch, path)
     assert split == serial
     assert split_reads == [False]
@@ -482,8 +485,8 @@ def test_no_fork_beside_another_thread_or_on_one_cpu(monkeypatch, big_field, thr
         for other in others:
             other.join(timeout=10)
     assert not any(other.is_alive() for other in others)
-    assert field.values.size * 2 * fields_io._WIDTH >= fields_io._SPLIT_BYTES
-    monkeypatch.setattr(fields_io, "_SPLIT_BYTES", SERIAL)
+    assert field.values.size * 2 * fields_io._WIDTH >= two_processes._SPLIT_BYTES
+    monkeypatch.setattr(two_processes, "_SPLIT_BYTES", SERIAL)
     assert _bits(field) == _bits(read_field_file(str(big_field)))
     serial = io.BytesIO()
     write_grid2d(serial, field)
@@ -495,7 +498,7 @@ def test_no_fork_beside_another_thread_or_on_one_cpu(monkeypatch, big_field, thr
 def test_no_child_outlives_a_read(tmp_path, monkeypatch, split_reads, where):
     # 16384 rows split ahead of row 8263: a bad row just after the split
     # fails this process's half while the child still parses its own
-    monkeypatch.setattr(fields_io, "_SPLIT_BYTES", 0)
+    monkeypatch.setattr(two_processes, "_SPLIT_BYTES", 0)
     path = _field_file(tmp_path / "f.csv", 16, 1024, {where: ["1,2,3"]})
     if where is None:
         read_field_file(str(path))
@@ -505,6 +508,45 @@ def test_no_child_outlives_a_read(tmp_path, monkeypatch, split_reads, where):
     assert split_reads == [where is None]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _with_and_without_a_bom(tmp_path: Path, kind: str, names: bool, newline: str) -> list[Path]:
+    """A points or grid field file, and the same file behind a UTF-8 byte-order mark."""
+    if kind == "points":
+        lines = [f"{1 + k / 8!r},{2 + k / 16!r},{k / 48 - 0.5!r}" for k in range(48)]
+        head = ["r,r_prime,t"] if names else []
+    else:
+        lines = [f"{a},{j},{a + 0.5 * j!r},{-j}" for a in (0, 1) for j in range(8)]
+        head = ['# geometry: {"kind": "grid2d", "dim": 1, "s_min": -1, "s_max": 1, "n": 8}']
+        head = ["angle_index,s_index,re,im", *head] if names else head  # the mark ahead of the names or the geometry
+    text = newline.join(head + lines) + newline
+    paths = [tmp_path / "plain.csv", tmp_path / "marked.csv"]
+    for path, mark in zip(paths, (b"", b"\xef\xbb\xbf")):
+        path.write_bytes(mark + text.encode())
+    return paths
+
+
+@pytest.mark.parametrize("split", [False, pytest.param(True, marks=needs_fork)], ids=["serial", "split"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("names", [True, False], ids=["names", "no-names"])
+@pytest.mark.parametrize("kind", ["points", "field"])
+def test_a_byte_order_mark_reads_as_nothing(tmp_path, monkeypatch, capsys, kind, names, newline, split):
+    # the mark is read as nothing ahead of a first data row, which is then
+    # not taken for a column-name row, and ahead of the geometry line
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    for gate in ("_SPLIT_BYTES", "_SPLIT_TABLE"):
+        monkeypatch.setattr(two_processes, gate, 0 if split else SERIAL)
+    results = []
+    for path in _with_and_without_a_bom(tmp_path, kind, names, newline):
+        if kind == "points":
+            rows = read_points(str(path))
+            argv = ["kernel", "--dim", "3", "--z", "0.5,0", "--in", str(path)]
+            results.append((rows.shape, rows.tobytes(), main(argv), *capsys.readouterr()))
+        else:
+            results.append(_bits(read_field_file(str(path))))
+    assert results[1] == results[0]
+    if kind == "points":
+        assert results[0][0] == (48, 3) and results[0][2] == 0 and results[0][4] == ""
 
 
 # The two-process write of large outputs: the same bytes as the serial write, and no child left behind.
@@ -534,7 +576,7 @@ def split_writes(monkeypatch):
 
     monkeypatch.setattr(os, "fork", spy)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(fields_io, "_SPLIT_BYTES", 0)
+    monkeypatch.setattr(two_processes, "_SPLIT_BYTES", 0)
     return forks
 
 
@@ -555,23 +597,22 @@ def test_no_child_outlives_a_write(split_writes):
         os.waitpid(-1, os.WNOHANG)
 
 
-class _FullDisk(io.BytesIO):
-    """A sink whose second write fails."""
-
-    def write(self, data):
-        if self.tell():
-            raise OSError("the disk is full")
-        return super().write(data)
-
-
 @needs_fork
 def test_no_child_outlives_a_write_that_fails(monkeypatch, split_writes):
-    # the child would take a minute over its first chunk: it is killed,
-    # not waited for, when the caller's own second write fails
-    _in_the_child(monkeypatch, lambda: time.sleep(60))
+    # the child would take a minute over its first chunk: it is killed, not
+    # waited for, when the caller's own half fails, and the serial write
+    # then fails as the caller's half did
+    caller = os.getpid()
+
+    def formats(*args):
+        if os.getpid() != caller:
+            time.sleep(60)
+        raise MemoryError("no room in the caller")
+
+    monkeypatch.setattr(fields_io, "_csv_lines", formats)
     began = time.monotonic()
-    with pytest.raises(OSError, match="the disk is full"):
-        write_float_rows(_FullDisk(), _table())
+    with pytest.raises(MemoryError, match="no room in the caller"):
+        write_float_rows(io.BytesIO(), _table())
     assert time.monotonic() - began < 30
     assert len(split_writes) == 1
     with pytest.raises(ChildProcessError):
@@ -590,47 +631,6 @@ def test_a_failing_child_leaves_its_half_to_the_caller(monkeypatch, split_writes
     write_float_rows(fp, table)
     assert len(split_writes) == 1
     assert_same_bytes(fp.getvalue(), _serial_text(table))
-
-
-@pytest.mark.parametrize("part, offset", [("lengths", 0), ("lengths", 8), ("lengths", 15), ("text", 0), ("text", 1),
-                                          ("second", -1), ("second", 0), ("second", 1), ("end", -1), ("end", 0)])
-def test_a_child_cut_short_anywhere_leaves_the_serial_bytes(monkeypatch, part, offset):
-    # of four chunks the child sends the last two: their two lengths, then
-    # their text; the caller gets that stream cut at `offset` from `part`
-    table = _table()
-    serial = _serial_text(table)
-    lines = serial.splitlines(keepends=True)
-    third, fourth = (len(b"".join(lines[k * _CHUNK_FLOATS // 4:(k + 1) * _CHUNK_FLOATS // 4])) for k in (2, 3))
-    cut = {"lengths": 0, "text": 16, "second": 16 + third, "end": 16 + third + fourth}[part] + offset
-    sent = []
-
-    def cut_short(child, parent):
-        pipe = io.BytesIO()
-        child(pipe)
-        sent.append(pipe.getvalue())
-        return parent(io.BytesIO(pipe.getvalue()[:cut]))
-
-    monkeypatch.setattr(fields_io, "_can_split", lambda size: True)
-    monkeypatch.setattr(fields_io, "_in_two_processes", cut_short)
-    fp = io.BytesIO()
-    write_float_rows(fp, table)
-    assert [len(stream) for stream in sent] == [16 + third + fourth]
-    assert_same_bytes(fp.getvalue(), serial)
-
-
-@pytest.mark.parametrize("cut", [0, 8, 15, 16, 17, -1, None], ids=["empty", "in-the-rows", "in-the-columns",
-                                                                 "no-values", "in-the-values", "one-byte-short", "whole"])
-def test_a_child_array_cut_short_anywhere_gives_the_serial_read(monkeypatch, split_reads, big_field, cut):
-    # the child's stream is its array's row and column counts, then its values
-    def cut_short(child, parent):
-        pipe = io.BytesIO()
-        child(pipe)
-        return parent(io.BytesIO(pipe.getvalue()[:cut]))
-
-    monkeypatch.setattr(fields_io, "_in_two_processes", cut_short)
-    split, serial = _both_ways(monkeypatch, read_field_file, big_field)
-    assert split_reads == [cut is None]
-    assert _bits(split) == _bits(serial)
 
 
 _CUTS = {"empty": 0, "in-the-length": 1, "one-short-of-the-length": 7, "past-the-length": 8, "in-the-first-block": 9,
@@ -656,9 +656,9 @@ def test_rows_evaluated_with_a_child_cut_short_anywhere_have_the_serial_values(m
         return parent(io.BytesIO(pipe.getvalue()[:cut]))
 
     written = []
-    monkeypatch.setattr(fields_io, "_in_two_processes", cut_short)
-    made = fields_io.halves_in_two(half("first", [b"1,2\n", b"-0,3e-300\n"]), half("second", [b"4,5\n"]),
-                                   lambda theirs, mine: written.append(b"".join([*theirs, *mine])))
+    monkeypatch.setattr(two_processes, "_in_two_processes", cut_short)
+    made = two_processes.halves_in_two(half("first", [b"1,2\n", b"-0,3e-300\n"]), half("second", [b"4,5\n"]),
+                                       lambda theirs, mine: written.append(b"".join([*theirs, *mine])))
     made_here = cut is not None and (cut < 0 or cut >= 8)  # the length came whole, the blocks did not
     assert made == (cut is None or made_here)
     assert written == ([b"1,2\n-0,3e-300\n4,5\n"] if made else [])
@@ -678,19 +678,19 @@ def test_a_refused_caller_half_gives_the_whole_tables_error(monkeypatch):
         return parent(io.BytesIO(pipe.getvalue()))
 
     written = []
-    monkeypatch.setattr(fields_io, "_in_two_processes", in_one_process)
-    assert not fields_io.halves_in_two(lambda: [b"1,2\n"], second, lambda *parts: written.append(parts))
+    monkeypatch.setattr(two_processes, "_in_two_processes", in_one_process)
+    assert not two_processes.halves_in_two(lambda: [b"1,2\n"], second, lambda *parts: written.append(parts))
     assert written == []
 
 
 _APPLY_WITH_A_MARKER = """
 import atexit, sys
-from conformal_heat import fields_io
+from conformal_heat import fields_io, two_processes
 from conformal_heat.cli import main
 
 print("before the read")  # still buffered at each fork: a child that flushed it would print it twice
 atexit.register(print, "atexit marker")
-split, two_processes = fields_io._split_rows, fields_io._in_two_processes
+split, in_two = fields_io._split_rows, two_processes._in_two_processes
 
 def split_spy(*args):
     rows = split(*args)
@@ -699,9 +699,9 @@ def split_spy(*args):
 
 def fork_spy(child, parent):
     print("fork")
-    return two_processes(child, parent)
+    return in_two(child, parent)
 
-fields_io._split_rows, fields_io._in_two_processes = split_spy, fork_spy
+fields_io._split_rows, two_processes._in_two_processes = split_spy, fork_spy
 sys.exit(main(sys.argv[1:]))
 """
 
@@ -719,7 +719,7 @@ def test_apply_in_a_process_forks_one_quiet_child(tmp_path, monkeypatch, big_fie
     two_cpus = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
     forks = "fork\nsplit read\nfork\n" if two_cpus else ""
     assert proc.stdout == f"before the read\n{forks}atexit marker\n".encode()
-    monkeypatch.setattr(fields_io, "_SPLIT_BYTES", SERIAL)
+    monkeypatch.setattr(two_processes, "_SPLIT_BYTES", SERIAL)
     serial = tmp_path / "serial.csv"
     assert main(["apply", "--t", "0.375", "--in", str(big_field), "--out", str(serial)]) == 0
     assert_same_bytes(out.read_bytes(), serial.read_bytes())

@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from conformal_heat import fields_io
+from conformal_heat import fields_io, two_processes
 from conformal_heat.fields_io import _CHUNK_FLOATS, _powers_of_ten, format_float, write_float_rows
 from same_bytes import assert_same_bytes
 
@@ -146,7 +146,7 @@ def _split_between_processes(monkeypatch, tmp_path, table: np.ndarray) -> tuple[
             fp.write(f"{first_rows[values[0].tobytes()]} {os.getpid()}\n")
         return lines(values)
 
-    monkeypatch.setattr(fields_io, "_SPLIT_BYTES", 0)
+    monkeypatch.setattr(two_processes, "_SPLIT_BYTES", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(fields_io, "_csv_lines", recorded)
     text = _written(table)
@@ -157,7 +157,7 @@ def _split_between_processes(monkeypatch, tmp_path, table: np.ndarray) -> tuple[
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
 @pytest.mark.parametrize("rows", [0, 1, _TABLE_CHUNK, _TABLE_CHUNK + 1, 2 * _TABLE_CHUNK, 3 * _TABLE_CHUNK + 5])
 def test_helper_thread_writes_the_serial_bytes(monkeypatch, tmp_path, rows):
-    # the caller formats the first half of the chunks and a forked child the second
+    # a forked child formats the first half of the chunks and the caller the second
     rng = np.random.default_rng(rows)
     table = rng.standard_normal((rows, 5)) * 10.0 ** rng.integers(-20, 20, (rows, 5))
     table[:1, :3] = [np.nan, -0.0, 12345678901 + 1 / 128]  # format_float's cases, in the first chunk
@@ -166,6 +166,6 @@ def test_helper_thread_writes_the_serial_bytes(monkeypatch, tmp_path, rows):
     assert_same_bytes(split, serial)
     assert_same_bytes(split, "".join(",".join(map(format_float, row)) + "\n" for row in table.tolist()).encode())
     chunks = -(-rows // _TABLE_CHUNK)
-    assert pids[:chunks // 2] == [os.getpid()] * (chunks // 2)
-    assert len(pids) == chunks and len(set(pids[chunks // 2:])) == min(chunks, 1)
-    assert os.getpid() not in pids[chunks // 2:]
+    half = chunks // 2
+    assert len(pids) == chunks and pids[half:] == [os.getpid()] * (chunks - half)
+    assert len(set(pids[:half])) == min(half, 1) and os.getpid() not in pids[:half]
