@@ -39,12 +39,13 @@ a forked child makes the first half of each while this process makes
 the second, with the bytes, the first error and the exit code of the
 serial run.  A kernel table of 4096 points or more (a points file of
 4096 lines past its head) is split once, before it is read: the child
-parses, evaluates and formats the first half of the points.  Large field
-files are read and large outputs written the same way.  A verify of every
-suite on a grid of n >= 2048 (the default grid included) is split once,
-after the grid is checked: the child runs the seven suites that multiply
-no matrices while this process runs spectral and projection, the only
-ones that call BLAS.
+parses, evaluates and formats the first half of the points.  Any other
+table, and one whose split fails, is made in one process by the same two
+steps, evaluate then write.  Large field files are read and large apply
+outputs written the same way.  A verify of every suite on a grid of
+n >= 2048 (the default grid included) is split once, after the grid is
+checked: the child runs the seven suites that multiply no matrices while
+this process runs spectral and projection, the only ones that call BLAS.
 """
 
 from __future__ import annotations
@@ -77,7 +78,6 @@ from .fields_io import (
     read_field_file,
     read_points,
     write_factored,
-    write_float_rows,
     write_grid2d,
 )
 from .kernels import as_time, closed_form, full_kernel_series
@@ -231,24 +231,6 @@ def _emit(out_path: str | None, text: str) -> None:
         fp.write(text.encode())
 
 
-def _emit_kernel_csv(out_path: str | None, write_rows) -> None:
-    """The column-name line of a kernel table, then write_rows(fp) for its rows."""
-    with _output(out_path) as fp:
-        fp.write(b"r,r_prime,t,re_k,im_k\n")
-        write_rows(fp)
-
-
-def _emit_kernel_json(args: argparse.Namespace, z: complex, rows: np.ndarray) -> None:
-    payload = {
-        "dim": args.dim,
-        "z": [z.real, z.imag],
-        "closed_form": args.closed_form,
-        "rows": [{"r": r, "r_prime": rp, "t": t, "re_k": re_k, "im_k": im_k}
-                 for r, rp, t, re_k, im_k in rows.tolist()],
-    }
-    _emit(args.out_path, json.dumps(payload, indent=2) + "\n")
-
-
 def cmd_kernel(args: argparse.Namespace) -> int:
     _check_dim(args.dim)
     tol = _tolerance(args)
@@ -276,23 +258,33 @@ def cmd_kernel(args: argparse.Namespace) -> int:
                               dtype=complex)
         return np.column_stack([points, values.real, values.imag])
 
-    def blocks(half) -> list[bytes]:
-        rows = table(half())
+    def blocks(points: np.ndarray):
+        """The table's bytes: CSV lines a chunk at a time, or the raw floats; the table is made first."""
+        rows = table(points)
         return float_row_lines(rows) if csv_out else [rows.tobytes()]
 
-    def write(theirs, mine: list[bytes]) -> None:
+    def write(*parts) -> None:
+        """The whole table from the bytes of its parts, in order, to --out or stdout."""
         if csv_out:
-            _emit_kernel_csv(args.out_path, lambda fp: fp.writelines(itertools.chain(theirs, mine)))
-        else:
-            _emit_kernel_json(args, z, np.frombuffer(b"".join([*theirs, *mine])).reshape(-1, 5))
+            with _output(args.out_path) as fp:
+                fp.write(b"r,r_prime,t,re_k,im_k\n")
+                fp.writelines(itertools.chain(*parts))
+            return
+        rows = np.frombuffer(b"".join(itertools.chain(*parts))).reshape(-1, 5)
+        payload = {
+            "dim": args.dim,
+            "z": [z.real, z.imag],
+            "closed_form": args.closed_form,
+            "rows": [{"r": r, "r_prime": rp, "t": t, "re_k": re_k, "im_k": im_k}
+                     for r, rp, t, re_k, im_k in rows.tolist()],
+        }
+        _emit(args.out_path, json.dumps(payload, indent=2) + "\n")
 
+    # list(): the caller makes its whole half before it waits for the child's length, so the halves overlap
     halves = point_halves(source)
-    if halves is None or not halves_in_two(lambda: blocks(halves[0]), lambda: blocks(halves[1]), write):
-        rows = table(read_points(source) if isinstance(source, str) else source)
-        if csv_out:
-            _emit_kernel_csv(args.out_path, lambda fp: write_float_rows(fp, rows))
-        else:
-            _emit_kernel_json(args, z, rows)
+    if halves is None or not halves_in_two(lambda: list(blocks(halves[0]())), lambda: list(blocks(halves[1]())),
+                                           write):
+        write(blocks(read_points(source) if isinstance(source, str) else source))
     return 0
 
 

@@ -15,8 +15,8 @@ The grid geometry travels in a comment line ahead of the data
     # geometry: {"kind": "factored", "dim": 3, "s_min": -16.0, ...}
 
 and nowhere else: a JSON file next to the data is not read.  Other '#'
-lines and blank lines are ignored anywhere; a single column-name row may
-precede the data.
+lines and blank lines are ignored anywhere; a single column-name row, one
+that holds no number, may precede the data.
 
 The reader is strict: indices must be integers in range, every
 (key, s_index) pair of a factored field and every (angle_index, s_index)
@@ -35,10 +35,11 @@ The writers take a binary file, such as open(path, "wb"), and write to
 it ASCII bytes with "\n" line ends, a chunk of _CHUNK_FLOATS floats of
 whole lines per write, each chunk turned into exactly the "%.17g" text
 by one array formatter (format_float is its scalar definition), so no
-process holds more than its half of the text.  Kernel tables
-(write_float_rows) are written the same way.
+process holds more than its half of the text.  float_row_lines makes a
+kernel table's lines in the same chunks, one at a time, for the CLI to
+write.
 
-Large field files and outputs are split between two processes
+Large field files and field outputs are split between two processes
 (two_processes.halves_in_two): a forked child parses the first half of a
 field file, skipping its head as above, or formats the first half of an
 output's chunks, while this process does the second half.  Where either
@@ -57,7 +58,7 @@ import os
 import stat
 import sys
 import warnings
-from typing import BinaryIO, TextIO
+from typing import BinaryIO, Iterator, TextIO
 
 import numpy as np
 
@@ -73,13 +74,18 @@ def format_float(x: float) -> str:
     return _FMT.format(float(x))
 
 
-def _is_column_names(line: str) -> bool:
-    cell = line.split(",", 1)[0].strip()
+def _is_number(cell: str) -> bool:
     try:
         float(cell)
     except ValueError:
-        return not cell.lstrip("+-").replace(".", "", 1)[:1].isdigit()
-    return False
+        return False
+    return True
+
+
+def _is_column_names(line: str) -> bool:
+    """Whether a first row names the columns: no cell, unquoted, is a number, and the first does not start as one."""
+    cells = [cell.strip(' "') for cell in line.split(",")]
+    return not cells[0].lstrip("+-").replace(".", "", 1)[:1].isdigit() and not any(map(_is_number, cells))
 
 
 def _scan_head(fp: TextIO) -> tuple[str | None, str | None, int]:
@@ -572,16 +578,11 @@ def _write_chunks(fp: BinaryIO, values: np.ndarray, chunk_text) -> None:
             fp.write(chunk_text(*chunk))
 
 
-def write_float_rows(fp: BinaryIO, table: np.ndarray) -> None:
-    """Write each row of a float table as one CSV line of "%.17g" values."""
+def float_row_lines(table: np.ndarray) -> Iterator[bytes]:
+    """Each row of a float table as one CSV line of "%.17g" values, made a chunk of lines at a time."""
     table = np.ascontiguousarray(table, dtype=float)
-    _write_chunks(fp, table, lambda start, stop: _csv_lines(table[start:stop]))
-
-
-def float_row_lines(table: np.ndarray) -> list[bytes]:
-    """The bytes that write_float_rows writes, in the same chunks, formatted in this process."""
-    table = np.ascontiguousarray(table, dtype=float)
-    return [_csv_lines(table[start:stop]) for start, stop in _chunks(table)]
+    for start, stop in _chunks(table):
+        yield _csv_lines(table[start:stop])
 
 
 def _write_field(fp: BinaryIO, grid: LogRadialGrid, config: dict | None, key_name: str, keys,

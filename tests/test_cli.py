@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import conformal_heat
-from conformal_heat import cli, two_processes, verify
+from conformal_heat import cli, fields_io, two_processes, verify
 from conformal_heat.cli import main
 from conformal_heat.errors import ConformalHeatError, DomainError
 from conformal_heat.fields_io import read_field_file
@@ -724,11 +724,11 @@ def test_out_replaces_a_longer_file_exactly(tmp_path):
 
 
 def test_out_keeps_only_what_was_written_when_writing_fails(tmp_path, monkeypatch, capsys):
-    def fail_midway(fp, table):
-        fp.write(b"1,2,3,4,5\n")
+    def fail_midway(table):
+        yield b"1,2,3,4,5\n"
         raise OSError("the disk is full")
 
-    monkeypatch.setattr(cli, "write_float_rows", fail_midway)
+    monkeypatch.setattr(cli, "float_row_lines", fail_midway)
     out = tmp_path / "out.csv"
     out.write_bytes(b"an older and longer output\n" * 100)
     assert main(["kernel", "--dim", "3", "--z", "0.5,0", "--r", "1", "--rp", "1", "--t", "0.5",
@@ -1037,6 +1037,34 @@ def test_split_kernel_table_has_the_serial_bytes(tmp_path, monkeypatch, capsys, 
     assert_same_bytes(split[1].encode(), serial[1].encode())
 
 
+def test_a_serial_table_writes_each_chunk_before_it_formats_the_next(monkeypatch):
+    # the serial table holds one chunk of its text at a time: 3375 points
+    # make three chunks of 1638 lines or fewer, each written as it is made
+    events, written, lines = [], [], fields_io._csv_lines
+
+    class Recorded(io.BufferedIOBase):  # writelines is IOBase's: one write per item, as on a file
+        def writable(self):
+            return True
+
+        def write(self, data):
+            events.append("write")
+            written.append(bytes(data))
+            return len(data)
+
+    def formatted(values):
+        events.append("format")
+        return lines(values)
+
+    monkeypatch.setattr(two_processes, "_SPLIT_TABLE", SERIAL)
+    monkeypatch.setattr(fields_io, "_csv_lines", formatted)
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(Recorded()))  # no descriptor: the bytes go to its buffer
+    radii, cosines = (",".join(map(str, np.linspace(*ends, 15))) for ends in ((0.5, 2.0), (-0.9, 0.9)))
+    argv = ["kernel", "--dim", "2", "--z", "0.5,0", "--r", radii, "--rp", radii, "--t", cosines, "--closed-form"]
+    assert main(argv) == 0
+    assert events == ["write"] + ["format", "write"] * 3  # the column names, then each chunk
+    assert [text.count(b"\n") for text in written] == [1, 1638, 1638, 15**3 - 2 * 1638]
+
+
 @needs_fork
 @pytest.mark.parametrize("route", [[], ["--closed-form"]], ids=["series", "closed-form"])
 def test_the_caller_evaluates_its_half_alone(tmp_path, monkeypatch, capsys, split_kernels, route):
@@ -1061,6 +1089,33 @@ def test_the_caller_evaluates_its_half_alone(tmp_path, monkeypatch, capsys, spli
                     for half, skip in ((text[:middle], 1), (text[middle:], 0)))
     assert rows == mine and not set(rows) & set(theirs)
     assert len(theirs) + len(mine) == _ROWS and len(split_kernels) == 1
+    capsys.readouterr()
+
+
+@needs_fork
+def test_the_caller_formats_its_half_before_it_waits_for_the_child(tmp_path, monkeypatch, capsys, split_kernels):
+    # the halves overlap only where the caller's lines are made before it reads the child's length
+    caller, events = os.getpid(), []
+    lines, in_two = fields_io._csv_lines, two_processes._in_two_processes
+
+    def formatted(values):
+        if os.getpid() == caller:
+            events.append("format")
+        return lines(values)
+
+    class Watched:
+        def __init__(self, pipe):
+            self.pipe = pipe
+
+        def read(self, size=-1):
+            events.append("read")
+            return self.pipe.read(size)
+
+    monkeypatch.setattr(fields_io, "_csv_lines", formatted)
+    monkeypatch.setattr(two_processes, "_in_two_processes",
+                        lambda child, parent: in_two(child, lambda pipe: parent(Watched(pipe))))
+    assert main(["kernel", "--dim", "2", "--z", "0.5,0", "--in", str(_points_file(tmp_path, 2))]) == 0
+    assert events[:2] == ["format", "read"] and events.count("format") == 1 and len(split_kernels) == 1
     capsys.readouterr()
 
 

@@ -19,7 +19,7 @@ from conformal_heat import fields_io, two_processes
 from conformal_heat.cli import main
 from conformal_heat.errors import DomainError, FieldFormatError
 from conformal_heat.fields_io import (_CHUNK_FLOATS, format_float, read_field_file, read_points, write_factored,
-                                     write_float_rows, write_grid2d)
+                                     write_grid2d)
 from conformal_heat.log_radial import LogRadialGrid, RadialSamples
 from conformal_heat.spherical import FactoredField, GridField2D
 from same_bytes import assert_same_bytes
@@ -549,6 +549,35 @@ def test_a_byte_order_mark_reads_as_nothing(tmp_path, monkeypatch, capsys, kind,
         assert results[0][0] == (48, 3) and results[0][2] == 0 and results[0][4] == ""
 
 
+_NOT_COLUMN_NAMES = {"typo": "x{}", "quoted": '"{}"'}  # the first cell of the first data row
+
+
+@pytest.mark.parametrize("split", [False, pytest.param(True, marks=needs_fork)], ids=["serial", "split"])
+@pytest.mark.parametrize("kind", ["points", "field"])
+@pytest.mark.parametrize("first", list(_NOT_COLUMN_NAMES.values()), ids=list(_NOT_COLUMN_NAMES))
+def test_a_first_data_row_with_a_bad_cell_is_refused_not_taken_for_column_names(tmp_path, monkeypatch, capsys,
+                                                                                  kind, first, split):
+    # a column-name row holds no number, quoted or not: a first row that
+    # does is data, and its bad cell is refused as any other row's is
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    for gate in ("_SPLIT_BYTES", "_SPLIT_TABLE"):
+        monkeypatch.setattr(two_processes, gate, 0 if split else SERIAL)
+    path = _with_and_without_a_bom(tmp_path, kind, False, "\n")[0]
+    lines = path.read_text().splitlines(keepends=True)
+    at = int(kind == "field")  # past the geometry line
+    cells = lines[at].split(",")
+    bad = first.format(cells[0])
+    lines[at] = ",".join([bad, *cells[1:]])
+    path.write_text("".join(lines))
+    if kind == "points":
+        argv = ["kernel", "--dim", "3", "--z", "0.5,0", "--in", str(path)]
+    else:
+        argv = ["apply", "--t", "0", "--in", str(path)]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {path}: could not convert string '{bad}'") and err.count("\n") == 1
+
+
 # The two-process write of large outputs: the same bytes as the serial write, and no child left behind.
 
 def _table(chunks: int = 4) -> np.ndarray:
@@ -556,6 +585,11 @@ def _table(chunks: int = 4) -> np.ndarray:
     rng = np.random.default_rng(chunks)
     shape = (chunks * _CHUNK_FLOATS // 4, 4)
     return rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, shape)
+
+
+def _write_table(fp, table: np.ndarray) -> None:
+    """The table's lines through the field writers' chunked write."""
+    fields_io._write_chunks(fp, table, lambda start, stop: fields_io._csv_lines(table[start:stop]))
 
 
 def _serial_text(table: np.ndarray) -> bytes:
@@ -590,7 +624,7 @@ def _in_the_child(monkeypatch, action):
 def test_no_child_outlives_a_write(split_writes):
     table = _table()
     fp = io.BytesIO()
-    write_float_rows(fp, table)
+    _write_table(fp, table)
     assert len(split_writes) == 1
     assert_same_bytes(fp.getvalue(), _serial_text(table))
     with pytest.raises(ChildProcessError):
@@ -612,7 +646,7 @@ def test_no_child_outlives_a_write_that_fails(monkeypatch, split_writes):
     monkeypatch.setattr(fields_io, "_csv_lines", formats)
     began = time.monotonic()
     with pytest.raises(MemoryError, match="no room in the caller"):
-        write_float_rows(io.BytesIO(), _table())
+        _write_table(io.BytesIO(), _table())
     assert time.monotonic() - began < 30
     assert len(split_writes) == 1
     with pytest.raises(ChildProcessError):
@@ -628,7 +662,7 @@ def test_a_failing_child_leaves_its_half_to_the_caller(monkeypatch, split_writes
     _in_the_child(monkeypatch, _child_fails)
     table = _table()
     fp = io.BytesIO()
-    write_float_rows(fp, table)
+    _write_table(fp, table)
     assert len(split_writes) == 1
     assert_same_bytes(fp.getvalue(), _serial_text(table))
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conformal_heat import fields_io, two_processes
-from conformal_heat.fields_io import _CHUNK_FLOATS, _powers_of_ten, format_float, write_float_rows
+from conformal_heat.fields_io import _CHUNK_FLOATS, _powers_of_ten, float_row_lines, format_float
 from same_bytes import assert_same_bytes
 
 _TABLE_CHUNK = _CHUNK_FLOATS // 5  # lines of a five-column kernel table per chunk
@@ -24,8 +24,13 @@ def _reference(table: np.ndarray) -> bytes:
 
 
 def _written(table: np.ndarray) -> bytes:
+    return b"".join(float_row_lines(table))
+
+
+def _written_by_chunks(table: np.ndarray) -> bytes:
+    """The table's lines through the field writers' chunked write, which two processes may share."""
     fp = io.BytesIO()
-    write_float_rows(fp, table)
+    fields_io._write_chunks(fp, table, lambda start, stop: fields_io._csv_lines(table[start:stop]))
     return fp.getvalue()
 
 
@@ -149,7 +154,7 @@ def _split_between_processes(monkeypatch, tmp_path, table: np.ndarray) -> tuple[
     monkeypatch.setattr(two_processes, "_SPLIT_BYTES", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(fields_io, "_csv_lines", recorded)
-    text = _written(table)
+    text = _written_by_chunks(table)
     chunks = dict(map(int, line.split()) for line in log.read_text().splitlines()) if log.exists() else {}
     return text, [chunks[k] for k in sorted(chunks)]
 

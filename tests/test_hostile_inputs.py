@@ -1,0 +1,149 @@
+"""Hostile point and field files through every kernel route and apply: a refusal, never a traceback.
+
+Each file runs through four routes, serially and with every job forced
+into two processes, and each run must exit 0, 2 or 3 with an empty
+stderr or one "error: ..." line, print only finite values on exit 0, and
+give the split run's exit code, stdout and stderr.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import os
+
+import pytest
+
+from conformal_heat import two_processes
+from conformal_heat.cli import main
+
+SERIAL = 2**62  # a gate no job reaches
+_GATES = ("_SPLIT_BYTES", "_SPLIT_TABLE", "_SPLIT_GRID")
+
+ROUTES = {
+    "series": ["kernel", "--dim", "3", "--z", "0.5,0"],
+    "closed-form": ["kernel", "--dim", "2", "--z", "0.5,0.2", "--closed-form"],
+    "json": ["kernel", "--dim", "4", "--z", "0.4,0.2", "--closed-form", "--format", "json"],
+    "apply": ["apply", "--exponent", "0,0.3,0,0.1,0.5,0.2"],
+}
+
+_POINTS = "1,1,0.5\n0.5,2,-0.25\n2,0.75,0.9\n1.5,1.25,-1\n"
+
+
+def _field(geometry: dict | str | None = None, rows: list[str] | None = None, newline: str = "\n") -> bytes:
+    """An N = 3 factored field of degrees 0 and 1 on 8 samples, or its geometry and rows replaced."""
+    if geometry is None:
+        geometry = {"kind": "factored", "dim": 3, "s_min": -4, "s_max": 4, "n": 8}
+    if not isinstance(geometry, str):
+        geometry = json.dumps(geometry)
+    head = ["# geometry: " + geometry] if geometry else []
+    if rows is None:
+        rows = [f"{m},{j},{1 / (1 + j)!r},{-j / 8}" for m in (0, 1) for j in range(8)]
+    return newline.join([*head, "m,s_index,re,im", *rows]).encode() + newline.encode()
+
+
+def _grid(dim: int, n_phi: int | None) -> bytes:
+    geometry = {"kind": "grid2d", "dim": dim, "s_min": -2, "s_max": 2, "n": 8}
+    if n_phi is not None:
+        geometry["n_phi"] = n_phi
+    rows = [f"{a},{j},{a - j / 4!r},{j / 8}" for a in range(n_phi or 2) for j in range(8)]
+    return ("# geometry: " + json.dumps(geometry) + "\nangle_index,s_index,re,im\n" + "\n".join(rows) + "\n").encode()
+
+
+FILES = {
+    # bytes and encodings
+    "nul-byte": b"1,1,0.5\n1,\x001,0.5\n",
+    "nul-row": _POINTS.encode() + b"\x00\n",
+    "utf-16": ("r,r_prime,t\n" + _POINTS).encode("utf-16"),
+    "latin-1-names": ("r,r_prime,t\xe9\n" + _POINTS).encode("latin-1"),
+    "bom-crlf": b"\xef\xbb\xbfr,r_prime,t\r\n" + _POINTS.replace("\n", "\r\n").encode(),
+    "bom-only": b"\xef\xbb\xbf",
+    "cr-only": ("r,r_prime,t\r" + _POINTS.replace("\n", "\r")).encode(),
+    "mixed-line-ends": b"1,1,0.5\r\n0.5,2,-0.25\n2,0.75,0.9\r1.5,1.25,-1",
+    "empty": b"",
+    "names-only": b"r,r_prime,t\n",
+    "comments-only": b"# nothing here\n#\n",
+    "whitespace-only-lines": ("1,1,0.5\n   \n\t\n" + _POINTS).encode(),
+    "indented-comment": ("1,1,0.5\n   # a note\n" + _POINTS).encode(),
+    # rows
+    "truncated-row": _POINTS.encode() + b"1,1",
+    "truncated-number": _POINTS.encode() + b"1,1,0.",
+    "trailing-comma": b"1,1,0.5,\n2,1,0.25,\n",
+    "tabs": b"1\t,1,\t0.5\n2,\t1,0.25\n",
+    "tab-separated": b"1\t1\t0.5\n2\t1\t0.25\n",
+    "quoted-first-row": b'"1","1","0.5"\n2,1,0.25\n',
+    "quoted-second-row": b'1,1,0.5\n"2","1","0.25"\n',
+    "typo-in-the-first-cell": b"x1,1,0.5\n2,1,0.25\n",
+    "names-twice": b"r,r_prime,t\nr,r_prime,t\n1,1,0.5\n",
+    "two-columns": b"1,1\n2,1\n",
+    "ragged": b"1,1,0.5\n2,1,0.25,7\n",
+    "empty-cell": b"1,,0.5\n",
+    "hex": b"0x10,1,0.5\n",
+    "underscore": b"1_0,1,0.5\n",
+    "plus-signs": b"+1,+1,+0.5\n",
+    # values
+    "1e309": b"1,1e309,0.5\n",
+    "nan": b"1,nan,0.5\n",
+    "minus-inf": b"1,1,-inf\n",
+    "t-past-one": b"1,1,1.5\n",
+    "zero-radius": b"0,1,0.5\n",
+    "negative-radius": b"-1,1,0.5\n",
+    "huge-radii": b"1e300,1e300,0.5\n",
+    "subnormal-radius": b"5e-324,1,0.5\n",
+    # fields and their geometry
+    "field": _field(),
+    "field-bom-crlf": b"\xef\xbb\xbf" + _field(newline="\r\n"),
+    "field-no-geometry": _field(geometry=""),
+    "field-bad-json": _field(geometry='{"kind": "factored", "dim": 3,'),
+    "field-geometry-not-an-object": _field(geometry="[3, -4, 4, 8]"),
+    "field-n-past-the-rows": _field({"kind": "factored", "dim": 3, "s_min": -4, "s_max": 4, "n": 2**40}),
+    "field-n-past-int64": _field({"kind": "factored", "dim": 3, "s_min": -4, "s_max": 4, "n": 2**70}),
+    "field-s-min-1e309": _field(geometry='{"kind": "factored", "dim": 3, "s_min": -1e309, "s_max": 4, "n": 8}'),
+    "field-reversed-ends": _field({"kind": "factored", "dim": 3, "s_min": 4, "s_max": -4, "n": 8}),
+    "field-dim-zero": _field({"kind": "factored", "dim": 0, "s_min": -4, "s_max": 4, "n": 8}),
+    "field-dim-a-string": _field({"kind": "factored", "dim": "3", "s_min": -4, "s_max": 4, "n": 8}),
+    "field-unknown-kind": _field({"kind": "sphere", "dim": 3, "s_min": -4, "s_max": 4, "n": 8}),
+    "field-duplicate-row": _field(rows=[f"0,{j},1,0" for j in [*range(8), 3]]),
+    "field-missing-row": _field(rows=[f"0,{j},1,0" for j in range(7)]),
+    "field-m-not-an-integer": _field(rows=[f"0.5,{j},1,0" for j in range(8)]),
+    "field-s-index-past-n": _field(rows=[f"0,{j + 1},1,0" for j in range(8)]),
+    "field-huge-value": _field(rows=[f"0,{j},{1e308 if j == 3 else 1},0" for j in range(8)]),
+    "field-1e309-value": _field(rows=[f"0,{j},{'1e309' if j == 5 else 1},0" for j in range(8)]),
+    "grid-n1": _grid(1, None),
+    "grid-n2": _grid(2, 8),
+    "grid-n2-without-n-phi": _grid(2, None),
+}
+
+
+def _finite(out: str) -> bool:
+    """Whether every value that a run printed is finite."""
+    if out.startswith("{"):
+        values = [value for row in json.loads(out)["rows"] for value in row.values()]
+    else:
+        rows = [line for line in out.splitlines() if not line.startswith("#")][1:]  # past the column names
+        values = [float(cell) for row in rows for cell in row.split(",")]
+    return all(map(math.isfinite, values))
+
+
+def _run(monkeypatch, capsys, argv: list[str], gate: int) -> tuple[int, str, str]:
+    for name in _GATES:
+        monkeypatch.setattr(two_processes, name, gate)
+    return main(argv), *capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", list(FILES))
+def test_a_hostile_file_gets_a_clean_answer_or_one_error_line_on_every_route(tmp_path, monkeypatch, capsys, name):
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(FILES[name])
+    monkeypatch.delenv("CONFORMAL_HEAT_TOL", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    for route, argv in ROUTES.items():
+        argv = [*argv, "--in", str(path)]
+        code, out, err = serial = _run(monkeypatch, capsys, argv, SERIAL)
+        assert code in (0, 2, 3), (route, serial)
+        if code:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (route, serial)
+        else:
+            assert err == "" and _finite(out), (route, serial)
+        if hasattr(os, "fork"):
+            assert _run(monkeypatch, capsys, argv, 0) == serial, route

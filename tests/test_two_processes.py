@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conformal_heat import cli, two_processes
+from conformal_heat import cli, fields_io, two_processes
 from conformal_heat.cli import main
-from conformal_heat.fields_io import _CHUNK_FLOATS, read_field_file, write_float_rows
+from conformal_heat.fields_io import _CHUNK_FLOATS, read_field_file
 from same_bytes import assert_same_bytes
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
@@ -37,8 +37,9 @@ def _points(tmp_path: Path) -> str:
 
 
 def _write(table: np.ndarray) -> bytes:
+    """The table's lines through the field writers' chunked write."""
     fp = io.BytesIO()
-    write_float_rows(fp, table)
+    fields_io._write_chunks(fp, table, lambda start, stop: fields_io._csv_lines(table[start:stop]))
     return fp.getvalue()
 
 
