@@ -44,8 +44,10 @@ table, and one whose split fails, is made in one process by the same two
 steps, evaluate then write.  Large field files are read and large apply
 outputs written the same way.  A verify of every suite on a grid of
 n >= 2048 (the default grid included) is split once, after the grid is
-checked: the child runs the seven suites that multiply no matrices while
-this process runs spectral and projection, the only ones that call BLAS.
+checked, by cost: the child runs the seven suites that multiply no
+matrices and spectral's N = 2 cases, whose quadratures multiply through
+numpy's einsum, while this process runs spectral's N = 3 and N = 4
+cases and projection, the one suite that calls BLAS.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ from .log_radial import LogRadialGrid
 from .spectral_calculus import G0Exponent, apply_exp_g0, apply_exp_g0_grid, apply_scaling_direct
 from .spherical import GridField2D
 from .two_processes import halves_in_two, verify_splits
-from .verify import _DEFAULT_SHAPE, SUITES, CheckResult, run_suites
+from .verify import _DEFAULT_SHAPE, SPECTRAL_CASES, SUITES, CheckResult, run_suites
 
 _DEFAULT_TOL = 1e-10
 
@@ -175,6 +177,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _check_dim(dim: int | None) -> None:
     if dim is not None and dim < 1:
         raise DomainError(f"dim must be >= 1, got {dim}")
+    if dim is not None and dim > sys.float_info.max:  # (N-2)/2 has no float value
+        raise DomainError(f"N = {dim} is too large: (N-2)/2 is past the float range")
 
 
 def _tolerance(args: argparse.Namespace) -> float:
@@ -321,22 +325,30 @@ def cmd_apply(args: argparse.Namespace) -> int:
     return 0
 
 
-# the suites that multiply matrices (BLAS through @); a split verify runs them here, the others in its child
-_MATRIX_SUITES = ("spectral", "projection")
+# A split verify's two halves, balanced by cost (in-process, default grid, 2-CPU VM, OpenBLAS threads at
+# their default): the child runs the seven suites that make no matrix product (about 36 ms together) and
+# spectral's first _CHILD_CASES cases (about 30 ms each: a 2048^2 build and its einsum product, no BLAS);
+# this process runs spectral's other cases and projection (17 ms), whose products go through BLAS.
+_CHILD_SUITES = ("sl2", "degeneration", "spectral", "theta", "unitarity", "scaling", "semigroup", "special")
+_CALLER_SUITES = ("spectral", "projection")
+_CHILD_CASES = 2  # spectral's N = 2 cases: 2 + 4 ran faster end to end than 3 + 3
 
 
 def _verify_in_two(shape) -> list | None:
-    """Every suite's checks in suite order, the matrix suites run here and the rest in a forked child.
+    """Every suite's checks in suite order, made in two processes: the caller's suites here, the child's in a fork.
 
-    The child sends its checks as JSON, whose floats round-trip exactly
-    (NaN and inf too).  None where either half raised or the child's
-    checks did not arrive: the serial run then gives the first error.
+    Both halves run spectral, each at its own cases; the child's come
+    first in SPECTRAL_CASES, so its checks go first.  The child sends its
+    checks as JSON, whose floats round-trip exactly (NaN and inf too).
+    None where either half raised or the child's checks did not arrive:
+    the serial run then gives the first error.
     """
-    def by_suite(names) -> dict:
-        return {name: run_suites([name], shape) for name in names}
+    def by_suite(names, cases) -> dict:
+        return {name: SUITES[name](shape, cases) if name == "spectral" else run_suites([name], shape)
+                for name in names}
 
     def first() -> list[bytes]:
-        checks = by_suite(name for name in SUITES if name not in _MATRIX_SUITES)
+        checks = by_suite(_CHILD_SUITES, SPECTRAL_CASES[:_CHILD_CASES])
         return [json.dumps({name: [[c.suite, c.name, c.defect, c.tol] for c in rows]
                             for name, rows in checks.items()}).encode()]
 
@@ -344,10 +356,12 @@ def _verify_in_two(shape) -> list | None:
 
     def write(theirs, mine: dict) -> None:
         sent = {name: [CheckResult(*c) for c in rows] for name, rows in json.loads(b"".join(theirs)).items()}
-        checks = {**sent, **mine}
-        results.extend(c for name in SUITES for c in checks[name])
+        results.extend(c for name in SUITES for c in sent.get(name, []) + mine.get(name, []))
 
-    return results if halves_in_two(first, lambda: by_suite(_MATRIX_SUITES), write) else None
+    def second() -> dict:
+        return by_suite(_CALLER_SUITES, SPECTRAL_CASES[_CHILD_CASES:])
+
+    return results if halves_in_two(first, second, write) else None
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -28,9 +28,11 @@ the sphere is {+1, -1}, so t is +1 (same sign) or -1 (opposite signs)
 and nothing else.  Both routes check a point in one order (_check_point):
 dim, radii, t, tol where the route takes one, the regime Re z > 0, then
 that (r r')^{-(N-2)/2} is a finite nonzero float (so radii whose
-product or power leaves the float range are refused, never at N = 2),
-and raise DomainError or InvalidRegimeError for the first bad one.  A
-closed-form table raises what a loop over its rows would raise first.
+power leaves the float range, or whose product underflows to 0, are
+refused, never at N = 2; where r r' alone passes the largest float, the
+power is formed from each radius's own), and raise DomainError or
+InvalidRegimeError for the first bad one.  A closed-form table raises
+what a loop over its rows would raise first.
 
 All square roots of z take the principal branch (Re sqrt >= 0, positive
 on the positive reals), tracked explicitly by ComplexTime.  On the line
@@ -125,8 +127,10 @@ def _check_point(dim: int, r: float, r_prime: float, t: float, ct: ComplexTime, 
     if tol is not None:
         check_tol(tol)
     _require_kernel_regime(ct)
+    e, rr = -0.5 * (dim - 2), r * r_prime
     try:
-        power = math.pow(r * r_prime, -0.5 * (dim - 2))
+        # an r r' past the largest float is formed as the radii's powers, whose product may be a float
+        power = math.pow(rr, e) if rr < math.inf else math.pow(r, e) * math.pow(r_prime, e)
     except (ValueError, OverflowError):  # 0 to a negative power; past the largest float
         power = 0.0
     if not 0.0 < power < math.inf:
@@ -239,8 +243,14 @@ def _series_weights(z: complex, nu: float, cut: int) -> tuple[complex, ...]:
 
     The weights are a function of (z, nu, cut) alone, so that triple keys
     the cache completely; every point of a kernel table shares one entry.
+    A phase Im z (m + nu)^2 past the float range has no weight: refused.
     """
-    return tuple(cmath.exp(-z * (m + nu) ** 2) for m in range(cut + 1))
+    exponents = [-z * (m + nu) ** 2 for m in range(cut + 1)]
+    for m, exponent in enumerate(exponents):
+        if not math.isfinite(exponent.imag):
+            raise InvalidRegimeError(f"no kernel value for z = {z}: the phase Im z (m + (N-2)/2)^2 of the "
+                                     f"series passes the float range at m = {m}")
+    return tuple(map(cmath.exp, exponents))
 
 
 def full_kernel_series(dim: int, r: float, r_prime: float, t: float, z, tol: float = 1e-12) -> complex:
@@ -294,6 +304,13 @@ def _gauss_rows(ct: ComplexTime, r, r_prime) -> list[complex]:
     return [cmath.exp(g / quarter) for g in (-dlog * dlog).ravel().tolist()]
 
 
+def _products(r: np.ndarray, r_prime: np.ndarray):
+    """r r' per row, and (i, r_i, r'_i) for each flat row i whose product passes the largest float."""
+    with np.errstate(over="ignore"):
+        rr = r * r_prime
+    return rr, [(i, r.flat[i], r_prime.flat[i]) for i in np.flatnonzero(rr == math.inf).tolist()]
+
+
 def closed_form_1d(r, r_prime, t, z):
     """N = 1 kernel between the points r and t r' of R \\ {0}.
 
@@ -309,10 +326,13 @@ def closed_form_1d(r, r_prime, t, z):
     if not r.size:  # the prefactor has no value at z = 0, which a table with rows refuses
         return np.empty(r.shape, dtype=complex)
     pref = cmath.exp(-ct.z / 4.0) / (2.0 * math.sqrt(math.pi) * ct.sqrt_z)
+    rr, past = _products(r, r_prime)
+    roots = np.sqrt(rr).ravel().tolist()
+    for i, a, b in past:  # (r r')^(1/2) as _check_point forms it
+        roots[i] = math.pow(a, 0.5) * math.pow(b, 0.5)
     values = [
         0.0 + 0.0j if opposite else pref * gauss * root
-        for opposite, gauss, root in zip((t < 0).ravel().tolist(), _gauss_rows(ct, r, r_prime),
-                                         np.sqrt(r * r_prime).ravel().tolist())
+        for opposite, gauss, root in zip((t < 0).ravel().tolist(), _gauss_rows(ct, r, r_prime), roots)
     ]
     return _as_result(values, r.shape)
 
@@ -370,8 +390,12 @@ def closed_form_4d(r, r_prime, t, z, tol: float = 1e-14):
         r, r_prime, t = r[far], r_prime[far], t[far]
         dv = theta_dv(_libm(math.acos, t) / (2.0 * math.pi), 1j * ct.z / math.pi, tol)
         pref = -1.0 / (8.0 * math.pi**3) / (2.0 * math.sqrt(math.pi) * ct.sqrt_z)
-        out[far] = [pref * gauss / rr / s * d for gauss, rr, s, d in zip(
-            _gauss_rows(ct, r, r_prime), (r * r_prime).tolist(), np.sqrt(1.0 - t * t).tolist(), dv.tolist())]
+        rr, past = _products(r, r_prime)
+        gauss, quotients = _gauss_rows(ct, r, r_prime), rr.tolist()
+        for i, a, b in past:  # times (r r')^-1 as _check_point forms it, in place of the quotient
+            gauss[i], quotients[i] = gauss[i] * (math.pow(a, -1.0) * math.pow(b, -1.0)), 1.0
+        out[far] = [pref * g / q / s * d for g, q, s, d in zip(
+            gauss, quotients, np.sqrt(1.0 - t * t).tolist(), dv.tolist())]
     return _as_result(out, shape)
 
 
@@ -443,7 +467,8 @@ def apply_radial_kernel(f: RadialSamples, m, z):
         return []
     grid = f.grid
     nu = 0.5 * (grid.dim - 2)
-    product = radial_semigroup_matrix(grid.dim, ct, grid) @ f.values
+    # numpy's own loops, not BLAS: the same bits on every thread count, and no BLAS call in a forked child
+    product = np.einsum("jk,k->j", radial_semigroup_matrix(grid.dim, ct, grid), f.values, optimize=False)
     out = [RadialSamples(grid, cmath.exp(-ct.z * (k + nu) ** 2) * product) for k in degrees]
     return out if isinstance(m, range) else out[0]
 

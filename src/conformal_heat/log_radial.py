@@ -26,6 +26,7 @@ row; every transform acts along the last axis, row by row.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -58,12 +59,16 @@ class LogRadialGrid:
     def __post_init__(self):
         if self.dim < 1:
             raise DomainError(f"dim must be >= 1, got {self.dim}")
+        if not 0 < self.n <= sys.float_info.max:  # ds divides by n, as a float
+            raise DomainError(f"n={self.n} must be a power of two >= 8")
         if not (math.isfinite(self.s_min) and math.isfinite(self.s_max) and math.isfinite(self.ds)):
             raise DomainError(f"s_min, s_max and ds must be finite, got {self.s_min}, {self.s_max}, {self.ds}")
         if not (self.s_min < self.s_max):
             raise DomainError("need s_min < s_max")
         if not _is_pow2(self.n) or self.n < 8:
             raise DomainError(f"n={self.n} must be a power of two >= 8")
+        if not self.ds > 0:
+            raise DomainError(f"ds = (s_max - s_min)/n is 0 at {self.s_min}, {self.s_max}, n={self.n}")
 
     @property
     def ds(self) -> float:

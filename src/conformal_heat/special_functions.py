@@ -209,9 +209,11 @@ def _libm(fn, x: np.ndarray) -> np.ndarray:
 def _theta_sum(v, tau, tol: float, start: float, weight, trig):
     """start + sum_m weight(m, e_m) * trig(2 pi m v), per entry of v.
 
-    Refuses Im tau <= 0, then a tol outside 0 < tol < inf.  Each entry is summed to its own certified cutoff, in increasing m,
-    with the real operations that cmath and complex arithmetic perform
-    on a scalar, so entry i equals the scalar sum at v_i exactly.
+    Refuses Im tau <= 0, then a tol outside 0 < tol < inf, then a term
+    whose phase pi Re tau m^2 passes the float range.  Each entry is
+    summed to its own certified cutoff, in increasing m, with the real
+    operations that cmath and complex arithmetic perform on a scalar, so
+    entry i equals the scalar sum at v_i exactly.
     trig(cos_x, sin_x, cosh_y, sinh_y) returns the real and imaginary
     parts of cos or sin at x + iy from the four real factors cmath uses.
     """
@@ -227,7 +229,10 @@ def _theta_sum(v, tau, tol: float, start: float, weight, trig):
     complex_v = np.flatnonzero(y != 0.0)
     re, im = np.full(x.shape, start), np.zeros(x.shape)
     for m in range(1, int(cuts.max(initial=0)) + 1):
-        e = cmath.exp(1j * math.pi * tau * m * m)
+        exponent = 1j * math.pi * tau * m * m
+        if not math.isfinite(exponent.imag):  # a phase with no float value: no term
+            raise DomainError(f"theta phases pass the float range at m={m}: Re tau = {tau.real}")
+        e = cmath.exp(exponent)
         f = 2.0 * math.pi * m
         px, hy = f * x, -(f * y)  # 2 pi m v, and the real part of i (2 pi m v)
         ch, sh = np.ones(x.shape), hy.copy()  # cosh and sinh where hy = +-0
@@ -272,7 +277,8 @@ def theta(v, tau: complex, tol: float = 1e-14):
     2 pi M |Im v_i| <= 708, beyond which cmath switches to an
     overflow-safe formula).  The function is even and 1-periodic in v
     termwise, so both properties hold to roundoff.  Raises
-    SeriesDivergenceError when Im tau <= 0, then DomainError for a bad tol.
+    SeriesDivergenceError when Im tau <= 0, then DomainError for a bad tol
+    or a phase past the float range.
     """
     # cmath.cos(x + iy) = (cos x cosh(-y), sin x sinh(-y))
     return _theta_sum(v, tau, tol, 1.0, lambda m, e: 2.0 * e,

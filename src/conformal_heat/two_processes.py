@@ -14,7 +14,8 @@ from typing import BinaryIO
 
 _SPLIT_BYTES = 2 * 2**20  # the least field file or output that two processes share
 _SPLIT_TABLE = 4096       # the least kernel table, in points, that two processes share: the closed forms' break-even
-_SPLIT_GRID = 2048        # the least grid n of a full verify that two processes share: +5-9% at 1024, -15% at 2048
+_SPLIT_GRID = 2048        # the least grid n of a full verify that two processes share, the bench's:
+                          # -6 to -18% at 512-1024 and -43% at 2048 on BLAS's default threads
 _BLOCK = 200 * 2**10      # the most bytes of the child's stream read at once
 _FORK_WARNING = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) may lead to deadlocks in the child\.$"
 
@@ -43,7 +44,8 @@ def _in_two_processes(child, parent):
     leaves by os._exit, and is killed and reaped once parent is done with
     the pipe: by then it has sent all it will, or parent has failed.
 
-    The child makes no BLAS call (no matrix product through @): the
+    The child makes no BLAS call (no matrix product through @ or
+    np.dot; np.einsum without optimize runs numpy's own loops): the
     parent's BLAS threads and a second set in the child would fight over
     two CPUs (a full verify with projection in the child took 106-116 ms
     against 89-90 ms serially on the default grid).

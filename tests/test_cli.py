@@ -696,6 +696,17 @@ def test_exit_code_2_kernel_point_out_of_the_float_range(capsys, dim, r):
         assert capsys.readouterr() == (out, err)
 
 
+def test_a_point_whose_product_alone_passes_the_float_range_is_answered(capsys):
+    # r r' = 1e400 is past the largest float, (r r')^(-1/2) = 1e-200 is not
+    values = []
+    for r in ("1", "1e200"):
+        assert main(["kernel", "--dim", "3", "--z", "0.5,0", "--r", r, "--rp", r, "--t", "0.5"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        values.append(float(out.splitlines()[1].split(",")[3]))
+    assert math.isclose(values[1], 1e-200 * values[0], rel_tol=1e-15)
+
+
 def _overflowing_field(tmp_path: Path) -> Path:
     """A factored N = 3 field on -4,4,8 with one sample 1e308."""
     path = tmp_path / "huge.csv"
@@ -1344,7 +1355,8 @@ def test_no_kernel_fork_beside_another_thread_on_one_cpu_or_below_the_threshold(
     assert capsys.readouterr() == serial
 
 
-# A full verify split between two processes: the child runs the suites that multiply no matrices.
+# A full verify split between two processes: the child runs the seven suites that multiply no matrices and
+# spectral's N = 2 cases, the caller spectral's other cases and projection.
 
 _SEVEN = ["sl2", "degeneration", "theta", "unitarity", "scaling", "semigroup", "special"]
 _SMALL_GRID = "--grid=-8,8,256"  # below the grid gate, which the tests that use it lower to 0
@@ -1393,7 +1405,7 @@ def test_split_verify_has_the_serial_bytes(tmp_path, monkeypatch, capsys, split_
     assert split[0] == (1 if grid else 0) and split[2] == ""
     if fmt == "csv":
         failed = [row[0] for row in csv.reader(io.StringIO(split[1])) if row[4] == "0"]
-        # on -7,7,2048 checks fail on both sides: spectral runs in the caller, scaling in the child
+        # on -7,7,2048 checks fail on both sides: spectral's z = 0.3+0.4i cases in both, scaling in the child
         assert failed == (["spectral"] * 3 + ["scaling"] * 2 if grid else [])
 
 
@@ -1460,13 +1472,16 @@ def test_a_verify_forks_once(monkeypatch, capsys, split_verify):
 
 
 @needs_fork
-def test_the_child_runs_only_the_suites_without_matrix_products(tmp_path, monkeypatch, capsys, split_verify):
+def test_the_child_runs_nothing_that_calls_blas(tmp_path, monkeypatch, capsys, split_verify):
+    # projection, the one suite that multiplies through BLAS (@), runs in the caller; the child's spectral
+    # cases multiply through einsum (test_apply_radial_kernel_is_the_einsum_of_the_quadrature_matrix)
     log = tmp_path / "suites.log"
 
     def logged(name, suite):
         def run(*args):
+            dims = ",".join(str(dim) for dim, _ in args[1]) if name == "spectral" else ""
             with open(log, "a") as fp:  # one short append per call: the two processes' lines do not mix
-                fp.write(f"{os.getpid()} {name}\n")
+                fp.write(f"{os.getpid()} {name}{dims and ':' + dims}\n")
             return suite(*args)
         return run
 
@@ -1479,7 +1494,8 @@ def test_the_child_runs_only_the_suites_without_matrix_products(tmp_path, monkey
     for line in log.read_text().splitlines():
         pid, name = line.split()
         ran.setdefault(int(pid), []).append(name)
-    assert ran == {os.getpid(): ["spectral", "projection"], split_verify[0]: _SEVEN}
+    child = [*_SEVEN[:2], "spectral:2,2", *_SEVEN[2:]]
+    assert ran == {os.getpid(): ["spectral:3,3,4,4", "projection"], split_verify[0]: child}
 
 
 @needs_fork

@@ -1,9 +1,12 @@
-"""Hostile point and field files through every kernel route and apply: a refusal, never a traceback.
+"""Hostile inputs through every kernel route, apply and verify: a refusal, never a traceback.
 
-Each file runs through four routes, serially and with every job forced
-into two processes, and each run must exit 0, 2 or 3 with an empty
-stderr or one "error: ..." line, print only finite values on exit 0, and
-give the split run's exit code, stdout and stderr.
+Each hostile point or field file runs through four routes, serially and
+with every job forced into two processes, and each run must exit 0, 2 or
+3 with an empty stderr or one "error: ..." line, print only finite
+values on exit 0, and give the split run's exit code, stdout and stderr.
+Each hostile spelling of an option (a seeded sample of them together)
+runs the same way, serially: exit 0, 2 or 3, one "error: ..." line (after
+the usage, for a usage error) and only finite values on exit 0.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import random
 
 import pytest
 
@@ -147,3 +151,62 @@ def test_a_hostile_file_gets_a_clean_answer_or_one_error_line_on_every_route(tmp
             assert err == "" and _finite(out), (route, serial)
         if hasattr(os, "fork"):
             assert _run(monkeypatch, capsys, argv, 0) == serial, route
+
+
+_BIG = "1" + "0" * 399  # a 400-digit integer, past the float range
+# number spellings: zeros, non-finite, the float range's ends and past them, Python-only literals, spaces, empty
+SPELLINGS = ["0", "-0", "nan", "-nan", "inf", "-inf", "5e-324", "-5e-324", "1e308", "2e308", "-2e308",
+             "0x10", "1_0", " 1", " 0.5", _BIG, "-" + _BIG, ""]
+KERNEL_ROUTES = {
+    "series": ["kernel", "--dim=3"],
+    "closed-form": ["kernel", "--dim=2", "--closed-form"],
+    "json": ["kernel", "--dim=4", "--closed-form", "--format=json"],
+}
+_POINT = {"--z": "0.5,0", "--r": "1", "--rp": "1", "--t": "0.5"}
+
+
+def _spelled_points() -> list[dict]:
+    """The point with each spelling in each place, then a seeded sample with several places spelled at once."""
+    points = [{**_POINT, opt: s} for opt in ("--r", "--rp", "--t") for s in SPELLINGS]
+    points += [{**_POINT, "--z": z} for s in SPELLINGS for z in (f"{s},0", f"0.5,{s}")]
+    rng = random.Random(2815)
+    for _ in range(40):
+        point = {opt: rng.choice([good, *SPELLINGS]) for opt, good in _POINT.items() if opt != "--z"}
+        points.append({**point, "--z": f"{rng.choice(['0.5', *SPELLINGS])},{rng.choice(['0', *SPELLINGS])}"})
+    return points
+
+
+SPELLED = {
+    **{f"{route}-point-{i}": [*argv, *(f"{opt}={value}" for opt, value in point.items())]
+       for route, argv in KERNEL_ROUTES.items() for i, point in enumerate(_spelled_points())},
+    **{f"dim-{dim!r}{'-closed-form' * closed}": ["kernel", f"--dim={dim}", "--z=0.5,0", "--r=1", "--rp=1",
+                                                  "--t=0.5", *["--closed-form"] * closed]
+       for dim in ["2.5", "1e3", "nan", "0", "-1", "1", "344", "1000", "99999999999999999999", _BIG, "",
+                   " 3", "0x3", "3_0"] for closed in (0, 1)},
+    **{f"tol-{tol!r}": ["kernel", "--dim=3", "--z=0.5,0", "--r=1", "--rp=1", "--t=0.5", f"--tol={tol}"]
+       for tol in ["0", "1", "nan", "-1", "inf", "5e-324", "1e308", ""]},
+    # verify --grid: each is refused before a suite runs, but the last, which runs every suite on -8,8,256
+    **{f"grid-{grid!r}": ["verify", f"--grid={grid}", "--format=csv"]
+       for grid in ["8,-8,256", "-8,8,255", "-8,8,4", "-8,8,0", "-8,8,-256", "-8,8,2.5e2", "-8,8,0x100",
+                    "-8,8,1_024", "-8,8,", "-8,8,256,1", "-8,8", "nan,8,256", "-inf,8,256", "-2e308,8,256",
+                    "0x1,8,256", "-1e308,1e308,256", "5e-324,1e-323,8", "-8,8," + _BIG, " -8, 8, +256"]},
+}
+
+
+@pytest.mark.parametrize("name", list(SPELLED))
+def test_a_hostile_spelling_gets_a_clean_answer_or_one_error_line(monkeypatch, capsys, name):
+    monkeypatch.delenv("CONFORMAL_HEAT_TOL", raising=False)
+    code, out, err = spelled = _run(monkeypatch, capsys, SPELLED[name], SERIAL)
+    assert code in (0, 2, 3), spelled
+    if code:
+        lines = err.splitlines()
+        assert out == "" and lines[-1].startswith("error: "), spelled
+        assert not any(line.startswith(("error: ", "Traceback")) for line in lines[:-1]), spelled
+    else:
+        assert err == "" and (_finite(out) if out.startswith(("r,", "{")) else _verified(out)), spelled
+
+
+def _verified(out: str) -> bool:
+    """Whether a verify report in CSV passed every check, each with a finite defect."""
+    rows = out.splitlines()[1:]
+    return bool(rows) and all(math.isfinite(float(row.split(",")[-3])) and row.endswith(",1") for row in rows)

@@ -471,6 +471,18 @@ def test_apply_radial_kernel_range_equals_degree_calls(dim, z):
     assert apply_radial_kernel(f, range(0), z) == []
 
 
+@pytest.mark.parametrize("z", [0.5, 0.3 + 0.4j])
+@pytest.mark.parametrize("dim", [1, 3])
+def test_apply_radial_kernel_is_the_einsum_of_the_quadrature_matrix(dim, z):
+    # numpy's own loops, bit for bit: no BLAS product, whose bits could follow its thread count
+    grid = LogRadialGrid(dim, -8.0, 8.0, 256)
+    f = RadialSamples(grid, np.exp(-(grid.s - 0.3) ** 2) * (1.0 + 0.5j))
+    product = np.einsum("jk,k->j", radial_semigroup_matrix(dim, z, grid), f.values, optimize=False)
+    nu = 0.5 * (dim - 2)
+    for m, got in enumerate(apply_radial_kernel(f, range(3), z)):
+        assert np.array_equal(got.values, cmath.exp(-complex(z) * (m + nu) ** 2) * product)
+
+
 def test_apply_radial_kernel_rejects_a_stack_of_profiles():
     grid = LogRadialGrid(3, -4.0, 4.0, 64)
     with pytest.raises(DomainError):
@@ -687,10 +699,10 @@ def test_closed_form_refuses_a_dim_without_one(dim):
 # (dim, r, r') points whose (r r')^{-(N-2)/2} is 0 or not finite in floating point
 _OUT_OF_RANGE = {
     "n1-product-underflows": (1, 1e-200, 1e-200),  # sqrt(0) = 0
-    "n1-product-overflows": (1, 1e200, 1e200),
     "n3-product-underflows": (3, 1e-200, 1e-200),  # 0 to the power -1/2
-    "n3-product-overflows": (3, 1e200, 1e200),
     "n4-product-underflows": (4, 1e-200, 1e-200),
+    "n4-product-overflows": (4, 1e200, 1e200),  # 1e-200 * 1e-200, the radii's own powers
+    "n10-product-overflows": (10, 1e200, 1e200),
     "n4-power-overflows": (4, 1e-160, 1e-150),  # 1/1e-310
     "n10-power-overflows": (10, 1e-100, 1e-100),  # (1e-200)^-4
     "n10-power-underflows": (10, 1e100, 1e100),
@@ -712,6 +724,31 @@ def test_points_out_of_the_float_range_are_refused_on_both_routes(dim, r, rp):
         with pytest.raises(DomainError) as closed:
             closed_form(dim, *rows, 0.5)
         assert str(closed.value) == str(series.value)
+
+
+@pytest.mark.parametrize("t", [0.5, -0.3, 1.0])
+def test_a_point_whose_product_alone_passes_the_float_range_is_answered(t):
+    # r r' = 1e400 passes the largest float, but (r r')^(-1/2) = 1e-200 does not
+    big, one = full_kernel_series(3, 1e200, 1e200, t, 0.5), full_kernel_series(3, 1.0, 1.0, t, 0.5)
+    assert abs(big - 1e-200 * one) <= 1e-15 * abs(1e-200 * one)
+    kernels._check_table(3, np.array([1.0, 1e200]), np.array([1.0, 1e200]), np.array([t, t]), as_time(0.5), 1e-12)
+
+
+@pytest.mark.parametrize("t", [1.0, -1.0])
+def test_n1_routes_agree_where_the_product_alone_passes_the_float_range(t):
+    # (r r')^(1/2) = 1e200 at r = r' = 1e200; at t = -1 the kernel vanishes
+    series, closed = full_kernel_series(1, 1e200, 1e200, t, 0.5), closed_form(1, 1e200, 1e200, t, 0.5)
+    table = closed_form(1, np.array([1.0, 1e200]), np.array([1.0, 1e200]), np.array([t, t]), 0.5)
+    assert cmath.isfinite(series) and cmath.isfinite(closed) and table[1] == closed
+    assert abs(series - closed) <= 1e-14 * abs(full_kernel_series(1, 1e200, 1e200, 1.0, 0.5))
+
+
+@pytest.mark.parametrize("t", [0.3, -0.8, 1.0])
+def test_n4_routes_agree_where_the_product_alone_passes_the_float_range(t):
+    # r r' = 2.25e308 passes the largest float; (r r')^-1 = 4.4e-309 is a subnormal float
+    r = 1.5e154
+    series, closed = full_kernel_series(4, r, r, t, 0.5), closed_form(4, r, r, t, 0.5)
+    assert series != 0 and abs(closed - series) <= 1e-8 * abs(series)
 
 
 def test_range_check_comes_after_the_regime():
