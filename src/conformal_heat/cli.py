@@ -17,7 +17,8 @@ Exit codes:
     1    failed verification (verify only)
     2    invalid mathematical regime or domain, values out of the float
          range included: a kernel point whose (r r')^{-(N-2)/2} is 0 or
-         not finite, an apply result with a non-finite sample
+         not finite, an apply result with a non-finite sample, a verify
+         grid whose radii, N = 4 weights or (pi/ds)^2 leave the range
     3    unreadable or malformed input (usage errors and non-finite
          numbers included)
     141  (128 + SIGPIPE), with no message: the reader of stdout closed it
@@ -44,10 +45,10 @@ table, and one whose split fails, is made in one process by the same two
 steps, evaluate then write.  Large field files are read and large apply
 outputs written the same way.  A verify of every suite on a grid of
 n >= 2048 (the default grid included) is split once, after the grid is
-checked, by cost: the child runs the seven suites that multiply no
-matrices and spectral's N = 2 cases, whose quadratures multiply through
-numpy's einsum, while this process runs spectral's N = 3 and N = 4
-cases and projection, the one suite that calls BLAS.
+checked, at one cut of its report (verify.CUT_CASES): the child makes
+the checks of sl2, degeneration and spectral's first three cases, whose
+quadratures multiply through numpy's einsum, and this process the rest,
+projection, the one suite that calls BLAS, included.
 """
 
 from __future__ import annotations
@@ -83,11 +84,10 @@ from .fields_io import (
     write_grid2d,
 )
 from .kernels import as_time, closed_form, full_kernel_series
-from .log_radial import LogRadialGrid
 from .spectral_calculus import G0Exponent, apply_exp_g0, apply_exp_g0_grid, apply_scaling_direct
 from .spherical import GridField2D
 from .two_processes import halves_in_two, verify_splits
-from .verify import _DEFAULT_SHAPE, SPECTRAL_CASES, SUITES, CheckResult, run_suites
+from .verify import _DEFAULT_SHAPE, SUITES, CheckResult, check_shape, checks_after_cut, checks_before_cut, run_suites
 
 _DEFAULT_TOL = 1e-10
 
@@ -325,50 +325,29 @@ def cmd_apply(args: argparse.Namespace) -> int:
     return 0
 
 
-# A split verify's two halves, balanced by cost (in-process, default grid, 2-CPU VM, OpenBLAS threads at
-# their default): the child runs the seven suites that make no matrix product (about 36 ms together) and
-# spectral's first _CHILD_CASES cases (about 30 ms each: a 2048^2 build and its einsum product, no BLAS);
-# this process runs spectral's other cases and projection (17 ms), whose products go through BLAS.
-_CHILD_SUITES = ("sl2", "degeneration", "spectral", "theta", "unitarity", "scaling", "semigroup", "special")
-_CALLER_SUITES = ("spectral", "projection")
-_CHILD_CASES = 2  # spectral's N = 2 cases: 2 + 4 ran faster end to end than 3 + 3
-
-
 def _verify_in_two(shape) -> list | None:
-    """Every suite's checks in suite order, made in two processes: the caller's suites here, the child's in a fork.
+    """Every suite's checks in suite order: those before the cut from a forked child, the rest from here.
 
-    Both halves run spectral, each at its own cases; the child's come
-    first in SPECTRAL_CASES, so its checks go first.  The child sends its
-    checks as JSON, whose floats round-trip exactly (NaN and inf too).
-    None where either half raised or the child's checks did not arrive:
-    the serial run then gives the first error.
+    The child sends its checks as JSON, whose floats round-trip exactly
+    (NaN and inf too).  None where either part raised or the child's
+    checks did not arrive: the serial run then gives the first error.
     """
-    def by_suite(names, cases) -> dict:
-        return {name: SUITES[name](shape, cases) if name == "spectral" else run_suites([name], shape)
-                for name in names}
-
-    def first() -> list[bytes]:
-        checks = by_suite(_CHILD_SUITES, SPECTRAL_CASES[:_CHILD_CASES])
-        return [json.dumps({name: [[c.suite, c.name, c.defect, c.tol] for c in rows]
-                            for name, rows in checks.items()}).encode()]
-
     results: list = []
 
-    def write(theirs, mine: dict) -> None:
-        sent = {name: [CheckResult(*c) for c in rows] for name, rows in json.loads(b"".join(theirs)).items()}
-        results.extend(c for name in SUITES for c in sent.get(name, []) + mine.get(name, []))
+    def first() -> list[bytes]:
+        return [json.dumps([[c.suite, c.name, c.defect, c.tol] for c in checks_before_cut(shape)]).encode()]
 
-    def second() -> dict:
-        return by_suite(_CALLER_SUITES, SPECTRAL_CASES[_CHILD_CASES:])
+    def write(theirs, mine: list) -> None:
+        results.extend([CheckResult(*c) for c in json.loads(b"".join(theirs))] + mine)
 
-    return results if halves_in_two(first, second, write) else None
+    return results if halves_in_two(first, lambda: checks_after_cut(shape), write) else None
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     shape = _parse_grid(args.grid) if args.grid else _DEFAULT_SHAPE
     results = None
     if args.suite is None:
-        LogRadialGrid(1, *shape)  # a bad grid is refused before any fork
+        check_shape(shape)  # a bad grid is refused before any fork
         if verify_splits(shape[2]):
             results = _verify_in_two(shape)
     if results is None:

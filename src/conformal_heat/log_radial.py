@@ -59,6 +59,8 @@ class LogRadialGrid:
     def __post_init__(self):
         if self.dim < 1:
             raise DomainError(f"dim must be >= 1, got {self.dim}")
+        if self.dim > sys.float_info.max:  # the weights' power N - 2 has no float value
+            raise DomainError(f"N = {self.dim} is too large: N - 2 is past the float range")
         if not 0 < self.n <= sys.float_info.max:  # ds divides by n, as a float
             raise DomainError(f"n={self.n} must be a power of two >= 8")
         if not (math.isfinite(self.s_min) and math.isfinite(self.s_max) and math.isfinite(self.ds)):
@@ -69,6 +71,15 @@ class LogRadialGrid:
             raise DomainError(f"n={self.n} must be a power of two >= 8")
         if not self.ds > 0:
             raise DomainError(f"ds = (s_max - s_min)/n is 0 at {self.s_min}, {self.s_max}, n={self.n}")
+        with np.errstate(all="ignore"):
+            radii = np.exp([self.s_min, self.s_max])
+            ends = np.concatenate([radii, radii ** float(self.dim - 2)])
+        if not np.all((ends > 0) & (ends < math.inf)):
+            raise DomainError(f"the radii e^s or the weights r^(N-2) leave the float range at the ends of "
+                              f"[{self.s_min}, {self.s_max}] for N = {self.dim}")
+        top = math.pi / self.ds  # the largest frequency |sigma|
+        if not top * top < math.inf:  # a float product overflows to inf, where ** would raise
+            raise DomainError(f"ds = {self.ds} is too small: the squared frequency (pi/ds)^2 passes the float range")
 
     @property
     def ds(self) -> float:

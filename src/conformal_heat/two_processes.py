@@ -1,7 +1,9 @@
 """Jobs split between two processes: a forked child makes the first half, this process the second.
 
 Field file reads, output writes, kernel tables and full verify runs are
-split through halves_in_two, on its one stream.  Without os.fork or
+split through halves_in_two, on its one stream, each in output order: the
+child's half is the first part of the output, for a verify the checks
+before the cut in its report (verify.CUT_CASES).  Without os.fork or
 os.sched_getaffinity (Windows, macOS) every job runs serially.
 """
 

@@ -783,6 +783,21 @@ def test_exit_code_3_non_finite_geometry(tmp_path, capsys, key, value):
     assert "bad geometry value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("geometry", [{"s_min": -1000, "s_max": 1000}, {"s_min": 0, "s_max": 1e-300},
+                                      {"dim": 10**400}], ids=["radii", "step", "dim"])
+def test_exit_code_3_geometry_past_the_float_range(tmp_path, capsys, geometry):
+    # refused as the file is read, before apply makes non-finite samples from it
+    geo = {"kind": "factored", "dim": 3, "s_min": -1, "s_max": 1, "n": 8, **geometry}
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(["# geometry: " + json.dumps(geo), "m,s_index,re,im"]
+                             + [f"0,{j},1,0" for j in range(8)]) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["apply", "--exponent", "0,0,0,0,0.5,0", "--in", str(bad)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: bad geometry value: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("key, value, kind", [
     ("dim", 3.9, "an integer"), ("dim", 2.0, "an integer"), ("dim", True, "an integer"), ("dim", "2", "an integer"),
     ("n", 8.7, "an integer"), ("n", 8.0, "an integer"), ("n", None, "an integer"),
@@ -1355,10 +1370,9 @@ def test_no_kernel_fork_beside_another_thread_on_one_cpu_or_below_the_threshold(
     assert capsys.readouterr() == serial
 
 
-# A full verify split between two processes: the child runs the seven suites that multiply no matrices and
-# spectral's N = 2 cases, the caller spectral's other cases and projection.
+# A full verify split between two processes at one cut: the child makes sl2, degeneration and spectral's first
+# three cases, the caller spectral's other cases and every later suite.
 
-_SEVEN = ["sl2", "degeneration", "theta", "unitarity", "scaling", "semigroup", "special"]
 _SMALL_GRID = "--grid=-8,8,256"  # below the grid gate, which the tests that use it lower to 0
 
 
@@ -1405,7 +1419,7 @@ def test_split_verify_has_the_serial_bytes(tmp_path, monkeypatch, capsys, split_
     assert split[0] == (1 if grid else 0) and split[2] == ""
     if fmt == "csv":
         failed = [row[0] for row in csv.reader(io.StringIO(split[1])) if row[4] == "0"]
-        # on -7,7,2048 checks fail on both sides: spectral's z = 0.3+0.4i cases in both, scaling in the child
+        # on -7,7,2048 checks fail on both sides: spectral's z = 0.3+0.4i cases in both, scaling in the caller
         assert failed == (["spectral"] * 3 + ["scaling"] * 2 if grid else [])
 
 
@@ -1424,12 +1438,12 @@ def _refusing(name: str, how: str, caller: int):
 
 
 _VERIFY_FAULTS = {  # suites made to fail; the serial run raises at the first one in suite order
-    "child-raises": {"theta": "raises"},
+    "child-raises": {"degeneration": "raises"},
     "caller-raises": {"projection": "raises"},
-    "both-raise-child-first": {"special": "raises", "projection": "raises"},
+    "both-raise-child-first": {"sl2": "raises", "projection": "raises"},
     "both-raise-caller-first": {"spectral": "raises", "scaling": "raises"},
     "only-the-child-raises": {"sl2": "raises-in-the-child"},
-    "the-child-dies": {"semigroup": "dies-in-the-child"},
+    "the-child-dies": {"degeneration": "dies-in-the-child"},
 }
 
 
@@ -1473,8 +1487,8 @@ def test_a_verify_forks_once(monkeypatch, capsys, split_verify):
 
 @needs_fork
 def test_the_child_runs_nothing_that_calls_blas(tmp_path, monkeypatch, capsys, split_verify):
-    # projection, the one suite that multiplies through BLAS (@), runs in the caller; the child's spectral
-    # cases multiply through einsum (test_apply_radial_kernel_is_the_einsum_of_the_quadrature_matrix)
+    # projection, the one suite that multiplies through BLAS (@), runs in the caller, after the cut; the child's
+    # spectral cases multiply through einsum (test_apply_radial_kernel_is_the_einsum_of_the_quadrature_matrix)
     log = tmp_path / "suites.log"
 
     def logged(name, suite):
@@ -1494,8 +1508,8 @@ def test_the_child_runs_nothing_that_calls_blas(tmp_path, monkeypatch, capsys, s
     for line in log.read_text().splitlines():
         pid, name = line.split()
         ran.setdefault(int(pid), []).append(name)
-    child = [*_SEVEN[:2], "spectral:2,2", *_SEVEN[2:]]
-    assert ran == {os.getpid(): ["spectral:3,3,4,4", "projection"], split_verify[0]: child}
+    caller = ["spectral:3,4,4", "theta", "unitarity", "scaling", "semigroup", "special", "projection"]
+    assert ran == {os.getpid(): caller, split_verify[0]: ["sl2", "degeneration", "spectral:2,2,3"]}
 
 
 @needs_fork

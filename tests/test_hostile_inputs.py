@@ -15,6 +15,7 @@ import json
 import math
 import os
 import random
+import warnings
 
 import pytest
 
@@ -176,6 +177,9 @@ def _spelled_points() -> list[dict]:
     return points
 
 
+# grids whose radii e^s, N = 4 weights r^2 or squared top frequency (pi/ds)^2 leave the float range
+_PAST_THE_FLOAT_RANGE = ["-1000,1000,256", "1e-320,2e-320,8", "0,1e-300,8", "-400,400,2048"]
+
 SPELLED = {
     **{f"{route}-point-{i}": [*argv, *(f"{opt}={value}" for opt, value in point.items())]
        for route, argv in KERNEL_ROUTES.items() for i, point in enumerate(_spelled_points())},
@@ -189,7 +193,8 @@ SPELLED = {
     **{f"grid-{grid!r}": ["verify", f"--grid={grid}", "--format=csv"]
        for grid in ["8,-8,256", "-8,8,255", "-8,8,4", "-8,8,0", "-8,8,-256", "-8,8,2.5e2", "-8,8,0x100",
                     "-8,8,1_024", "-8,8,", "-8,8,256,1", "-8,8", "nan,8,256", "-inf,8,256", "-2e308,8,256",
-                    "0x1,8,256", "-1e308,1e308,256", "5e-324,1e-323,8", "-8,8," + _BIG, " -8, 8, +256"]},
+                    "0x1,8,256", "-1e308,1e308,256", "5e-324,1e-323,8", *_PAST_THE_FLOAT_RANGE, "-8,8," + _BIG,
+                    " -8, 8, +256"]},
 }
 
 
@@ -204,6 +209,15 @@ def test_a_hostile_spelling_gets_a_clean_answer_or_one_error_line(monkeypatch, c
         assert not any(line.startswith(("error: ", "Traceback")) for line in lines[:-1]), spelled
     else:
         assert err == "" and (_finite(out) if out.startswith(("r,", "{")) else _verified(out)), spelled
+
+
+@pytest.mark.parametrize("grid", _PAST_THE_FLOAT_RANGE)
+def test_a_grid_past_the_float_range_is_refused_with_one_line_and_no_warning(capsys, grid):
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code = main(["verify", f"--grid={grid}"])
+    out, err = capsys.readouterr()
+    assert (code, out, seen) == (2, "", []) and err.startswith("error: ") and err.count("\n") == 1
 
 
 def _verified(out: str) -> bool:

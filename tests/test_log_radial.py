@@ -40,6 +40,26 @@ def test_grid_refuses_non_finite_geometry(s_min, s_max):
         LogRadialGrid(3, s_min, s_max, 8)
 
 
+@pytest.mark.parametrize("dim, s_min, s_max, n", [
+    (2, -746.0, 0.0, 8), (2, 0.0, 710.0, 8), (1, -710.0, 0.0, 8), (4, -400.0, 400.0, 2048), (4, -373.0, 0.0, 8),
+    (60, -16.0, 16.0, 2048), (3, 0.0, 1e-300, 8), (3, 1e-320, 2e-320, 8), (10**400, -1.0, 1.0, 8),
+], ids=["radius-underflows", "radius-overflows", "n1-weight-overflows", "n4-weight-overflows",
+        "n4-weight-underflows", "n60-weight-underflows", "frequency-squared-overflows", "subnormal-step",
+        "n-past-the-float-range"])
+def test_grid_refuses_radii_weights_and_frequencies_past_the_float_range(dim, s_min, s_max, n):
+    with pytest.raises(DomainError, match="float range"):
+        LogRadialGrid(dim, s_min, s_max, n)
+
+
+@pytest.mark.parametrize("dim, s_min, s_max, n", [
+    (2, -745.0, 709.0, 8), (1, -709.0, 709.0, 8), (4, -372.0, 354.0, 8), (60, -12.0, 12.0, 2048),
+    (3, 0.0, 1e-152, 8), (10**300, -1e-17, 1e-17, 8),
+])
+def test_grid_accepts_radii_weights_and_frequencies_just_inside_the_float_range(dim, s_min, s_max, n):
+    with np.errstate(all="raise"):
+        LogRadialGrid(dim, s_min, s_max, n)
+
+
 def test_sigma_layout():
     grid = LogRadialGrid(2, -8.0, 8.0, 64)
     assert grid.sigma.shape == (64,)

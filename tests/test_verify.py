@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from conformal_heat import cli, verify
+from conformal_heat import verify
 from conformal_heat.errors import DomainError
-from conformal_heat.verify import SPECTRAL_CASES, run_suites, suite_spectral
+from conformal_heat.verify import SPECTRAL_CASES, checks_after_cut, checks_before_cut, run_suites, suite_spectral
 
 
 @pytest.fixture
@@ -39,6 +39,7 @@ def test_a_bad_grid_is_refused_before_any_suite_runs(calls):
 
 def test_the_split_halves_of_the_spectral_cases_are_the_serial_suite():
     shape = (-8.0, 8.0, 256)
-    halves = SPECTRAL_CASES[:cli._CHILD_CASES], SPECTRAL_CASES[cli._CHILD_CASES:]
-    assert [dim for dim, _ in halves[0]] == [2, 2]
+    halves = SPECTRAL_CASES[:verify.CUT_CASES], SPECTRAL_CASES[verify.CUT_CASES:]
+    assert [dim for dim, _ in halves[0]] == [2, 2, 3]
     assert suite_spectral(shape, halves[0]) + suite_spectral(shape, halves[1]) == suite_spectral(shape)
+    assert checks_before_cut(shape) + checks_after_cut(shape) == run_suites(None, shape)
