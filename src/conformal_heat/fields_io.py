@@ -24,12 +24,9 @@ pair of a grid field must appear exactly once, and every value must be
 finite.  Anything else raises FieldFormatError.
 
 The reader scans the lines ahead of the data itself, then hands
-np.loadtxt a second handle of the file (not its path, which loadtxt would
-decompress by its suffix) and those lines to skip, so numpy parses the
-data rows in C.  Where loadtxt refuses that read (it rejects
-whitespace-only lines and indented comments) or cannot make it (a pipe),
-it is handed the remaining lines of the open file one at a time, and its
-errors there are the ones reported.
+np.loadtxt the lines from the first data row on, each with its leading
+whitespace stripped (loadtxt rejects whitespace-only lines and indented
+comments), and its errors there are the ones reported.
 
 The writers take a binary file, such as open(path, "wb"), and write to
 it ASCII bytes with "\n" line ends, a chunk of _CHUNK_FLOATS floats of
@@ -40,12 +37,14 @@ kernel table's lines in the same chunks, one at a time, for the CLI to
 write.
 
 Large field files and field outputs are split between two processes
-(two_processes.halves_in_two): a forked child parses the first half of a
-field file, skipping its head as above, or formats the first half of an
-output's chunks, while this process does the second half.  Where either
-half fails, the file is read or the output formatted serially, so the
-arrays, the errors and the bytes are the same either way.  point_halves
-splits a kernel table's points the same way, for the CLI.
+(two_processes.halves_in_two): a forked child parses a field file up to
+the first newline past its middle, its head skipped, and sends the bytes
+of its rows, or formats the first half of an output's chunks, while this
+process does the second half.  Where either half fails, the file is read
+or the output formatted serially, so the arrays, the errors and the bytes
+are the same either way.  One routine (_halves) cuts a field file and a
+kernel table's points file; point_halves gives the CLI the halves of a
+table.
 """
 
 from __future__ import annotations
@@ -124,70 +123,58 @@ def _loadtxt(source, strict: bool = False, **options) -> np.ndarray:
         return np.loadtxt(source, delimiter=",", comments="#", ndmin=2, **options)
 
 
-def _middle(fp: BinaryIO, size: int) -> int:
-    """The offset just past the first newline past the middle of a binary file of `size` bytes."""
-    fp.seek(size // 2)
-    fp.readline()
-    return fp.tell()
+def _halves(path: str, size: int, skip: int, encoding: str, n_cols: int):
+    """Readers of a CSV file's rows before and after the first newline past its middle; None where it ends the file.
 
-
-def _first_half(head: bytes, encoding: str, skip: int) -> np.ndarray:
-    """The rows of a file's first bytes past its skip head lines; refused rows, a warning and no rows raise.
-
-    Universal newlines break the lines where the head scan does: at "\n", "\r" and "\r\n".
-    """
-    return _loadtxt(io.TextIOWrapper(io.BytesIO(head), encoding), strict=True, skiprows=skip)
-
-
-def _second_half(fp: BinaryIO, middle: int, encoding: str) -> np.ndarray:
-    """The rows of a binary file from offset middle on; refused rows, a warning and a half without rows raise."""
-    fp.seek(middle)
-    return _loadtxt(fp, strict=True, encoding=encoding)
-
-
-def _split_rows(path: str, skip: int, size: int, encoding: str) -> np.ndarray | None:
-    """The data rows of a regular file, read in two processes; None where that read fails.
-
-    The child parses the file up to the first newline past the middle,
-    its head skipped as the serial read skips it, and sends the shape and
-    the bytes of its rows.  A malformed row or a warning in either half, a
-    half without rows or halves whose columns differ give None: the serial
-    read then reports the errors and row numbers.
+    The first reader parses the bytes up to that cut, its skip head lines
+    skipped, the second the bytes past it, each on its own file description
+    (a forked one would share its offset).  Universal newlines break the
+    lines where the head scan does: at "\n", "\r" and "\r\n".  Each raises
+    unless np.loadtxt takes its rows without a warning and they are n_cols
+    finite columns: the serial read words the fault.
     """
     with open(path, "rb") as fp:
-        middle = _middle(fp, size)
-        if middle >= size:
-            return None
+        fp.seek(size // 2)
+        fp.readline()
+        middle = fp.tell()
+    if middle >= size:
+        return None
 
-        def first() -> list:
-            with open(path, "rb") as own:  # its own file description: a forked one would share fp's offset
-                rows = _first_half(own.read(middle), encoding, skip)
-            return [np.array(rows.shape, dtype=np.int64).tobytes(), rows.data.cast("B")]
+    def checked(rows: np.ndarray) -> np.ndarray:
+        if rows.shape[1] != n_cols or not np.isfinite(rows).all():
+            raise ValueError(f"not {n_cols} finite columns")
+        return rows
 
-        halves = []
+    def first() -> np.ndarray:
+        with open(path, "rb") as fp:
+            head = fp.read(middle)
+        return checked(_loadtxt(io.TextIOWrapper(io.BytesIO(head), encoding), strict=True, skiprows=skip))
 
-        def write(theirs, mine: np.ndarray) -> None:
-            sent = b"".join(theirs)
-            count, cols = np.frombuffer(sent[:16], dtype=np.int64).tolist()
-            if cols == mine.shape[1]:
-                halves.extend([np.frombuffer(sent, offset=16).reshape(count, cols), mine])
+    def second() -> np.ndarray:
+        with open(path, "rb") as fp:
+            fp.seek(middle)
+            return checked(_loadtxt(fp, strict=True, encoding=encoding))
 
-        two_processes.halves_in_two(first, lambda: _second_half(fp, middle, encoding), write)
-    return np.concatenate(halves) if halves else None
-
-
-def _points(rows: np.ndarray) -> np.ndarray:
-    """rows where they are three finite columns, else ValueError: the serial read words the fault."""
-    if rows.shape[1] != 3 or not np.isfinite(rows).all():
-        raise ValueError("not three finite columns")
-    return rows
+    return first, second
 
 
-def _line_count(text: bytes) -> int:
-    """The number of lines of text, broken as universal newlines break them: at "\n", "\r" and "\r\n"."""
-    if b"\r" in text:
-        return len(text.splitlines())
-    return int(np.count_nonzero(np.frombuffer(text, np.uint8) == ord("\n"))) + (text[-1:] not in (b"\n", b""))
+def _split_rows(path: str, size: int, skip: int, encoding: str, n_cols: int) -> np.ndarray | None:
+    """The data rows of a regular file, its halves read in two processes; None where that read fails.
+
+    The child parses the first half and sends the bytes of its rows.
+    Where either half fails, the serial read reports the errors and row
+    numbers.
+    """
+    halves = _halves(path, size, skip, encoding, n_cols)
+    if halves is None:
+        return None
+    rows = []
+
+    def write(theirs, mine: np.ndarray) -> None:
+        rows.extend([np.frombuffer(b"".join(theirs)).reshape(-1, n_cols), mine])
+
+    two_processes.halves_in_two(lambda: [halves[0]().data.cast("B")], halves[1], write)
+    return np.concatenate(rows) if rows else None
 
 
 def point_halves(source):
@@ -195,62 +182,53 @@ def point_halves(source):
 
     source is the (rows, 3) array of points or the path of a points file.
     A table of _SPLIT_TABLE points or more is split where _can_fork()
-    holds; a regular file counts as points its lines past the lines ahead
-    of the data.  A file is read once and split at the first newline past
-    its middle, each reader parsing its half of those bytes.  A half that
-    np.loadtxt refuses or warns about, without rows, not three columns
-    wide or with a non-finite value raises: read_points words the fault.
+    holds; a regular file counts as points its lines from its first data
+    row on, and is split by _halves: a half that np.loadtxt refuses or
+    warns about, or that is not three finite columns, raises, and
+    read_points words the fault.
     """
     if not two_processes._can_fork():
         return None
+    gate = two_processes._SPLIT_TABLE
     if isinstance(source, np.ndarray):
-        if len(source) < two_processes._SPLIT_TABLE:
+        if len(source) < gate:
             return None
         middle = len(source) // 2
         return lambda: source[:middle], lambda: source[middle:]
     try:
-        if not stat.S_ISREG(os.stat(source).st_mode):
+        info = os.stat(source)
+        if not stat.S_ISREG(info.st_mode):  # checked before the open: a FIFO opened and dropped loses its data
             return None
         with open(source) as fp:  # the text encoding of read_points
-            encoding, text = fp.encoding, fp.buffer.read()
-        skip = _scan_head(io.TextIOWrapper(io.BytesIO(text), encoding))[2]
+            _, first, skip = _scan_head(fp)
+            if first is None or sum(1 for _ in itertools.islice(fp, max(gate - 1, 0))) < gate - 1:
+                return None
+            encoding = fp.encoding
     except (OSError, ValueError):  # read_points words it
         return None
-    if _line_count(text) - skip < two_processes._SPLIT_TABLE:
-        return None
-    data = io.BytesIO(text)
-    middle = _middle(data, len(text))
-    if middle >= len(text):
-        return None
-    return (lambda: _points(_first_half(text[:middle], encoding, skip)),
-            lambda: _points(_second_half(data, middle, encoding)))
-
-
-def _load_rows(path: str, fp: TextIO, first: str, skip: int) -> np.ndarray:
-    """The data rows from `first`, line skip + 1 of the file, on; fp stands just past it."""
-    info = os.fstat(fp.fileno())
-    if stat.S_ISREG(info.st_mode):  # a pipe cannot be opened a second time from its start
-        split = two_processes._can_split(info.st_size)
-        if split and (rows := _split_rows(path, skip, info.st_size, fp.encoding)) is not None:
-            return rows
-        try:
-            with open(path, encoding=fp.encoding) as again:
-                return _loadtxt(again, skiprows=skip)
-        except ValueError:
-            pass  # read the lines below, which also gives the errors their row numbers
-    # lstrip turns whitespace-only lines and indented comments into the
-    # empty and '#' lines that np.loadtxt skips itself
-    return _loadtxt(itertools.chain([first], map(str.lstrip, fp)))
+    return _halves(source, info.st_size, skip, encoding, 3)
 
 
 def _read_table(path: str, n_cols: int) -> tuple[str | None, np.ndarray]:
-    """Geometry header text (or None) and the finite (rows, n_cols) data."""
+    """Geometry header text (or None) and the finite (rows, n_cols) data.
+
+    A regular file past the size gate is read in two processes; every
+    other read, and a split read that fails, hands np.loadtxt the lines
+    from the first data row on.
+    """
     try:
         with open(path) as fp:
             geometry, first, skip = _scan_head(fp)
             if first is None:
                 return geometry, np.empty((0, n_cols))
-            data = _load_rows(path, fp, first, skip)
+            info = os.fstat(fp.fileno())
+            data = None
+            if stat.S_ISREG(info.st_mode) and two_processes._can_split(info.st_size):  # a pipe is read once
+                data = _split_rows(path, info.st_size, skip, fp.encoding, n_cols)
+            if data is None:
+                # lstrip turns whitespace-only lines and indented comments into the
+                # empty and '#' lines that np.loadtxt skips itself
+                data = _loadtxt(itertools.chain([first], map(str.lstrip, fp)))
     except OSError as exc:
         raise FieldFormatError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:

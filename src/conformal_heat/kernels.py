@@ -28,11 +28,10 @@ the sphere is {+1, -1}, so t is +1 (same sign) or -1 (opposite signs)
 and nothing else.  Both routes check a point in one order (_check_point):
 dim, radii, t, tol where the route takes one, the regime Re z > 0, then
 that (r r')^{-(N-2)/2} is a finite nonzero float (so radii whose
-power leaves the float range, or whose product underflows to 0, are
-refused, never at N = 2; where r r' alone passes the largest float, the
-power is formed from each radius's own), and raise DomainError or
-InvalidRegimeError for the first bad one.  A closed-form table raises
-what a loop over its rows would raise first.
+power leaves the float range are refused, never at N = 2; wherever r r'
+is not a normal float, the power is formed from each radius's own), and
+raise DomainError or InvalidRegimeError for the first bad one.  A
+closed-form table raises what a loop over its rows would raise first.
 
 All square roots of z take the principal branch (Re sqrt >= 0, positive
 on the positive reals), tracked explicitly by ComplexTime.  On the line
@@ -44,6 +43,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -65,6 +65,13 @@ from .spherical import GridField2D, _zonal_prefactor
 
 # beyond this cos-angle the N = 4 closed form loses too much to cancellation
 _NEAR_DIAGONAL = 1.0 - 1e-6
+# the least normal float: a product r r' below it has lost digits, and one past the largest float has none
+_TINY = sys.float_info.min
+
+
+def _normal(rr):
+    """Whether r r' (a float or elementwise) is a normal float, whose power keeps its digits."""
+    return (rr >= _TINY) & (rr < math.inf)
 
 
 @dataclass(frozen=True)
@@ -129,8 +136,8 @@ def _check_point(dim: int, r: float, r_prime: float, t: float, ct: ComplexTime, 
     _require_kernel_regime(ct)
     e, rr = -0.5 * (dim - 2), r * r_prime
     try:
-        # an r r' past the largest float is formed as the radii's powers, whose product may be a float
-        power = math.pow(rr, e) if rr < math.inf else math.pow(r, e) * math.pow(r_prime, e)
+        # an r r' that is not a normal float is formed as the radii's powers, whose product may be one
+        power = math.pow(rr, e) if _normal(rr) else math.pow(r, e) * math.pow(r_prime, e)
     except (ValueError, OverflowError):  # 0 to a negative power; past the largest float
         power = 0.0
     if not 0.0 < power < math.inf:
@@ -147,7 +154,11 @@ def _check_table(dim: int, r, r_prime, t, ct: ComplexTime, tol: float | None) ->
     (r r')^{-(N-2)/2} may fail, in order, until one does.  numpy's power
     may round unlike math.pow, so a row whose power here lies within a
     factor 2^24 of either end of the float range is only a suspect, which
-    _check_point decides.  An empty table raises nothing.
+    _check_point decides.  Those ends also hold each row whose r r' is not
+    a normal float and which _check_point may refuse: the power of an r r'
+    that is 0 or past the largest float, or subnormal at N >= 4, passes
+    them, and at N = 1 and 3 a subnormal r r' has a power that
+    _check_point accepts.  An empty table raises nothing.
     """
     with np.errstate(all="ignore"):
         power = (r * r_prime) ** (-0.5 * (dim - 2))
@@ -161,8 +172,16 @@ def _gauss_factor(ct: ComplexTime, r, rp, dim: int):
     # (4 pi z)^{-1/2} exp(-(log r - log r')^2 / (4 z)) (r r')^{-(N-2)/2}, over arrays.
     # The power stays an array `**`: on arrays it rounds unlike math.pow, so
     # _gauss_point's libm factors would change radial_kernel's values.
+    # Where r r' is not a normal float, it is formed from each radius's own.
+    r, rp, e = np.asarray(r), np.asarray(rp), -0.5 * (dim - 2)
     dlog = np.log(r) - np.log(rp)
-    return ct.inv_sqrt_4pi_z * np.exp(-dlog * dlog / (4.0 * ct.z)) * (np.asarray(r) * np.asarray(rp)) ** (-0.5 * (dim - 2))
+    with np.errstate(over="ignore", divide="ignore"):
+        rr = r * rp
+        power = rr ** e
+    normal = _normal(rr)
+    if not normal.all():
+        power = np.where(normal, power, r ** e * rp ** e)
+    return ct.inv_sqrt_4pi_z * np.exp(-dlog * dlog / (4.0 * ct.z)) * power
 
 
 def _gauss_point(ct: ComplexTime, r: float, rp: float, power: float) -> complex:
@@ -305,10 +324,10 @@ def _gauss_rows(ct: ComplexTime, r, r_prime) -> list[complex]:
 
 
 def _products(r: np.ndarray, r_prime: np.ndarray):
-    """r r' per row, and (i, r_i, r'_i) for each flat row i whose product passes the largest float."""
+    """r r' per row, and (i, r_i, r'_i) for each flat row i whose product is not a normal float."""
     with np.errstate(over="ignore"):
         rr = r * r_prime
-    return rr, [(i, r.flat[i], r_prime.flat[i]) for i in np.flatnonzero(rr == math.inf).tolist()]
+    return rr, [(i, r.flat[i], r_prime.flat[i]) for i in np.flatnonzero(~_normal(rr)).tolist()]
 
 
 def closed_form_1d(r, r_prime, t, z):

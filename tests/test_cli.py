@@ -683,7 +683,7 @@ def test_exit_code_2_closed_form_bad_dim(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("dim, r", [("1", "1e-200"), ("3", "1e-200"), ("4", "1e-200"), ("10", "1e-100")])
+@pytest.mark.parametrize("dim, r", [("4", "1e-200"), ("10", "1e-100")])
 def test_exit_code_2_kernel_point_out_of_the_float_range(capsys, dim, r):
     argv = ["kernel", "--dim", dim, "--z", "0.5,0", "--r", r, "--rp", r, "--t", "1" if dim == "1" else "0.5"]
     assert main(argv) == 2
@@ -696,15 +696,20 @@ def test_exit_code_2_kernel_point_out_of_the_float_range(capsys, dim, r):
         assert capsys.readouterr() == (out, err)
 
 
-def test_a_point_whose_product_alone_passes_the_float_range_is_answered(capsys):
-    # r r' = 1e400 is past the largest float, (r r')^(-1/2) = 1e-200 is not
-    values = []
-    for r in ("1", "1e200"):
-        assert main(["kernel", "--dim", "3", "--z", "0.5,0", "--r", r, "--rp", r, "--t", "0.5"]) == 0
-        out, err = capsys.readouterr()
-        assert err == ""
-        values.append(float(out.splitlines()[1].split(",")[3]))
-    assert math.isclose(values[1], 1e-200 * values[0], rel_tol=1e-15)
+@pytest.mark.parametrize("dim, r", [("3", "1e200"), ("1", "1e-200"), ("3", "1e-200"), ("3", "3e-162"),
+                                    ("3", "1.3e-160"), ("1", "3e-162")])
+def test_a_point_whose_product_is_not_a_normal_float_is_answered(capsys, dim, r):
+    # r r' passes the largest float (1e400), or underflows and loses digits, while (r r')^(-(N-2)/2) is a
+    # float; at r = r' the kernel is r^-(N-2) times its value at r = r' = 1
+    t = "1" if dim == "1" else "0.5"
+    for route in [[], ["--closed-form"]] if dim == "1" else [[]]:
+        values = []
+        for radius in ("1", r):
+            assert main(["kernel", "--dim", dim, "--z", "0.5,0", "--r", radius, "--rp", radius, "--t", t, *route]) == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            values.append(float(out.splitlines()[1].split(",")[3]))
+        assert math.isclose(values[1], float(r) ** -(int(dim) - 2) * values[0], rel_tol=1e-15)
 
 
 def _overflowing_field(tmp_path: Path) -> Path:

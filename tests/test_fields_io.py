@@ -364,6 +364,28 @@ def test_split_read_past_the_gate_has_the_serial_bits(monkeypatch, split_reads, 
     assert _bits(split) == _bits(read_field_file(str(big_field)))
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_the_halves_meet_just_past_the_first_newline_past_the_middle(tmp_path, monkeypatch, newline):
+    # the first half parses the bytes up to the cut, its two head lines skipped, the second half those past it
+    path = _field_file(tmp_path / "field.csv", 4, 64, newline=newline)
+    text = path.read_bytes()
+    cut = text.index(b"\n", len(text) // 2) + 1
+    monkeypatch.setattr(two_processes, "_SPLIT_BYTES", SERIAL)
+    serial = fields_io._read_table(str(path), 4)[1]
+    parsed, loadtxt = [], fields_io._loadtxt
+
+    def spy(source, *args, **options):
+        parsed.append((source.buffer.getvalue(), options["skiprows"]) if isinstance(source, io.TextIOWrapper)
+                      else source.tell())
+        return loadtxt(source, *args, **options)
+
+    monkeypatch.setattr(fields_io, "_loadtxt", spy)
+    first, second = fields_io._halves(str(path), len(text), 2, "utf-8", 4)
+    rows = np.concatenate([first(), second()])
+    assert parsed == [(text[:cut], 2), cut]
+    assert rows.tobytes() == serial.tobytes()
+
+
 @needs_fork
 def test_split_read_past_a_long_head_has_the_serial_bits(tmp_path, monkeypatch, split_reads):
     # about 70 KB of comment lines ahead of the data: the child skips them

@@ -211,6 +211,33 @@ def test_a_hostile_spelling_gets_a_clean_answer_or_one_error_line(monkeypatch, c
         assert err == "" and (_finite(out) if out.startswith(("r,", "{")) else _verified(out)), spelled
 
 
+def _kernel_value(out: str) -> complex:
+    """The kernel value of a one-point table, printed as CSV or JSON."""
+    if out.startswith("{"):
+        row = json.loads(out)["rows"][0]
+        return complex(row["re_k"], row["im_k"])
+    re_k, im_k = out.splitlines()[1].split(",")[3:]
+    return complex(float(re_k), float(im_k))
+
+
+@pytest.mark.parametrize("r", ["1e-154", "1.2e-154", "3e-162", "5e-324"])
+@pytest.mark.parametrize("route", list(KERNEL_ROUTES))
+def test_radii_at_the_edge_of_the_normal_range_scale_or_get_one_error_line(monkeypatch, capsys, route, r):
+    # r r' is subnormal or 0; at r = r', K(r, r) = r^-(N-2) K(1, 1), or the point is refused
+    monkeypatch.delenv("CONFORMAL_HEAT_TOL", raising=False)
+    argv = [*KERNEL_ROUTES[route], "--z=0.5,0", "--t=0.5"]
+    code, out, err = _run(monkeypatch, capsys, [*argv, "--r=1", "--rp=1"], SERIAL)
+    assert (code, err) == (0, "")
+    one = _kernel_value(out)
+    code, out, err = edge = _run(monkeypatch, capsys, [*argv, f"--r={r}", f"--rp={r}"], SERIAL)
+    if code:
+        assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1, edge
+    else:
+        dim = int(KERNEL_ROUTES[route][1].removeprefix("--dim="))
+        scaled = float(r) ** -(dim - 2) * one
+        assert err == "" and abs(_kernel_value(out) - scaled) <= 1e-15 * abs(scaled), edge
+
+
 @pytest.mark.parametrize("grid", _PAST_THE_FLOAT_RANGE)
 def test_a_grid_past_the_float_range_is_refused_with_one_line_and_no_warning(capsys, grid):
     with warnings.catch_warnings(record=True) as seen:

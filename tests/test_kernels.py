@@ -6,6 +6,7 @@ import cmath
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -698,9 +699,7 @@ def test_closed_form_refuses_a_dim_without_one(dim):
 
 # (dim, r, r') points whose (r r')^{-(N-2)/2} is 0 or not finite in floating point
 _OUT_OF_RANGE = {
-    "n1-product-underflows": (1, 1e-200, 1e-200),  # sqrt(0) = 0
-    "n3-product-underflows": (3, 1e-200, 1e-200),  # 0 to the power -1/2
-    "n4-product-underflows": (4, 1e-200, 1e-200),
+    "n4-product-underflows": (4, 1e-200, 1e-200),  # 1e200 * 1e200, the radii's own powers
     "n4-product-overflows": (4, 1e200, 1e200),  # 1e-200 * 1e-200, the radii's own powers
     "n10-product-overflows": (10, 1e200, 1e200),
     "n4-power-overflows": (4, 1e-160, 1e-150),  # 1/1e-310
@@ -749,6 +748,48 @@ def test_n4_routes_agree_where_the_product_alone_passes_the_float_range(t):
     r = 1.5e154
     series, closed = full_kernel_series(4, r, r, t, 0.5), closed_form(4, r, r, t, 0.5)
     assert series != 0 and abs(closed - series) <= 1e-8 * abs(series)
+
+
+# radii whose product r r' is a subnormal float or 0, which lost digits
+_SUBNORMAL_PRODUCT = [1e-155, 1.3e-160, 3e-162, 1e-200]
+
+
+def _scaled_at_one(value: complex, one: complex, scale: float) -> bool:
+    """Whether a kernel value at r = r' is scale times its value at r = r' = 1, to 1e-15 relative."""
+    return abs(value - scale * one) <= 1e-15 * abs(scale * one)
+
+
+@pytest.mark.parametrize("r", _SUBNORMAL_PRODUCT)
+@pytest.mark.parametrize("dim", [1, 3])
+def test_the_kernel_scales_as_r_to_the_2_minus_n_where_the_product_is_subnormal(dim, r):
+    # at r = r' the Gaussian factor is 1, so K(r, r) = r^-(N-2) K(1, 1)
+    t, scale = (1.0 if dim == 1 else 0.5), r ** -(dim - 2)
+    assert _scaled_at_one(full_kernel_series(dim, r, r, t, 0.5), full_kernel_series(dim, 1.0, 1.0, t, 0.5), scale)
+    rows = np.array([1.0, r]), np.array([1.0, r]), np.array([t, t])
+    kernels._check_table(dim, *rows, as_time(0.5), 1e-12)
+    if dim == 1:
+        one, table = closed_form(1, 1.0, 1.0, t, 0.5), closed_form(1, *rows, 0.5)
+        assert _scaled_at_one(closed_form(1, r, r, t, 0.5), one, scale) and _scaled_at_one(table[1], one, scale)
+    for m in (0, 2):
+        assert _scaled_at_one(radial_kernel(m, dim, r, r, 0.5), radial_kernel(m, dim, 1.0, 1.0, 0.5), scale)
+
+
+@pytest.mark.parametrize("t", [0.5, -0.3, 1.0])
+def test_n4_routes_scale_where_the_product_is_subnormal(t):
+    # r r' = 1.44e-308 is subnormal; (r r')^-1 = 6.9e307 is a float
+    r = 1.2e-154
+    assert _scaled_at_one(full_kernel_series(4, r, r, t, 0.5), full_kernel_series(4, 1.0, 1.0, t, 0.5), r**-2)
+    assert _scaled_at_one(closed_form(4, r, r, t, 0.5), closed_form(4, 1.0, 1.0, t, 0.5), r**-2)
+    table = closed_form(4, np.array([1.0, r]), np.array([1.0, r]), np.array([t, t]), 0.5)
+    assert _scaled_at_one(table[1], table[0], r**-2)
+
+
+@pytest.mark.parametrize("r", [*_SUBNORMAL_PRODUCT, 1e200])
+def test_radial_kernel_scales_where_the_product_is_not_a_normal_float(r):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning on the way
+        values = radial_kernel(1, 3, np.array([1.0, r]), np.array([1.0, r]), 0.5)
+    assert _scaled_at_one(values[1], values[0], 1.0 / r)
 
 
 def test_range_check_comes_after_the_regime():
