@@ -25,13 +25,13 @@ arguments and z as a number or a ComplexTime:
 
 A point is (r w, r' w') with radii r, r' > 0 and t = <w, w'>; for N = 1
 the sphere is {+1, -1}, so t is +1 (same sign) or -1 (opposite signs)
-and nothing else.  Both routes check a point in one order (_check_point):
-dim, radii, t, tol where the route takes one, the regime Re z > 0, then
-that (r r')^{-(N-2)/2} is a finite nonzero float (so radii whose
-power leaves the float range are refused, never at N = 2; wherever r r'
-is not a normal float, the power is formed from each radius's own), and
-raise DomainError or InvalidRegimeError for the first bad one.  A
-closed-form table raises what a loop over its rows would raise first.
+and nothing else.  Both routes, and radial_kernel at t = 1, check a point
+in one order (_check_point): dim, radii, t, tol where the route takes one,
+the regime Re z > 0, then that (r r')^{-(N-2)/2} is a finite nonzero float
+(so radii whose power leaves the float range are refused, never at N = 2;
+wherever r r' is not a normal float, the power is formed from each
+radius's own), and raise DomainError or InvalidRegimeError for the first
+bad one.  A table raises what a loop over its rows would raise first.
 
 All square roots of z take the principal branch (Re sqrt >= 0, positive
 on the positive reals), tracked explicitly by ComplexTime.  On the line
@@ -196,14 +196,12 @@ def _gauss_point(ct: ComplexTime, r: float, rp: float, power: float) -> complex:
 
 
 def radial_kernel(m: int, dim: int, r, r_prime, z) -> complex:
-    """Degree-m radial kernel K_m(r, r'; z); broadcasts over r, r'."""
-    if m < 0 or dim < 1:
-        raise DomainError("need m >= 0 and dim >= 1")
-    if not (np.all(np.asarray(r) > 0) and np.all(np.asarray(r_prime) > 0)):  # NaN fails too
-        raise DomainError("radii must be positive")
-    ct = _require_kernel_regime(as_time(z))
-    nu = 0.5 * (dim - 2)
-    out = cmath.exp(-ct.z * (m + nu) ** 2) * _gauss_factor(ct, r, r_prime, dim)
+    """Degree-m radial kernel K_m(r, r'; z); broadcasts over r, r', checked as closed-form rows at t = 1."""
+    if m < 0:
+        raise DomainError("need m >= 0")
+    ct = as_time(z)
+    _check_table(dim, *_columns(r, r_prime, 1.0), ct, None)
+    out = cmath.exp(-ct.z * (m + 0.5 * (dim - 2)) ** 2) * _gauss_factor(ct, r, r_prime, dim)
     return complex(out) if np.ndim(out) == 0 else out
 
 

@@ -57,21 +57,21 @@ def check_t(t: float) -> float:
     return t if -1.0 <= t <= 1.0 else (1.0 if t > 0 else -1.0)
 
 
-def _gegenbauer_run(top: int, nu: float, t: float) -> list[float]:
-    # C_0^nu(t) ... C_top^nu(t); t already checked
+def _gegenbauer_run(top: int, nu: float, t) -> list:
+    # C_0^nu(t) ... C_top^nu(t); t already checked, a float or an array
     values = [1.0]
     if top >= 1:
-        prev, cur = 1.0, 2.0 * nu * t
+        two_nu, two_t = 2.0 * nu, 2.0 * t
+        prev, cur = 1.0, two_nu * t
         values.append(cur)
-        two_t = 2.0 * t
         for k in range(2, top + 1):
-            prev, cur = cur, (two_t * (k + nu - 1.0) * cur - (k + 2.0 * nu - 2.0) * prev) / k
+            prev, cur = cur, (two_t * (k + nu - 1.0) * cur - (k + two_nu - 2.0) * prev) / k
             values.append(cur)
     return values
 
 
-def _chebyshev_run(top: int, t: float) -> list[float]:
-    # T_0(t) ... T_top(t); t already checked
+def _chebyshev_run(top: int, t) -> list:
+    # T_0(t) ... T_top(t); t already checked, a float or an array
     values = [1.0]
     if top >= 1:
         prev, cur = 1.0, t
@@ -88,51 +88,51 @@ def _tilde_factors(nu: float, top: int) -> tuple[float, ...]:
     return tuple((k + nu) / nu for k in range(top + 1))
 
 
-def _tilde_run(top: int, nu: float, t: float) -> list[float]:
-    # C~_0^nu(t) ... C~_top^nu(t), all from one recurrence pass
-    _check_index(nu, top)
-    t = check_t(t)
+def _tilde_rows(top: int, nu: float, t) -> list:
+    # C~_0^nu(t) ... C~_top^nu(t) from one elementwise pass; t checked, a float or an array
     if nu == 0.0:
         return [1.0] + [2.0 * x for x in _chebyshev_run(top, t)[1:]]
-    if nu == -0.5 and abs(t) == 1.0:
-        return ([1.0, t] + [0.0] * (top - 1))[: top + 1]
-    return list(map(operator.mul, _tilde_factors(nu, top), _gegenbauer_run(top, nu, t)))
+    rows = list(map(operator.mul, _tilde_factors(nu, top), _gegenbauer_run(top, nu, t)))
+    if nu == -0.5:
+        # the recurrence gives the table's zeros at t = +-1 with either sign; adding
+        # (|t| - 1) 0.0, +0 at the poles and -0 elsewhere, makes them +0 and keeps the rest
+        rows[2:] = [row + (abs(t) - 1.0) * 0.0 for row in rows[2:]]
+    return rows
 
 
 def gegenbauer_tilde(m, nu: float, t):
     """Renormalized Gegenbauer C~_m^nu(t) = ((m + nu)/nu) C_m^nu(t).
 
     nu = 0 goes through the Chebyshev limit (1 for m = 0, 2 T_m otherwise);
-    nu = -1/2 at t = +-1 uses the explicit three-value table, the only
+    nu = -1/2 at t = +-1 gives the explicit three-value table, the only
     points the two-point sphere provides.
 
-    m is a degree, or range(cut + 1) for the list [C~_0^nu(t), ...,
-    C~_cut^nu(t)].  The list costs one recurrence pass, O(cut) operations.
-    For a degree, t is a number or an array of cos angles: the recurrence
-    runs up to degree m once, elementwise, and a float comes back for a
-    number.  Both forms perform the same operations in the same order, so
-    entry k of the list and entry i of an array equal the calls
-    gegenbauer_tilde(k, nu, t) and gegenbauer_tilde(m, nu, t_i) exactly.
+    m is a degree, or range(cut + 1) for the rows C~_0^nu ... C~_cut^nu;
+    t is a number or an array of cos angles.  Every form is one recurrence
+    pass, O(cut) operations per point, giving the last row for a degree
+    and every row for a range (a list of floats at a number t, a
+    (cut + 1, *t.shape) stack at an array); each value equals the call
+    gegenbauer_tilde(k, nu, t_i) exactly.
     """
-    if isinstance(m, range):
+    whole = isinstance(m, range)
+    if whole:
         if m.start != 0 or m.step != 1 or not m:
             raise DomainError(f"a degree range must be range(cut + 1) with cut >= 0, got {m!r}")
-        return _tilde_run(len(m) - 1, nu, t)
-    _check_index(nu, m)
-    m = int(m)  # an integral float such as 2.0 passes the check: the recurrence counts to int(m)
-    t = np.asarray(t, dtype=float)
-    if not np.all(np.abs(t) <= 1.0 + _T_SLACK):  # NaN fails this test too
-        raise DomainError("Gegenbauer arguments must lie in [-1, 1]")
-    t = np.minimum(1.0, np.maximum(-1.0, t))
-    out = np.empty_like(t)
-    if nu == 0.0:
-        out[...] = 2.0 * _chebyshev_run(m, t)[-1] if m else 1.0
+        top = len(m) - 1
+        _check_index(nu, top)
     else:
-        out[...] = (m + nu) / nu * _gegenbauer_run(m, nu, t)[-1]
-        if nu == -0.5:  # the three-value table at the poles
-            poles = np.abs(t) == 1.0
-            out[poles] = 1.0 if m == 0 else t[poles] if m == 1 else 0.0
-    return float(out) if out.ndim == 0 else out
+        _check_index(nu, m)
+        top = int(m)  # an integral float such as 2.0 passes the check: the recurrence counts to int(m)
+    if not isinstance(t, float):
+        if np.ndim(t):
+            t = np.asarray(t, dtype=float)
+            if not np.all(np.abs(t) <= 1.0 + _T_SLACK):  # NaN fails this test too
+                raise DomainError("Gegenbauer arguments must lie in [-1, 1]")
+            rows = [np.broadcast_to(row, t.shape) for row in _tilde_rows(top, nu, np.clip(t, -1.0, 1.0))]
+            return np.stack(rows) if whole else rows[-1].copy()
+        t = float(t)
+    rows = _tilde_rows(top, nu, check_t(t))
+    return rows if whole else rows[-1]
 
 
 def gegenbauer_tilde_sup(m: int, nu: float) -> float:

@@ -139,15 +139,16 @@ def _zonal_prefactor(dim: int) -> float:
     return math.gamma(0.5 * dim) / (2.0 * math.pi ** (0.5 * dim))
 
 
-def projection_kernel(m: int, dim: int, t):
+def projection_kernel(m, dim: int, t):
     """Zonal kernel of the projection onto H^m at cos angle t.
 
-    t may also be an array of cos angles; the row then comes from one
-    recurrence pass and equals the scalar calls entry by entry.
+    m and t are taken as by gegenbauer_tilde; a range of degrees gives
+    its rows from one recurrence pass, as an array also for a number t.
     """
     if dim < 1:
         raise DomainError("dim must be >= 1")
-    return _zonal_prefactor(dim) * gegenbauer_tilde(m, 0.5 * (dim - 2), t)
+    rows = gegenbauer_tilde(m, 0.5 * (dim - 2), t)
+    return _zonal_prefactor(dim) * (np.array(rows) if isinstance(rows, list) else rows)
 
 
 def project_pm(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

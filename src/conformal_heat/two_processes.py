@@ -14,10 +14,10 @@ import threading
 import warnings
 from typing import BinaryIO
 
-_SPLIT_BYTES = 2 * 2**20  # the least field file or output that two processes share
-_SPLIT_TABLE = 4096       # the least kernel table, in points, that two processes share: the closed forms' break-even
-_SPLIT_GRID = 2048        # the least grid n of a full verify that two processes share, the bench's:
-                          # -6 to -18% at 512-1024 and -43% at 2048 on BLAS's default threads
+# On a 2-vCPU VM: each split's gain on its bench workload against `taskset -c 0`; then its in-process break-even.
+_SPLIT_BYTES = 2 * 2**20  # the least field file or output that two processes share: apply-field -13%; about 1.5 MB
+_SPLIT_TABLE = 4096       # the least kernel table, in points, that two processes share: kernel-table -12%; 2048-4096
+_SPLIT_GRID = 2048        # the least verify grid n that two processes share, the bench's: verify-full -37%; below 512
 _BLOCK = 200 * 2**10      # the most bytes of the child's stream read at once
 _FORK_WARNING = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) may lead to deadlocks in the child\.$"
 

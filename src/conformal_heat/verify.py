@@ -336,11 +336,10 @@ def suite_projection(n_phi: int = 256, max_degree: int = 20) -> list[CheckResult
     for c, mode in zip(coeffs, modes):
         p += c * mode
 
-    worst_idem = 0.0
-    worst_orth = 0.0
-    for m in range(max_degree + 1):
-        # complex up front: each product with complex data would convert it again
-        proj = (projection_kernel(m, 2, row_cos) * dphi).astype(complex)[idx]
+    worst_idem = worst_orth = 0.0
+    # all rows from one pass, complex up front: each product with complex data would convert it again
+    rows = (projection_kernel(range(max_degree + 1), 2, row_cos) * dphi).astype(complex)
+    for m, proj in enumerate(row[idx] for row in rows):
         pm = proj @ p
         worst_idem = max(worst_idem, float(np.max(np.abs(proj @ pm - pm))))
         # one product with every other mode as a column

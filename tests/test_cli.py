@@ -203,6 +203,16 @@ def test_verify_theta_matches_golden_bytes(tmp_path):
     assert_same_bytes(out.read_bytes(), (FIXTURES / "verify_theta.json").read_bytes())
 
 
+# verify_projection.json: `verify --suite projection --format json` as the
+# CLI wrote it while the suite still asked for its 21 zonal rows one degree
+# at a time.  Its defects come from the Gegenbauer recurrence and from
+# complex matrix products.  Never regenerate it to absorb a change.
+def test_verify_projection_matches_golden_bytes(tmp_path):
+    out = tmp_path / "v.json"
+    assert main(["verify", "--suite", "projection", "--format", "json", "--out", str(out)]) == 0
+    assert_same_bytes(out.read_bytes(), (FIXTURES / "verify_projection.json").read_bytes())
+
+
 def test_apply_echoes_the_dimension_of_the_field(tmp_path):
     out = tmp_path / "same.csv"
     assert main(["apply", "--t", "0", "--in", IN_FIELD, "--out", str(out)]) == 0  # no --dim: nothing checked

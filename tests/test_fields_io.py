@@ -148,29 +148,17 @@ _ACCEPTED = {
 }
 
 
-def _lines_only(monkeypatch) -> None:
-    """Make np.loadtxt refuse a path or a file, so that the reader hands it the lines of the open file."""
-    loadtxt = np.loadtxt
-
-    def no_files(source, *args, **kwargs):
-        if isinstance(source, (str, io.IOBase)):
-            raise ValueError("no file reads here")
-        return loadtxt(source, *args, **kwargs)
-
-    monkeypatch.setattr(np, "loadtxt", no_files)
-
-
 @pytest.mark.parametrize("text", list(_ACCEPTED.values()), ids=list(_ACCEPTED))
-def test_reader_accepts(tmp_path, monkeypatch, text):
-    # read from the path and read line by line, the values are those of the clean file
+def test_reader_accepts(tmp_path, monkeypatch, split_reads, text):
+    # read in two processes and serially, the values are those of the clean file
     clean = tmp_path / "clean.csv"
     clean.write_text(_grid_text([]))
     path = tmp_path / "f.csv"
     path.write_bytes(text.encode())
     expected = read_field_file(str(clean)).values
-    assert np.array_equal(read_field_file(str(path)).values, expected)
-    _lines_only(monkeypatch)
-    assert np.array_equal(read_field_file(str(path)).values, expected)
+    for field in _both_ways(monkeypatch, read_field_file, path):
+        assert np.array_equal(field.values, expected)
+    assert len(split_reads) == hasattr(os, "fork")  # the split was tried, wherever a child can be forked
 
 
 _REJECTED = {
@@ -181,7 +169,7 @@ _REJECTED = {
     "fractional-index": ["1.5,5,0,0"],
     "index-out-of-range": ["1,8,0,0"],
     "space-in-a-value": ["1,2,3,4 5"],
-    # a whitespace-only line ahead of the bad row makes the path read fail first
+    # a whitespace-only line ahead of the bad row makes a half of the split read fail first
     "too-few-columns-after-a-whitespace-line": ["   ", "1,5,0.0"],
     "text-row-after-a-whitespace-line": ["   ", "not,a,number,row"],
     "space-in-a-value-after-a-whitespace-line": ["   ", "1,2,3,4 5"],
@@ -189,17 +177,14 @@ _REJECTED = {
 
 
 @pytest.mark.parametrize("between", list(_REJECTED.values()), ids=list(_REJECTED))
-def test_reader_rejects(tmp_path, monkeypatch, between):
-    # the message of a failed path read is that of the line-by-line read
+def test_reader_rejects(tmp_path, monkeypatch, split_reads, between):
+    # the message of the two-process read is that of the serial read
     path = tmp_path / "f.csv"
     path.write_text(_grid_text(between))
-    with pytest.raises(FieldFormatError) as by_path:
-        read_field_file(str(path))
-    _lines_only(monkeypatch)
-    with pytest.raises(FieldFormatError) as by_lines:
-        read_field_file(str(path))
-    assert str(by_path.value) == str(by_lines.value)
-    assert str(by_path.value).startswith(f"{path}: ")
+    split, serial = _errors_both_ways(monkeypatch, path)
+    assert split == serial
+    assert split.startswith(f"{path}: ")
+    assert len(split_reads) == hasattr(os, "fork")
 
 
 def test_reader_reads_a_pipe(tmp_path):

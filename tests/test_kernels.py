@@ -792,6 +792,31 @@ def test_radial_kernel_scales_where_the_product_is_not_a_normal_float(r):
     assert _scaled_at_one(values[1], values[0], 1.0 / r)
 
 
+@pytest.mark.parametrize("dim, r", [(4, 1e-200), (10, 1e100)])
+def test_radial_kernel_refuses_radii_whose_power_leaves_the_float_range(dim, r):
+    # (r r')^-(N-2)/2 is 1e400 at N = 4 and 1e-800 at N = 10: the series refuses both points
+    with pytest.raises(DomainError, match="radii out of the float range"):
+        full_kernel_series(dim, r, r, 0.5, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way to the refusal
+        with pytest.raises(DomainError, match="radii out of the float range"):
+            radial_kernel(0, dim, r, r, 0.5)
+        with pytest.raises(DomainError, match="radii out of the float range"):
+            radial_kernel(0, dim, np.array([1.0, r, 2.0]), np.array([1.0, r, 2.0]), 0.5)
+
+
+@pytest.mark.parametrize("dim, m, z", [(1, 0, 0.3), (2, 3, 0.5), (3, 1, 0.05 + 0.1j), (4, 2, 0.4 + 0.2j), (7, 5, 1.5)])
+def test_radial_kernel_values_keep_the_bits_of_the_formula(dim, m, z):
+    r = np.exp(np.linspace(-3.0, 3.0, 41))
+    ct, nu = as_time(z), 0.5 * (dim - 2)
+    want = cmath.exp(-ct.z * (m + nu) ** 2) * _gauss_factor(ct, r[:, None], r[None, :], dim)
+    got = radial_kernel(m, dim, r[:, None], r[None, :], z)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    one = complex(cmath.exp(-ct.z * (m + nu) ** 2) * _gauss_factor(ct, 0.7, 1.3, dim))
+    assert np.array_equal(np.array([radial_kernel(m, dim, 0.7, 1.3, z)]).view(np.int64),
+                          np.array([one]).view(np.int64))
+
+
 def test_range_check_comes_after_the_regime():
     with pytest.raises(InvalidRegimeError):
         full_kernel_series(3, 1e-200, 1e-200, 0.5, 1j)

@@ -227,6 +227,23 @@ def test_tilde_array_equals_scalar_calls_bit_for_bit(nu):
         assert np.array_equal(_bits(got), _bits(listed))
 
 
+@pytest.mark.parametrize("nu", [-0.5, 0.0, 0.5, 1.0, 1.5])
+def test_tilde_range_over_an_array_stacks_the_degree_rows_bit_for_bit(nu):
+    # the poles, their rounding slack and a negative zero, in a 2-D t
+    t = np.concatenate([[1.0, -1.0, 1.0 + 5e-13, -1.0 - 5e-13, -0.0],
+                        np.random.default_rng(13).uniform(-1.0, 1.0, 7)]).reshape(3, 4)
+    for top in (0, 1, 2, 20):
+        rows = gegenbauer_tilde(range(top + 1), nu, t)
+        assert rows.shape == (top + 1, *t.shape)
+        for k, row in enumerate(rows):
+            assert np.array_equal(_bits(row), _bits(gegenbauer_tilde(k, nu, t)))
+        floats = [[gegenbauer_tilde(range(top + 1), nu, x) for x in line] for line in t.tolist()]
+        assert np.array_equal(_bits(rows), _bits(np.moveaxis(np.array(floats), -1, 0)))
+    # the poles of the nu = -1/2 table are +0, not a zero of either sign
+    if nu == -0.5:
+        assert _bits(gegenbauer_tilde(range(4), nu, np.array([1.0, -1.0]))[2:]).tolist() == [[0, 0], [0, 0]]
+
+
 @pytest.mark.parametrize("t", [[0.2, 1.1], [float("nan")], [-1.0 - 1e-9]])
 def test_tilde_array_rejects_arguments_outside_the_interval(t):
     with pytest.raises(DomainError):
@@ -369,9 +386,10 @@ def test_domain_guards():
     lambda t: gegenbauer_tilde(3, 0.5, t),
     lambda t: gegenbauer_tilde(range(4), 0.5, t),
     lambda t: gegenbauer_tilde(3, 0.5, np.array([0.2, t])),
+    lambda t: gegenbauer_tilde(range(4), 0.5, np.array([0.2, t])),
     lambda t: gegenbauer_tilde(3, 0.0, t),
     lambda t: gegenbauer_tilde(3, 1.0, t),
-], ids=["tilde", "tilde-range", "tilde-array", "chebyshev-t", "chebyshev-u"])
+], ids=["tilde", "tilde-range", "tilde-array", "tilde-range-array", "chebyshev-t", "chebyshev-u"])
 def test_nan_argument_is_refused(call):
     # a NaN t used to pass the range check and be clamped to t = -1
     with pytest.raises(DomainError):

@@ -60,6 +60,18 @@ def test_projection_kernel_row_equals_scalar_calls(dim):
         assert row.tolist() == [projection_kernel(m, dim, x) for x in t.tolist()]
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_projection_kernel_range_equals_the_degree_calls(dim):
+    # the 21 rows verify's projection suite reads, from one recurrence pass
+    t = np.cos(2.0 * math.pi * np.arange(256) / 256) if dim > 1 else np.array([1.0, -1.0])
+    rows = projection_kernel(range(21), dim, t)
+    assert rows.shape == (21, t.size)
+    for m, row in enumerate(rows):
+        assert np.array_equal(row.view(np.int64), projection_kernel(m, dim, t).view(np.int64))
+    # at a number t the range gives one value per degree
+    assert projection_kernel(range(21), dim, float(t[1])).tolist() == rows[:, 1].tolist()
+
+
 def test_projection_kernel_two_point_sphere():
     # N = 1: kernel values (1 + t)/2 resp. (1 - t)/2 times the point masses
     assert projection_kernel(0, 1, 1.0) == pytest.approx(0.5)
